@@ -10,6 +10,12 @@ mean patch size, the two local transformers at their attention windows, and
 the two cross-attention blocks. Cross-attention calls take the block's local
 width as the per-head dimension and the width ratio k as the head count, so
 the projection term runs at global width.
+
+The model computes local self-attention over each byte's window only, so its
+O(window) cost per byte matches the count here. Decoder cross-attention is
+charged one patch's k slots per byte (p=k), but the model lets each byte
+attend to every completed patch of its document, O(patches) per byte; that
+gap is not modeled.
 """
 
 from __future__ import annotations

@@ -7,6 +7,14 @@ cross-attention roles: byte queries attend to split projections of the latent
 outputs, restricted to patches that are already complete at the query
 position, so no information from inside the current patch can leak backward.
 
+Each of the four attention patterns gives every query one contiguous span of
+keys (``Spans``), which ``tensor.span_attention`` scores tile by tile without
+building an (n_queries, n_keys) array. Local self-attention therefore costs
+O(window) per byte, as ``flops.blt_flops_per_byte`` assumes. Decoder
+cross-attention still sees every completed patch of the byte's document,
+O(patches) per byte, where the analytic model charges one patch's k slots.
+The ``*_mask`` builders are dense views of the same spans, kept for tests.
+
 Everything runs on the package's numpy autodiff; float64 mode exists for
 finite-difference gradient checks.
 """
@@ -30,12 +38,12 @@ from .tensor import (
     parameter,
     segment_max,
     segment_mean,
-    softmax,
+    softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
+    span_attention,
 )
 
 logger = logging.getLogger(__name__)
 
-NEG_MASK = -1e30  # additive mask; exp underflows to exactly 0 after the shift
 VOCAB = 256
 
 
@@ -315,60 +323,100 @@ class Stream:
 
 
 # ---------------------------------------------------------------------------
-# Attention masks
+# Attention structure: one contiguous key span per query
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Spans:
+    """Query i sees keys [lo[i], hi[i]) plus the always-visible prefix [0, sink)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    sink: int = 0
+
+    def dense(self, n_keys: int) -> np.ndarray:
+        """The (n_queries, n_keys) boolean mask these spans describe."""
+        j = np.arange(n_keys)
+        return ((self.lo[:, None] <= j) & (j < self.hi[:, None])) | (j < self.sink)
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """For each position of a nondecreasing id array, the first index with its id."""
+    idx = np.arange(len(ids))
+    new_run = np.diff(ids, prepend=ids[:1] - 1) != 0
+    return np.maximum.accumulate(np.where(new_run, idx, 0))
+
+
+def local_spans(n_bytes: int, window: int, doc_ids: np.ndarray | None = None) -> Spans:
+    """Byte i sees bytes [max(i - window + 1, start of its document), i + 1)."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    i = np.arange(n_bytes)
+    lo = np.maximum(i - window + 1, 0)
+    if doc_ids is not None:
+        lo = np.maximum(lo, _run_starts(doc_ids))
+    return Spans(lo, i + 1)
+
+
+def latent_spans(patch_doc_ids: np.ndarray) -> Spans:
+    """Patch j sees patches [first patch of its document, j + 1)."""
+    return Spans(_run_starts(patch_doc_ids), np.arange(1, len(patch_doc_ids) + 1))
+
+
+def membership_spans(boundaries: PatchBoundaries) -> Spans:
+    """Patch query j sees the bytes of patch j: [start_j, end_j + 1)."""
+    return Spans(boundaries.starts, boundaries.ends() + 1)
+
+
+def completed_patch_spans(boundaries: PatchBoundaries, doc_ids: np.ndarray, slots: int) -> Spans:
+    """Byte i sees the key slots of patches that end at or before i in its document.
+
+    Keys are ``slots`` learned start slots followed by ``slots`` slots per
+    patch. The start slots are always visible, so bytes of a document's first
+    patch (which have no completed patch yet) still have a key to attend.
+    """
+    patch_of_doc_start = boundaries.patch_of(_run_starts(doc_ids))
+    completed = np.searchsorted(boundaries.ends(), np.arange(boundaries.n_bytes), side="right")
+    return Spans(slots + slots * patch_of_doc_start, slots + slots * completed, sink=slots)
 
 
 @dataclass
 class AttentionMask:
+    """Dense view of a ``Spans`` structure; tests use it as the reference."""
+
     kind: str
     allowed: np.ndarray  # bool (n_queries, n_keys)
 
     def additive(self, dtype) -> np.ndarray:
-        return np.where(self.allowed, 0.0, NEG_MASK).astype(dtype)
+        return np.where(self.allowed, 0.0, -np.inf).astype(dtype)
 
 
 def local_block_causal_mask(n_bytes: int, window: int, doc_ids: np.ndarray | None = None) -> AttentionMask:
     """Query i sees key j iff j <= i, i - j < window, and both share a document."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    i = np.arange(n_bytes)[:, None]
-    j = np.arange(n_bytes)[None, :]
-    allowed = (j <= i) & (i - j < window)
-    if doc_ids is not None:
-        allowed &= doc_ids[:, None] == doc_ids[None, :]
-    return AttentionMask(f"local_block_causal({window})", allowed)
+    return AttentionMask(f"local_block_causal({window})",
+                         local_spans(n_bytes, window, doc_ids).dense(n_bytes))
 
 
 def block_causal_patch_mask(patch_doc_ids: np.ndarray) -> AttentionMask:
     """Patch j sees patch j' iff j' <= j within the same document."""
-    m = len(patch_doc_ids)
-    i = np.arange(m)[:, None]
-    j = np.arange(m)[None, :]
-    allowed = (j <= i) & (patch_doc_ids[:, None] == patch_doc_ids[None, :])
-    return AttentionMask("block_causal_patches", allowed)
+    return AttentionMask("block_causal_patches",
+                         latent_spans(patch_doc_ids).dense(len(patch_doc_ids)))
 
 
 def patch_membership_mask(boundaries: PatchBoundaries) -> AttentionMask:
     """Patch query j sees byte i iff byte i belongs to patch j."""
-    patch_of = boundaries.patch_of()
-    allowed = patch_of[None, :] == np.arange(boundaries.n_patches)[:, None]
-    return AttentionMask("patch_membership", allowed)
+    return AttentionMask("patch_membership",
+                         membership_spans(boundaries).dense(boundaries.n_bytes))
 
 
 def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> AttentionMask:
     """Byte i sees patch j iff patch j ends at or before i in the same document.
 
-    Column 0 is a permanently visible learned start slot, so bytes of a
-    document's first patch (which have no completed patch yet) still have a
-    key to attend.
+    Column 0 is the permanently visible learned start slot.
     """
-    ends = boundaries.ends()
-    patch_docs = doc_ids[boundaries.starts]
-    i = np.arange(boundaries.n_bytes)[:, None]
-    allowed_patches = (ends[None, :] <= i) & (patch_docs[None, :] == doc_ids[:, None])
-    allowed = np.concatenate([np.ones((boundaries.n_bytes, 1), dtype=bool), allowed_patches], axis=1)
-    return AttentionMask("completed_patch_causal", allowed)
+    spans = completed_patch_spans(boundaries, doc_ids, slots=1)
+    return AttentionMask("completed_patch_causal", spans.dense(boundaries.n_patches + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +459,13 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(0, 1).reshape(n, h * dh)
 
 
-def _attend(q: Tensor, kt: Tensor, v: Tensor, add_mask: np.ndarray, scale: float) -> Tensor:
-    # scaling the (small) query block beats scaling the (n_q, n_k) score matrix
-    scores = (q * scale) @ kt + add_mask
-    return softmax(scores, axis=-1) @ v
+def _attend(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    return span_attention(q, k, v, spans.lo, spans.hi, scale, spans.sink)
 
 
 def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
-                         add_mask: np.ndarray, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
-    n, d = x.shape
-    dh = d // heads
+                         spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
     xn = rms_norm(x, params[f"{prefix}attn_norm"])
     q = _split_heads(xn @ params[f"{prefix}attn.wq"], heads)
     k = _split_heads(xn @ params[f"{prefix}attn.wk"], heads)
@@ -428,8 +473,7 @@ def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
     cos, sin = rope
     q = apply_rope(q, cos, sin)
     k = apply_rope(k, cos, sin)
-    out = _attend(q, k.swapaxes(-1, -2), v, add_mask, 1.0 / math.sqrt(dh))
-    return x + _merge_heads(out) @ params[f"{prefix}attn.wo"]
+    return x + _merge_heads(_attend(q, k, v, spans)) @ params[f"{prefix}attn.wo"]
 
 
 def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
@@ -439,23 +483,20 @@ def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
 
 
 def transformer_layer(x: Tensor, params: BltParams, prefix: str, heads: int,
-                      add_mask: np.ndarray, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
-    x = self_attention_block(x, params, prefix, heads, add_mask, rope)
+                      spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    x = self_attention_block(x, params, prefix, heads, spans, rope)
     return ffn_block(x, params, prefix)
 
 
 def cross_attention_block(q_in: Tensor, kv_in: Tensor, params: BltParams, prefix: str,
-                          heads: int, add_mask: np.ndarray) -> Tensor:
+                          heads: int, spans: Spans) -> Tensor:
     """Pre-normed multi-head cross-attention with residual; no positional encoding."""
-    a, qd = q_in.shape
-    dh = qd // heads
     qn = rms_norm(q_in, params[f"{prefix}q_norm"])
     kvn = rms_norm(kv_in, params[f"{prefix}kv_norm"])
     q = _split_heads(qn @ params[f"{prefix}wq"], heads)
     k = _split_heads(kvn @ params[f"{prefix}wk"], heads)
     v = _split_heads(kvn @ params[f"{prefix}wv"], heads)
-    out = _attend(q, k.swapaxes(-1, -2), v, add_mask, 1.0 / math.sqrt(dh))
-    return q_in + _merge_heads(out) @ params[f"{prefix}wo"]
+    return q_in + _merge_heads(_attend(q, k, v, spans)) @ params[f"{prefix}wo"]
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +542,22 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
 # ---------------------------------------------------------------------------
 
 
-def _byte_mask(stream: Stream, window: int, dtype, cache: dict | None) -> np.ndarray:
-    key = ("local", window)
-    if cache is not None and key in cache:
-        return cache[key]
-    mask = local_block_causal_mask(stream.n_bytes, window, stream.doc_ids).additive(dtype)
-    if cache is not None:
-        cache[key] = mask
-    return mask
+def _local_spans(stream: Stream, window: int, cache: dict | None) -> Spans:
+    cache = {} if cache is None else cache
+    if window not in cache:
+        cache[window] = local_spans(stream.n_bytes, window, stream.doc_ids)
+    return cache[window]
 
 
 def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
-                    mask_cache: dict | None = None) -> tuple[Tensor, Tensor]:
+                    span_cache: dict | None = None) -> tuple[Tensor, Tensor]:
     """Byte states for the decoder plus patch representations for the latent model.
 
     Patch queries are initialized by pooling the augmented byte embeddings of
     each patch and projecting to global width; each cross-attention layer uses
     the byte states from before that layer's transformer (the embeddings for
     the first layer) as keys/values, restricted to the query's own patch.
+    ``span_cache`` shares the local attention spans with ``decoder_forward``.
     """
     dtype = params["byte_embed"].dtype
     bounds = stream.boundaries
@@ -528,14 +567,14 @@ def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
     pool = segment_max if config.pooling == "max" else segment_mean
     p = pool(e, stream.patch_starts) @ params["enc.pool_proj"]
 
-    byte_mask = _byte_mask(stream, config.enc_window, dtype, mask_cache)
-    memb_mask = patch_membership_mask(bounds).additive(dtype)
+    byte_spans = _local_spans(stream, config.enc_window, span_cache)
+    memb_spans = membership_spans(bounds)
     rope = rope_cache(np.arange(stream.n_bytes), config.enc_dim // config.enc_heads,
                       config.rope_theta, dtype)
     h = e
     for i in range(config.enc_layers):
-        p = cross_attention_block(p, h, params, f"enc.{i}.xattn.", config.k, memb_mask)
-        h = transformer_layer(h, params, f"enc.{i}.", config.enc_heads, byte_mask, rope)
+        p = cross_attention_block(p, h, params, f"enc.{i}.xattn.", config.k, memb_spans)
+        h = transformer_layer(h, params, f"enc.{i}.", config.enc_heads, byte_spans, rope)
     return h, p
 
 
@@ -544,24 +583,24 @@ def global_forward(params: BltParams, patches: Tensor, patch_doc_ids: np.ndarray
     """Causal transformer over patch representations within each document."""
     dtype = patches.dtype
     m = patches.shape[0]
-    mask = block_causal_patch_mask(patch_doc_ids).additive(dtype)
+    spans = latent_spans(patch_doc_ids)
     rope = rope_cache(np.arange(m), config.global_dim // config.global_heads,
                       config.rope_theta, dtype)
     o = patches
     for i in range(config.global_layers):
-        o = transformer_layer(o, params, f"global.{i}.", config.global_heads, mask, rope)
+        o = transformer_layer(o, params, f"global.{i}.", config.global_heads, spans, rope)
     return o
 
 
 def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
                     stream: Stream, config: ModelConfig,
-                    mask_cache: dict | None = None) -> Tensor:
+                    span_cache: dict | None = None) -> Tensor:
     """Byte logits from encoder byte states and latent patch outputs.
 
     Each latent output is linearly mapped and split into k decoder-width
     key/value slots. The byte query at position i attends only to slots of
-    patches that end at or before i (plus the learned start slot), then a
-    windowed causal transformer layer refines the byte sequence.
+    patches that end at or before i in its document (plus the k learned start
+    slots), then a windowed causal transformer layer refines the byte sequence.
     """
     dtype = byte_states.dtype
     k, d = config.k, config.dec_dim
@@ -569,17 +608,14 @@ def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
     slots = (latent_out @ params["dec.patch_proj"]).reshape(m * k, d)
     kv = concat([params["dec.start_kv"], slots], axis=0)
 
-    group_mask = completed_patch_mask(stream.boundaries, stream.doc_ids).allowed
-    slot_mask = np.repeat(group_mask, k, axis=1)
-    xattn_mask = np.where(slot_mask, 0.0, NEG_MASK).astype(dtype)
-
-    byte_mask = _byte_mask(stream, config.dec_window, dtype, mask_cache)
+    xattn_spans = completed_patch_spans(stream.boundaries, stream.doc_ids, k)
+    byte_spans = _local_spans(stream, config.dec_window, span_cache)
     rope = rope_cache(np.arange(stream.n_bytes), d // config.dec_heads, config.rope_theta, dtype)
 
     x = byte_states
     for i in range(config.dec_layers):
-        x = cross_attention_block(x, kv, params, f"dec.{i}.xattn.", config.dec_heads, xattn_mask)
-        x = transformer_layer(x, params, f"dec.{i}.", config.dec_heads, byte_mask, rope)
+        x = cross_attention_block(x, kv, params, f"dec.{i}.xattn.", config.dec_heads, xattn_spans)
+        x = transformer_layer(x, params, f"dec.{i}.", config.dec_heads, byte_spans, rope)
     return rms_norm(x, params["out_norm"]) @ params["out_proj"]
 
 
@@ -602,10 +638,10 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
     Position i predicts byte i+1; positions whose successor crosses a document
     boundary (or does not exist) are excluded from the loss.
     """
-    mask_cache: dict = {}
-    h, p = encoder_forward(params, stream, config, mask_cache)
+    span_cache: dict = {}
+    h, p = encoder_forward(params, stream, config, span_cache)
     o = global_forward(params, p, stream.patch_doc_ids, config)
-    logits = decoder_forward(params, h, o, stream, config, mask_cache)
+    logits = decoder_forward(params, h, o, stream, config, span_cache)
 
     n = stream.n_bytes
     targets = np.zeros(n, dtype=np.int64)

@@ -2,10 +2,11 @@
 
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
-segment pooling over contiguous spans, and a fused NLL-from-logits. Graphs
-are built eagerly; ``backward()`` walks a topological order and accumulates
-vector-Jacobian products into ``.grad``. Gradients are never mutated in
-place, so views handed out by a vjp stay valid.
+segment pooling over contiguous spans, a fused NLL-from-logits, and tiled
+attention over one key span per query. Graphs are built eagerly;
+``backward()`` walks a topological order and accumulates vector-Jacobian
+products into ``.grad``. Gradients are never mutated in place, so views
+handed out by a vjp stay valid.
 
 Dtype discipline: ops never upcast silently; python scalars stay weak, so a
 float32 graph remains float32 and a float64 graph (used for gradient checks)
@@ -15,6 +16,13 @@ remains float64.
 from __future__ import annotations
 
 import numpy as np
+
+ATTN_TILE = 64  # query rows per tile in span_attention
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in its tanh form, which cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -204,11 +212,11 @@ class Tensor:
         return Tensor._result(out_data, (self,), lambda g: [(self, g * 0.5 / out_data)])
 
     def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = _sigmoid(self.data)
         return Tensor._result(out_data, (self,), lambda g: [(self, g * out_data * (1.0 - out_data))])
 
     def silu(self):
-        s = 1.0 / (1.0 + np.exp(-self.data))
+        s = _sigmoid(self.data)
         out_data = self.data * s
         return Tensor._result(out_data, (self,), lambda g: [(self, g * (s + out_data * (1.0 - s)))])
 
@@ -265,6 +273,69 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return [(x, y * (g - dot))]
 
     return Tensor._result(y, (x,), vjp)
+
+
+def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarray,
+                   scale: float, sink: int = 0) -> Tensor:
+    """Multi-head softmax attention where query i sees keys [lo[i], hi[i]) and [0, sink).
+
+    ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
+    (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows;
+    a tile scores only the sink keys and the key range its rows' spans cover,
+    under a small boolean mask. The forward keeps each row's log-sum-exp and
+    the backward recomputes the probabilities tile by tile, so memory stays
+    linear in the number of queries and keys. Every query must see at least
+    one key.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    n_q, n_k = q.shape[1], k.shape[1]
+    if lo.shape != (n_q,) or hi.shape != (n_q,):
+        raise ValueError("span bounds must have one entry per query")
+    if not 0 <= sink <= n_k or (n_q and (lo.min() < 0 or hi.max() > n_k)):
+        raise ValueError("key spans out of range")
+    if sink == 0 and np.any(hi <= lo):
+        raise ValueError("a query has no visible key")
+    qs = q.data * scale
+
+    def tiles():
+        for a in range(0, n_q, ATTN_TILE):
+            rows = slice(a, a + ATTN_TILE)
+            lo_t, hi_t = lo[rows, None], hi[rows, None]
+            first = max(int(lo_t.min()), sink)
+            cols = np.r_[0:sink, first:max(int(hi_t.max()), first)]
+            hidden = ((cols < lo_t) | (cols >= hi_t)) & (cols >= sink)
+            kc = k.data[:, cols]
+            scores = qs[:, rows] @ kc.swapaxes(-1, -2)
+            np.copyto(scores, -np.inf, where=hidden)  # exp of a hidden score is exactly 0
+            yield rows, cols, kc, scores
+
+    out = np.empty(q.shape[:2] + v.shape[2:], dtype=q.dtype)
+    lse = np.empty(q.shape[:2] + (1,), dtype=q.dtype)
+    for rows, cols, _, s in tiles():
+        m = s.max(axis=-1, keepdims=True)
+        e = np.exp(np.subtract(s, m, out=s), out=s)
+        total = e.sum(axis=-1, keepdims=True)
+        out[:, rows] = (e @ v.data[:, cols]) / total
+        lse[:, rows] = m + np.log(total)
+
+    def vjp(g):
+        dq = np.empty_like(q.data)
+        dk = np.zeros_like(k.data)
+        dv = np.zeros_like(v.data)
+        delta = (g * out).sum(axis=-1, keepdims=True)
+        for rows, cols, kc, s in tiles():
+            p = np.exp(np.subtract(s, lse[:, rows], out=s), out=s)
+            g_t = g[:, rows]
+            dv[:, cols] += p.swapaxes(-1, -2) @ g_t
+            ds = g_t @ v.data[:, cols].swapaxes(-1, -2)
+            ds -= delta[:, rows]
+            ds *= p
+            dq[:, rows] = (ds @ kc) * scale
+            dk[:, cols] += ds.swapaxes(-1, -2) @ qs[:, rows]
+        return [(q, dq), (k, dk), (v, dv)]
+
+    return Tensor._result(out, (q, k, v), vjp)
 
 
 def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -11,6 +11,7 @@ from patchlm.model import (
     augmented_byte_embeddings,
     block_causal_patch_mask,
     completed_patch_mask,
+    completed_patch_spans,
     decoder_forward,
     encoder_forward,
     global_forward,
@@ -18,6 +19,7 @@ from patchlm.model import (
     init_params,
     lm_forward,
     local_block_causal_mask,
+    membership_spans,
     patch_membership_mask,
     rms_norm,
     TransformerEntropySource,
@@ -29,7 +31,8 @@ from patchlm.patching import (
     patch_space,
     patch_strided,
 )
-from patchlm.tensor import Tensor, parameter, softmax
+from patchlm import model
+from patchlm.tensor import ATTN_TILE, Tensor, parameter, softmax
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -98,6 +101,18 @@ def test_completed_patch_mask_predicate():
             assert m.allowed[i, 1 + j] == (ends[j] <= i)
     # first-patch bytes see only the start slot
     assert m.allowed[1].tolist() == [True, False, False, False]
+
+    # two documents: a byte sees only its own document's completed patches
+    bounds = PatchBoundaries(np.array([0, 2, 4, 5, 7]), 9)  # docs [0,4) [4,9)
+    doc_ids = np.array([0] * 4 + [1] * 5, np.int32)
+    m = completed_patch_mask(bounds, doc_ids)
+    ends, patch_docs = bounds.ends(), doc_ids[bounds.starts]
+    for i in range(9):
+        for j in range(5):
+            assert m.allowed[i, 1 + j] == (ends[j] <= i and patch_docs[j] == doc_ids[i])
+    # the decoder's k slots per patch repeat each column k times
+    slots = completed_patch_spans(bounds, doc_ids, slots=3).dense(3 * 6)
+    np.testing.assert_array_equal(slots, np.repeat(m.allowed, 3, axis=1))
 
 
 def test_masked_softmax_exact_zeros_and_row_sums():
@@ -262,8 +277,8 @@ def test_encoder_patch_locality_zero_gradient():
     from patchlm.model import cross_attention_block, segment_max
 
     p0 = segment_max(h, stream.patch_starts) @ params["enc.pool_proj"]
-    memb = patch_membership_mask(stream.boundaries).additive(np.float32)
-    p1 = cross_attention_block(p0, h, params, "enc.0.xattn.", cfg.k, memb)
+    p1 = cross_attention_block(p0, h, params, "enc.0.xattn.", cfg.k,
+                               membership_spans(stream.boundaries))
     p1[0].sum().backward()
     outside = np.ones(stream.n_bytes, bool)
     outside[: int(stream.patch_starts[1])] = False
@@ -343,6 +358,62 @@ def test_grad_check_small_config():
     stream = text_stream(n_bytes=60, n_docs=2, k=3)
     rep = grad_check(params, stream, cfg, samples_per_tensor=2, seed=0)
     assert rep["passed"], {k: v for k, v in rep["tensors"].items() if not v["passed"]}
+
+
+def test_grad_check_multi_document_windows_shorter_than_documents():
+    # windows and stream length are not multiples of the attention tile, so
+    # spans cross tile edges and document starts in the middle of tiles
+    cfg = tiny_cfg(enc_window=37, dec_window=53)
+    params = init_params(cfg, seed=2)
+    stream = text_stream(n_bytes=3 * ATTN_TILE + 29, n_docs=3, k=3)
+    assert cfg.enc_window % ATTN_TILE and cfg.dec_window % ATTN_TILE
+    assert np.diff(np.flatnonzero(np.diff(stream.doc_ids, prepend=-1))).min() > cfg.dec_window
+    rep = grad_check(params, stream, cfg, samples_per_tensor=2, seed=1)
+    assert rep["passed"], {k: v for k, v in rep["tensors"].items() if not v["passed"]}
+
+
+def _dense_attend(q, k, v, spans):
+    """The dense reference: full score matrix, additive mask, softmax."""
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    return softmax(scores + np.where(spans.dense(k.shape[1]), 0.0, -np.inf), axis=-1) @ v
+
+
+def test_span_attention_model_matches_dense_oracle(monkeypatch):
+    cfg = tiny_cfg(enc_window=37, dec_window=53, dec_layers=2)
+    params = init_params(cfg, seed=3).astype(np.float64)
+    stream = text_stream(n_bytes=2 * ATTN_TILE + 45, n_docs=3, k=4)
+
+    def loss_and_grads():
+        params.zero_grad()
+        res = lm_forward(params, stream, cfg)
+        res.loss.backward()
+        return float(res.loss.data), {k: g.copy() for k, g in params.grads().items()}
+
+    loss, grads = loss_and_grads()
+    monkeypatch.setattr(model, "_attend", _dense_attend)
+    want_loss, want_grads = loss_and_grads()
+    assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-10 * np.abs(want).max(),
+                                   err_msg=name)
+
+
+def test_long_stream_memory_stays_bounded():
+    # no (n_q, n_k) array may exist: at n=4096 dense scores, masks and stored
+    # probabilities alone take several GB
+    import tracemalloc
+
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0)
+    data = np.frombuffer(textgen.synthetic_text(4096, seed=5).encode()[:4096], np.uint8)
+    stream = Stream.from_documents([data], patch_space)
+    tracemalloc.start()
+    try:
+        lm_forward(params, stream, cfg).loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**30, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_grad_check_detects_corrupted_gradient():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchlm.tensor import (
+    ATTN_TILE,
     Tensor,
     concat,
     embedding,
@@ -10,6 +12,7 @@ from patchlm.tensor import (
     segment_max,
     segment_mean,
     softmax,
+    span_attention,
 )
 
 
@@ -149,3 +152,50 @@ def test_grad_accumulates_across_paths():
     out = a * a + a * 3.0
     out.sum().backward()
     np.testing.assert_allclose(a.grad, [2 * 2.0 + 3.0])
+
+
+def dense_attention(q, k, v, lo, hi, scale, sink):
+    """Reference: full score matrix, additive -inf mask, softmax, mix."""
+    j = np.arange(k.shape[1])
+    visible = ((lo[:, None] <= j) & (j < hi[:, None])) | (j < sink)
+    scores = (q * scale) @ k.swapaxes(-1, -2) + np.where(visible, 0.0, -np.inf)
+    return softmax(scores, axis=-1) @ v
+
+
+@settings(max_examples=40, deadline=None)
+@given(heads=st.integers(1, 3), n_q=st.integers(1, 3 * ATTN_TILE + 7),
+       n_k=st.integers(1, 2 * ATTN_TILE + 5), sink=st.sampled_from([0, 1, 2, 3]),
+       sorted_lo=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_span_attention_matches_dense_oracle(heads, n_q, n_k, sink, sorted_lo, seed):
+    rng = np.random.default_rng(seed)
+    sink = min(sink, n_k)
+    lo = rng.integers(0, n_k, size=n_q)
+    if sorted_lo:  # spans move along the keys, so each tile sees only part of them
+        lo.sort()
+    hi = np.minimum(lo + rng.integers(0 if sink else 1, max(2, n_k // 4), size=n_q), n_k)
+    scale = float(rng.uniform(0.1, 2.0))
+    leaves = [rng.standard_normal((heads, n, d)) for n, d in ((n_q, 4), (n_k, 4), (n_k, 3))]
+    weight = rng.standard_normal((heads, n_q, 3))
+    results = []
+    for op in (span_attention, dense_attention):
+        q, k, v = (parameter(x.copy()) for x in leaves)
+        out = op(q, k, v, lo, hi, scale, sink)
+        (out * weight).sum().backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def test_span_attention_grad_numeric():
+    lo, hi = np.array([0, 2, 1, 5, 3]), np.array([1, 4, 6, 6, 3])
+    weight = np.random.default_rng(4).standard_normal((2, 5, 4))
+    check_op(lambda q, k, v: (span_attention(q, k, v, lo, hi, 0.7, 1) * weight).sum(),
+             (2, 5, 3), (2, 6, 3), (2, 6, 4))
+
+
+def test_span_attention_rejects_query_without_keys():
+    q, k = Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError, match="no visible key"):
+        span_attention(q, k, k, np.array([0, 2]), np.array([1, 2]), 1.0, 0)
+    out = span_attention(q, k, k, np.array([0, 2]), np.array([1, 2]), 1.0, 1)  # the sink rescues it
+    assert np.isfinite(out.data).all()
