@@ -24,7 +24,7 @@ from . import corpus as corpus_mod
 from . import entropy_lm, flops, patching, textgen
 from .bpe import train_bpe
 from .corpus import CorpusError, NoiseSpec, apply_noise, load_corpus
-from .model import BltParams, ModelConfig, NumericError, init_params
+from .model import ModelConfig, NumericError, init_params
 from .patching import CalibrationError, PatchingConfig, PatchingError, make_patcher
 from .runconfig import ConfigError, RunConfig
 from .trainer import (
@@ -168,7 +168,8 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     sizes = [patching.patch_stats(patcher(d)) for d in docs]
     achieved = sum(s.n_bytes for s in sizes) / sum(s.n_patches for s in sizes)
     _emit({"scheme": scheme, "target_patch_size": args.target_patch_size,
-           "theta": theta, "achieved_mean_patch_size": achieved}, args)
+           "theta": theta, "achieved_mean_patch_size": achieved,
+           "forced_splits": sum(s.forced_splits for s in sizes)}, args)
     return EXIT_OK
 
 
@@ -182,7 +183,8 @@ def cmd_patch(args, cfg: RunConfig) -> int:
     total_patches = sum(b.n_patches for _, b in items)
     _emit({"out": str(out), "scheme": pc.scheme, "docs": len(items),
            "n_bytes": total_bytes, "n_patches": total_patches,
-           "mean_patch_size": total_bytes / total_patches}, args)
+           "mean_patch_size": total_bytes / total_patches,
+           "forced_splits": sum(b.forced_splits for _, b in items)}, args)
     return EXIT_OK
 
 
@@ -200,9 +202,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
             eval_docs = [d.data for d in ds]
             train_docs = docs
         patcher, pc, emodel = _patcher(args, cfg, train_docs)
-        if cfg["patching"]["target_patch_size"] and pc.scheme.startswith("entropy"):
+        target = args.target_patch_size or cfg["patching"]["target_patch_size"]
+        if target and pc.scheme.startswith("entropy"):
             theta = patching.calibrate_threshold(
-                emodel, train_docs, cfg["patching"]["target_patch_size"],
+                emodel, train_docs, target,
                 scheme="entropy_global" if pc.scheme != "entropy_monotonic" else pc.scheme,
                 reset_on_newline=pc.reset_on_newline, max_patch=pc.max_patch_size)
             pc.theta_g = theta
@@ -259,9 +262,8 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
 def cmd_flops(args, cfg: RunConfig) -> int:
     model_cfg = ModelConfig.from_dict(cfg["model"])
     rep = flops.blt_flops_per_byte(model_cfg, args.n_ctx, Fraction(str(args.patch_size)))
-    doc = {k: float(v) for k, v in rep.components().items()}
-    doc.update(total_forward=float(rep.total_forward), total_train=float(rep.total_train),
-               n_ctx=args.n_ctx, patch_size=args.patch_size,
+    doc = rep.as_floats()
+    doc.update(n_ctx=args.n_ctx, patch_size=args.patch_size,
                non_embedding_params=flops.non_embedding_params(model_cfg))
 
     def human(d):
@@ -365,9 +367,6 @@ def _add_patch_flags(sp):
     sp.add_argument("--max-patch", type=int, default=None)
     sp.add_argument("--entropy-model", default=None, help="path to a saved entropy model")
     sp.add_argument("--bpe-merges", type=int, default=200)
-    sp.add_argument("--ngram-sizes", default=None, help="comma list, e.g. 3,4,5")
-    sp.add_argument("--hash-vocab", type=int, default=None)
-    sp.add_argument("--freq-topk", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,20 +1,17 @@
-"""Document loading, character-level noising, and byte-budget batch packing."""
+"""Document loading and character-level noising."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-PAD_BYTE = 0x00
 
 NOISE_STRATEGIES = ("antspeak", "drop", "random_case", "repeat", "upper_case")
 
@@ -28,37 +25,20 @@ class CorpusError(Exception):
 
 @dataclass
 class Document:
-    """A unit of processing: an id plus raw UTF-8 bytes.
-
-    ``char_offsets``, when present, holds the byte index of each character
-    start (strictly increasing, first entry 0).
-    """
+    """A unit of processing: an id plus raw UTF-8 bytes."""
 
     id: str
     data: np.ndarray  # uint8
-    char_offsets: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.uint8)
-        if self.char_offsets is not None:
-            off = np.asarray(self.char_offsets, dtype=np.int64)
-            if len(off) and (off[0] != 0 or np.any(np.diff(off) <= 0)):
-                raise ValueError("char_offsets must start at 0 and be strictly increasing")
-            self.char_offsets = off
 
     def __len__(self) -> int:
         return len(self.data)
 
     @classmethod
-    def from_text(cls, doc_id: str, text: str, with_char_offsets: bool = False) -> "Document":
-        raw = text.encode("utf-8")
-        offsets = None
-        if with_char_offsets:
-            arr = np.frombuffer(raw, dtype=np.uint8)
-            # Character starts are every byte that is not a UTF-8 continuation byte.
-            starts = np.nonzero((arr & 0xC0) != 0x80)[0]
-            offsets = starts.astype(np.int64)
-        return cls(doc_id, np.frombuffer(raw, dtype=np.uint8), offsets)
+    def from_text(cls, doc_id: str, text: str) -> "Document":
+        return cls(doc_id, np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
 
 
 @dataclass
@@ -71,9 +51,6 @@ class DocumentSet:
 
     def __len__(self) -> int:
         return len(self.docs)
-
-    def total_bytes(self) -> int:
-        return sum(len(d) for d in self.docs)
 
 
 def load_corpus(path: str | Path, format: str = "plain-text", strict: bool = False) -> DocumentSet:
@@ -216,138 +193,3 @@ def apply_noise(text: str, spec: NoiseSpec) -> str:
         return "".join(out)
 
     raise AssertionError(f"unhandled strategy {spec.strategy}")
-
-
-# ---------------------------------------------------------------------------
-# Byte-budget batch packing
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Batch:
-    """A set of document byte sequences packed against a byte budget.
-
-    Sequences are kept per-document so attention can never cross a document
-    boundary; ``doc_boundary_mask`` marks sequence starts in the concatenated
-    view and padding is excluded from loss by construction.
-    """
-
-    sequences: list[np.ndarray]
-    pad_value: int = PAD_BYTE
-    max_bytes: int = 0
-
-    @property
-    def n_bytes(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
-    @property
-    def doc_boundary_mask(self) -> np.ndarray:
-        """1 at every position that starts a document, over the concatenated bytes."""
-        mask = np.zeros(self.n_bytes, dtype=bool)
-        pos = 0
-        for s in self.sequences:
-            mask[pos] = True
-            pos += len(s)
-        return mask
-
-    def to_padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """(batch, width) byte matrix plus a validity mask; pad value 0x00."""
-        width = max(len(s) for s in self.sequences)
-        mat = np.full((len(self.sequences), width), self.pad_value, dtype=np.uint8)
-        valid = np.zeros((len(self.sequences), width), dtype=bool)
-        for r, s in enumerate(self.sequences):
-            mat[r, : len(s)] = s
-            valid[r, : len(s)] = True
-        return mat, valid
-
-    def to_stream(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated bytes plus per-position document ids."""
-        data = np.concatenate(self.sequences) if self.sequences else np.zeros(0, np.uint8)
-        doc_ids = np.concatenate(
-            [np.full(len(s), i, dtype=np.int32) for i, s in enumerate(self.sequences)]
-        ) if self.sequences else np.zeros(0, np.int32)
-        return data, doc_ids
-
-
-@dataclass
-class PackStats:
-    n_batches: int = 0
-    n_docs: int = 0
-    truncated_docs: int = 0
-    total_bytes: int = 0
-    realized: list[int] = field(default_factory=list)
-
-    @property
-    def mean_bytes_per_batch(self) -> float:
-        return self.total_bytes / self.n_batches if self.n_batches else 0.0
-
-
-def pack_batches(
-    docs: DocumentSet | Iterable[Document],
-    byte_budget: int,
-    trunc_len: int,
-    seed: int = 0,
-) -> tuple[list[Batch], PackStats]:
-    """Shuffle documents by seed and greedily fill batches up to ``byte_budget``.
-
-    Documents longer than ``trunc_len`` are truncated (counted in the stats).
-    Empty documents are never admitted. The realized byte count of each batch
-    is at most the budget and within one document of it.
-    """
-    if not (byte_budget >= trunc_len >= 1):
-        raise ValueError("need byte_budget >= trunc_len >= 1")
-    items = [d for d in docs if len(d) > 0]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(items))
-
-    stats = PackStats()
-    batches: list[Batch] = []
-    cur: list[np.ndarray] = []
-    cur_bytes = 0
-    for idx in order:
-        seq = items[idx].data
-        if len(seq) > trunc_len:
-            seq = seq[:trunc_len]
-            stats.truncated_docs += 1
-        if cur and cur_bytes + len(seq) > byte_budget:
-            batches.append(Batch(cur, max_bytes=byte_budget))
-            stats.realized.append(cur_bytes)
-            cur, cur_bytes = [], 0
-        cur.append(seq)
-        cur_bytes += len(seq)
-        stats.n_docs += 1
-    if cur:
-        batches.append(Batch(cur, max_bytes=byte_budget))
-        stats.realized.append(cur_bytes)
-    stats.n_batches = len(batches)
-    stats.total_bytes = sum(stats.realized)
-    return batches, stats
-
-
-def write_batch_dump(batches: Iterable[Batch], path: str | Path) -> int:
-    """Dump sequences as length-prefixed binary records (u32 LE length + raw bytes)."""
-    n = 0
-    with open(path, "wb") as fh:
-        for batch in batches:
-            for seq in batch.sequences:
-                fh.write(struct.pack("<I", len(seq)))
-                fh.write(seq.tobytes())
-                n += 1
-    return n
-
-
-def read_batch_dump(path: str | Path) -> list[np.ndarray]:
-    """Read back sequences written by :func:`write_batch_dump`."""
-    out = []
-    raw = Path(path).read_bytes()
-    pos = 0
-    while pos < len(raw):
-        if pos + 4 > len(raw):
-            raise CorpusError(f"truncated batch dump at offset {pos}")
-        (length,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + length > len(raw):
-            raise CorpusError(f"truncated batch dump record at offset {pos}")
-        out.append(np.frombuffer(raw[pos : pos + length], dtype=np.uint8))
-        pos += length
-    return out

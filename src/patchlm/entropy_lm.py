@@ -136,7 +136,6 @@ class EntropyModel:
         self.order = order
         self.alpha = alpha
         self.levels = levels  # levels[k] holds length-k contexts, k = 0..order
-        self.version = self.VERSION
 
         lvl0 = levels[0]
         c0 = np.zeros(256, dtype=np.float64)
@@ -147,10 +146,6 @@ class EntropyModel:
         self._dist_memo: dict[bytes, np.ndarray] = {}
         self._h_memo: dict[bytes, float] = {}
         self._h_tables: list[np.ndarray] | None = None
-
-    @property
-    def smoothing(self) -> dict:
-        return {"scheme": "interpolated_add_alpha", "alpha": self.alpha}
 
     # -- distributions ------------------------------------------------------
 
@@ -380,14 +375,6 @@ def train_counts(
             nxts = np.zeros(0, np.uint8)
         levels.append(_Level(*_count_pairs(keys, nxts)))
     return EntropyModel(order, alpha, levels)
-
-
-def next_byte_distribution(model: EntropyModel, context) -> np.ndarray:
-    return model.next_byte_distribution(context)
-
-
-def entropy_trace(model: EntropyModel, data, reset_on_newline: bool = False) -> EntropyTrace:
-    return model.entropy_trace(data, reset_on_newline=reset_on_newline)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .ngram_hash import DEFAULT_HASH_PRIME, rolling_hashes
+from .ngram_hash import DEFAULT_HASH_PRIME, hash_ngram_ids, validate_multiplier
 from .patching import PatchBoundaries
 from .tensor import (
     Tensor,
@@ -107,22 +107,12 @@ class ModelConfig:
             raise ValueError(f"pooling must be max or mean, got {self.pooling!r}")
         if self.enc_window < 1 or self.dec_window < 1:
             raise ValueError("attention windows must be >= 1")
+        validate_multiplier(self.hash_prime)
 
     @property
     def k(self) -> int:
         """Width ratio global_dim / enc_dim: encoder-width slots per patch vector."""
         return self.global_dim // self.enc_dim
-
-    @classmethod
-    def tiny(cls, **over) -> "ModelConfig":
-        return cls(**over)
-
-    @classmethod
-    def small(cls, **over) -> "ModelConfig":
-        base = dict(enc_dim=128, global_dim=512, dec_dim=128, enc_layers=1,
-                    global_layers=8, dec_layers=4, enc_heads=4, global_heads=8, dec_heads=4)
-        base.update(over)
-        return cls(**base)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -154,9 +144,6 @@ class BltParams:
 
     def items(self):
         return self.tensors.items()
-
-    def names(self):
-        return list(self.tensors)
 
     def n_params(self) -> int:
         return sum(t.data.size for t in self.tensors.values())
@@ -500,7 +487,7 @@ def cross_attention_block(q_in: Tensor, kv_in: Tensor, params: BltParams, prefix
 
 
 # ---------------------------------------------------------------------------
-# Embedding augmentation (trainable twin of ngram_hash.augment_embeddings)
+# Embedding augmentation: byte embeddings plus hash n-gram embeddings
 # ---------------------------------------------------------------------------
 
 
@@ -515,23 +502,21 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
     if config.hash_vocab <= 0 or not config.ngram_sizes:
         return e
     n = stream.n_bytes
-    divisor = np.ones(n, dtype=dtype)
+    ids = {size: np.zeros(n, dtype=np.int64) for size in config.ngram_sizes}
+    valid = {size: np.zeros(n, dtype=bool) for size in config.ngram_sizes}
     doc_bounds = np.nonzero(np.diff(stream.doc_ids, prepend=stream.doc_ids[0] - 1))[0]
-    doc_bounds = np.append(doc_bounds, n)
+    for lo, hi in zip(doc_bounds, np.append(doc_bounds[1:], n)):
+        doc_grams = hash_ngram_ids(stream.data[lo:hi], config.ngram_sizes, config.hash_vocab,
+                                   config.hash_prime)
+        for size, size_ids in doc_grams.items():
+            ids[size][lo + size - 1 : hi] = size_ids
+            valid[size][lo + size - 1 : hi] = True
+    divisor = np.ones(n, dtype=dtype)
     contributions = [e]
     for size in config.ngram_sizes:
-        ids = np.zeros(n, dtype=np.int64)
-        valid = np.zeros(n, dtype=bool)
-        for d in range(len(doc_bounds) - 1):
-            lo, hi = doc_bounds[d], doc_bounds[d + 1]
-            if hi - lo < size:
-                continue
-            h = rolling_hashes(stream.data[lo:hi], size, config.hash_prime)
-            ids[lo + size - 1 : hi] = (h % np.uint64(config.hash_vocab)).astype(np.int64)
-            valid[lo + size - 1 : hi] = True
-        gathered = embedding(params[f"hash_embed.n{size}"], ids)
-        contributions.append(gathered * valid.astype(dtype)[:, None])
-        divisor += valid.astype(dtype)
+        gathered = embedding(params[f"hash_embed.n{size}"], ids[size])
+        contributions.append(gathered * valid[size].astype(dtype)[:, None])
+        divisor += valid[size].astype(dtype)
     total = contributions[0]
     for c in contributions[1:]:
         total = total + c
@@ -723,14 +708,14 @@ class TransformerEntropySource:
         self.config = config
 
     def entropy_trace(self, data, reset_on_newline: bool = False):
-        from .entropy_lm import LN256, EntropyTrace
+        from .entropy_lm import LN256, NEWLINE, EntropyTrace
         from .patching import patch_strided
 
         arr = np.asarray(data, dtype=np.uint8)
         n = len(arr)
         cuts = [0]
         if reset_on_newline:
-            cuts += [int(i) + 1 for i in np.nonzero(arr == NEWLINE_BYTE)[0] if i + 1 < n]
+            cuts += [int(i) + 1 for i in np.nonzero(arr == NEWLINE)[0] if i + 1 < n]
         cuts.append(n)
         values = np.empty(n, dtype=np.float64)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -748,6 +733,3 @@ class TransformerEntropySource:
                 h = -(p * np.log(np.maximum(p, 1e-30))).sum(axis=1)
                 values[lo + 1 : hi] = h[: hi - lo - 1]
         return EntropyTrace(values, np.asarray(cuts[1:-1], dtype=np.int64))
-
-
-NEWLINE_BYTE = 0x0A

@@ -1,30 +1,22 @@
-"""Rolling polynomial hashing of byte n-grams and the embedding tables keyed by it.
+"""Rolling polynomial hashing of byte n-grams into embedding-table bucket ids.
 
 The hash of an n-gram ending at position i is sum over j of
 ``byte[i - j + 1] * a**(j - 1)`` for j = 1..n, evaluated in wrapping 64-bit
 arithmetic, with ``a`` a 10-digit prime. Bucket ids are the hash modulo the
 per-size table vocabulary. n-grams of size n are omitted at positions with
-fewer than n preceding-or-current bytes.
+fewer than n preceding-or-current bytes. ``hash_ngram_ids`` is the one place
+this rule lives; the model's hash n-gram embeddings look their rows up with it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 DEFAULT_HASH_PRIME = 1_000_000_007
-DEFAULT_NGRAM_SIZES = (3, 4, 5, 6, 7, 8)
-# The reference configuration spreads 500k buckets over the six sizes.
-DEFAULT_TOTAL_VOCAB = 500_000
-DEFAULT_PER_SIZE_VOCAB = DEFAULT_TOTAL_VOCAB // len(DEFAULT_NGRAM_SIZES)
 
 _MASK64 = (1 << 64) - 1
-_TABLE_MAGIC = b"PLMNGT01"
 
 
 def is_prime(n: int) -> bool:
@@ -58,16 +50,6 @@ def validate_multiplier(a: int) -> None:
         raise ValueError(f"hash multiplier must be prime, got {a}")
 
 
-def roll_poly_hash(gram: Sequence[int] | bytes | np.ndarray, a: int = DEFAULT_HASH_PRIME) -> int:
-    """Exact wrapping-64-bit polynomial hash; the last byte is weighted by a**0."""
-    g = list(bytes(gram)) if isinstance(gram, (bytes, bytearray)) else [int(x) for x in gram]
-    n = len(g)
-    h = 0
-    for j in range(1, n + 1):
-        h = (h + g[n - j] * pow(a, j - 1, 1 << 64)) & _MASK64
-    return h
-
-
 def rolling_hashes(data, n: int, a: int = DEFAULT_HASH_PRIME) -> np.ndarray:
     """Hashes of every size-n gram; entry t covers bytes t..t+n-1 (vectorized)."""
     arr = np.asarray(data, dtype=np.uint8)
@@ -83,8 +65,7 @@ def rolling_hashes(data, n: int, a: int = DEFAULT_HASH_PRIME) -> np.ndarray:
     return out
 
 
-def hash_ngram_ids(data, sizes: Iterable[int] = DEFAULT_NGRAM_SIZES,
-                   per_size_vocab: int = DEFAULT_PER_SIZE_VOCAB,
+def hash_ngram_ids(data, sizes: Iterable[int], per_size_vocab: int,
                    a: int = DEFAULT_HASH_PRIME) -> dict[int, np.ndarray]:
     """Bucket id per position and n-gram size.
 
@@ -96,144 +77,3 @@ def hash_ngram_ids(data, sizes: Iterable[int] = DEFAULT_NGRAM_SIZES,
     for n in sizes:
         out[n] = (rolling_hashes(data, n, a) % np.uint64(per_size_vocab)).astype(np.int64)
     return out
-
-
-@dataclass
-class HashNgramTables:
-    """One embedding table per n-gram size, all sharing the same hash multiplier."""
-
-    sizes: tuple[int, ...] = DEFAULT_NGRAM_SIZES
-    per_size_vocab: int = DEFAULT_PER_SIZE_VOCAB
-    a: int = DEFAULT_HASH_PRIME
-    dim: int = 64
-    embeddings: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        validate_multiplier(self.a)
-        if self.per_size_vocab < 1:
-            raise ValueError("per_size_vocab must be >= 1")
-        self.sizes = tuple(sorted(self.sizes))
-
-    @classmethod
-    def create(cls, sizes=DEFAULT_NGRAM_SIZES, per_size_vocab=DEFAULT_PER_SIZE_VOCAB,
-               dim=64, a=DEFAULT_HASH_PRIME, seed=0, scale=0.02) -> "HashNgramTables":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        emb = {n: (scale * rng.standard_normal((per_size_vocab, dim))).astype(np.float32)
-               for n in sorted(sizes)}
-        return cls(tuple(sorted(sizes)), per_size_vocab, a, dim, emb)
-
-    def ids(self, data) -> dict[int, np.ndarray]:
-        return hash_ngram_ids(data, self.sizes, self.per_size_vocab, self.a)
-
-
-def augment_embeddings(byte_embeds: np.ndarray, tables: HashNgramTables, data) -> np.ndarray:
-    """Combine per-byte embeddings with their n-gram hash embeddings.
-
-    e[i] = (x[i] + sum over available sizes of table_n[id]) / (available + 1),
-    where a size n is available at position i only when i >= n - 1. Pure numpy
-    reference; the trainable model mirrors this computation.
-    """
-    n_pos, dim = byte_embeds.shape
-    if dim != tables.dim:
-        raise ValueError(f"dimension mismatch: byte embeds {dim} vs tables {tables.dim}")
-    acc = byte_embeds.astype(np.float64).copy()
-    divisor = np.ones(n_pos, dtype=np.float64)
-    ids = tables.ids(data)
-    for n in tables.sizes:
-        idn = ids[n]
-        if len(idn) == 0:
-            continue
-        acc[n - 1 :] += tables.embeddings[n][idn]
-        divisor[n - 1 :] += 1.0
-    return acc / divisor[:, None]
-
-
-# ---------------------------------------------------------------------------
-# Frequency-based tables (optional alternative path, hash fallback)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FrequencyNgramTables:
-    """Embeddings for the top-K most frequent exact n-grams per size."""
-
-    sizes: tuple[int, ...]
-    top_k: int
-    dim: int
-    rows: dict[int, dict[bytes, np.ndarray]]
-
-    def lookup_with_fallback(self, gram: bytes, hash_tables: HashNgramTables) -> np.ndarray:
-        """Frequency row when the gram made the table, hash-bucket row otherwise."""
-        n = len(gram)
-        row = self.rows.get(n, {}).get(bytes(gram))
-        if row is not None:
-            return row
-        bucket = roll_poly_hash(gram, hash_tables.a) % hash_tables.per_size_vocab
-        return hash_tables.embeddings[n][bucket]
-
-
-def build_frequency_tables(corpus, sizes, top_k: int, dim: int = 64, seed: int = 0,
-                           scale: float = 0.02) -> FrequencyNgramTables:
-    """Exact top-K n-grams by count per size; ties break lexicographically by gram bytes."""
-    docs = []
-    for d in corpus:
-        arr = d.data if hasattr(d, "data") and not isinstance(d, np.ndarray) else d
-        arr = np.frombuffer(bytes(arr), dtype=np.uint8) if isinstance(arr, (bytes, bytearray)) else np.asarray(arr, np.uint8)
-        if len(arr):
-            docs.append(arr)
-    if not docs:
-        raise ValueError("corpus is empty")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rows: dict[int, dict[bytes, np.ndarray]] = {}
-    for n in sorted(sizes):
-        counts: dict[bytes, int] = {}
-        for arr in docs:
-            if len(arr) < n:
-                continue
-            win = np.lib.stride_tricks.sliding_window_view(arr, n)
-            uniq, cnt = np.unique(win, axis=0, return_counts=True)
-            for g, c in zip(uniq, cnt):
-                key = g.tobytes()
-                counts[key] = counts.get(key, 0) + int(c)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-        rows[n] = {g: (scale * rng.standard_normal(dim)).astype(np.float32) for g, _ in ranked}
-    return FrequencyNgramTables(tuple(sorted(sizes)), top_k, dim, rows)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def save_hash_tables(tables: HashNgramTables, path: str | Path) -> None:
-    """Versioned binary with an (n, vocab, dim, prime) header per table and a checksum."""
-    parts = [_TABLE_MAGIC, struct.pack("<HQIB", 1, tables.a, tables.dim, len(tables.sizes))]
-    for n in tables.sizes:
-        parts.append(struct.pack("<BQ", n, tables.per_size_vocab))
-        parts.append(tables.embeddings[n].astype("<f4").tobytes())
-    payload = b"".join(parts)
-    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
-
-
-def load_hash_tables(path: str | Path) -> HashNgramTables:
-    raw = Path(path).read_bytes()
-    if raw[: len(_TABLE_MAGIC)] != _TABLE_MAGIC:
-        raise ValueError(f"not an n-gram table file: {path}")
-    payload, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ValueError(f"checksum mismatch in {path}")
-    off = len(_TABLE_MAGIC)
-    version, a, dim, n_sizes = struct.unpack_from("<HQIB", payload, off)
-    if version != 1:
-        raise ValueError(f"unsupported table version {version}")
-    off += struct.calcsize("<HQIB")
-    sizes, emb, vocab = [], {}, None
-    for _ in range(n_sizes):
-        n, v = struct.unpack_from("<BQ", payload, off)
-        off += struct.calcsize("<BQ")
-        vocab = int(v)
-        table = np.frombuffer(payload, dtype="<f4", count=vocab * dim, offset=off)
-        off += 4 * vocab * dim
-        sizes.append(int(n))
-        emb[int(n)] = table.reshape(vocab, dim).astype(np.float32)
-    return HashNgramTables(tuple(sizes), vocab, int(a), int(dim), emb)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -40,10 +40,14 @@ class CalibrationError(PatchingError):
 
 @dataclass(frozen=True)
 class PatchBoundaries:
-    """Sorted patch start indices over a byte sequence of length ``n_bytes``."""
+    """Sorted patch start indices over a byte sequence of length ``n_bytes``.
+
+    ``forced_splits`` counts the starts the maximum patch size added.
+    """
 
     starts: np.ndarray
     n_bytes: int
+    forced_splits: int = 0
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
@@ -79,12 +83,6 @@ class PatchBoundaries:
         pos = np.arange(self.n_bytes) if positions is None else np.asarray(positions)
         return np.searchsorted(self.starts, pos, side="right") - 1
 
-    def flags(self) -> np.ndarray:
-        """Boolean start-of-patch indicator per byte."""
-        out = np.zeros(self.n_bytes, dtype=bool)
-        out[self.starts] = True
-        return out
-
 
 @dataclass
 class PatchStats:
@@ -92,29 +90,26 @@ class PatchStats:
     histogram: dict[int, int]
     n_patches: int
     n_bytes: int
-    forced_splits: int = 0
+    forced_splits: int
 
 
 @dataclass
 class PatchingConfig:
-    """Declarative patcher choice; training and inference thresholds may differ."""
+    """Declarative patcher choice."""
 
     scheme: str = "entropy_global"
     k: int = 4
     theta_g: float | None = None
     theta_r: float | None = None
-    theta_g_inference: float | None = None
-    theta_r_inference: float | None = None
     reset_on_newline: bool = False
     max_patch_size: int = DEFAULT_MAX_PATCH
-    entropy_model_path: str | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise PatchingError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.k < 1:
             raise PatchingError("strided k must be >= 1")
-        for name in ("theta_g", "theta_r", "theta_g_inference", "theta_r_inference"):
+        for name in ("theta_g", "theta_r"):
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
                 raise PatchingError(f"{name} must be finite")
@@ -153,8 +148,8 @@ def _from_flags(flags: np.ndarray, max_patch: int | None) -> PatchBoundaries:
     flags = flags.copy()
     flags[0] = True
     starts = np.nonzero(flags)[0].astype(np.int64)
-    starts, _ = enforce_max_patch(starts, n, max_patch)
-    return PatchBoundaries(starts, n)
+    starts, forced = enforce_max_patch(starts, n, max_patch)
+    return PatchBoundaries(starts, n, forced)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +164,8 @@ def patch_strided(n_bytes: int, k: int, max_patch: int | None = DEFAULT_MAX_PATC
     if n_bytes == 0:
         return PatchBoundaries(np.zeros(0, np.int64), 0)
     starts = np.arange(0, n_bytes, k, dtype=np.int64)
-    starts, _ = enforce_max_patch(starts, n_bytes, max_patch)
-    return PatchBoundaries(starts, n_bytes)
+    starts, forced = enforce_max_patch(starts, n_bytes, max_patch)
+    return PatchBoundaries(starts, n_bytes, forced)
 
 
 _SPACE_LIKE = np.ones(256, dtype=bool)
@@ -181,11 +176,6 @@ for _b in range(256):
         _SPACE_LIKE[_b] = False
     elif 0x80 <= _b <= 0xBF:  # UTF-8 continuation bytes
         _SPACE_LIKE[_b] = False
-
-
-def space_like_mask(data) -> np.ndarray:
-    """True where a byte is space-like: not an ASCII letter, digit, or UTF-8 continuation byte."""
-    return _SPACE_LIKE[_as_array(data)]
 
 
 def patch_space(data, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
@@ -242,8 +232,8 @@ def bpe_adapter(token_starts: Sequence[int] | np.ndarray, n_bytes: int,
                 max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     """Wrap externally computed token start offsets as patch boundaries."""
     starts = np.asarray(token_starts, dtype=np.int64)
-    starts, _ = enforce_max_patch(starts, n_bytes, max_patch)
-    return PatchBoundaries(starts, n_bytes)
+    starts, forced = enforce_max_patch(starts, n_bytes, max_patch)
+    return PatchBoundaries(starts, n_bytes, forced)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +247,15 @@ def patch_stats(boundaries: PatchBoundaries) -> PatchStats:
     for size, cnt in zip(*np.unique(lengths, return_counts=True)):
         hist[int(size)] = int(cnt)
     mean = boundaries.n_bytes / boundaries.n_patches if boundaries.n_patches else 0.0
-    return PatchStats(mean, hist, boundaries.n_patches, boundaries.n_bytes)
+    return PatchStats(mean, hist, boundaries.n_patches, boundaries.n_bytes,
+                      boundaries.forced_splits)
 
 
 Patcher = Callable[[np.ndarray], PatchBoundaries]
 
 
 def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = None,
-                 bpe_vocab=None, inference: bool = False) -> Patcher:
+                 bpe_vocab=None) -> Patcher:
     """Close a PatchingConfig over its models into a bytes -> boundaries function."""
     mp = config.max_patch_size
     if config.scheme == "strided":
@@ -277,8 +268,7 @@ def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = No
         return lambda data: bpe_adapter(bpe_vocab.token_starts(_as_array(data)), len(_as_array(data)), mp)
     if entropy_model is None:
         raise PatchingError(f"scheme {config.scheme!r} needs an entropy model")
-    theta_g = config.theta_g_inference if (inference and config.theta_g_inference is not None) else config.theta_g
-    theta_r = config.theta_r_inference if (inference and config.theta_r_inference is not None) else config.theta_r
+    theta_g, theta_r = config.theta_g, config.theta_r
     reset = config.reset_on_newline
 
     def run(data):

@@ -2,7 +2,11 @@
 
 Unknown keys are rejected (typos should fail loudly), CLI flags override file
 values, and the fully resolved config plus its content hash are written into
-every run directory so artifacts are traceable.
+every run directory so artifacts are traceable. The ``model``, ``patching``
+and ``optimizer`` defaults are those of ``ModelConfig``, ``PatchingConfig``
+and ``OptimSpec``, so each default lives in one place. Input and output
+locations are not config keys: ``--corpus``, ``--corpus-eval``, ``--format``
+and ``--run-root`` name them.
 """
 
 from __future__ import annotations
@@ -10,7 +14,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
+
+from .model import ModelConfig
+from .patching import PatchingConfig
+from .trainer import OptimSpec
 
 
 class ConfigError(Exception):
@@ -18,59 +27,18 @@ class ConfigError(Exception):
 
 
 DEFAULTS: dict = {
-    "run": {"seed": 0, "run_root": None, "name": None},
+    "run": {"seed": 0},
     "rng_algo": "pcg64",
     "data": {
-        "train_path": None,
-        "eval_path": None,
-        "format": "plain-text",
-        "synthetic_bytes": 0,  # generate a corpus when no path is given
+        "synthetic_bytes": 0,  # generate a corpus when no --corpus is given
         "synthetic_doc_bytes": 512,
         "eval_fraction": 0.05,
     },
-    "model": {
-        "enc_dim": 64,
-        "global_dim": 128,
-        "dec_dim": 64,
-        "enc_layers": 1,
-        "global_layers": 4,
-        "dec_layers": 2,
-        "enc_heads": 4,
-        "global_heads": 4,
-        "dec_heads": 4,
-        "enc_window": 512,
-        "dec_window": 512,
-        "ff_mult": 4,
-        "ff_multiple_of": 8,
-        "rope_theta": 500000.0,
-        "ngram_sizes": [3, 4, 5, 6, 7, 8],
-        "hash_vocab": 4096,
-        "hash_prime": 1000000007,
-        "max_patch_size": 512,
-        "pooling": "max",
-    },
-    "patching": {
-        "scheme": "entropy_global",
-        "k": 4,
-        "theta_g": None,
-        "theta_r": None,
-        "theta_g_inference": None,
-        "theta_r_inference": None,
-        "reset_on_newline": False,
-        "max_patch_size": 512,
-        "target_patch_size": None,  # when set, calibrate theta before training
-    },
+    "model": ModelConfig().to_dict(),
+    # target_patch_size, when set, calibrates theta_g before training
+    "patching": {**asdict(PatchingConfig()), "target_patch_size": None},
     "entropy_model": {"order": 3, "alpha": 0.01, "path": None},
-    "optimizer": {
-        "lr_peak": 4e-4,
-        "warmup_steps": 2000,
-        "schedule": "cosine_to_zero",
-        "beta1": 0.9,
-        "beta2": 0.95,
-        "eps": 1e-8,
-        "weight_decay": 0.1,
-        "grad_clip": 1.0,
-    },
+    "optimizer": asdict(OptimSpec()),
     "training": {
         "steps": 1000,
         "patch_budget": 128,

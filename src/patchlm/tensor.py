@@ -200,21 +200,6 @@ class Tensor:
 
     # -- nonlinearities -------------------------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor._result(out_data, (self,), lambda g: [(self, g * out_data)])
-
-    def log(self):
-        return Tensor._result(np.log(self.data), (self,), lambda g: [(self, g / self.data)])
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return Tensor._result(out_data, (self,), lambda g: [(self, g * 0.5 / out_data)])
-
-    def sigmoid(self):
-        out_data = _sigmoid(self.data)
-        return Tensor._result(out_data, (self,), lambda g: [(self, g * out_data * (1.0 - out_data))])
-
     def silu(self):
         s = _sigmoid(self.data)
         out_data = self.data * s

@@ -19,18 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .entropy_lm import LN256
 from .model import (
     BltParams,
     ModelConfig,
     NumericError,
     Stream,
-    init_params,
     lm_forward,
 )
 from .patching import PatchBoundaries
 
 LN2 = float(np.log(2.0))
-LN256 = float(np.log(256.0))
 
 CHECKPOINT_VERSION = 1
 
@@ -236,8 +235,6 @@ class EvalReport:
     n_bytes: dict[str, int]  # predicted byte count per slice
     mean_patch_size: dict[str, float]
     steps: int = 0
-    flops_per_byte: float | None = None
-    flops_total: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -417,7 +414,6 @@ def train(
     adam_state: AdamState | None = None,
     divergence_factor: float = 2.0,
     divergence_patience: int = 100,
-    quiet: bool = True,
 ) -> TrainResult:
     """Run the loop; metrics stream to ``run_dir/metrics.jsonl``.
 

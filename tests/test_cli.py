@@ -1,11 +1,14 @@
 import json
+from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 from patchlm import textgen
 from patchlm.cli import EXIT_CONFIG, EXIT_DATA, main
+from patchlm.model import ModelConfig
+from patchlm.patching import PatchingConfig
 from patchlm.runconfig import ConfigError, RunConfig
+from patchlm.trainer import OptimSpec
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +17,11 @@ def corpus_file(tmp_path_factory):
     lines = [textgen.synthetic_text(300, seed=i).replace("\n", " ") for i in range(400)]
     p.write_text("\n".join(lines) + "\n")
     return p
+
+
+TINY_MODEL = {"enc_dim": 16, "global_dim": 32, "dec_dim": 16, "enc_layers": 1,
+              "global_layers": 2, "dec_layers": 1, "enc_heads": 2, "global_heads": 2,
+              "dec_heads": 2, "hash_vocab": 64, "enc_window": 16, "dec_window": 16}
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -31,6 +39,11 @@ def test_patch_strided_tsv(tmp_path, capsys, corpus_file):
     assert code == 0
     rows = out.read_text().strip().splitlines()
     assert rows[1:] == ["doc0\t0", "doc0\t4", "doc0\t8"]
+    # one 10-byte stride, cut twice by the maximum patch size
+    code, report = run(capsys, "patch", "--json", "--corpus", str(small), "--scheme", "strided",
+                       "--k", "10", "--max-patch", "4", "--out", str(out))
+    assert code == 0 and json.loads(report)["forced_splits"] == 2
+    assert out.read_text().strip().splitlines()[1:] == ["doc0\t0", "doc0\t4", "doc0\t8"]
 
 
 def test_eval_bpb_uniform_prints_8(capsys, corpus_file):
@@ -94,6 +107,7 @@ def test_calibrate_command(tmp_path, capsys, corpus_file):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["achieved_mean_patch_size"] - 4.5) / 4.5 < 0.02
+    assert doc["forced_splits"] == 0
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -105,13 +119,14 @@ def test_exit_codes(capsys, tmp_path):
     bad_cfg.write_text('{"nonsense_key": 1}')
     code, _ = run(capsys, "flops", "--config", str(bad_cfg))
     assert code == EXIT_CONFIG
+    bad_cfg.write_text('{"model": {"hash_prime": 4}}')
+    code, _ = run(capsys, "flops", "--config", str(bad_cfg))
+    assert code == EXIT_CONFIG
 
 
 def test_train_command_end_to_end(tmp_path, capsys, corpus_file):
     cfg = {
-        "model": {"enc_dim": 16, "global_dim": 32, "dec_dim": 16, "enc_layers": 1,
-                  "global_layers": 2, "dec_layers": 1, "enc_heads": 2, "global_heads": 2,
-                  "dec_heads": 2, "hash_vocab": 64, "enc_window": 16, "dec_window": 16},
+        "model": TINY_MODEL,
         "patching": {"scheme": "strided", "k": 4},
         "optimizer": {"warmup_steps": 2, "lr_peak": 1e-3},
         "training": {"steps": 5, "patch_budget": 16, "eval_every": 5},
@@ -132,10 +147,39 @@ def test_train_command_end_to_end(tmp_path, capsys, corpus_file):
     assert code == EXIT_CONFIG
 
 
+def test_train_target_patch_size_flag_calibrates(tmp_path, capsys, corpus_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16}}))
+    code, out = run(capsys, "train", "--json", "--config", str(cfg_path), "--corpus",
+                    str(corpus_file), "--run-dir", str(tmp_path / "run"),
+                    "--scheme", "entropy_global", "--target-patch-size", "4.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["steps"] == 2
+    assert abs(doc["mean_patch_size"] - 4.5) < 0.25
+
+
 def test_runconfig_unknown_keys_and_hash():
     with pytest.raises(ConfigError, match="unknown config key"):
         RunConfig({"modle": {}})
+    for section, key in (("run", "run_root"), ("run", "name"), ("data", "train_path"),
+                         ("data", "eval_path"), ("data", "format"),
+                         ("patching", "theta_g_inference"), ("patching", "theta_r_inference")):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig({section: {key: None}})
     a = RunConfig({"run": {"seed": 1}})
     b = RunConfig({"run": {"seed": 1}})
     c = RunConfig({"run": {"seed": 2}})
     assert a.content_hash == b.content_hash != c.content_hash
+
+
+def test_runconfig_defaults_are_the_dataclass_defaults():
+    cfg = RunConfig({})
+    assert cfg["model"] == ModelConfig().to_dict()
+    assert ModelConfig.from_dict(cfg["model"]) == ModelConfig()
+    patching = dict(cfg["patching"])
+    assert patching.pop("target_patch_size") is None
+    assert PatchingConfig(**patching) == PatchingConfig()
+    assert cfg["optimizer"] == asdict(OptimSpec())
+    assert OptimSpec(**cfg["optimizer"]) == OptimSpec()

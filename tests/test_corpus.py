@@ -1,19 +1,13 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from patchlm.corpus import (
-    Batch,
     CorpusError,
-    Document,
     NoiseSpec,
     apply_noise,
     load_corpus,
-    pack_batches,
-    read_batch_dump,
-    write_batch_dump,
 )
 
 
@@ -54,11 +48,6 @@ def test_jsonl_malformed_skipped_or_fatal(tmp_path):
 def test_missing_path_raises():
     with pytest.raises(CorpusError):
         load_corpus("/nonexistent/corpus.txt")
-
-
-def test_char_offsets_strictly_increasing():
-    d = Document.from_text("d", "hé!", with_char_offsets=True)
-    assert d.char_offsets.tolist() == [0, 1, 3]
 
 
 # -- noising -----------------------------------------------------------------
@@ -126,72 +115,3 @@ def test_bad_spec_rejected():
         NoiseSpec("drop", rate=1.5)
     with pytest.raises(ValueError):
         NoiseSpec("mangle")
-
-
-# -- packing -------------------------------------------------------------------
-
-
-def _docs(sizes, seed=0):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return [Document(f"d{i}", rng.integers(1, 255, size=s, dtype=np.uint8).astype(np.uint8))
-            for i, s in enumerate(sizes)]
-
-
-def test_pack_simple_arithmetic():
-    batches, stats = pack_batches(_docs([100, 100, 100, 100]), byte_budget=200, trunc_len=150)
-    assert len(batches) == 2
-    assert all(len(b.sequences) == 2 for b in batches)
-    assert stats.truncated_docs == 0
-
-
-def test_pack_truncates_long_docs():
-    batches, stats = pack_batches(_docs([300]), byte_budget=200, trunc_len=150)
-    assert stats.truncated_docs == 1
-    assert len(batches[0].sequences[0]) == 150
-
-
-def test_pack_realized_bytes_near_budget():
-    rng = np.random.Generator(np.random.PCG64(5))
-    sizes = rng.integers(50, 150, size=1000)
-    budget = 16384
-    batches, stats = pack_batches(_docs(sizes.tolist()), byte_budget=budget, trunc_len=budget)
-    # over >= 100 sampled batches the mean realized bytes sits within 1% of budget
-    realized = stats.realized[:-1]  # final batch is a remainder
-    assert len(realized) >= 3
-    assert abs(np.mean(realized) - budget) / budget < 0.01
-
-
-def test_pack_never_crosses_budget_or_boundaries():
-    batches, _ = pack_batches(_docs([60, 70, 80, 90, 100]), byte_budget=200, trunc_len=200, seed=2)
-    for b in batches:
-        assert b.n_bytes <= 200
-        mask = b.doc_boundary_mask
-        starts = np.nonzero(mask)[0]
-        lengths = [len(s) for s in b.sequences]
-        assert starts.tolist() == np.cumsum([0] + lengths[:-1]).tolist()
-
-
-def test_pack_shuffle_depends_on_seed():
-    docs = _docs([10] * 50)
-    b1, _ = pack_batches(docs, 100, 100, seed=1)
-    b2, _ = pack_batches(docs, 100, 100, seed=2)
-    flat1 = np.concatenate([s for b in b1 for s in b.sequences])
-    flat2 = np.concatenate([s for b in b2 for s in b.sequences])
-    assert not np.array_equal(flat1, flat2)
-
-
-def test_padded_view_uses_pad_byte():
-    batch = Batch([np.array([1, 2, 3], np.uint8), np.array([4], np.uint8)], max_bytes=10)
-    mat, valid = batch.to_padded()
-    assert mat.shape == (2, 3)
-    assert mat[1, 1] == 0 and not valid[1, 1]
-
-
-def test_batch_dump_roundtrip(tmp_path):
-    batches, _ = pack_batches(_docs([5, 6, 7]), byte_budget=20, trunc_len=20)
-    path = tmp_path / "dump.bin"
-    n = write_batch_dump(batches, path)
-    seqs = read_batch_dump(path)
-    assert n == 3 and len(seqs) == 3
-    orig = sorted(s.tobytes() for b in batches for s in b.sequences)
-    assert sorted(s.tobytes() for s in seqs) == orig

@@ -6,9 +6,7 @@ from patchlm.entropy_lm import (
     LN256,
     EntropyModel,
     EntropyModelError,
-    entropy_trace,
     export_trace,
-    next_byte_distribution,
     train_counts,
     write_trace_tsv,
 )
@@ -21,8 +19,8 @@ def _doc(data: bytes) -> Document:
 
 def test_alternating_corpus_is_near_deterministic():
     m = train_counts([_doc(b"ab" * 5000)], order=1)
-    assert next_byte_distribution(m, b"a")[ord("b")] > 0.99
-    assert next_byte_distribution(m, b"b")[ord("a")] > 0.99
+    assert m.next_byte_distribution(b"a")[ord("b")] > 0.99
+    assert m.next_byte_distribution(b"b")[ord("a")] > 0.99
 
 
 def test_uniform_random_corpus_entropy_approaches_ln256():

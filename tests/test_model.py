@@ -24,7 +24,7 @@ from patchlm.model import (
     rms_norm,
     TransformerEntropySource,
 )
-from patchlm.ngram_hash import HashNgramTables, augment_embeddings
+from patchlm.ngram_hash import hash_ngram_ids
 from patchlm.patching import (
     PatchBoundaries,
     patch_entropy_global,
@@ -144,6 +144,14 @@ def test_config_rejects_bad_width_ratio():
         tiny_cfg(enc_heads=3)
 
 
+def test_config_rejects_bad_hash_prime():
+    tiny_cfg(hash_prime=1_000_000_007)
+    with pytest.raises(ValueError, match="10 decimal digits"):
+        tiny_cfg(hash_prime=4)
+    with pytest.raises(ValueError, match="prime"):
+        tiny_cfg(hash_prime=1_000_000_000)
+
+
 def test_config_warns_on_deep_local_blocks():
     with pytest.warns(UserWarning):
         ModelConfig(enc_dim=16, global_dim=32, dec_dim=16, enc_layers=4, global_layers=2,
@@ -171,16 +179,31 @@ def test_max_patch_guard():
 # -- embeddings -------------------------------------------------------------------
 
 
+def augment_embeddings(byte_embeds: np.ndarray, tables: dict[int, np.ndarray], data,
+                       per_size_vocab: int, a: int) -> np.ndarray:
+    """Plain-numpy reference for one document.
+
+    e[i] = (x[i] + sum over available sizes of tables[n][id]) / (available + 1),
+    where a size n is available at position i only when i >= n - 1.
+    """
+    acc = byte_embeds.astype(np.float64).copy()
+    divisor = np.ones(len(byte_embeds), dtype=np.float64)
+    ids = hash_ngram_ids(data, sorted(tables), per_size_vocab, a)
+    for n, table in tables.items():
+        acc[n - 1 :] += table[ids[n]]
+        divisor[n - 1 :] += 1.0
+    return acc / divisor[:, None]
+
+
 def test_augmented_embeddings_match_reference_oracle():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=3)
     stream = text_stream(n_bytes=90, n_docs=1)
     got = augmented_byte_embeddings(params, stream, cfg).data
 
-    tables = HashNgramTables(cfg.ngram_sizes, cfg.hash_vocab, cfg.hash_prime, cfg.enc_dim,
-                             {n: params[f"hash_embed.n{n}"].data for n in cfg.ngram_sizes})
+    tables = {n: params[f"hash_embed.n{n}"].data for n in cfg.ngram_sizes}
     byte_embeds = params["byte_embed"].data[stream.data]
-    want = augment_embeddings(byte_embeds, tables, stream.data)
+    want = augment_embeddings(byte_embeds, tables, stream.data, cfg.hash_vocab, cfg.hash_prime)
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=1e-7)
 
 

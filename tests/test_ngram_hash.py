@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
+from patchlm.model import ModelConfig, Stream, augmented_byte_embeddings, init_params
 from patchlm.ngram_hash import (
     DEFAULT_HASH_PRIME,
-    FrequencyNgramTables,
-    HashNgramTables,
-    augment_embeddings,
-    build_frequency_tables,
     hash_ngram_ids,
     is_prime,
-    load_hash_tables,
-    roll_poly_hash,
     rolling_hashes,
-    save_hash_tables,
     validate_multiplier,
 )
+from patchlm.patching import patch_strided
 
 MASK = (1 << 64) - 1
 
@@ -25,14 +20,21 @@ def bigint_hash(gram, a=DEFAULT_HASH_PRIME):
     return sum(int(gram[n - j]) * a ** (j - 1) for j in range(1, n + 1)) & MASK
 
 
+def gram_hash(gram) -> int:
+    """rolling_hashes of a single whole gram."""
+    arr = np.asarray(gram, dtype=np.uint8)
+    (h,) = rolling_hashes(arr, len(arr))
+    return int(h)
+
+
 def test_single_byte_hash_is_identity():
     for c in (0, 1, 97, 255):
-        assert roll_poly_hash([c]) == c
+        assert gram_hash([c]) == c
 
 
 def test_two_byte_formula():
     a = DEFAULT_HASH_PRIME
-    assert roll_poly_hash([5, 7]) == (7 + 5 * a) & MASK
+    assert gram_hash([5, 7]) == (7 + 5 * a) & MASK
 
 
 def test_matches_bigint_oracle_on_random_grams():
@@ -40,7 +42,7 @@ def test_matches_bigint_oracle_on_random_grams():
     for _ in range(500):
         n = int(rng.integers(1, 9))
         gram = rng.integers(0, 256, n).tolist()
-        assert roll_poly_hash(gram) == bigint_hash(gram)
+        assert gram_hash(gram) == bigint_hash(gram)
 
 
 def test_vectorized_matches_scalar_on_windows():
@@ -48,8 +50,9 @@ def test_vectorized_matches_scalar_on_windows():
     data = rng.integers(0, 256, 1000, dtype=np.uint8).astype(np.uint8)
     for n in (1, 3, 8):
         vec = rolling_hashes(data, n)
+        assert len(vec) == len(data) - n + 1
         for t in (0, 17, len(vec) - 1):
-            assert int(vec[t]) == roll_poly_hash(data[t : t + n])
+            assert int(vec[t]) == bigint_hash(data[t : t + n])
 
 
 def test_ids_omission_rule():
@@ -94,80 +97,37 @@ def test_bucket_load_smoke():
     assert loads.max() <= 3 * loads.mean()
 
 
+def _model_and_stream(doc_lengths):
+    cfg = ModelConfig(enc_dim=16, global_dim=32, dec_dim=16, enc_layers=1, global_layers=2,
+                      dec_layers=1, enc_heads=2, global_heads=2, dec_heads=2, hash_vocab=64)
+    docs = [np.arange(n, dtype=np.uint8) + 10 * d for d, n in enumerate(doc_lengths)]
+    stream = Stream.from_documents(docs, lambda doc: patch_strided(len(doc), 4))
+    return cfg, init_params(cfg, seed=0), stream
+
+
 def test_augment_divisors_and_zero_tables():
-    tables = HashNgramTables.create(sizes=(3, 4, 5, 6, 7, 8), per_size_vocab=64, dim=8, seed=0)
-    for n in tables.sizes:
-        tables.embeddings[n][:] = 0.0
-    x = np.ones((12, 8), np.float32)
-    e = augment_embeddings(x, tables, np.arange(12, dtype=np.uint8))
-    # with zeroed tables the result is x / (available sizes + 1)
-    assert np.allclose(e[0], 1.0)  # no size available at position 0
-    assert np.allclose(e[2], 1.0 / 2.0)  # only n=3 available
-    assert np.allclose(e[7], 1.0 / 7.0)  # all six sizes available
-    assert np.allclose(e[11], 1.0 / 7.0)
+    cfg, params, stream = _model_and_stream([12, 5])
+    for n in cfg.ngram_sizes:
+        params[f"hash_embed.n{n}"].data[:] = 0.0
+    e = augmented_byte_embeddings(params, stream, cfg).data
+    # with zeroed tables the result is byte_embed / (available sizes + 1); a
+    # size n is available once the document has provided n bytes
+    local = np.concatenate([np.arange(12), np.arange(5)])
+    available = np.array([sum(i >= n - 1 for n in cfg.ngram_sizes) for i in local])
+    assert available[[0, 2, 7, 11, 12, 16]].tolist() == [0, 1, 6, 6, 0, 3]
+    want = params["byte_embed"].data[stream.data] / (available + 1.0)[:, None]
+    np.testing.assert_allclose(e, want, rtol=1e-6)
 
 
 def test_augment_linear_in_tables():
-    tables = HashNgramTables.create(sizes=(3,), per_size_vocab=32, dim=4, seed=1)
-    data = np.arange(16, dtype=np.uint8)
-    x = np.zeros((16, 4), np.float32)
-    base = augment_embeddings(x, tables, data)
-    tables.embeddings[3] *= 2.0
-    doubled = augment_embeddings(x, tables, data)
-    assert np.allclose(doubled, 2.0 * base)
-
-
-def test_augment_dimension_mismatch():
-    tables = HashNgramTables.create(sizes=(3,), per_size_vocab=8, dim=4)
-    with pytest.raises(ValueError, match="dimension"):
-        augment_embeddings(np.zeros((5, 6), np.float32), tables, np.arange(5, dtype=np.uint8))
-
-
-def test_frequency_tables_topk_exact():
-    docs = [np.frombuffer(b"aaaa", np.uint8)]
-    t = build_frequency_tables(docs, sizes=(2,), top_k=1, dim=4)
-    assert list(t.rows[2]) == [b"aa"]
-
-
-def test_frequency_tables_match_bruteforce_counter():
-    rng = np.random.Generator(np.random.PCG64(5))
-    docs = [rng.integers(97, 105, 4000, dtype=np.uint8).astype(np.uint8) for _ in range(4)]
-    K = 10
-    t = build_frequency_tables(docs, sizes=(3,), top_k=K, dim=4)
-    counts = {}
-    for d in docs:
-        raw = d.tobytes()
-        for i in range(len(raw) - 2):
-            g = raw[i : i + 3]
-            counts[g] = counts.get(g, 0) + 1
-    expect = [g for g, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:K]]
-    assert list(t.rows[3]) == expect
-
-
-def test_frequency_fallback_to_hash():
-    hash_tables = HashNgramTables.create(sizes=(2,), per_size_vocab=16, dim=4, seed=2)
-    freq = build_frequency_tables([np.frombuffer(b"aaaa", np.uint8)], sizes=(2,), top_k=1, dim=4)
-    hit = freq.lookup_with_fallback(b"aa", hash_tables)
-    assert np.array_equal(hit, freq.rows[2][b"aa"])
-    miss = freq.lookup_with_fallback(b"zq", hash_tables)
-    bucket = roll_poly_hash(b"zq") % 16
-    assert np.array_equal(miss, hash_tables.embeddings[2][bucket])
-
-
-def test_table_serialization_roundtrip(tmp_path):
-    tables = HashNgramTables.create(sizes=(3, 5), per_size_vocab=32, dim=8, seed=9)
-    path = tmp_path / "tables.bin"
-    save_hash_tables(tables, path)
-    loaded = load_hash_tables(path)
-    assert loaded.sizes == (3, 5) and loaded.a == tables.a and loaded.dim == 8
-    for n in (3, 5):
-        np.testing.assert_array_equal(loaded.embeddings[n], tables.embeddings[n])
-    raw = bytearray(path.read_bytes())
-    raw[40] ^= 1
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="checksum"):
-        load_hash_tables(bad)
+    cfg, params, stream = _model_and_stream([16])
+    params["byte_embed"].data[:] = 0.0
+    base = augmented_byte_embeddings(params, stream, cfg).data
+    for n in cfg.ngram_sizes:
+        params[f"hash_embed.n{n}"].data[:] *= 2.0
+    doubled = augmented_byte_embeddings(params, stream, cfg).data
+    assert np.abs(base).max() > 0
+    np.testing.assert_allclose(doubled, 2.0 * base, rtol=1e-6)
 
 
 def test_ids_pure_function_of_inputs():

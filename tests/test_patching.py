@@ -12,7 +12,6 @@ from patchlm.patching import (
     calibrate_threshold,
     check_incrementality,
     enforce_max_patch,
-    make_patcher,
     patch_entropy,
     patch_entropy_global,
     patch_entropy_monotonic,
@@ -136,6 +135,10 @@ def test_max_patch_cap_forces_splits():
     assert starts.tolist() == [0, 512, 1024] and forced == 2
     bounds = patch_space(b(b"x" * 1200), max_patch=512)
     assert bounds.lengths().max() <= 512
+    assert bounds.forced_splits == 2 and patch_stats(bounds).forced_splits == 2
+    assert patch_strided(1300, 1300, max_patch=512).forced_splits == 2
+    assert bpe_adapter([0], 1300, max_patch=512).forced_splits == 2
+    assert patch_space(b(b"x" * 512), max_patch=512).forced_splits == 0
 
 
 # -- stats -----------------------------------------------------------------------
@@ -248,15 +251,6 @@ def test_patching_config_validation():
         PatchingConfig(scheme="strided", k=0)
     with pytest.raises(PatchingError):
         PatchingConfig(theta_g=float("nan"))
-
-
-def test_make_patcher_inference_threshold(entropy3, english_docs):
-    cfg = PatchingConfig(scheme="entropy_global", theta_g=2.5, theta_g_inference=0.5)
-    data = english_docs[0][:2000]
-    train_p = make_patcher(cfg, entropy_model=entropy3)(data)
-    infer_p = make_patcher(cfg, entropy_model=entropy3, inference=True)(data)
-    # the lower inference threshold cuts more boundaries
-    assert infer_p.n_patches > train_p.n_patches
 
 
 def test_boundary_tsv_export(tmp_path):
