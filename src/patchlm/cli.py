@@ -101,15 +101,9 @@ def _load_docs(args, cfg: RunConfig) -> list[np.ndarray]:
     return [np.frombuffer(t.encode(), np.uint8) for t in texts]
 
 
-def _patching_config(cfg: RunConfig, args) -> PatchingConfig:
+def _patching_config(cfg: RunConfig) -> PatchingConfig:
     p = dict(cfg["patching"])
-    p.pop("target_patch_size", None)
-    for name in ("scheme", "k", "theta", "theta_r", "max_patch", "reset_newline"):
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
-            key = {"theta": "theta_g", "max_patch": "max_patch_size",
-                   "reset_newline": "reset_on_newline"}.get(name, name)
-            p[key] = val
+    p.pop("target_patch_size")
     return PatchingConfig(**p)
 
 
@@ -122,7 +116,7 @@ def _entropy_model(args, cfg: RunConfig, docs) -> entropy_lm.EntropyModel:
 
 
 def _patcher(args, cfg: RunConfig, docs):
-    pc = _patching_config(cfg, args)
+    pc = _patching_config(cfg)
     model = None
     vocab = None
     if pc.scheme.startswith("entropy"):
@@ -150,25 +144,20 @@ def cmd_train_entropy(args, cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
-    if args.target_patch_size is None:
+    target = cfg["patching"]["target_patch_size"]
+    if target is None:
         raise ConfigError("calibrate needs --target-patch-size")
     docs = _load_docs(args, cfg)
     model = _entropy_model(args, cfg, docs)
-    scheme = args.scheme or "entropy_global"
-    theta = patching.calibrate_threshold(
-        model, docs, args.target_patch_size, scheme=scheme,
-        reset_on_newline=bool(args.reset_newline),
-        max_patch=args.max_patch or cfg["patching"]["max_patch_size"],
-    )
-    patcher = make_patcher(
-        PatchingConfig(scheme=scheme, theta_g=theta, theta_r=theta,
-                       reset_on_newline=bool(args.reset_newline),
-                       max_patch_size=args.max_patch or cfg["patching"]["max_patch_size"]),
-        entropy_model=model)
+    pc = _patching_config(cfg)
+    pc.theta_g = pc.theta_r = patching.calibrate_threshold(
+        model, docs, target, scheme=pc.scheme, reset_on_newline=pc.reset_on_newline,
+        max_patch=pc.max_patch_size)
+    patcher = make_patcher(pc, entropy_model=model)
     sizes = [patching.patch_stats(patcher(d)) for d in docs]
     achieved = sum(s.n_bytes for s in sizes) / sum(s.n_patches for s in sizes)
-    _emit({"scheme": scheme, "target_patch_size": args.target_patch_size,
-           "theta": theta, "achieved_mean_patch_size": achieved,
+    _emit({"scheme": pc.scheme, "target_patch_size": target,
+           "theta": pc.theta_g, "achieved_mean_patch_size": achieved,
            "forced_splits": sum(s.forced_splits for s in sizes)}, args)
     return EXIT_OK
 
@@ -202,13 +191,17 @@ def cmd_train(args, cfg: RunConfig) -> int:
             eval_docs = [d.data for d in ds]
             train_docs = docs
         patcher, pc, emodel = _patcher(args, cfg, train_docs)
-        target = args.target_patch_size or cfg["patching"]["target_patch_size"]
+        target = cfg["patching"]["target_patch_size"]
         if target and pc.scheme.startswith("entropy"):
+            monotonic = pc.scheme == "entropy_monotonic"
             theta = patching.calibrate_threshold(
                 emodel, train_docs, target,
-                scheme="entropy_global" if pc.scheme != "entropy_monotonic" else pc.scheme,
+                scheme="entropy_monotonic" if monotonic else "entropy_global",
                 reset_on_newline=pc.reset_on_newline, max_patch=pc.max_patch_size)
-            pc.theta_g = theta
+            if monotonic:
+                pc.theta_r = theta
+            else:
+                pc.theta_g = theta
             patcher = make_patcher(pc, entropy_model=emodel)
         model_cfg = ModelConfig.from_dict(cfg["model"])
         params = init_params(model_cfg, seed=cfg["run"]["seed"])
@@ -230,6 +223,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             "final_bpb": result.final_loss / float(np.log(2)),
             "skipped_steps": result.skipped_steps,
             "mean_patch_size": loader.mean_patch_size,
+            "forced_splits": loader.forced_splits,
             "evals": [r.to_dict() for r in result.eval_reports],
         }
         (run_dir / "report.json").write_text(json.dumps(report, indent=2))
@@ -327,12 +321,12 @@ def cmd_check_incremental(args, cfg: RunConfig) -> int:
 def cmd_trace(args, cfg: RunConfig) -> int:
     docs = _load_docs(args, cfg)
     model = _entropy_model(args, cfg, docs)
+    pc = _patching_config(cfg)
     data = docs[0]
-    trace = model.entropy_trace(data, reset_on_newline=bool(args.reset_newline))
+    trace = model.entropy_trace(data, reset_on_newline=pc.reset_on_newline)
     bounds = None
-    if args.theta is not None:
-        bounds = patching.patch_entropy_global(trace, args.theta,
-                                               args.max_patch or cfg["patching"]["max_patch_size"])
+    if pc.theta_g is not None:
+        bounds = patching.patch_entropy_global(trace, pc.theta_g, pc.max_patch_size)
     out = Path(args.out or "trace.tsv")
     entropy_lm.write_trace_tsv(out, trace, data, bounds)
     _emit({"out": str(out), "positions": len(trace.values),
@@ -443,13 +437,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# patch flag -> key of the ``patching`` config section it overrides
+_PATCH_FLAG_KEYS = {"scheme": "scheme", "k": "k", "theta": "theta_g", "theta_r": "theta_r",
+                    "max_patch": "max_patch_size", "reset_newline": "reset_on_newline",
+                    "target_patch_size": "target_patch_size"}
+
+
+def _overrides(args) -> dict:
+    """Config overrides from the flags, so that config.json records them."""
+    overrides = {}
+    if args.seed is not None:
+        overrides["run"] = {"seed": args.seed}
+    patch = {key: getattr(args, flag) for flag, key in _PATCH_FLAG_KEYS.items()
+             if getattr(args, flag, None) is not None}
+    if patch:
+        overrides["patching"] = patch
+    return overrides
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if args.seed is not None:
-            overrides["run"] = {"seed": args.seed}
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, _overrides(args))
         return args.fn(args, cfg)
     except (ConfigError, PatchingError, CalibrationError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,9 +6,16 @@ mass ``gamma = 256 * alpha`` the distribution for a length-k context is
 
     p_k(b | c) = (count(c, b) + gamma * p_{k-1}(b | c[1:])) / (total(c) + gamma)
 
-so an unseen context backs off exactly to its suffix distribution and every
-probability is strictly positive. Entropies are in nats throughout; callers
-convert to bits only at reporting edges.
+where p_{-1} is uniform, so an unseen context backs off exactly to its suffix
+distribution and every probability is strictly positive. Traces read a table
+of H_k(c) per stored context, built from the sparse pairs alone: with S the
+bytes seen after c, q_b = p_{k-1}(b | c[1:]) and a = gamma / (total(c) + gamma),
+every byte outside S has p_k(b | c) = a * q_b, so
+
+    H_k(c) = -sum_S p log p - a * [(1 - sum_S q) log a - H_{k-1}(c[1:]) - sum_S q log q].
+
+Entropies are in nats throughout; callers convert to bits only at reporting
+edges.
 """
 
 from __future__ import annotations
@@ -58,10 +65,6 @@ def _pack_keys(arr: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _pack_one(ctx: bytes) -> int:
-    return int.from_bytes(ctx, "big")
-
-
 def _count_pairs(keys: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aggregate (key, next) occurrences; output sorted by key then next byte."""
     if len(keys) == 0:
@@ -97,19 +100,7 @@ class _Level:
         firsts = np.nonzero(new)[0]
         self.ctx_keys = self.pair_ctx[firsts]
         self.ctx_first = firsts
-        bounds = np.append(firsts, len(self.pair_ctx))
         self.ctx_tot = np.add.reduceat(self.pair_cnt, firsts) if len(firsts) else np.zeros(0, np.int64)
-        self._bounds = bounds
-
-    def find(self, key: int) -> int:
-        """Index of key in ctx_keys, or -1."""
-        i = int(np.searchsorted(self.ctx_keys, np.uint64(key)))
-        if i < len(self.ctx_keys) and int(self.ctx_keys[i]) == key:
-            return i
-        return -1
-
-    def pair_slice(self, ctx_index: int) -> slice:
-        return slice(int(self._bounds[ctx_index]), int(self._bounds[ctx_index + 1]))
 
 
 @dataclass
@@ -137,89 +128,50 @@ class EntropyModel:
         self.alpha = alpha
         self.levels = levels  # levels[k] holds length-k contexts, k = 0..order
 
-        lvl0 = levels[0]
-        c0 = np.zeros(256, dtype=np.float64)
-        c0[lvl0.pair_next] = lvl0.pair_cnt
-        self._n_train = float(c0.sum())
         self._gamma = 256.0 * alpha
-        self.p0 = (c0 + alpha) / (c0.sum() + self._gamma)
-        self._dist_memo: dict[bytes, np.ndarray] = {}
-        self._h_memo: dict[bytes, float] = {}
         self._h_tables: list[np.ndarray] | None = None
 
-    # -- distributions ------------------------------------------------------
-
-    def _dist(self, ctx: bytes) -> np.ndarray:
-        if not ctx:
-            return self.p0
-        cached = self._dist_memo.get(ctx)
-        if cached is not None:
-            return cached
-        lev = self.levels[len(ctx)]
-        i = lev.find(_pack_one(ctx))
-        if i < 0:
-            p = self._dist(ctx[1:])
-        else:
-            p = self._gamma * self._dist(ctx[1:]).copy()
-            sl = lev.pair_slice(i)
-            p[lev.pair_next[sl]] += lev.pair_cnt[sl]
-            p /= float(lev.ctx_tot[i]) + self._gamma
-        self._dist_memo[ctx] = p
-        return p
-
-    def next_byte_distribution(self, context) -> np.ndarray:
-        """Smoothed distribution over the 256 byte values given trailing context."""
-        ctx = bytes(_as_bytes_array(context).tobytes())
-        if len(ctx) > self.order:
-            ctx = ctx[-self.order :]
-        return self._dist(ctx)
-
-    def entropy_at(self, context) -> float:
-        """Shannon entropy (nats) of :meth:`next_byte_distribution`."""
-        ctx = bytes(_as_bytes_array(context).tobytes())
-        if len(ctx) > self.order:
-            ctx = ctx[-self.order :]
-        h = self._h_memo.get(ctx)
-        if h is None:
-            p = self._dist(ctx)
-            h = float(-np.sum(p * np.log(p)))
-            self._h_memo[ctx] = h
-        return h
-
-    # -- bulk entropy tables (vectorized traces, order <= 3) -----------------
+    # -- entropy tables (one per context length) -----------------------------
 
     def _ensure_h_tables(self):
+        """H_k of every stored context, level by level (closed form in the module docstring).
+
+        Counts nest: every occurrence counted for (c, b) is also counted for
+        (c[1:], b), so q_b is the stored probability of a pair one level down,
+        found by one searchsorted on the pair keys (ctx << 8) | next, which fit
+        in uint64 below length 8. Only the previous level's per-pair
+        probabilities are kept, so memory is O(pairs). A loaded file whose
+        counts do not nest raises.
+        """
         if self._h_tables is not None:
             return
-        h0 = float(-np.sum(self.p0 * np.log(self.p0)))
-        tables: list[np.ndarray] = [np.array([h0])]
-        prev_dists = self.p0[None, :]
-        prev_keys = np.zeros(1, dtype=np.uint64)
-        for k in range(1, self.order + 1):
-            lev = self.levels[k]
-            n_ctx = len(lev.ctx_keys)
-            h_k = np.empty(n_ctx, dtype=np.float64)
-            keep = k < self.order
-            kept = np.empty((n_ctx, 256), dtype=np.float64) if keep else None
-            suffix = lev.ctx_keys % np.uint64(1 << (8 * (k - 1))) if k > 1 else np.zeros(n_ctx, np.uint64)
-            sfx_idx = np.searchsorted(prev_keys, suffix)
-            chunk = 1 << 15
-            row_of_pair = np.searchsorted(lev.ctx_keys, lev.pair_ctx)
-            for lo in range(0, n_ctx, chunk):
-                hi = min(lo + chunk, n_ctx)
-                m = self._gamma * prev_dists[sfx_idx[lo:hi]]
-                p_lo = int(lev.ctx_first[lo])
-                p_hi = int(lev.ctx_first[hi]) if hi < n_ctx else len(lev.pair_ctx)
-                np.add.at(m, (row_of_pair[p_lo:p_hi] - lo, lev.pair_next[p_lo:p_hi]),
-                          lev.pair_cnt[p_lo:p_hi].astype(np.float64))
-                m /= (lev.ctx_tot[lo:hi, None] + self._gamma)
-                h_k[lo:hi] = -np.sum(m * np.log(m), axis=1)
-                if keep:
-                    kept[lo:hi] = m
-            tables.append(h_k)
-            if keep:
-                prev_dists = kept
-                prev_keys = lev.ctx_keys
+        tables: list[np.ndarray] = []
+        prev_keys = prev_p = prev_ctx = prev_h = None
+        for k, lev in enumerate(self.levels):
+            n_pairs = len(lev.pair_ctx)
+            if k == 0:  # backs off to the uniform distribution
+                q = np.full(n_pairs, 1.0 / 256.0)
+                h_sfx = np.full(len(lev.ctx_keys), LN256)
+            else:
+                mod = np.uint64(1 << (8 * (k - 1)))
+                want = ((lev.pair_ctx % mod) << np.uint64(8)) | lev.pair_next.astype(np.uint64)
+                at = np.searchsorted(prev_keys, want)
+                if (at == len(prev_keys)).any() or (prev_keys[at] != want).any():
+                    raise EntropyModelError(
+                        f"counts do not nest: a length-{k} pair has no length-{k - 1} suffix pair")
+                q = prev_p[at]
+                h_sfx = prev_h[np.searchsorted(prev_ctx, lev.ctx_keys % mod)]
+            first = lev.ctx_first
+            denom = lev.ctx_tot + self._gamma
+            a = self._gamma / denom
+            p = (lev.pair_cnt + self._gamma * q) / np.repeat(denom, np.diff(np.append(first, n_pairs)))
+            h = (-np.add.reduceat(p * np.log(p), first)
+                 - a * ((1.0 - np.add.reduceat(q, first)) * np.log(a) - h_sfx
+                        - np.add.reduceat(q * np.log(q), first)))
+            tables.append(h)
+            if k < self.order:
+                prev_keys = (lev.pair_ctx << np.uint64(8)) | lev.pair_next.astype(np.uint64)
+                prev_p, prev_ctx, prev_h = p, lev.ctx_keys, h
         self._h_tables = tables
 
     # -- traces ---------------------------------------------------------------
@@ -247,14 +199,7 @@ class EntropyModel:
             resets = after
         avail = np.minimum(self.order, np.arange(n, dtype=np.int64) - seg_start)
 
-        if self.order <= 3:
-            values = self._trace_fast(arr, avail)
-        else:
-            values = np.empty(n, dtype=np.float64)
-            raw = arr.tobytes()
-            for i in range(n):
-                values[i] = self.entropy_at(raw[i - int(avail[i]) : i])
-        return EntropyTrace(values, resets)
+        return EntropyTrace(self._trace_fast(arr, avail), resets)
 
     def _trace_fast(self, arr: np.ndarray, avail: np.ndarray) -> np.ndarray:
         self._ensure_h_tables()
@@ -290,7 +235,8 @@ class EntropyModel:
             miss = sel[~found]
             key[miss] %= np.uint64(1 << (8 * (k - 1)))
             lvl[miss] = k - 1
-        values[~resolved] = self._h_tables[0][0]
+        h0 = self._h_tables[0]
+        values[~resolved] = h0[0] if len(h0) else LN256  # no counts at all: uniform
         return values
 
     # -- serialization --------------------------------------------------------
@@ -332,7 +278,9 @@ class EntropyModel:
             cnt = np.frombuffer(payload, dtype="<i8", count=n_pairs, offset=off).astype(np.int64)
             off += 8 * n_pairs
             levels.append(_Level(ctx, nxt, cnt))
-        return cls(order, alpha, levels)
+        model = cls(order, alpha, levels)
+        model._ensure_h_tables()  # rejects counts that do not nest
+        return model
 
 
 def train_counts(

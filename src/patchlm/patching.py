@@ -286,17 +286,20 @@ def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = No
     return run
 
 
-def _mean_size_at(traces: list[EntropyTrace], theta: float, scheme: str, max_patch: int | None) -> float:
-    total_bytes = 0
-    total_patches = 0
-    for tr in traces:
-        if scheme == "entropy_global":
-            b = patch_entropy_global(tr, theta, max_patch)
-        else:
-            b = patch_entropy_monotonic(tr, theta, max_patch)
-        total_bytes += b.n_bytes
-        total_patches += b.n_patches
-    return total_bytes / total_patches
+def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
+                  max_patch: int | None) -> float:
+    """Mean patch size over concatenated documents when ``score > theta`` starts a patch.
+
+    Counts what patching each document on its own gives: every document
+    start opens a patch, and a patch of length L gains (L - 1) // max_patch
+    forced splits.
+    """
+    starts = np.flatnonzero(doc_start | (score > theta))
+    n_patches = len(starts)
+    if max_patch is not None:
+        lengths = np.diff(np.append(starts, len(score)))
+        n_patches += int(((lengths - 1) // max_patch).sum())
+    return len(score) / n_patches
 
 
 def calibrate_threshold(
@@ -324,11 +327,19 @@ def calibrate_threshold(
     n_total = sum(len(d) for d in docs)
     if n_total < 10**5:
         raise CalibrationError(f"calibration sample too small: {n_total} bytes < 1e5")
-    traces = [model.entropy_trace(d, reset_on_newline=reset_on_newline) for d in docs]
+    values = np.concatenate([model.entropy_trace(d, reset_on_newline=reset_on_newline).values
+                             for d in docs])
+    doc_start = np.zeros(len(values), dtype=bool)
+    doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
+    # the jump across a document start is never read: that byte starts a patch anyway
+    score = values if scheme == "entropy_global" else np.diff(values, prepend=values[0])
+
+    def mean_size(theta: float) -> float:
+        return _mean_size_at(score, doc_start, theta, max_patch)
 
     lo, hi = (0.0, LN256 + 1.0) if scheme == "entropy_global" else (-LN256 - 1.0, LN256 + 1.0)
-    size_lo = _mean_size_at(traces, lo, scheme, max_patch)
-    size_hi = _mean_size_at(traces, hi, scheme, max_patch)
+    size_lo = mean_size(lo)
+    size_hi = mean_size(hi)
     if size_lo > size_hi:
         raise CalibrationError(f"mean patch size not monotone over bracket for {scheme}")
     if not (size_lo <= target_patch_size <= size_hi):
@@ -339,13 +350,12 @@ def calibrate_threshold(
         )
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if _mean_size_at(traces, mid, scheme, max_patch) < target_patch_size:
+        if mean_size(mid) < target_patch_size:
             lo = mid
         else:
             hi = mid
-    _, theta = min((abs(_mean_size_at(traces, t, scheme, max_patch) - target_patch_size), t)
-                   for t in (lo, hi))
-    achieved = _mean_size_at(traces, theta, scheme, max_patch)
+    _, theta = min((abs(mean_size(t) - target_patch_size), t) for t in (lo, hi))
+    achieved = mean_size(theta)
     if abs(achieved - target_patch_size) / target_patch_size > tol:
         raise CalibrationError(
             f"calibration missed target {target_patch_size}: closest achievable {achieved:.4f}",

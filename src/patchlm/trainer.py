@@ -180,6 +180,11 @@ class PatchStreamLoader:
     def mean_patch_size(self) -> float:
         return sum(len(d) for d in self.docs) / self.total_patches
 
+    @property
+    def forced_splits(self) -> int:
+        """Patch starts the maximum patch size added over all documents."""
+        return sum(b.forced_splits for b in self.bounds)
+
     def state_dict(self) -> dict:
         return asdict(self.state)
 

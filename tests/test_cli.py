@@ -141,6 +141,7 @@ def test_train_command_end_to_end(tmp_path, capsys, corpus_file):
     assert (run_dir / "ckpt_final.npz").exists()
     resolved = json.loads((run_dir / "config.json").read_text())
     assert resolved["model"]["enc_dim"] == 16 and "_content_hash" in resolved
+    assert json.loads(out)["forced_splits"] == 0
     # refuses to reuse the run dir without --force
     code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus",
                   str(corpus_file), "--run-dir", str(run_dir))
@@ -158,6 +159,36 @@ def test_train_target_patch_size_flag_calibrates(tmp_path, capsys, corpus_file):
     doc = json.loads(out)
     assert doc["steps"] == 2
     assert abs(doc["mean_patch_size"] - 4.5) < 0.25
+
+
+def test_train_entropy_monotonic_target_patch_size_calibrates_theta_r(tmp_path, capsys,
+                                                                      corpus_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16}}))
+    code, out = run(capsys, "train", "--json", "--config", str(cfg_path), "--corpus",
+                    str(corpus_file), "--run-dir", str(tmp_path / "run"),
+                    "--scheme", "entropy_monotonic", "--target-patch-size", "4.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["steps"] == 2
+    assert abs(doc["mean_patch_size"] - 4.5) < 0.25
+
+
+def test_train_patch_flags_are_recorded_in_config_json(tmp_path, capsys, corpus_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16}}))
+    resolved = {}
+    for k in (4, 8):
+        run_dir = tmp_path / f"run{k}"
+        code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                      "--run-dir", str(run_dir), "--scheme", "strided", "--k", str(k))
+        assert code == 0
+        resolved[k] = json.loads((run_dir / "config.json").read_text())
+        assert resolved[k]["patching"]["scheme"] == "strided"
+        assert resolved[k]["patching"]["k"] == k
+    assert resolved[4]["_content_hash"] != resolved[8]["_content_hash"]
 
 
 def test_runconfig_unknown_keys_and_hash():

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from patchlm import textgen
 from patchlm.corpus import Document
 from patchlm.entropy_lm import (
     LN256,
     EntropyModel,
     EntropyModelError,
+    _Level,
     export_trace,
     train_counts,
     write_trace_tsv,
@@ -17,10 +22,57 @@ def _doc(data: bytes) -> Document:
     return Document("d", np.frombuffer(data, np.uint8))
 
 
+def oracle_distribution(model: EntropyModel, context: bytes) -> np.ndarray:
+    """Dense p(. | context) by the backoff recursion, read straight off ``model.levels``.
+
+    p_{-1} is uniform, and a context with no stored pairs keeps its suffix's
+    distribution. Only the last ``model.order`` bytes of context count.
+    """
+    ctx = bytes(context)[max(0, len(context) - model.order):]
+    gamma = 256.0 * model.alpha
+    p = np.full(256, 1.0 / 256.0)
+    for k in range(len(ctx) + 1):
+        lev = model.levels[k]
+        key = np.uint64(int.from_bytes(ctx[len(ctx) - k:], "big"))
+        rows = np.nonzero(lev.pair_ctx == key)[0]
+        if len(rows):
+            p = gamma * p
+            p[lev.pair_next[rows]] += lev.pair_cnt[rows]
+            p /= lev.pair_cnt[rows].sum() + gamma
+    return p
+
+
+def oracle_entropy(model: EntropyModel, context: bytes) -> float:
+    p = oracle_distribution(model, context)
+    return float(-np.sum(p * np.log(p)))
+
+
+def oracle_trace(model: EntropyModel, data: bytes, reset_on_newline: bool) -> np.ndarray:
+    """values[i]: entropy given the bytes before i, cleared after each newline if asked."""
+    values = []
+    for i in range(len(data)):
+        lo = max(0, i - model.order)
+        if reset_on_newline:
+            lo = max(lo, data.rfind(b"\n", 0, i) + 1)
+        values.append(oracle_entropy(model, data[lo:i]))
+    return np.array(values)
+
+
+def _is_stored(level, context: bytes) -> bool:
+    key = np.uint64(int.from_bytes(context, "big"))
+    i = np.searchsorted(level.ctx_keys, key)
+    return bool(i < len(level.ctx_keys) and level.ctx_keys[i] == key)
+
+
+def _last_entropy(model: EntropyModel, context: bytes) -> float:
+    """Trace value of the byte after ``context``."""
+    return float(model.entropy_trace(np.frombuffer(context + b"?", np.uint8)).values[-1])
+
+
 def test_alternating_corpus_is_near_deterministic():
     m = train_counts([_doc(b"ab" * 5000)], order=1)
-    assert m.next_byte_distribution(b"a")[ord("b")] > 0.99
-    assert m.next_byte_distribution(b"b")[ord("a")] > 0.99
+    assert oracle_distribution(m, b"a")[ord("b")] > 0.99
+    assert oracle_distribution(m, b"b")[ord("a")] > 0.99
 
 
 def test_uniform_random_corpus_entropy_approaches_ln256():
@@ -43,57 +95,73 @@ def test_uniform_random_corpus_entropy_approaches_ln256():
 def test_constant_corpus_low_entropy():
     m = train_counts([_doc(b"a" * 10_000)], order=1)
     # derived from the smoothed counts: p(a|a) = (9999 + g*p0(a)) / (9999 + g)
-    assert m.entropy_at(b"a") < 0.1
+    assert oracle_entropy(m, b"a") < 0.1
+    assert _last_entropy(m, b"a") == pytest.approx(oracle_entropy(m, b"a"), abs=1e-12)
 
 
 def test_distributions_sum_to_one_and_positive(entropy3):
     for ctx in (b"", b"t", b"th", b"the", b"zzz", bytes([0, 255])):
-        p = entropy3.next_byte_distribution(ctx)
+        p = oracle_distribution(entropy3, ctx)
         assert abs(p.sum() - 1.0) < 1e-9
         assert (p > 0).all()
 
 
 def test_unseen_context_backs_off_to_suffix(entropy3):
     unseen = bytes([7, 250, ord("t")])  # improbable 3-gram ending in 't'
-    assert entropy3.levels[3].find(int.from_bytes(unseen, "big")) == -1
+    assert not _is_stored(entropy3.levels[3], unseen)
     np.testing.assert_array_equal(
-        entropy3.next_byte_distribution(unseen),
-        entropy3.next_byte_distribution(unseen[1:]),
+        oracle_distribution(entropy3, unseen),
+        oracle_distribution(entropy3, unseen[1:]),
     )
+    assert _last_entropy(entropy3, unseen) == _last_entropy(entropy3, unseen[1:])
 
 
 def test_context_longer_than_order_truncates(entropy3):
     long_ctx = b"and the"
     np.testing.assert_array_equal(
-        entropy3.next_byte_distribution(long_ctx),
-        entropy3.next_byte_distribution(long_ctx[-3:]),
+        oracle_distribution(entropy3, long_ctx),
+        oracle_distribution(entropy3, long_ctx[-3:]),
     )
+    assert _last_entropy(entropy3, long_ctx) == _last_entropy(entropy3, long_ctx[-3:])
 
 
 def test_trained_alternation_argmax():
     m = train_counts([_doc(b"ab" * 2000)], order=1)
-    assert int(np.argmax(m.next_byte_distribution(b"a"))) == ord("b")
+    assert int(np.argmax(oracle_distribution(m, b"a"))) == ord("b")
 
 
-def test_trace_fast_path_matches_reference(entropy2_small, small_docs):
-    data = small_docs[0][:600]
-    tr = entropy2_small.entropy_trace(data)
-    raw = data.tobytes()
-    ref = np.array([entropy2_small.entropy_at(raw[max(0, i - 2) : i]) for i in range(len(raw))])
-    np.testing.assert_allclose(tr.values, ref, rtol=0, atol=1e-12)
+@pytest.fixture(scope="module")
+def models_by_order(small_docs):
+    return {order: train_counts(small_docs[:20], order=order) for order in range(1, 9)}
+
+
+_QUERY_BYTES = st.lists(st.sampled_from(b"\n .aeht\xff"), max_size=10).map(bytes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(1, 8), reset=st.booleans(), doc=st.integers(0, 39),
+       where=st.floats(0, 1), size=st.integers(0, 120), head=_QUERY_BYTES, tail=_QUERY_BYTES)
+def test_trace_matches_oracle(models_by_order, small_docs, order, reset, doc, where, size,
+                              head, tail):
+    # documents 0-19 trained the models, so their slices reach stored contexts
+    # at every order; 20-39 and the random bytes mostly back off
+    text = small_docs[doc].tobytes()
+    lo = int(where * (len(text) - 1))
+    data = head + text[lo: lo + size] + tail or b"\n"
+    model = models_by_order[order]
+    tr = model.entropy_trace(np.frombuffer(data, np.uint8), reset_on_newline=reset)
+    np.testing.assert_allclose(tr.values, oracle_trace(model, data, reset), rtol=0, atol=1e-12)
 
 
 def test_trace_bounds_and_first_position(entropy3, english_docs):
     tr = entropy3.entropy_trace(english_docs[-1])
     assert (tr.values >= 0).all() and (tr.values <= LN256 + 1e-12).all()
-    p0 = entropy3.next_byte_distribution(b"")
-    assert abs(tr.values[0] - float(-(p0 * np.log(p0)).sum())) < 1e-12
+    assert abs(tr.values[0] - oracle_entropy(entropy3, b"")) < 1e-12
 
 
 def test_single_byte_input_unigram_entropy(entropy3):
     tr = entropy3.entropy_trace(np.array([ord("x")], np.uint8))
-    p0 = entropy3.next_byte_distribution(b"")
-    assert abs(tr.values[0] - float(-(p0 * np.log(p0)).sum())) < 1e-12
+    assert abs(tr.values[0] - oracle_entropy(entropy3, b"")) < 1e-12
 
 
 def test_newline_reset(entropy3):
@@ -126,15 +194,6 @@ def test_incremental_trace_equals_from_scratch(entropy3, english_docs):
         np.testing.assert_array_equal(entropy3.entropy_trace(data[:cut]).values, full[:cut])
 
 
-def test_high_order_slow_path_matches_definition(small_docs):
-    m = train_counts(small_docs[:20], order=5)
-    data = small_docs[0][:120]
-    tr = m.entropy_trace(data)
-    raw = data.tobytes()
-    ref = [m.entropy_at(raw[max(0, i - 5) : i]) for i in range(len(raw))]
-    np.testing.assert_allclose(tr.values, ref, atol=1e-12)
-
-
 def test_order_and_alpha_validation(small_docs):
     with pytest.raises(EntropyModelError):
         train_counts(small_docs, order=0)
@@ -159,6 +218,33 @@ def test_serialization_roundtrip_and_checksum(tmp_path, entropy2_small, small_do
     bad.write_bytes(bytes(raw))
     with pytest.raises(EntropyModelError, match="checksum"):
         EntropyModel.load(bad)
+
+
+def test_load_rejects_counts_that_do_not_nest(tmp_path, entropy2_small):
+    # drop one length-1 pair that a length-2 pair extends: (ctx "t", next "h")
+    lev1 = entropy2_small.levels[1]
+    drop = (lev1.pair_ctx == ord("t")) & (lev1.pair_next == ord("h"))
+    assert drop.sum() == 1
+    levels = list(entropy2_small.levels)
+    levels[1] = _Level(lev1.pair_ctx[~drop], lev1.pair_next[~drop], lev1.pair_cnt[~drop])
+    path = tmp_path / "not_nested.bin"
+    EntropyModel(2, entropy2_small.alpha, levels).save(path)
+    with pytest.raises(EntropyModelError, match="do not nest"):
+        EntropyModel.load(path)
+
+
+def test_order8_tables_memory_is_bounded_by_pairs():
+    # the dense tables this replaced kept a 256-wide float64 row per context,
+    # about 466 MB here
+    text = textgen.synthetic_text(256_000, seed=3).encode()
+    model = train_counts([_doc(text)], order=8)
+    tracemalloc.start()
+    try:
+        model.entropy_trace(np.frombuffer(b"x", np.uint8))  # builds every level's table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_serialization_deterministic(tmp_path, small_docs):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchlm.bpe import train_bpe
 from patchlm.entropy_lm import LN256, EntropyTrace, train_counts
@@ -19,6 +20,7 @@ from patchlm.patching import (
     patch_strided,
     patch_stats,
     write_boundaries_tsv,
+    _mean_size_at,
 )
 
 
@@ -173,6 +175,28 @@ def test_calibration_rejects_bad_targets(entropy3, english_docs):
     assert ei.value.achievable is not None
     with pytest.raises(CalibrationError, match="sample too small"):
         calibrate_threshold(entropy3, sample[:2], 4.5)
+
+
+_LEVELS = [0.0, 0.5, 1.0, 2.0, 3.5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=st.lists(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=30),
+                     min_size=1, max_size=6),
+       theta=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 3.5]),
+       monotonic=st.booleans(), max_patch=st.sampled_from([None, 1, 3, 512]))
+def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, max_patch):
+    # calibrate_threshold scans the concatenated traces; the reference patches
+    # each document on its own
+    traces = [_trace(d) for d in docs]
+    patch = patch_entropy_monotonic if monotonic else patch_entropy_global
+    ref = [patch(t, theta, max_patch) for t in traces]
+    values = np.concatenate([t.values for t in traces])
+    doc_start = np.zeros(len(values), dtype=bool)
+    doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
+    score = np.diff(values, prepend=values[0]) if monotonic else values
+    assert _mean_size_at(score, doc_start, theta, max_patch) == (
+        sum(r.n_bytes for r in ref) / sum(r.n_patches for r in ref))
 
 
 def test_calibration_monotonic_scheme(entropy3, english_docs):
