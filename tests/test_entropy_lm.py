@@ -153,6 +153,23 @@ def test_trace_matches_oracle(models_by_order, small_docs, order, reset, doc, wh
     np.testing.assert_allclose(tr.values, oracle_trace(model, data, reset), rtol=0, atol=1e-12)
 
 
+def test_trace_fast_path_matches_reference(entropy2_small, small_docs):
+    data = small_docs[0][:600]
+    tr = entropy2_small.entropy_trace(data)
+    raw = data.tobytes()
+    ref = np.array([oracle_entropy(entropy2_small, raw[max(0, i - 2) : i]) for i in range(len(raw))])
+    np.testing.assert_allclose(tr.values, ref, rtol=0, atol=1e-12)
+
+
+def test_high_order_slow_path_matches_definition(small_docs):
+    m = train_counts(small_docs[:20], order=5)
+    data = small_docs[0][:120]
+    tr = m.entropy_trace(data)
+    raw = data.tobytes()
+    ref = [oracle_entropy(m, raw[max(0, i - 5) : i]) for i in range(len(raw))]
+    np.testing.assert_allclose(tr.values, ref, atol=1e-12)
+
+
 def test_trace_bounds_and_first_position(entropy3, english_docs):
     tr = entropy3.entropy_trace(english_docs[-1])
     assert (tr.values >= 0).all() and (tr.values <= LN256 + 1e-12).all()
