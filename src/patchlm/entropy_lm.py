@@ -65,11 +65,21 @@ def _pack_keys(arr: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _count_pairs(keys: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate (key, next) occurrences; output sorted by key then next byte."""
+def _count_pairs(keys: np.ndarray, nxt: np.ndarray,
+                 ctx_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregate (key, next) occurrences of ``ctx_len``-byte contexts; output
+    sorted by key then next byte.
+
+    Below length 8 the pair fits one uint64 key ``(key << 8) | next``, and a
+    single sort of it is an order of magnitude faster than a two-key lexsort;
+    8-byte contexts need 72 bits and take the lexsort.
+    """
     if len(keys) == 0:
         e = np.zeros(0, dtype=np.uint64)
         return e, np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    if ctx_len < 8:
+        pairs, counts = np.unique((keys << np.uint64(8)) | nxt.astype(np.uint64), return_counts=True)
+        return pairs >> np.uint64(8), (pairs & np.uint64(0xFF)).astype(np.uint8), counts.astype(np.int64)
     order = np.lexsort((nxt, keys))
     k = keys[order]
     x = nxt[order]
@@ -321,7 +331,7 @@ def train_counts(
         else:
             keys = np.zeros(0, np.uint64)
             nxts = np.zeros(0, np.uint8)
-        levels.append(_Level(*_count_pairs(keys, nxts)))
+        levels.append(_Level(*_count_pairs(keys, nxts, k)))
     return EntropyModel(order, alpha, levels)
 
 

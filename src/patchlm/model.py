@@ -155,6 +155,16 @@ class BltParams:
     def grads(self) -> dict[str, np.ndarray]:
         return {k: t.grad for k, t in self.tensors.items()}
 
+    def detached(self) -> "BltParams":
+        """The same parameters as tensors that share each ``data`` array but
+        require no grad.
+
+        A forward pass over the view records no parents or vjp closures, so it
+        builds no autodiff graph; in-place updates of the parameters show in
+        the view.
+        """
+        return BltParams({k: Tensor(t.data, name=k) for k, t in self.tensors.items()}, self.meta)
+
     def astype(self, dtype) -> "BltParams":
         return BltParams(
             {k: parameter(t.data.astype(dtype), k) for k, t in self.tensors.items()},
@@ -253,11 +263,17 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> BltPara
 
 @dataclass
 class Stream:
-    """Concatenated document bytes, per-byte doc ids, and patch start indices."""
+    """Concatenated document bytes, per-byte doc ids, and patch start indices.
+
+    ``next_byte`` is the byte that follows the stream's last byte in its
+    document, when the stream stops short of that document's end; the last
+    position is then scored against it.
+    """
 
     data: np.ndarray
     doc_ids: np.ndarray
     patch_starts: np.ndarray
+    next_byte: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.uint8)
@@ -266,6 +282,8 @@ class Stream:
         n = len(self.data)
         if n == 0:
             raise ValueError("empty stream")
+        if self.next_byte is not None and not 0 <= self.next_byte < VOCAB:
+            raise ValueError(f"next_byte {self.next_byte} is not a byte")
         if len(self.doc_ids) != n:
             raise ValueError("doc_ids length mismatch")
         if np.any(np.diff(self.doc_ids) < 0):
@@ -621,7 +639,8 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
     """Full composition: augmented embeddings -> encoder -> latent -> decoder -> loss.
 
     Position i predicts byte i+1; positions whose successor crosses a document
-    boundary (or does not exist) are excluded from the loss.
+    boundary (or does not exist) are excluded from the loss. The last position
+    predicts ``stream.next_byte`` when it is set.
     """
     span_cache: dict = {}
     h, p = encoder_forward(params, stream, config, span_cache)
@@ -633,6 +652,9 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
     targets[: n - 1] = stream.data[1:]
     mask = np.zeros(n, dtype=bool)
     mask[: n - 1] = stream.doc_ids[1:] == stream.doc_ids[: n - 1]
+    if stream.next_byte is not None:
+        targets[n - 1] = stream.next_byte
+        mask[n - 1] = True
     n_pred = int(mask.sum())
     if n_pred == 0:
         raise NumericError("stream has no predictable positions")
@@ -658,9 +680,10 @@ def grad_check(params: BltParams, stream: Stream, config: ModelConfig,
     absolutely for near-zero gradients. Returns a per-tensor report.
     """
     p64 = params.astype(np.float64)
+    view = p64.detached()  # shares p64's arrays, so the perturbations below show
 
     def loss_value() -> float:
-        return float(lm_forward(p64, stream, config).loss.data)
+        return float(lm_forward(view, stream, config).loss.data)
 
     res = lm_forward(p64, stream, config)
     res.loss.backward()
@@ -718,6 +741,7 @@ class TransformerEntropySource:
             cuts += [int(i) + 1 for i in np.nonzero(arr == NEWLINE)[0] if i + 1 < n]
         cuts.append(n)
         values = np.empty(n, dtype=np.float64)
+        params = self.params.detached()
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi <= lo:
                 continue
@@ -726,7 +750,7 @@ class TransformerEntropySource:
             if hi - lo > 1:
                 stream = Stream(seg, np.zeros(len(seg), np.int32),
                                 patch_strided(len(seg), 1, None).starts)
-                logits = lm_forward(self.params, stream, self.config).logits.data
+                logits = lm_forward(params, stream, self.config).logits.data
                 z = logits - logits.max(axis=1, keepdims=True)
                 p = np.exp(z)
                 p /= p.sum(axis=1, keepdims=True)

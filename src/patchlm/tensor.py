@@ -3,10 +3,16 @@
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
 segment pooling over contiguous spans, a fused NLL-from-logits, and tiled
-attention over one key span per query. Graphs are built eagerly;
-``backward()`` walks a topological order and accumulates vector-Jacobian
-products into ``.grad``. Gradients are never mutated in place, so views
-handed out by a vjp stay valid.
+attention over one key span per query. Graphs are built eagerly, and only
+where some input requires grad: an op on tensors that do not records no
+parents and no vjp, so a forward pass over detached parameters builds no
+graph at all. ``backward()`` walks a topological order, accumulates
+vector-Jacobian products into ``.grad`` and consumes the graph as it goes:
+each interior node is released once its vjp has run, so its activations and
+gradient are freed during the walk, and only leaves keep ``.grad``. A graph
+can be walked once; a second ``backward()`` through it raises.
+Gradients are never mutated in place, so views handed out by a vjp stay
+valid.
 
 Dtype discipline: ops never upcast silently; python scalars stay weak, so a
 float32 graph remains float32 and a float64 graph (used for gradient checks)
@@ -25,6 +31,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
+def _released(g):
+    raise RuntimeError("backward() through a graph that a previous backward() released")
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to ``shape`` after numpy broadcasting."""
     if grad.shape == tuple(shape):
@@ -39,7 +49,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -77,6 +87,16 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
     def backward(self, grad=None):
+        """Accumulate the gradient of this tensor into every leaf's ``.grad``.
+
+        Interior nodes are popped in reverse topological order; after a
+        node's vjp has run, its ``grad`` and ``_parents`` are cleared and its
+        vjp is replaced by one that raises. A second backward through a
+        released node, from the same root or from another output that shares
+        it, therefore raises instead of silently losing gradient.
+        """
+        if not self.requires_grad:
+            raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
         topo: list[Tensor] = []
@@ -95,13 +115,17 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.asarray(grad, dtype=self.data.dtype)
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
-                continue
-            for parent, g in node._vjp(node.grad):
-                if not parent.requires_grad:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+        while topo:
+            node = topo.pop()
+            if node._vjp is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
+                for parent, g in node._vjp(node.grad):
+                    if parent.requires_grad:
+                        parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = None
+            node._vjp = _released
+            node._parents = ()
 
     # -- elementwise arithmetic ------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -255,7 +256,7 @@ def check_disjoint(train_docs, eval_docs):
         raise ValueError(f"{len(overlap)} documents appear in both train and eval slices")
 
 
-def _split_doc(arr: np.ndarray, bounds: PatchBoundaries, max_bytes: int):
+def _split_doc(bounds: PatchBoundaries, max_bytes: int):
     """Spans of at most max_bytes, cut at patch boundaries."""
     spans = []
     lo_patch = 0
@@ -286,6 +287,16 @@ def eval_bpb(
     """Bits-per-byte per slice: total cross-entropy nats over ln(2) times the
     number of predicted bytes.
 
+    Each document is cut at patch boundaries into spans of at most
+    ``max_stream_bytes`` (a longer single patch is a span of its own), and
+    each span starts a fresh context. Every byte after a document's first is
+    scored exactly once: position i of a span predicts byte i + 1, and the
+    last position of a span that stops short of its document's end predicts
+    the next span's first byte from the span's own logits; it already sees
+    every completed patch of the span, as it would mid-document. So
+    ``n_bytes`` is ``sum(len(d) - 1)`` for every patcher. The forward passes
+    run on ``params.detached()`` and build no autodiff graph.
+
     ``params=None`` evaluates the uniform byte predictor, which scores exactly
     eight bits per byte.
     """
@@ -303,6 +314,7 @@ def eval_bpb(
             mps[name] = float("nan")
             continue
         assert patcher is not None and config is not None
+        view = params.detached()
         total = 0.0
         n_pred = 0
         n_patches = 0
@@ -311,12 +323,13 @@ def eval_bpb(
             b = patcher(d)
             n_patches += b.n_patches
             n_bytes_all += b.n_bytes
-            for byte_lo, byte_hi, starts in _split_doc(d, b, max_stream_bytes):
-                seg = d[byte_lo:byte_hi]
-                if len(seg) < 2:
-                    continue
-                stream = Stream(seg, np.zeros(len(seg), np.int32), starts)
-                res = lm_forward(params, stream, config)
+            for byte_lo, byte_hi, starts in _split_doc(b, max_stream_bytes):
+                next_byte = int(d[byte_hi]) if byte_hi < len(d) else None
+                if byte_hi - byte_lo < 2 and next_byte is None:
+                    continue  # a document's lone last byte predicts nothing
+                stream = Stream(d[byte_lo:byte_hi], np.zeros(byte_hi - byte_lo, np.int32),
+                                starts, next_byte)
+                res = lm_forward(view, stream, config)
                 total += res.total_nats
                 n_pred += res.n_predicted
         if n_pred == 0:
@@ -423,8 +436,9 @@ def train(
     """Run the loop; metrics stream to ``run_dir/metrics.jsonl``.
 
     Metrics rows carry only deterministic fields (step, loss, bpb, lr,
-    grad_norm, patch/byte counts); wall-clock throughput goes to a separate
-    perf.jsonl so two identical runs produce bit-identical metrics files.
+    grad_norm, patch/byte counts); wall-clock throughput and the process's
+    peak resident memory so far go to a separate perf.jsonl, so two
+    identical runs produce bit-identical metrics files.
     """
     state = adam_state if adam_state is not None else AdamState.init(params)
     run_dir = Path(run_dir) if run_dir else None
@@ -475,6 +489,7 @@ def train(
                     "step": step,
                     "patches_per_s": stream.n_patches / dt,
                     "bytes_per_s": stream.n_bytes / dt,
+                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # ru_maxrss: KiB
                 }) + "\n")
             if bad_streak >= divergence_patience:
                 result.diverged = True

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from patchlm.entropy_lm import (
     EntropyModel,
     EntropyModelError,
     _Level,
+    _count_pairs,
+    _pack_keys,
     export_trace,
     train_counts,
     write_trace_tsv,
@@ -90,6 +93,21 @@ def test_uniform_random_corpus_entropy_approaches_ln256():
         m2 = train_counts([Document("d", more)], order=2, max_pairs=60_000_000)
         h.append(m2.entropy_trace(data[:3000]).values[100:].mean())
     assert h[0] < h[1] < h[2] < LN256
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 8), n=st.integers(0, 300), alphabet=st.integers(1, 256),
+       seed=st.integers(0, 2**32 - 1))
+def test_count_pairs_branches_match_counter_oracle(k, n, alphabet, seed):
+    data = np.random.default_rng(seed).integers(0, alphabet, size=n).astype(np.uint8)
+    keys, nxt = _pack_keys(data, k), data[k:]
+    want = sorted(Counter(zip(keys.tolist(), nxt.tolist())).items())
+    packed, lexsorted = _count_pairs(keys, nxt, k), _count_pairs(keys, nxt, 8)
+    for ctx, x, cnt in (packed, lexsorted):
+        assert (ctx.dtype, x.dtype, cnt.dtype) == (np.uint64, np.uint8, np.int64)
+        assert list(zip(zip(ctx.tolist(), x.tolist()), cnt.tolist())) == want
+    for a, b in zip(packed, lexsorted):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_constant_corpus_low_entropy():

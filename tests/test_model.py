@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,8 @@ def test_stream_validation():
         Stream(np.arange(4, dtype=np.uint8), np.array([1, 0, 0, 0], np.int32), np.array([0]))
     with pytest.raises(ValueError, match="empty"):
         Stream(np.zeros(0, np.uint8), np.zeros(0, np.int32), np.zeros(0, np.int64))
+    with pytest.raises(ValueError, match="not a byte"):
+        Stream(np.arange(4, dtype=np.uint8), np.zeros(4, np.int32), np.array([0]), next_byte=256)
 
 
 def test_max_patch_guard():
@@ -267,6 +271,50 @@ def test_forward_deterministic():
     b = lm_forward(params, stream, cfg)
     assert float(a.loss.data) == float(b.loss.data)
     np.testing.assert_array_equal(a.logits.data, b.logits.data)
+
+
+def test_next_byte_scores_last_position_from_the_same_logits():
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=2).astype(np.float64)
+    base = text_stream(n_bytes=40, n_docs=1, k=4)
+    cut = Stream(base.data, base.doc_ids, base.patch_starts, next_byte=ord("q"))
+    a, b = lm_forward(params, base, cfg), lm_forward(params, cut, cfg)
+    np.testing.assert_array_equal(a.logits.data, b.logits.data)
+    last = a.logits.data[-1]
+    nll_q = np.log(np.exp(last - last.max()).sum()) + last.max() - last[ord("q")]
+    assert b.n_predicted == a.n_predicted + 1
+    assert abs(b.total_nats - (a.total_nats + nll_q)) <= 1e-12 * b.total_nats
+    one = Stream(base.data[:1], np.zeros(1, np.int32), np.array([0]), next_byte=ord("q"))
+    assert lm_forward(params, one, cfg).n_predicted == 1  # a 1-byte span predicts its successor
+
+
+def test_forward_on_detached_params_builds_no_graph():
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=0)
+    stream = text_stream()
+    view = params.detached()
+    res = lm_forward(view, stream, cfg)
+    for t in (res.logits, res.nll, res.loss):
+        assert t._parents == () and t._vjp is None and not t.requires_grad
+    assert res.logits.data.tobytes() == lm_forward(params, stream, cfg).logits.data.tobytes()
+    # the view shares the arrays: an in-place update shows through it
+    for name, t in params.items():
+        assert view[name].data is t.data and view[name].name == name
+    params["out_proj"].data *= 2.0
+    np.testing.assert_array_equal(view["out_proj"].data, params["out_proj"].data)
+    assert lm_forward(view, stream, cfg).logits.data.tobytes() != res.logits.data.tobytes()
+
+
+def test_backward_frees_intermediates_and_keeps_parameter_grads():
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=0)
+    res = lm_forward(params, text_stream(), cfg)
+    inner = weakref.ref(res.logits._parents[0])
+    res.loss.backward()
+    assert inner() is None
+    assert all(t.grad is not None and t.grad.shape == t.shape for _, t in params.items())
+    with pytest.raises(RuntimeError):
+        res.loss.backward()
 
 
 # -- independence properties ------------------------------------------------------

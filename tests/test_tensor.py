@@ -146,6 +146,22 @@ def test_graph_pruning_without_requires_grad():
     assert not b.requires_grad and b._parents == ()
 
 
+def test_backward_consumes_the_graph_and_only_leaves_keep_grad():
+    a = parameter(np.array([2.0, -1.0]))
+    mid = a * a
+    out = (mid + a).sum()
+    other = (mid * 3.0).sum()  # shares ``mid`` with ``out``
+    out.backward()
+    np.testing.assert_allclose(a.grad, [5.0, -1.0])
+    for node in (mid, out):
+        assert node.grad is None and node._parents == ()
+    for root in (out, other):
+        with pytest.raises(RuntimeError, match="released"):
+            root.backward()
+    with pytest.raises(RuntimeError, match="does not require grad"):
+        Tensor(np.ones(2)).sum().backward()
+
+
 def test_grad_accumulates_across_paths():
     a = parameter(np.array([2.0]))
     out = a * a + a * 3.0

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchlm import textgen
+from patchlm.entropy_lm import train_counts
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
-from patchlm.patching import patch_strided
+from patchlm.patching import patch_entropy_global, patch_space, patch_strided
 from patchlm.tensor import parameter
 from patchlm.trainer import (
     LN2,
@@ -196,6 +198,65 @@ def test_bpb_invariant_and_order_independence():
         assert r1.bpb[s] == r1.loss_nats[s] / (LN2 * r1.n_bytes[s])
 
 
+@pytest.fixture(scope="module")
+def eval_patchers():
+    em = train_counts(make_docs(20, 300, seed=50), order=2)
+    return {
+        "space": patch_space,
+        "strided": lambda d: patch_strided(len(d), 3),
+        "entropy": lambda d: patch_entropy_global(em.entropy_trace(d), 1.5),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=st.sampled_from(["space", "strided", "entropy"]),
+       max_stream_bytes=st.integers(4, 64),
+       lengths=st.lists(st.integers(1, 90), min_size=1, max_size=3),
+       seed=st.integers(0, 1000))
+def test_eval_scores_every_byte_exactly_once(eval_patchers, scheme, max_stream_bytes, lengths,
+                                             seed):
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=0)
+    text = textgen.synthetic_text(sum(lengths), seed=seed).encode()
+    cuts = np.cumsum([0] + lengths)
+    docs = [np.frombuffer(text[a:b], np.uint8) for a, b in zip(cuts[:-1], cuts[1:])]
+    if sum(lengths) == len(lengths):  # only 1-byte documents: nothing to predict
+        with pytest.raises(ValueError, match="no predictable bytes"):
+            eval_bpb(params, cfg, {"x": docs}, eval_patchers[scheme], max_stream_bytes)
+        return
+    rep = eval_bpb(params, cfg, {"x": docs}, eval_patchers[scheme], max_stream_bytes)
+    assert rep.n_bytes["x"] == sum(len(d) - 1 for d in docs)
+    assert np.isfinite(rep.bpb["x"])
+
+
+def test_eval_uncut_document_scores_as_one_stream():
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=4)
+    doc = make_docs(1, 300, seed=9)[0]
+    rep = eval_bpb(params, cfg, {"x": [doc]}, STRIDED4, max_stream_bytes=len(doc))
+    res = lm_forward(params, Stream.from_documents([doc], STRIDED4), cfg)
+    assert rep.loss_nats["x"] == res.total_nats
+    assert rep.n_bytes["x"] == len(doc) - 1
+
+
+def test_eval_long_stream_builds_no_graph():
+    # one 4096-byte stream at the default config: with a graph alive the peak
+    # is several hundred MB
+    import tracemalloc
+
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0)
+    doc = np.frombuffer(textgen.synthetic_text(4096, seed=5).encode()[:4096], np.uint8)
+    tracemalloc.start()
+    try:
+        rep = eval_bpb(params, cfg, {"x": [doc]}, patch_space, max_stream_bytes=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_bytes["x"] == 4095
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
 def test_eval_empty_slice_rejected():
     with pytest.raises(ValueError, match="empty"):
         eval_bpb(None, None, {"a": []})
@@ -290,11 +351,15 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_metrics_fields_are_deterministic_set(tmp_path):
     cfg = tiny_cfg()
-    params = init_params(cfg, seed=0)
     docs = make_docs(6, 120, seed=11)
-    loader = PatchStreamLoader(docs, STRIDED4, patch_budget=16, seed=0)
-    train(params, cfg, loader, OptimSpec(warmup_steps=1), total_steps=3, run_dir=tmp_path / "m")
-    row = json.loads((tmp_path / "m" / "metrics.jsonl").read_text().splitlines()[0])
+    for run in ("m", "m2"):
+        params = init_params(cfg, seed=0)
+        loader = PatchStreamLoader(docs, STRIDED4, patch_budget=16, seed=0)
+        train(params, cfg, loader, OptimSpec(warmup_steps=1), total_steps=3, run_dir=tmp_path / run)
+    metrics = (tmp_path / "m" / "metrics.jsonl").read_bytes()
+    assert metrics == (tmp_path / "m2" / "metrics.jsonl").read_bytes()
+    row = json.loads(metrics.decode().splitlines()[0])
     assert set(row) == {"step", "loss_nats", "bpb", "lr", "grad_norm", "n_patches", "n_bytes"}
     perf = json.loads((tmp_path / "m" / "perf.jsonl").read_text().splitlines()[0])
-    assert {"patches_per_s", "bytes_per_s"} <= set(perf)
+    assert {"patches_per_s", "bytes_per_s", "peak_rss_mb"} <= set(perf)
+    assert perf["peak_rss_mb"] > 1.0
