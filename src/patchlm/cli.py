@@ -24,6 +24,8 @@ from . import corpus as corpus_mod
 from . import entropy_lm, flops, patching, textgen
 from .bpe import train_bpe
 from .corpus import CorpusError, NoiseSpec, apply_noise, load_corpus
+from .entropy_lm import EntropyModelError
+from .flops import SizeMatchError
 from .model import ModelConfig, NumericError, init_params
 from .patching import CalibrationError, PatchingConfig, PatchingError, make_patcher
 from .runconfig import ConfigError, RunConfig
@@ -133,7 +135,7 @@ def _patcher(args, cfg: RunConfig, docs):
 
 def cmd_train_entropy(args, cfg: RunConfig) -> int:
     docs = _load_docs(args, cfg)
-    model = entropy_lm.train_counts(docs, order=args.order or cfg["entropy_model"]["order"],
+    model = entropy_lm.train_counts(docs, order=cfg["entropy_model"]["order"],
                                     alpha=cfg["entropy_model"]["alpha"])
     out = Path(args.out or "entropy.bin")
     model.save(out)
@@ -235,6 +237,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_eval_bpb(args, cfg: RunConfig) -> int:
     docs = _load_docs(args, cfg)
+    if all(len(d) < 2 for d in docs):
+        raise CorpusError("no byte to predict: every document is shorter than 2 bytes")
     if args.uniform:
         report = eval_bpb(None, None, {"eval": docs})
     else:
@@ -452,6 +456,8 @@ def _overrides(args) -> dict:
              if getattr(args, flag, None) is not None}
     if patch:
         overrides["patching"] = patch
+    if getattr(args, "order", None) is not None:
+        overrides["entropy_model"] = {"order": args.order}
     return overrides
 
 
@@ -460,7 +466,8 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, _overrides(args))
         return args.fn(args, cfg)
-    except (ConfigError, PatchingError, CalibrationError, ValueError) as exc:
+    except (ConfigError, PatchingError, CalibrationError, EntropyModelError, SizeMatchError,
+            ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CorpusError, FileNotFoundError) as exc:

@@ -13,7 +13,9 @@ building an (n_queries, n_keys) array. Local self-attention therefore costs
 O(window) per byte, as ``flops.blt_flops_per_byte`` assumes. Decoder
 cross-attention still sees every completed patch of the byte's document,
 O(patches) per byte, where the analytic model charges one patch's k slots.
-The ``*_mask`` builders are dense views of the same spans, kept for tests.
+The ``*_mask`` builders are dense views of the same spans. The forward path
+calls none of them; they stay because ``perfbench/tracing.py`` wraps them by
+name, and tests use them as dense references.
 
 Everything runs on the package's numpy autodiff; float64 mode exists for
 finite-difference gradient checks.

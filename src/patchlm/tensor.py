@@ -3,7 +3,12 @@
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
 segment pooling over contiguous spans, a fused NLL-from-logits, and tiled
-attention over one key span per query. Graphs are built eagerly, and only
+attention over one key span per query. The attention plans its query tiles
+once per call (each tile's key columns, as a slice where they are contiguous,
+and a mask over only the edge columns that some of its rows do not see),
+reuses the plan in its backward, and multiplies scores by contiguous kᵀ and
+vᵀ copies instead of transposed views of k and v, whose head-sized inner
+dimension BLAS handles slowly. Graphs are built eagerly, and only
 where some input requires grad: an op on tensors that do not records no
 parents and no vjp, so a forward pass over detached parameters builds no
 graph at all. ``backward()`` walks a topological order, accumulates
@@ -284,17 +289,67 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(y, (x,), vjp)
 
 
+def _tile_plan(lo: np.ndarray, hi: np.ndarray, sink: int) -> list[tuple]:
+    """For each tile of ``ATTN_TILE`` query rows: ``(rows, cols, edges)``.
+
+    ``cols`` indexes the keys the tile scores: the sink keys [0, sink) followed
+    by [first, last), the range its rows' spans cover. It is a slice whenever
+    those keys are contiguous (no sink, or a span range that starts at the
+    sink) and an index array otherwise. ``edges`` lists ``(tile_cols,
+    hidden)`` pairs: a slice of the tile's columns and the boolean (rows,
+    columns) mask of the scores there that the row does not see. Columns that
+    every row of the tile sees need no mask, so when the tile's spans share a
+    middle band [max lo, min hi), only the columns left and right of it are
+    masked; otherwise the whole span range is.
+    """
+    starts = np.arange(0, len(lo), ATTN_TILE)
+    first = np.maximum(np.minimum.reduceat(lo, starts), sink)
+    last = np.maximum(np.maximum.reduceat(hi, starts), first)
+    band_lo = np.maximum(np.maximum.reduceat(lo, starts), first)
+    band_hi = np.minimum(np.minimum.reduceat(hi, starts), last)
+    plan = []
+    for a, f, l, b0, b1 in zip(starts.tolist(), first.tolist(), last.tolist(),
+                               band_lo.tolist(), band_hi.tolist()):
+        rows = slice(a, a + ATTN_TILE)
+        cols = slice(f - sink, l) if sink == 0 or f == sink else np.r_[0:sink, f:l]
+        lo_t, hi_t = lo[rows, None], hi[rows, None]
+        edges = []
+        if b0 <= b1:  # every row sees [b0, b1): mask only the columns left and right of it
+            if f < b0:
+                edges.append((slice(sink, sink + b0 - f), np.arange(f, b0) < lo_t))
+            if b1 < l:
+                edges.append((slice(sink + b1 - f, sink + l - f), np.arange(b1, l) >= hi_t))
+        elif f < l:
+            j = np.arange(f, l)
+            edges.append((slice(sink, sink + l - f), (j < lo_t) | (j >= hi_t)))
+        plan.append((rows, cols, edges))
+    return plan
+
+
+def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarray:
+    """One tile's scaled scores, with the hidden ones set to -inf (their exp is exactly 0)."""
+    scores = qs[:, rows] @ kT[:, :, cols]
+    for tile_cols, hidden in edges:
+        np.copyto(scores[:, :, tile_cols], -np.inf, where=hidden)
+    return scores
+
+
 def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarray,
                    scale: float, sink: int = 0) -> Tensor:
     """Multi-head softmax attention where query i sees keys [lo[i], hi[i]) and [0, sink).
 
     ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
-    (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows;
-    a tile scores only the sink keys and the key range its rows' spans cover,
-    under a small boolean mask. The forward keeps each row's log-sum-exp and
-    the backward recomputes the probabilities tile by tile, so memory stays
-    linear in the number of queries and keys. Every query must see at least
-    one key.
+    (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows
+    under a tile plan built once per call and reused by the backward (see
+    ``_tile_plan``): a tile scores only the sink keys and the key range its
+    rows' spans cover, taken as a slice when it is contiguous, and masks only
+    the edge columns that some of its rows do not see. Scores multiply by a
+    contiguous kᵀ (heads, d, n_k) and the backward's ``g @ vᵀ`` by a
+    contiguous vᵀ, never by a transposed view; the backward builds its own
+    kᵀ instead of keeping the forward's alive until it runs. The forward
+    keeps each row's log-sum-exp and the backward recomputes the
+    probabilities tile by tile, so memory stays linear in the number of
+    queries and keys. Every query must see at least one key.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -306,22 +361,13 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarr
     if sink == 0 and np.any(hi <= lo):
         raise ValueError("a query has no visible key")
     qs = q.data * scale
+    plan = _tile_plan(lo, hi, sink)
 
-    def tiles():
-        for a in range(0, n_q, ATTN_TILE):
-            rows = slice(a, a + ATTN_TILE)
-            lo_t, hi_t = lo[rows, None], hi[rows, None]
-            first = max(int(lo_t.min()), sink)
-            cols = np.r_[0:sink, first:max(int(hi_t.max()), first)]
-            hidden = ((cols < lo_t) | (cols >= hi_t)) & (cols >= sink)
-            kc = k.data[:, cols]
-            scores = qs[:, rows] @ kc.swapaxes(-1, -2)
-            np.copyto(scores, -np.inf, where=hidden)  # exp of a hidden score is exactly 0
-            yield rows, cols, kc, scores
-
+    kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
     out = np.empty(q.shape[:2] + v.shape[2:], dtype=q.dtype)
     lse = np.empty(q.shape[:2] + (1,), dtype=q.dtype)
-    for rows, cols, _, s in tiles():
+    for rows, cols, edges in plan:
+        s = _tile_scores(qs, kT, rows, cols, edges)
         m = s.max(axis=-1, keepdims=True)
         e = np.exp(np.subtract(s, m, out=s), out=s)
         total = e.sum(axis=-1, keepdims=True)
@@ -329,18 +375,21 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarr
         lse[:, rows] = m + np.log(total)
 
     def vjp(g):
+        kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+        vT = np.ascontiguousarray(v.data.swapaxes(-1, -2))
         dq = np.empty_like(q.data)
-        dk = np.zeros_like(k.data)
-        dv = np.zeros_like(v.data)
+        dk = np.zeros(k.shape, k.dtype)  # C order: k and v may be strided views
+        dv = np.zeros(v.shape, v.dtype)
         delta = (g * out).sum(axis=-1, keepdims=True)
-        for rows, cols, kc, s in tiles():
+        for rows, cols, edges in plan:
+            s = _tile_scores(qs, kT, rows, cols, edges)
             p = np.exp(np.subtract(s, lse[:, rows], out=s), out=s)
             g_t = g[:, rows]
             dv[:, cols] += p.swapaxes(-1, -2) @ g_t
-            ds = g_t @ v.data[:, cols].swapaxes(-1, -2)
+            ds = g_t @ vT[:, :, cols]
             ds -= delta[:, rows]
             ds *= p
-            dq[:, rows] = (ds @ kc) * scale
+            dq[:, rows] = (ds @ k.data[:, cols]) * scale
             dk[:, cols] += ds.swapaxes(-1, -2) @ qs[:, rows]
         return [(q, dq), (k, dk), (v, dv)]
 

@@ -306,6 +306,8 @@ def eval_bpb(
         if not docs:
             raise ValueError(f"slice {name!r} is empty")
         n_pred = sum(len(d) - 1 for d in docs)
+        if n_pred == 0:
+            raise ValueError(f"slice {name!r} has no predictable bytes")
         if params is None:
             total = n_pred * LN256
             bpb[name] = total / (LN2 * n_pred)
@@ -332,8 +334,6 @@ def eval_bpb(
                 res = lm_forward(view, stream, config)
                 total += res.total_nats
                 n_pred += res.n_predicted
-        if n_pred == 0:
-            raise ValueError(f"slice {name!r} has no predictable bytes")
         bpb[name] = total / (LN2 * n_pred)
         nats[name] = total
         nbytes[name] = n_pred

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import patchlm
 from patchlm import textgen
 from patchlm.cli import EXIT_CONFIG, EXIT_DATA, main
 from patchlm.model import ModelConfig
@@ -122,6 +127,43 @@ def test_exit_codes(capsys, tmp_path):
     bad_cfg.write_text('{"model": {"hash_prime": 4}}')
     code, _ = run(capsys, "flops", "--config", str(bad_cfg))
     assert code == EXIT_CONFIG
+
+
+def run_module(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """``python -m patchlm ARGV`` in a fresh interpreter, with this package first on the path."""
+    src = str(Path(patchlm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "patchlm", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_help(tmp_path):
+    proc = run_module(tmp_path, "--help")
+    assert proc.returncode == 0 and "train-entropy" in proc.stdout
+
+
+BAD_INPUTS = {
+    "order_above_8": (["train-entropy", "--corpus", "text.txt", "--order", "9"], EXIT_CONFIG),
+    "order_0": (["train-entropy", "--corpus", "text.txt", "--order", "0"], EXIT_CONFIG),
+    "negative_target": (["size-match", "--target", "-1"], EXIT_CONFIG),
+    "uniform_on_1_byte": (["eval-bpb", "--corpus", "one.txt", "--uniform"], EXIT_DATA),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_with_code_and_no_traceback(tmp_path, case):
+    (tmp_path / "text.txt").write_text("the cat sat on the mat\n")
+    (tmp_path / "one.txt").write_bytes(b"x")
+    argv, code = BAD_INPUTS[case]
+    proc = run_module(tmp_path, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.strip()
+
+
+def test_train_entropy_order_flag_is_the_config_order(tmp_path, capsys, corpus_file):
+    code, out = run(capsys, "train-entropy", "--json", "--corpus", str(corpus_file),
+                    "--order", "1", "--out", str(tmp_path / "ent.bin"))
+    assert code == 0 and json.loads(out)["order"] == 1
 
 
 def test_train_command_end_to_end(tmp_path, capsys, corpus_file):

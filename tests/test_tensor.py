@@ -177,17 +177,28 @@ def dense_attention(q, k, v, lo, hi, scale, sink):
     return softmax(scores, axis=-1) @ v
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(heads=st.integers(1, 3), n_q=st.integers(1, 3 * ATTN_TILE + 7),
        n_k=st.integers(1, 2 * ATTN_TILE + 5), sink=st.sampled_from([0, 1, 2, 3]),
-       sorted_lo=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_span_attention_matches_dense_oracle(heads, n_q, n_k, sink, sorted_lo, seed):
+       spans=st.sampled_from(["random", "sorted", "windowed"]),
+       window=st.integers(1, 3 * ATTN_TILE), n_docs=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_span_attention_matches_dense_oracle(heads, n_q, n_k, sink, spans, window, n_docs, seed):
     rng = np.random.default_rng(seed)
+    n_k = n_q if spans == "windowed" else n_k
     sink = min(sink, n_k)
-    lo = rng.integers(0, n_k, size=n_q)
-    if sorted_lo:  # spans move along the keys, so each tile sees only part of them
-        lo.sort()
-    hi = np.minimum(lo + rng.integers(0 if sink else 1, max(2, n_k // 4), size=n_q), n_k)
+    if spans == "windowed":  # local attention: lo = max(i - window + 1, document start), hi = i + 1
+        i = np.arange(n_q)
+        doc_start = np.zeros(n_q, dtype=np.int64)
+        for start in np.sort(rng.choice(np.arange(1, n_q), size=min(n_docs - 1, n_q - 1),
+                                        replace=False)):
+            doc_start[start:] = start
+        lo, hi = np.maximum(i - window + 1, doc_start), i + 1
+    else:
+        lo = rng.integers(0, n_k, size=n_q)
+        if spans == "sorted":  # spans move along the keys, so each tile sees only part of them
+            lo.sort()
+        hi = np.minimum(lo + rng.integers(0 if sink else 1, max(2, n_k // 4), size=n_q), n_k)
     scale = float(rng.uniform(0.1, 2.0))
     leaves = [rng.standard_normal((heads, n, d)) for n, d in ((n_q, 4), (n_k, 4), (n_k, 3))]
     weight = rng.standard_normal((heads, n_q, 3))
@@ -206,6 +217,27 @@ def test_span_attention_grad_numeric():
     weight = np.random.default_rng(4).standard_normal((2, 5, 4))
     check_op(lambda q, k, v: (span_attention(q, k, v, lo, hi, 0.7, 1) * weight).sum(),
              (2, 5, 3), (2, 6, 3), (2, 6, 4))
+
+
+def test_span_attention_memory_is_linear_in_queries():
+    # local attention at n=4096, window 512: the tile plan and the kT/vT
+    # copies must stay O(n). One forward+backward peaks at about 9.4 MB here
+    # (inputs of 1 MB each are not counted); one (n, n) score array would
+    # take 256 MB, and a plan that kept its tiles' key columns 9 MB more.
+    import tracemalloc
+
+    n = 4096
+    rng = np.random.default_rng(0)
+    q, k, v = (parameter(rng.standard_normal((4, n, 16)).astype(np.float32)) for _ in range(3))
+    i = np.arange(n)
+    tracemalloc.start()
+    try:
+        span_attention(q, k, v, np.maximum(i - 511, 0), i + 1, 0.25).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.grad.shape == q.shape and k.grad.shape == k.shape and v.grad.shape == v.shape
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_span_attention_rejects_query_without_keys():
