@@ -76,6 +76,8 @@ def train_bpe(docs, n_merges: int, min_count: int = 2) -> BpeVocab:
     Ties break toward the lexicographically smallest (left, right) pair so
     training is fully deterministic. Pairs never span document boundaries.
     """
+    if n_merges < 0:
+        raise ValueError(f"n_merges must be >= 0, got {n_merges}")
     seqs = [np.asarray(np.frombuffer(bytes(d), dtype=np.uint8) if isinstance(d, (bytes, bytearray)) else d,
                        dtype=np.int64) for d in docs]
     seqs = [s for s in seqs if len(s) > 0]

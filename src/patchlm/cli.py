@@ -24,12 +24,13 @@ from . import corpus as corpus_mod
 from . import entropy_lm, flops, patching, textgen
 from .bpe import train_bpe
 from .corpus import CorpusError, NoiseSpec, apply_noise, load_corpus
-from .entropy_lm import EntropyModelError
+from .entropy_lm import EntropyDataError, EntropyModelError
 from .flops import SizeMatchError
 from .model import ModelConfig, NumericError, init_params
 from .patching import CalibrationError, PatchingConfig, PatchingError, make_patcher
 from .runconfig import ConfigError, RunConfig
 from .trainer import (
+    CheckpointError,
     OptimSpec,
     PatchStreamLoader,
     eval_bpb,
@@ -124,7 +125,7 @@ def _patcher(args, cfg: RunConfig, docs):
     if pc.scheme.startswith("entropy"):
         model = _entropy_model(args, cfg, docs)
     if pc.scheme == "bpe":
-        vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=getattr(args, "bpe_merges", 200) or 200)
+        vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=args.bpe_merges)
     return make_patcher(pc, entropy_model=model, bpe_vocab=vocab), pc, model
 
 
@@ -466,13 +467,13 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, _overrides(args))
         return args.fn(args, cfg)
+    except (CorpusError, EntropyDataError, CheckpointError, FileNotFoundError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (ConfigError, PatchingError, CalibrationError, EntropyModelError, SizeMatchError,
             ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

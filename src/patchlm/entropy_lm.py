@@ -40,6 +40,10 @@ class EntropyModelError(Exception):
     pass
 
 
+class EntropyDataError(EntropyModelError):
+    """The corpus or model file, not the settings, is unusable."""
+
+
 def _as_bytes_array(data) -> np.ndarray:
     if isinstance(data, Document):
         return data.data
@@ -167,7 +171,7 @@ class EntropyModel:
                 want = ((lev.pair_ctx % mod) << np.uint64(8)) | lev.pair_next.astype(np.uint64)
                 at = np.searchsorted(prev_keys, want)
                 if (at == len(prev_keys)).any() or (prev_keys[at] != want).any():
-                    raise EntropyModelError(
+                    raise EntropyDataError(
                         f"counts do not nest: a length-{k} pair has no length-{k - 1} suffix pair")
                 q = prev_p[at]
                 h_sfx = prev_h[np.searchsorted(prev_ctx, lev.ctx_keys % mod)]
@@ -268,14 +272,14 @@ class EntropyModel:
     def load(cls, path: str | Path) -> "EntropyModel":
         raw = Path(path).read_bytes()
         if len(raw) < len(_MAGIC) + 32 or raw[: len(_MAGIC)] != _MAGIC:
-            raise EntropyModelError(f"not an entropy model file: {path}")
+            raise EntropyDataError(f"not an entropy model file: {path}")
         payload, digest = raw[:-32], raw[-32:]
         if hashlib.sha256(payload).digest() != digest:
-            raise EntropyModelError(f"checksum mismatch in {path}")
+            raise EntropyDataError(f"checksum mismatch in {path}")
         off = len(_MAGIC)
         version, order, alpha = struct.unpack_from("<HBd", payload, off)
         if version != cls.VERSION:
-            raise EntropyModelError(f"unsupported entropy model version {version}")
+            raise EntropyDataError(f"unsupported entropy model version {version}")
         off += struct.calcsize("<HBd")
         levels = []
         for _ in range(order + 1):
@@ -309,7 +313,7 @@ def train_counts(
     docs = [_as_bytes_array(d) for d in corpus]
     docs = [d for d in docs if len(d) > 0]
     if not docs:
-        raise EntropyModelError("corpus is empty")
+        raise EntropyDataError("corpus is empty")
     total = sum(len(d) for d in docs)
     est = (order + 1) * total
     if est > max_pairs:

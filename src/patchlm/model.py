@@ -10,12 +10,15 @@ position, so no information from inside the current patch can leak backward.
 Each of the four attention patterns gives every query one contiguous span of
 keys (``Spans``), which ``tensor.span_attention`` scores tile by tile without
 building an (n_queries, n_keys) array. Local self-attention therefore costs
-O(window) per byte, as ``flops.blt_flops_per_byte`` assumes. Decoder
-cross-attention still sees every completed patch of the byte's document,
-O(patches) per byte, where the analytic model charges one patch's k slots.
-The ``*_mask`` builders are dense views of the same spans. The forward path
-calls none of them; they stay because ``perfbench/tracing.py`` wraps them by
-name, and tests use them as dense references.
+O(window) per byte, as ``flops.blt_flops_per_byte`` assumes. The decoder's
+keys hold each document's learned start slots directly before that
+document's patch slots, so a byte's start slots and completed patches form
+one span. Decoder cross-attention still sees every completed patch of the
+byte's document, O(patches) per byte, where the analytic model charges one
+patch's k slots. The ``*_mask`` builders are dense views of the same
+predicates. The forward path calls none of them; they stay because
+``perfbench/tracing.py`` wraps them by name, and tests use them as dense
+references.
 
 Everything runs on the package's numpy autodiff; float64 mode exists for
 finite-difference gradient checks.
@@ -336,16 +339,15 @@ class Stream:
 
 @dataclass(frozen=True)
 class Spans:
-    """Query i sees keys [lo[i], hi[i]) plus the always-visible prefix [0, sink)."""
+    """Query i sees keys [lo[i], hi[i])."""
 
     lo: np.ndarray
     hi: np.ndarray
-    sink: int = 0
 
     def dense(self, n_keys: int) -> np.ndarray:
         """The (n_queries, n_keys) boolean mask these spans describe."""
         j = np.arange(n_keys)
-        return ((self.lo[:, None] <= j) & (j < self.hi[:, None])) | (j < self.sink)
+        return (self.lo[:, None] <= j) & (j < self.hi[:, None])
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -376,16 +378,35 @@ def membership_spans(boundaries: PatchBoundaries) -> Spans:
     return Spans(boundaries.starts, boundaries.ends() + 1)
 
 
-def completed_patch_spans(boundaries: PatchBoundaries, doc_ids: np.ndarray, slots: int) -> Spans:
-    """Byte i sees the key slots of patches that end at or before i in its document.
+def decoder_key_rows(patch_doc_ids: np.ndarray, slots: int) -> np.ndarray:
+    """Row of [start slots; patch slots] that each decoder key holds.
 
-    Keys are ``slots`` learned start slots followed by ``slots`` slots per
-    patch. The start slots are always visible, so bytes of a document's first
-    patch (which have no completed patch yet) still have a key to attend.
+    Keys come in blocks of ``slots``. Each document's start slots come
+    directly before the slots of its patches: for the document of rank r
+    whose first patch is P, block r + P holds the start slots and block
+    r + 1 + j holds patch j. For a one-document stream the rows are
+    ``arange``.
     """
-    patch_of_doc_start = boundaries.patch_of(_run_starts(doc_ids))
-    completed = np.searchsorted(boundaries.ends(), np.arange(boundaries.n_bytes), side="right")
-    return Spans(slots + slots * patch_of_doc_start, slots + slots * completed, sink=slots)
+    m = len(patch_doc_ids)
+    doc_first = np.flatnonzero(_run_starts(patch_doc_ids) == np.arange(m))
+    blocks = np.insert(np.arange(1, m + 1), doc_first, 0)
+    return (slots * blocks[:, None] + np.arange(slots)).ravel()
+
+
+def completed_patch_spans(boundaries: PatchBoundaries, doc_ids: np.ndarray, slots: int) -> Spans:
+    """Byte i sees its document's start slots and the slots of the patches that
+    end at or before i in its document, in the key layout of ``decoder_key_rows``.
+
+    Bytes of a document's first patch, which has not completed yet, see only
+    the start slots. For the document of rank r whose first patch is P, the
+    span is [slots * (r + P), slots * (r + 1 + completed)), where completed
+    counts the stream's patches that end at or before i.
+    """
+    doc_start = _run_starts(doc_ids)
+    i = np.arange(boundaries.n_bytes)
+    rank = np.cumsum(doc_start == i) - 1
+    completed = np.searchsorted(boundaries.ends(), i, side="right")
+    return Spans(slots * (rank + boundaries.patch_of(doc_start)), slots * (rank + 1 + completed))
 
 
 @dataclass
@@ -422,8 +443,10 @@ def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> At
 
     Column 0 is the permanently visible learned start slot.
     """
-    spans = completed_patch_spans(boundaries, doc_ids, slots=1)
-    return AttentionMask("completed_patch_causal", spans.dense(boundaries.n_patches + 1))
+    i = np.arange(boundaries.n_bytes)[:, None]
+    patches = (boundaries.ends() <= i) & (doc_ids[boundaries.starts] == doc_ids[:, None])
+    return AttentionMask("completed_patch_causal",
+                         np.column_stack([np.ones(boundaries.n_bytes, dtype=bool), patches]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +491,7 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
     scale = 1.0 / math.sqrt(q.shape[-1])
-    return span_attention(q, k, v, spans.lo, spans.hi, scale, spans.sink)
+    return span_attention(q, k, v, spans.lo, spans.hi, scale)
 
 
 def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
@@ -604,14 +627,18 @@ def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
 
     Each latent output is linearly mapped and split into k decoder-width
     key/value slots. The byte query at position i attends only to slots of
-    patches that end at or before i in its document (plus the k learned start
-    slots), then a windowed causal transformer layer refines the byte sequence.
+    patches that end at or before i in its document, and to the k learned
+    start slots, which each document gets its own copy of right before its
+    patch slots. A windowed causal transformer layer then refines the byte
+    sequence.
     """
     dtype = byte_states.dtype
     k, d = config.k, config.dec_dim
     m = latent_out.shape[0]
     slots = (latent_out @ params["dec.patch_proj"]).reshape(m * k, d)
-    kv = concat([params["dec.start_kv"], slots], axis=0)
+    # embedding scatter-adds, so every copy of the start slots passes its gradient back
+    kv = embedding(concat([params["dec.start_kv"], slots], axis=0),
+                   decoder_key_rows(stream.patch_doc_ids, k))
 
     xattn_spans = completed_patch_spans(stream.boundaries, stream.doc_ids, k)
     byte_spans = _local_spans(stream, config.dec_window, span_cache)
@@ -713,49 +740,3 @@ def grad_check(params: BltParams, stream: Stream, config: ModelConfig,
         report[name] = {"max_rel_err": max_rel, "passed": max_rel < 1e-4}
         worst = max(worst, max_rel)
     return {"tensors": report, "max_rel_err": worst, "passed": worst < 1e-4}
-
-
-# ---------------------------------------------------------------------------
-# Using a trained byte model as an entropy source (parity experiments)
-# ---------------------------------------------------------------------------
-
-
-class TransformerEntropySource:
-    """Adapter exposing entropy_trace() from a trained byte model.
-
-    Runs the model with single-byte patches so each position's predictive
-    distribution is well-defined; the first position of each context segment
-    gets the maximum entropy since the model has no unconditional table.
-    """
-
-    def __init__(self, params: BltParams, config: ModelConfig):
-        self.params = params
-        self.config = config
-
-    def entropy_trace(self, data, reset_on_newline: bool = False):
-        from .entropy_lm import LN256, NEWLINE, EntropyTrace
-        from .patching import patch_strided
-
-        arr = np.asarray(data, dtype=np.uint8)
-        n = len(arr)
-        cuts = [0]
-        if reset_on_newline:
-            cuts += [int(i) + 1 for i in np.nonzero(arr == NEWLINE)[0] if i + 1 < n]
-        cuts.append(n)
-        values = np.empty(n, dtype=np.float64)
-        params = self.params.detached()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo:
-                continue
-            seg = arr[lo:hi]
-            values[lo] = LN256
-            if hi - lo > 1:
-                stream = Stream(seg, np.zeros(len(seg), np.int32),
-                                patch_strided(len(seg), 1, None).starts)
-                logits = lm_forward(params, stream, self.config).logits.data
-                z = logits - logits.max(axis=1, keepdims=True)
-                p = np.exp(z)
-                p /= p.sum(axis=1, keepdims=True)
-                h = -(p * np.log(np.maximum(p, 1e-30))).sum(axis=1)
-                values[lo + 1 : hi] = h[: hi - lo - 1]
-        return EntropyTrace(values, np.asarray(cuts[1:-1], dtype=np.int64))

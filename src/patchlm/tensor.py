@@ -3,21 +3,20 @@
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
 segment pooling over contiguous spans, a fused NLL-from-logits, and tiled
-attention over one key span per query. The attention plans its query tiles
-once per call (each tile's key columns, as a slice where they are contiguous,
-and a mask over only the edge columns that some of its rows do not see),
-reuses the plan in its backward, and multiplies scores by contiguous kᵀ and
-vᵀ copies instead of transposed views of k and v, whose head-sized inner
-dimension BLAS handles slowly. Graphs are built eagerly, and only
-where some input requires grad: an op on tensors that do not records no
-parents and no vjp, so a forward pass over detached parameters builds no
-graph at all. ``backward()`` walks a topological order, accumulates
-vector-Jacobian products into ``.grad`` and consumes the graph as it goes:
-each interior node is released once its vjp has run, so its activations and
-gradient are freed during the walk, and only leaves keep ``.grad``. A graph
-can be walked once; a second ``backward()`` through it raises.
-Gradients are never mutated in place, so views handed out by a vjp stay
-valid.
+attention over one contiguous key span per query. The attention plans its
+query tiles once per call (each tile's slice of key columns, and a mask over
+only the edge columns that some of its rows do not see), reuses the plan in
+its backward, and multiplies scores by contiguous kᵀ and vᵀ copies instead
+of transposed views of k and v, whose head-sized inner dimension BLAS
+handles slowly. Graphs are built eagerly, and only where some input
+requires grad: an op on tensors that do not records no parents and no vjp,
+so a forward pass over detached parameters builds no graph at all.
+``backward()`` walks a topological order, accumulates vector-Jacobian
+products into ``.grad`` and consumes the graph as it goes: each interior
+node is released once its vjp has run, so its activations and gradient are
+freed during the walk, and only leaves keep ``.grad``. A graph can be walked
+once; a second ``backward()`` through it raises. Gradients are never mutated
+in place, so views handed out by a vjp stay valid.
 
 Dtype discipline: ops never upcast silently; python scalars stay weak, so a
 float32 graph remains float32 and a float64 graph (used for gradient checks)
@@ -289,40 +288,37 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(y, (x,), vjp)
 
 
-def _tile_plan(lo: np.ndarray, hi: np.ndarray, sink: int) -> list[tuple]:
+def _tile_plan(lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
     """For each tile of ``ATTN_TILE`` query rows: ``(rows, cols, edges)``.
 
-    ``cols`` indexes the keys the tile scores: the sink keys [0, sink) followed
-    by [first, last), the range its rows' spans cover. It is a slice whenever
-    those keys are contiguous (no sink, or a span range that starts at the
-    sink) and an index array otherwise. ``edges`` lists ``(tile_cols,
-    hidden)`` pairs: a slice of the tile's columns and the boolean (rows,
-    columns) mask of the scores there that the row does not see. Columns that
-    every row of the tile sees need no mask, so when the tile's spans share a
-    middle band [max lo, min hi), only the columns left and right of it are
-    masked; otherwise the whole span range is.
+    ``cols`` is the slice [first, last) of keys the tile scores: the range its
+    rows' spans cover. ``edges`` lists ``(tile_cols, hidden)`` pairs: a slice
+    of the tile's columns and the boolean (rows, columns) mask of the scores
+    there that the row does not see. Columns that every row of the tile sees
+    need no mask, so when the tile's spans share a middle band
+    [max lo, min hi), only the columns left and right of it are masked;
+    otherwise the whole span range is.
     """
     starts = np.arange(0, len(lo), ATTN_TILE)
-    first = np.maximum(np.minimum.reduceat(lo, starts), sink)
-    last = np.maximum(np.maximum.reduceat(hi, starts), first)
-    band_lo = np.maximum(np.maximum.reduceat(lo, starts), first)
-    band_hi = np.minimum(np.minimum.reduceat(hi, starts), last)
+    first = np.minimum.reduceat(lo, starts)
+    last = np.maximum.reduceat(hi, starts)
+    band_lo = np.maximum.reduceat(lo, starts)
+    band_hi = np.minimum.reduceat(hi, starts)
     plan = []
     for a, f, l, b0, b1 in zip(starts.tolist(), first.tolist(), last.tolist(),
                                band_lo.tolist(), band_hi.tolist()):
         rows = slice(a, a + ATTN_TILE)
-        cols = slice(f - sink, l) if sink == 0 or f == sink else np.r_[0:sink, f:l]
         lo_t, hi_t = lo[rows, None], hi[rows, None]
         edges = []
         if b0 <= b1:  # every row sees [b0, b1): mask only the columns left and right of it
             if f < b0:
-                edges.append((slice(sink, sink + b0 - f), np.arange(f, b0) < lo_t))
+                edges.append((slice(0, b0 - f), np.arange(f, b0) < lo_t))
             if b1 < l:
-                edges.append((slice(sink + b1 - f, sink + l - f), np.arange(b1, l) >= hi_t))
-        elif f < l:
+                edges.append((slice(b1 - f, l - f), np.arange(b1, l) >= hi_t))
+        else:
             j = np.arange(f, l)
-            edges.append((slice(sink, sink + l - f), (j < lo_t) | (j >= hi_t)))
-        plan.append((rows, cols, edges))
+            edges.append((slice(0, l - f), (j < lo_t) | (j >= hi_t)))
+        plan.append((rows, slice(f, l), edges))
     return plan
 
 
@@ -335,19 +331,18 @@ def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarra
 
 
 def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarray,
-                   scale: float, sink: int = 0) -> Tensor:
-    """Multi-head softmax attention where query i sees keys [lo[i], hi[i]) and [0, sink).
+                   scale: float) -> Tensor:
+    """Multi-head softmax attention where query i sees keys [lo[i], hi[i]).
 
     ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
     (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows
     under a tile plan built once per call and reused by the backward (see
-    ``_tile_plan``): a tile scores only the sink keys and the key range its
-    rows' spans cover, taken as a slice when it is contiguous, and masks only
-    the edge columns that some of its rows do not see. Scores multiply by a
-    contiguous kᵀ (heads, d, n_k) and the backward's ``g @ vᵀ`` by a
-    contiguous vᵀ, never by a transposed view; the backward builds its own
-    kᵀ instead of keeping the forward's alive until it runs. The forward
-    keeps each row's log-sum-exp and the backward recomputes the
+    ``_tile_plan``): a tile scores only the slice of keys its rows' spans
+    cover, and masks only the edge columns that some of its rows do not see.
+    Scores multiply by a contiguous kᵀ (heads, d, n_k) and the backward's
+    ``g @ vᵀ`` by a contiguous vᵀ, never by a transposed view; the backward
+    builds its own kᵀ instead of keeping the forward's alive until it runs.
+    The forward keeps each row's log-sum-exp and the backward recomputes the
     probabilities tile by tile, so memory stays linear in the number of
     queries and keys. Every query must see at least one key.
     """
@@ -356,12 +351,12 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarr
     n_q, n_k = q.shape[1], k.shape[1]
     if lo.shape != (n_q,) or hi.shape != (n_q,):
         raise ValueError("span bounds must have one entry per query")
-    if not 0 <= sink <= n_k or (n_q and (lo.min() < 0 or hi.max() > n_k)):
+    if n_q and (lo.min() < 0 or hi.max() > n_k):
         raise ValueError("key spans out of range")
-    if sink == 0 and np.any(hi <= lo):
+    if np.any(hi <= lo):
         raise ValueError("a query has no visible key")
     qs = q.data * scale
-    plan = _tile_plan(lo, hi, sink)
+    plan = _tile_plan(lo, hi)
 
     kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
     out = np.empty(q.shape[:2] + v.shape[2:], dtype=q.dtype)

@@ -15,6 +15,7 @@ import json
 import math
 import resource
 import time
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -37,6 +38,10 @@ CHECKPOINT_VERSION = 1
 
 class DivergenceError(NumericError):
     pass
+
+
+class CheckpointError(Exception):
+    """A file that is not a readable checkpoint."""
 
 
 @dataclass(frozen=True)
@@ -371,19 +376,22 @@ def save_checkpoint(path: str | Path, params: BltParams, state: AdamState,
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["meta_json"]).decode())
-        config = ModelConfig.from_dict(meta["config"])
-        params = BltParams(
-            {k[len("param/"):]: _param(z[k], k) for k in z.files if k.startswith("param/")},
-            meta.get("params_meta", {}),
-        )
-        state = AdamState(
-            m={k[len("adam_m/"):]: z[k].copy() for k in z.files if k.startswith("adam_m/")},
-            v={k[len("adam_v/"):]: z[k].copy() for k in z.files if k.startswith("adam_v/")},
-            t=meta["adam_t"],
-            skipped=meta["skipped"],
-        )
+    try:
+        with np.load(path) as z:  # an .npy file loads as an array, which has no ``with``
+            meta = json.loads(bytes(z["meta_json"]).decode())
+            config = ModelConfig.from_dict(meta["config"])
+            params = BltParams(
+                {k[len("param/"):]: _param(z[k], k) for k in z.files if k.startswith("param/")},
+                meta.get("params_meta", {}),
+            )
+            state = AdamState(
+                m={k[len("adam_m/"):]: z[k].copy() for k in z.files if k.startswith("adam_m/")},
+                v={k[len("adam_v/"):]: z[k].copy() for k in z.files if k.startswith("adam_v/")},
+                t=meta["adam_t"],
+                skipped=meta["skipped"],
+            )
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"not a readable checkpoint file: {path}") from exc
     return {
         "params": params,
         "adam": state,

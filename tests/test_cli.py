@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -9,6 +11,7 @@ import pytest
 
 import patchlm
 from patchlm import textgen
+from patchlm.entropy_lm import train_counts
 from patchlm.cli import EXIT_CONFIG, EXIT_DATA, main
 from patchlm.model import ModelConfig
 from patchlm.patching import PatchingConfig
@@ -145,19 +148,55 @@ def test_python_dash_m_help(tmp_path):
 BAD_INPUTS = {
     "order_above_8": (["train-entropy", "--corpus", "text.txt", "--order", "9"], EXIT_CONFIG),
     "order_0": (["train-entropy", "--corpus", "text.txt", "--order", "0"], EXIT_CONFIG),
+    "alpha_0": (["train-entropy", "--corpus", "text.txt", "--config", "alpha0.json"], EXIT_CONFIG),
     "negative_target": (["size-match", "--target", "-1"], EXIT_CONFIG),
+    "negative_bpe_merges": (["patch", "--corpus", "text.txt", "--scheme", "bpe",
+                             "--bpe-merges", "-1"], EXIT_CONFIG),
     "uniform_on_1_byte": (["eval-bpb", "--corpus", "one.txt", "--uniform"], EXIT_DATA),
+    "train_on_1_byte": (["train", "--corpus", "one.txt"], EXIT_DATA),
+    "checkpoint_not_a_checkpoint": (["eval-bpb", "--corpus", "text.txt",
+                                     "--checkpoint", "text.txt"], EXIT_DATA),
+    **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
+                                EXIT_DATA)
+       for bad in ("magic", "checksum", "version", "not_nested")},
 }
+
+
+def _write_bad_inputs(tmp_path):
+    (tmp_path / "text.txt").write_text("the cat sat on the mat\n")
+    (tmp_path / "one.txt").write_bytes(b"x")
+    (tmp_path / "alpha0.json").write_text(json.dumps({"entropy_model": {"alpha": 0}}))
+    (tmp_path / "magic.bin").write_bytes(b"not an entropy model file")
+    good = tmp_path / "good.bin"
+    train_counts([b"the cat sat on the mat"], order=2).save(good)
+    raw = good.read_bytes()
+    (tmp_path / "checksum.bin").write_bytes(raw[:-33] + bytes([raw[-33] ^ 1]) + raw[-32:])
+    payload = raw[:8] + struct.pack("<H", 99) + raw[10:-32]  # version 99 under a valid checksum
+    (tmp_path / "version.bin").write_bytes(payload + hashlib.sha256(payload).digest())
+    model = train_counts([b"abab"], order=1)
+    model.levels[1].pair_next[:] = ord("z")  # length-1 pairs whose suffix pair was never counted
+    model.save(tmp_path / "not_nested.bin")
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_with_code_and_no_traceback(tmp_path, case):
-    (tmp_path / "text.txt").write_text("the cat sat on the mat\n")
-    (tmp_path / "one.txt").write_bytes(b"x")
+    _write_bad_inputs(tmp_path)
     argv, code = BAD_INPUTS[case]
     proc = run_module(tmp_path, *argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stderr.strip()
+    assert proc.stderr.startswith("data error" if code == EXIT_DATA else "config error")
+
+
+def test_bpe_merges_flag_is_honoured(tmp_path, capsys, corpus_file):
+    counts = {}
+    for merges in ("0", "200"):
+        code, out = run(capsys, "patch", "--json", "--corpus", str(corpus_file), "--scheme", "bpe",
+                        "--bpe-merges", merges, "--out", str(tmp_path / "b.tsv"))
+        assert code == 0
+        counts[merges] = json.loads(out)
+    assert counts["0"]["n_patches"] == counts["0"]["n_bytes"]  # no merges: one byte per patch
+    assert counts["200"]["n_patches"] < counts["0"]["n_patches"]
 
 
 def test_train_entropy_order_flag_is_the_config_order(tmp_path, capsys, corpus_file):

@@ -15,6 +15,7 @@ from patchlm.model import (
     completed_patch_mask,
     completed_patch_spans,
     decoder_forward,
+    decoder_key_rows,
     encoder_forward,
     global_forward,
     grad_check,
@@ -24,7 +25,6 @@ from patchlm.model import (
     membership_spans,
     patch_membership_mask,
     rms_norm,
-    TransformerEntropySource,
 )
 from patchlm.ngram_hash import hash_ngram_ids
 from patchlm.patching import (
@@ -34,7 +34,7 @@ from patchlm.patching import (
     patch_strided,
 )
 from patchlm import model
-from patchlm.tensor import ATTN_TILE, Tensor, parameter, softmax
+from patchlm.tensor import ATTN_TILE, Tensor, concat, embedding, parameter, softmax
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -103,6 +103,8 @@ def test_completed_patch_mask_predicate():
             assert m.allowed[i, 1 + j] == (ends[j] <= i)
     # first-patch bytes see only the start slot
     assert m.allowed[1].tolist() == [True, False, False, False]
+    # one document keeps the plain [start slots; patch slots] key layout
+    assert decoder_key_rows(doc_ids[bounds.starts], 2).tolist() == list(range(8))
 
     # two documents: a byte sees only its own document's completed patches
     bounds = PatchBoundaries(np.array([0, 2, 4, 5, 7]), 9)  # docs [0,4) [4,9)
@@ -112,9 +114,13 @@ def test_completed_patch_mask_predicate():
     for i in range(9):
         for j in range(5):
             assert m.allowed[i, 1 + j] == (ends[j] <= i and patch_docs[j] == doc_ids[i])
-    # the decoder's k slots per patch repeat each column k times
-    slots = completed_patch_spans(bounds, doc_ids, slots=3).dense(3 * 6)
-    np.testing.assert_array_equal(slots, np.repeat(m.allowed, 3, axis=1))
+    # the decoder's keys hold k copies of each column: every byte sees each of
+    # them exactly once, through the key rows of its own document
+    rows = decoder_key_rows(patch_docs, 3)
+    byte, key = np.nonzero(completed_patch_spans(bounds, doc_ids, slots=3).dense(len(rows)))
+    counts = np.zeros((9, 3 * 6), dtype=int)
+    np.add.at(counts, (byte, rows[key]), 1)
+    np.testing.assert_array_equal(counts, np.repeat(m.allowed, 3, axis=1))
 
 
 def test_masked_softmax_exact_zeros_and_row_sums():
@@ -469,6 +475,45 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("doc_starts", [[], [ATTN_TILE], [37, 2 * ATTN_TILE],
+                                        [ATTN_TILE - 1, ATTN_TILE + 1]])
+def test_decoder_key_layout_matches_dense_oracle(doc_starts):
+    # decoder cross-attention over the per-document key layout against dense
+    # attention over [start_kv; slots] under the completed-patch mask; the
+    # document starts fall mid-tile and on tile edges
+    k, heads, dim = 3, 2, 8
+    n = 2 * ATTN_TILE + 45
+    rng = np.random.default_rng(len(doc_starts))
+    doc_ids = np.zeros(n, np.int32)
+    for start in doc_starts:
+        doc_ids[start:] += 1
+    bounds = PatchBoundaries(np.union1d(np.flatnonzero(rng.random(n) < 0.2), [0, *doc_starts]), n)
+    leaves = [rng.standard_normal(shape)
+              for shape in ((heads, n, dim // heads), (k, dim), (bounds.n_patches * k, dim))]
+    w_v = Tensor(rng.standard_normal((dim, dim)))
+    weight = rng.standard_normal((heads, n, dim // heads))
+    allowed = np.repeat(completed_patch_mask(bounds, doc_ids).allowed, k, axis=1)
+
+    def layout(q, kv):
+        kv = embedding(kv, decoder_key_rows(doc_ids[bounds.starts], k))
+        keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)
+        return model._attend(q, keys, values, completed_patch_spans(bounds, doc_ids, k))
+
+    def dense(q, kv):
+        keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)
+        scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ keys.swapaxes(-1, -2)
+        return softmax(scores + np.where(allowed, 0.0, -np.inf), axis=-1) @ values
+
+    results = []
+    for attend in (layout, dense):
+        q, start_kv, slots = (parameter(x.copy()) for x in leaves)
+        out = attend(q, concat([start_kv, slots], axis=0))
+        (out * weight).sum().backward()
+        results.append([out.data, q.grad, start_kv.grad, slots.grad])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
 def test_long_stream_memory_stays_bounded():
     # no (n_q, n_k) array may exist: at n=4096 dense scores, masks and stored
     # probabilities alone take several GB
@@ -516,14 +561,3 @@ def test_pooling_variants_both_work():
         params = init_params(cfg, seed=0)
         res = lm_forward(params, text_stream(), cfg)
         assert np.isfinite(res.loss.data)
-
-
-def test_transformer_entropy_source_interface():
-    cfg = tiny_cfg()
-    params = init_params(cfg, seed=0)
-    src = TransformerEntropySource(params, cfg)
-    data = np.frombuffer(b"alpha\nbeta", np.uint8)
-    tr = src.entropy_trace(data, reset_on_newline=True)
-    assert len(tr.values) == len(data)
-    assert tr.reset_positions.tolist() == [6]
-    assert (tr.values >= 0).all() and (tr.values <= np.log(256) + 1e-9).all()

@@ -169,24 +169,23 @@ def test_grad_accumulates_across_paths():
     np.testing.assert_allclose(a.grad, [2 * 2.0 + 3.0])
 
 
-def dense_attention(q, k, v, lo, hi, scale, sink):
+def dense_attention(q, k, v, lo, hi, scale):
     """Reference: full score matrix, additive -inf mask, softmax, mix."""
     j = np.arange(k.shape[1])
-    visible = ((lo[:, None] <= j) & (j < hi[:, None])) | (j < sink)
+    visible = (lo[:, None] <= j) & (j < hi[:, None])
     scores = (q * scale) @ k.swapaxes(-1, -2) + np.where(visible, 0.0, -np.inf)
     return softmax(scores, axis=-1) @ v
 
 
 @settings(max_examples=60, deadline=None)
 @given(heads=st.integers(1, 3), n_q=st.integers(1, 3 * ATTN_TILE + 7),
-       n_k=st.integers(1, 2 * ATTN_TILE + 5), sink=st.sampled_from([0, 1, 2, 3]),
+       n_k=st.integers(1, 2 * ATTN_TILE + 5),
        spans=st.sampled_from(["random", "sorted", "windowed"]),
        window=st.integers(1, 3 * ATTN_TILE), n_docs=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
-def test_span_attention_matches_dense_oracle(heads, n_q, n_k, sink, spans, window, n_docs, seed):
+def test_span_attention_matches_dense_oracle(heads, n_q, n_k, spans, window, n_docs, seed):
     rng = np.random.default_rng(seed)
     n_k = n_q if spans == "windowed" else n_k
-    sink = min(sink, n_k)
     if spans == "windowed":  # local attention: lo = max(i - window + 1, document start), hi = i + 1
         i = np.arange(n_q)
         doc_start = np.zeros(n_q, dtype=np.int64)
@@ -198,14 +197,14 @@ def test_span_attention_matches_dense_oracle(heads, n_q, n_k, sink, spans, windo
         lo = rng.integers(0, n_k, size=n_q)
         if spans == "sorted":  # spans move along the keys, so each tile sees only part of them
             lo.sort()
-        hi = np.minimum(lo + rng.integers(0 if sink else 1, max(2, n_k // 4), size=n_q), n_k)
+        hi = np.minimum(lo + rng.integers(1, max(2, n_k // 4), size=n_q), n_k)
     scale = float(rng.uniform(0.1, 2.0))
     leaves = [rng.standard_normal((heads, n, d)) for n, d in ((n_q, 4), (n_k, 4), (n_k, 3))]
     weight = rng.standard_normal((heads, n_q, 3))
     results = []
     for op in (span_attention, dense_attention):
         q, k, v = (parameter(x.copy()) for x in leaves)
-        out = op(q, k, v, lo, hi, scale, sink)
+        out = op(q, k, v, lo, hi, scale)
         (out * weight).sum().backward()
         results.append([out.data, q.grad, k.grad, v.grad])
     for got, want in zip(*results):
@@ -213,9 +212,9 @@ def test_span_attention_matches_dense_oracle(heads, n_q, n_k, sink, spans, windo
 
 
 def test_span_attention_grad_numeric():
-    lo, hi = np.array([0, 2, 1, 5, 3]), np.array([1, 4, 6, 6, 3])
+    lo, hi = np.array([0, 2, 1, 5, 3]), np.array([1, 4, 6, 6, 4])
     weight = np.random.default_rng(4).standard_normal((2, 5, 4))
-    check_op(lambda q, k, v: (span_attention(q, k, v, lo, hi, 0.7, 1) * weight).sum(),
+    check_op(lambda q, k, v: (span_attention(q, k, v, lo, hi, 0.7) * weight).sum(),
              (2, 5, 3), (2, 6, 3), (2, 6, 4))
 
 
@@ -243,6 +242,6 @@ def test_span_attention_memory_is_linear_in_queries():
 def test_span_attention_rejects_query_without_keys():
     q, k = Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(ValueError, match="no visible key"):
-        span_attention(q, k, k, np.array([0, 2]), np.array([1, 2]), 1.0, 0)
-    out = span_attention(q, k, k, np.array([0, 2]), np.array([1, 2]), 1.0, 1)  # the sink rescues it
-    assert np.isfinite(out.data).all()
+        span_attention(q, k, k, np.array([0, 2]), np.array([1, 2]), 1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        span_attention(q, k, k, np.array([0, 2]), np.array([1, 4]), 1.0)
