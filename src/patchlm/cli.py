@@ -5,6 +5,13 @@ size-match, noise, check-incremental, trace. Every command accepts --config,
 --seed, and --json; artifact-producing commands write into a run directory
 named by config hash + timestamp under --run-root (or $PATCHLM_RUN_ROOT).
 
+Every command that patches (calibrate, patch, train, eval-bpb,
+check-incremental, trace) builds its patcher the same way. Given
+--target-patch-size (or patching.target_patch_size), it first calibrates the
+scheme's threshold on the command's own corpus: theta for entropy_global,
+theta-r for entropy_monotonic. Any other scheme with a target is a config
+error.
+
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
 
@@ -15,6 +22,7 @@ import datetime as _dt
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,12 +112,6 @@ def _load_docs(args, cfg: RunConfig) -> list[np.ndarray]:
     return [np.frombuffer(t.encode(), np.uint8) for t in texts]
 
 
-def _patching_config(cfg: RunConfig) -> PatchingConfig:
-    p = dict(cfg["patching"])
-    p.pop("target_patch_size")
-    return PatchingConfig(**p)
-
-
 def _entropy_model(args, cfg: RunConfig, docs) -> entropy_lm.EntropyModel:
     path = getattr(args, "entropy_model", None) or cfg["entropy_model"]["path"]
     if path:
@@ -119,11 +121,17 @@ def _entropy_model(args, cfg: RunConfig, docs) -> entropy_lm.EntropyModel:
 
 
 def _patcher(args, cfg: RunConfig, docs):
-    pc = _patching_config(cfg)
-    model = None
+    """The patcher, its resolved config and entropy model (None if unread).
+
+    A target patch size calibrates the scheme's threshold on ``docs``.
+    """
+    settings = dict(cfg["patching"])
+    target = settings.pop("target_patch_size")
+    pc = PatchingConfig(**settings)
+    model = _entropy_model(args, cfg, docs) if pc.scheme in patching.ENTROPY_THRESHOLDS else None
+    if target is not None:
+        pc = patching.calibrated_config(pc, model, docs, target)
     vocab = None
-    if pc.scheme.startswith("entropy"):
-        model = _entropy_model(args, cfg, docs)
     if pc.scheme == "bpe":
         vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=args.bpe_merges)
     return make_patcher(pc, entropy_model=model, bpe_vocab=vocab), pc, model
@@ -151,17 +159,13 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     if target is None:
         raise ConfigError("calibrate needs --target-patch-size")
     docs = _load_docs(args, cfg)
-    model = _entropy_model(args, cfg, docs)
-    pc = _patching_config(cfg)
-    pc.theta_g = pc.theta_r = patching.calibrate_threshold(
-        model, docs, target, scheme=pc.scheme, reset_on_newline=pc.reset_on_newline,
-        max_patch=pc.max_patch_size)
-    patcher = make_patcher(pc, entropy_model=model)
+    patcher, pc, _ = _patcher(args, cfg, docs)
     sizes = [patching.patch_stats(patcher(d)) for d in docs]
     achieved = sum(s.n_bytes for s in sizes) / sum(s.n_patches for s in sizes)
+    (name,) = patching.ENTROPY_THRESHOLDS[pc.scheme]
     _emit({"scheme": pc.scheme, "target_patch_size": target,
-           "theta": pc.theta_g, "achieved_mean_patch_size": achieved,
-           "forced_splits": sum(s.forced_splits for s in sizes)}, args)
+           "theta": getattr(pc, name), "achieved_mean_patch_size": achieved,
+           "forced_splits": sum(s.forced_splits for s in sizes), "patching": asdict(pc)}, args)
     return EXIT_OK
 
 
@@ -176,7 +180,7 @@ def cmd_patch(args, cfg: RunConfig) -> int:
     _emit({"out": str(out), "scheme": pc.scheme, "docs": len(items),
            "n_bytes": total_bytes, "n_patches": total_patches,
            "mean_patch_size": total_bytes / total_patches,
-           "forced_splits": sum(b.forced_splits for _, b in items)}, args)
+           "forced_splits": sum(b.forced_splits for _, b in items), "patching": asdict(pc)}, args)
     return EXIT_OK
 
 
@@ -193,19 +197,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             ds = load_corpus(args.corpus_eval, format=args.format)
             eval_docs = [d.data for d in ds]
             train_docs = docs
-        patcher, pc, emodel = _patcher(args, cfg, train_docs)
-        target = cfg["patching"]["target_patch_size"]
-        if target and pc.scheme.startswith("entropy"):
-            monotonic = pc.scheme == "entropy_monotonic"
-            theta = patching.calibrate_threshold(
-                emodel, train_docs, target,
-                scheme="entropy_monotonic" if monotonic else "entropy_global",
-                reset_on_newline=pc.reset_on_newline, max_patch=pc.max_patch_size)
-            if monotonic:
-                pc.theta_r = theta
-            else:
-                pc.theta_g = theta
-            patcher = make_patcher(pc, entropy_model=emodel)
+        patcher, pc, _ = _patcher(args, cfg, train_docs)
         model_cfg = ModelConfig.from_dict(cfg["model"])
         params = init_params(model_cfg, seed=cfg["run"]["seed"])
         loader = PatchStreamLoader(train_docs, patcher,
@@ -217,6 +209,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             run_dir=run_dir, eval_slices={"heldout": eval_docs}, eval_patcher=patcher,
             eval_every=cfg["training"]["eval_every"],
             checkpoint_every=cfg["training"]["checkpoint_every"],
+            eval_stream_bytes=cfg["training"]["eval_stream_bytes"],
             config_hash=cfg.content_hash,
         )
         report = {
@@ -227,6 +220,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             "skipped_steps": result.skipped_steps,
             "mean_patch_size": loader.mean_patch_size,
             "forced_splits": loader.forced_splits,
+            "patching": asdict(pc),
             "evals": [r.to_dict() for r in result.eval_reports],
         }
         (run_dir / "report.json").write_text(json.dumps(report, indent=2))
@@ -241,20 +235,21 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
     if all(len(d) < 2 for d in docs):
         raise CorpusError("no byte to predict: every document is shorter than 2 bytes")
     if args.uniform:
-        report = eval_bpb(None, None, {"eval": docs})
+        report = eval_bpb(None, None, {"eval": docs}).to_dict()
     else:
         if not args.checkpoint:
             raise ConfigError("eval-bpb needs --checkpoint or --uniform")
         ck = load_checkpoint(args.checkpoint)
-        patcher, _, _ = _patcher(args, cfg, docs)
+        patcher, pc, _ = _patcher(args, cfg, docs)
         report = eval_bpb(ck["params"], ck["config"], {"eval": docs}, patcher,
                           max_stream_bytes=cfg["training"]["eval_stream_bytes"],
-                          steps=ck["step"])
+                          steps=ck["step"]).to_dict()
+        report["patching"] = asdict(pc)
 
     def human(rep):
         return [f"{name}: {val:.3f} bits/byte" for name, val in rep["bpb"].items()]
 
-    _emit(report.to_dict(), args, human)
+    _emit(report, args, human)
     return EXIT_OK
 
 
@@ -319,24 +314,23 @@ def cmd_check_incremental(args, cfg: RunConfig) -> int:
                                                seed=args.seed or 0)
     _emit({"scheme": pc.scheme, "n_prefixes": args.n_prefixes,
            "n_violations": len(violations), "violations": violations[:32],
-           "incremental": not violations}, args)
+           "incremental": not violations, "patching": asdict(pc)}, args)
     return EXIT_OK
 
 
 def cmd_trace(args, cfg: RunConfig) -> int:
     docs = _load_docs(args, cfg)
-    model = _entropy_model(args, cfg, docs)
-    pc = _patching_config(cfg)
+    patcher, pc, model = _patcher(args, cfg, docs)
+    if model is None:  # the entropy is traced next to any scheme's boundaries
+        model = _entropy_model(args, cfg, docs)
     data = docs[0]
     trace = model.entropy_trace(data, reset_on_newline=pc.reset_on_newline)
-    bounds = None
-    if pc.theta_g is not None:
-        bounds = patching.patch_entropy_global(trace, pc.theta_g, pc.max_patch_size)
+    bounds = patcher(data)
     out = Path(args.out or "trace.tsv")
     entropy_lm.write_trace_tsv(out, trace, data, bounds)
     _emit({"out": str(out), "positions": len(trace.values),
            "mean_entropy_nats": float(trace.values.mean()),
-           "n_boundaries": int(bounds.n_patches) if bounds else None}, args)
+           "n_boundaries": bounds.n_patches, "patching": asdict(pc)}, args)
     return EXIT_OK
 
 
@@ -361,7 +355,10 @@ def _add_patch_flags(sp):
     sp.add_argument("--k", type=int, default=None, help="stride for the strided scheme")
     sp.add_argument("--theta", type=float, default=None, help="global entropy threshold")
     sp.add_argument("--theta-r", type=float, default=None, help="entropy jump threshold")
-    sp.add_argument("--target-patch-size", type=float, default=None)
+    sp.add_argument("--target-patch-size", type=float, default=None,
+                    help="calibrate the scheme's threshold (--theta for entropy_global, "
+                         "--theta-r for entropy_monotonic) to this mean patch size on "
+                         "the command's own corpus")
     sp.add_argument("--reset-newline", action="store_true", default=None)
     sp.add_argument("--max-patch", type=int, default=None)
     sp.add_argument("--entropy-model", default=None, help="path to a saved entropy model")

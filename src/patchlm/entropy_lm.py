@@ -49,8 +49,7 @@ def _as_bytes_array(data) -> np.ndarray:
         return data.data
     if isinstance(data, (bytes, bytearray)):
         return np.frombuffer(bytes(data), dtype=np.uint8)
-    arr = np.asarray(data, dtype=np.uint8)
-    return arr
+    return np.asarray(data, dtype=np.uint8)
 
 
 def _pack_keys(arr: np.ndarray, k: int) -> np.ndarray:

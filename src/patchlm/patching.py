@@ -5,25 +5,43 @@ indices beginning at 0; patches partition the sequence with no gaps or
 overlaps. All schemes are pure functions of (bytes, config, model), and every
 scheme enforces a maximum patch size so a single patch can never blow up
 memory downstream (forced splits are counted).
+
+Entropy patching (BLT §2.3) has two constraints on the next-byte entropy
+H(x_t): the global one, H(x_t) > theta_g, and the approximate monotonic one,
+H(x_t) - H(x_{t-1}) > theta_r. ``patch_entropy`` is the one rule: a byte
+starts a patch when it meets either constraint that is set. The three entropy
+schemes differ only in which thresholds they read (``ENTROPY_THRESHOLDS``).
+A target mean patch size calibrates the one threshold of ``entropy_global``
+(theta_g) or ``entropy_monotonic`` (theta_r); ``calibrated_config`` returns
+the config with it filled in. Any other scheme has no single threshold to fit
+and rejects a target.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .entropy_lm import LN256, EntropyModel, EntropyTrace
+from .entropy_lm import LN256, EntropyModel, EntropyTrace, _as_bytes_array
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_PATCH = 512
 
 SCHEMES = ("strided", "space", "entropy_global", "entropy_monotonic", "entropy_or", "bpe")
+
+# entropy scheme -> the thresholds its rule reads; a target patch size
+# calibrates a scheme that reads exactly one
+ENTROPY_THRESHOLDS = {
+    "entropy_global": ("theta_g",),
+    "entropy_monotonic": ("theta_r",),
+    "entropy_or": ("theta_g", "theta_r"),
+}
 
 
 class PatchingError(Exception):
@@ -119,14 +137,6 @@ class PatchingConfig:
             raise PatchingError("max_patch_size must be >= 1")
 
 
-def _as_array(data) -> np.ndarray:
-    if hasattr(data, "data") and not isinstance(data, np.ndarray):
-        data = data.data
-    if isinstance(data, (bytes, bytearray)):
-        return np.frombuffer(bytes(data), dtype=np.uint8)
-    return np.asarray(data, dtype=np.uint8)
-
-
 def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int | None) -> tuple[np.ndarray, int]:
     """Split any patch longer than ``max_patch``; returns (starts, forced split count)."""
     if max_patch is None or n_bytes == 0:
@@ -145,8 +155,7 @@ def _from_flags(flags: np.ndarray, max_patch: int | None) -> PatchBoundaries:
     n = len(flags)
     if n == 0:
         return PatchBoundaries(np.zeros(0, np.int64), 0)
-    flags = flags.copy()
-    flags[0] = True
+    flags[0] = True  # every caller passes a fresh array
     starts = np.nonzero(flags)[0].astype(np.int64)
     starts, forced = enforce_max_patch(starts, n, max_patch)
     return PatchBoundaries(starts, n, forced)
@@ -185,7 +194,7 @@ def patch_space(data, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundar
     contains at least one non-space-like byte (except the degenerate all
     space-like input, which is a single patch).
     """
-    arr = _as_array(data)
+    arr = _as_bytes_array(data)
     n = len(arr)
     if n == 0:
         return PatchBoundaries(np.zeros(0, np.int64), 0)
@@ -197,32 +206,14 @@ def patch_space(data, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundar
     return _from_flags(flags, max_patch)
 
 
-def patch_entropy_global(trace: EntropyTrace, theta_g: float,
-                         max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
-    """A byte starts a patch when its entropy exceeds the global threshold."""
-    flags = trace.values > theta_g
-    return _from_flags(flags, max_patch)
-
-
-def patch_entropy_monotonic(trace: EntropyTrace, theta_r: float,
-                            max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
-    """A byte starts a patch when entropy jumps over the previous byte by more than theta_r."""
-    v = trace.values
-    flags = np.zeros(len(v), dtype=bool)
-    if len(v) > 1:
-        flags[1:] = (v[1:] - v[:-1]) > theta_r
-    return _from_flags(flags, max_patch)
-
-
 def patch_entropy(trace: EntropyTrace, theta_g: float | None = None, theta_r: float | None = None,
                   max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
-    """OR-combination of the global and jump constraints (either may be disabled)."""
+    """A byte starts a patch when its entropy exceeds theta_g or jumps over the
+    previous byte's by more than theta_r; a threshold of None is not checked."""
     if theta_g is None and theta_r is None:
         raise PatchingError("need at least one of theta_g, theta_r")
     v = trace.values
-    flags = np.zeros(len(v), dtype=bool)
-    if theta_g is not None:
-        flags |= v > theta_g
+    flags = v > theta_g if theta_g is not None else np.zeros(len(v), dtype=bool)
     if theta_r is not None and len(v) > 1:
         flags[1:] |= (v[1:] - v[:-1]) > theta_r
     return _from_flags(flags, max_patch)
@@ -259,31 +250,25 @@ def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = No
     """Close a PatchingConfig over its models into a bytes -> boundaries function."""
     mp = config.max_patch_size
     if config.scheme == "strided":
-        return lambda data: patch_strided(len(_as_array(data)), config.k, mp)
+        return lambda data: patch_strided(len(_as_bytes_array(data)), config.k, mp)
     if config.scheme == "space":
         return lambda data: patch_space(data, mp)
     if config.scheme == "bpe":
         if bpe_vocab is None:
             raise PatchingError("bpe scheme needs a trained vocabulary")
-        return lambda data: bpe_adapter(bpe_vocab.token_starts(_as_array(data)), len(_as_array(data)), mp)
+        return lambda data: bpe_adapter(bpe_vocab.token_starts(_as_bytes_array(data)),
+                                        len(_as_bytes_array(data)), mp)
     if entropy_model is None:
         raise PatchingError(f"scheme {config.scheme!r} needs an entropy model")
-    theta_g, theta_r = config.theta_g, config.theta_r
+    reads = ENTROPY_THRESHOLDS[config.scheme]
+    theta_g, theta_r = (getattr(config, name) if name in reads else None
+                        for name in ("theta_g", "theta_r"))
+    if theta_g is None and theta_r is None:
+        raise PatchingError(f"{config.scheme} needs {' or '.join(reads)}")
     reset = config.reset_on_newline
-
-    def run(data):
-        trace = entropy_model.entropy_trace(_as_array(data), reset_on_newline=reset)
-        if config.scheme == "entropy_global":
-            if theta_g is None:
-                raise PatchingError("entropy_global needs theta_g")
-            return patch_entropy_global(trace, theta_g, mp)
-        if config.scheme == "entropy_monotonic":
-            if theta_r is None:
-                raise PatchingError("entropy_monotonic needs theta_r")
-            return patch_entropy_monotonic(trace, theta_r, mp)
-        return patch_entropy(trace, theta_g, theta_r, mp)
-
-    return run
+    return lambda data: patch_entropy(
+        entropy_model.entropy_trace(_as_bytes_array(data), reset_on_newline=reset),
+        theta_g, theta_r, mp)
 
 
 def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
@@ -321,9 +306,10 @@ def calibrate_threshold(
     """
     if not (1.0 < target_patch_size <= 64.0):
         raise CalibrationError(f"target patch size must be in (1, 64], got {target_patch_size}")
-    if scheme not in ("entropy_global", "entropy_monotonic"):
-        raise CalibrationError(f"calibration supports entropy schemes, not {scheme!r}")
-    docs = [_as_array(d) for d in sample]
+    if len(ENTROPY_THRESHOLDS.get(scheme, ())) != 1:
+        raise CalibrationError("a target patch size calibrates the one threshold of entropy_global "
+                               f"(theta_g) or entropy_monotonic (theta_r), not of {scheme!r}")
+    docs = [_as_bytes_array(d) for d in sample]
     n_total = sum(len(d) for d in docs)
     if n_total < 10**5:
         raise CalibrationError(f"calibration sample too small: {n_total} bytes < 1e5")
@@ -331,13 +317,14 @@ def calibrate_threshold(
                              for d in docs])
     doc_start = np.zeros(len(values), dtype=bool)
     doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
+    jump = ENTROPY_THRESHOLDS[scheme] == ("theta_r",)
     # the jump across a document start is never read: that byte starts a patch anyway
-    score = values if scheme == "entropy_global" else np.diff(values, prepend=values[0])
+    score = np.diff(values, prepend=values[0]) if jump else values
 
     def mean_size(theta: float) -> float:
         return _mean_size_at(score, doc_start, theta, max_patch)
 
-    lo, hi = (0.0, LN256 + 1.0) if scheme == "entropy_global" else (-LN256 - 1.0, LN256 + 1.0)
+    lo, hi = (-LN256 - 1.0, LN256 + 1.0) if jump else (0.0, LN256 + 1.0)
     size_lo = mean_size(lo)
     size_hi = mean_size(hi)
     if size_lo > size_hi:
@@ -364,6 +351,15 @@ def calibrate_threshold(
     return theta
 
 
+def calibrated_config(config: PatchingConfig, model: EntropyModel | None, sample: Iterable,
+                      target_patch_size: float) -> PatchingConfig:
+    """``config`` with its scheme's one threshold calibrated to the target on ``sample``."""
+    theta = calibrate_threshold(model, sample, target_patch_size, config.scheme,
+                                config.reset_on_newline, config.max_patch_size)
+    (name,) = ENTROPY_THRESHOLDS[config.scheme]
+    return replace(config, **{name: theta})
+
+
 def check_incrementality(patcher: Patcher, data, n_prefixes: int = 100, seed: int = 0) -> list[int]:
     """Compare patching of random prefixes against the full sequence's prefix.
 
@@ -371,7 +367,7 @@ def check_incrementality(patcher: Patcher, data, n_prefixes: int = 100, seed: in
     starts must equal the full-sequence starts below i. Returns the cut points
     that disagree (empty list for an incremental scheme).
     """
-    arr = _as_array(data)
+    arr = _as_bytes_array(data)
     n = len(arr)
     if n < 2:
         return []

@@ -35,7 +35,7 @@ DEFAULTS: dict = {
         "eval_fraction": 0.05,
     },
     "model": ModelConfig().to_dict(),
-    # target_patch_size, when set, calibrates theta_g before training
+    # target_patch_size, when set, calibrates the scheme's threshold (patching.calibrated_config)
     "patching": {**asdict(PatchingConfig()), "target_patch_size": None},
     "entropy_model": {"order": 3, "alpha": 0.01, "path": None},
     "optimizer": asdict(OptimSpec()),

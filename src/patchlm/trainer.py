@@ -379,6 +379,9 @@ def load_checkpoint(path: str | Path) -> dict:
     try:
         with np.load(path) as z:  # an .npy file loads as an array, which has no ``with``
             meta = json.loads(bytes(z["meta_json"]).decode())
+            if meta["version"] != CHECKPOINT_VERSION:
+                raise CheckpointError(f"checkpoint {path} has format version {meta['version']}; "
+                                      f"this build reads version {CHECKPOINT_VERSION}")
             config = ModelConfig.from_dict(meta["config"])
             params = BltParams(
                 {k[len("param/"):]: _param(z[k], k) for k in z.files if k.startswith("param/")},
@@ -435,6 +438,7 @@ def train(
     eval_patcher=None,
     eval_every: int = 0,
     checkpoint_every: int = 0,
+    eval_stream_bytes: int = 4096,
     config_hash: str = "",
     start_step: int = 0,
     adam_state: AdamState | None = None,
@@ -465,7 +469,7 @@ def train(
     try:
         if total_steps == 0 and eval_slices:
             result.eval_reports.append(
-                eval_bpb(params, config, eval_slices, eval_patcher, steps=0))
+                eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes, steps=0))
         for step in range(start_step, total_steps):
             t0 = time.perf_counter()
             stream = loader.next_stream()
@@ -506,7 +510,8 @@ def train(
                     f"for {bad_streak} consecutive steps")
             if eval_every and eval_slices and (step + 1) % eval_every == 0:
                 result.eval_reports.append(
-                    eval_bpb(params, config, eval_slices, eval_patcher, steps=step + 1))
+                    eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
+                             steps=step + 1))
             if checkpoint_every and run_dir and (step + 1) % checkpoint_every == 0:
                 save_checkpoint(run_dir / f"ckpt_{step + 1:07d}.npz", params, state,
                                 loader, step + 1, config, optim, config_hash)
@@ -515,7 +520,8 @@ def train(
                             result.steps_done, config, optim, config_hash)
         if eval_slices and total_steps > 0:
             result.eval_reports.append(
-                eval_bpb(params, config, eval_slices, eval_patcher, steps=result.steps_done))
+                eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
+                         steps=result.steps_done))
     finally:
         result.skipped_steps = state.skipped
         if metrics_fh:

@@ -7,16 +7,18 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patchlm
 from patchlm import textgen
+from patchlm.corpus import load_corpus
 from patchlm.entropy_lm import train_counts
 from patchlm.cli import EXIT_CONFIG, EXIT_DATA, main
-from patchlm.model import ModelConfig
-from patchlm.patching import PatchingConfig
+from patchlm.model import ModelConfig, init_params
+from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, patch_strided
 from patchlm.runconfig import ConfigError, RunConfig
-from patchlm.trainer import OptimSpec
+from patchlm.trainer import AdamState, OptimSpec, eval_bpb, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,12 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def save_tiny_checkpoint(path):
+    cfg = ModelConfig(**TINY_MODEL)
+    params = init_params(cfg, seed=0)
+    save_checkpoint(path, params, AdamState.init(params), None, 0, cfg, OptimSpec())
 
 
 def test_patch_strided_tsv(tmp_path, capsys, corpus_file):
@@ -156,6 +164,8 @@ BAD_INPUTS = {
     "train_on_1_byte": (["train", "--corpus", "one.txt"], EXIT_DATA),
     "checkpoint_not_a_checkpoint": (["eval-bpb", "--corpus", "text.txt",
                                      "--checkpoint", "text.txt"], EXIT_DATA),
+    "checkpoint_version_99": (["eval-bpb", "--corpus", "text.txt",
+                               "--checkpoint", "version99.npz"], EXIT_DATA),
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
        for bad in ("magic", "checksum", "version", "not_nested")},
@@ -176,6 +186,13 @@ def _write_bad_inputs(tmp_path):
     model = train_counts([b"abab"], order=1)
     model.levels[1].pair_next[:] = ord("z")  # length-1 pairs whose suffix pair was never counted
     model.save(tmp_path / "not_nested.bin")
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    with np.load(tmp_path / "ckpt.npz") as z:
+        arrays = dict(z)
+    meta = json.loads(bytes(arrays["meta_json"]).decode())
+    meta["version"] = 99
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    np.savez(tmp_path / "version99.npz", **arrays)
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -295,3 +312,81 @@ def test_runconfig_defaults_are_the_dataclass_defaults():
     assert PatchingConfig(**patching) == PatchingConfig()
     assert cfg["optimizer"] == asdict(OptimSpec())
     assert OptimSpec(**cfg["optimizer"]) == OptimSpec()
+
+
+# Every command that builds a patcher, with the arguments it needs besides the
+# corpus and the patch flags; paths are relative to the test's directory.
+PATCHER_COMMANDS = {
+    "calibrate": [],
+    "patch": ["--out", "b.tsv"],
+    "train": ["--config", "cfg.json", "--corpus-eval", "heldout.txt", "--run-dir", "run"],
+    "eval-bpb": ["--checkpoint", "ckpt.npz"],
+    "check-incremental": ["--n-prefixes", "3"],
+    "trace": ["--out", "trace.tsv"],
+}
+
+
+@pytest.fixture
+def patcher_command_dir(tmp_path, monkeypatch, corpus_file):
+    monkeypatch.chdir(tmp_path)
+    train_counts(load_corpus(corpus_file), order=3).save(tmp_path / "ent.bin")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+         "training": {"steps": 2, "patch_budget": 16}}))
+    (tmp_path / "heldout.txt").write_text(textgen.synthetic_text(300, seed=10_000) + "\n")
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    return ["--corpus", str(corpus_file), "--entropy-model", "ent.bin"]
+
+
+@pytest.mark.parametrize("scheme", ["entropy_global", "entropy_monotonic"])
+def test_every_patcher_command_calibrates_the_same_threshold(capsys, patcher_command_dir, scheme):
+    (name,) = ENTROPY_THRESHOLDS[scheme]
+    reports = {}
+    for command, extra in PATCHER_COMMANDS.items():
+        code, out = run(capsys, command, "--json", *patcher_command_dir, *extra,
+                        "--scheme", scheme, "--target-patch-size", "4.5")
+        assert code == 0, command
+        reports[command] = json.loads(out)
+    # a trained run records the calibrated threshold, and evaluating it by its
+    # config.json calibrates that threshold again on the eval corpus
+    reports["train report.json"] = json.loads(Path("run/report.json").read_text())
+    code, out = run(capsys, "eval-bpb", "--json", *patcher_command_dir, "--config",
+                    "run/config.json", "--checkpoint", "run/ckpt_final.npz")
+    assert code == 0
+    reports["eval-bpb --config"] = json.loads(out)
+    thetas = {command: report["patching"][name] for command, report in reports.items()}
+    assert thetas == dict.fromkeys(thetas, reports["calibrate"]["theta"])
+
+
+@pytest.mark.parametrize("scheme", ["entropy_or", "strided", "space", "bpe"])
+def test_target_patch_size_without_one_threshold_is_a_config_error(capsys, patcher_command_dir,
+                                                                   scheme):
+    for command, extra in PATCHER_COMMANDS.items():
+        code = main([command, *patcher_command_dir, *extra, "--scheme", scheme,
+                     "--target-patch-size", "4.5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, command
+        assert err.startswith("config error") and "Traceback" not in err, command
+
+
+def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file):
+    heldout = tmp_path / "heldout.txt"
+    heldout.write_text("\n".join(textgen.synthetic_text(300, seed=10_000 + i) for i in range(3)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "patching": {"scheme": "strided", "k": 4},
+                                    "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16,
+                                                 "eval_stream_bytes": 64}}))
+    run_dir = tmp_path / "run"
+    code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                  "--corpus-eval", str(heldout), "--run-dir", str(run_dir))
+    assert code == 0
+    reported = json.loads((run_dir / "report.json").read_text())["evals"][-1]["bpb"]["heldout"]
+    ck = load_checkpoint(run_dir / "ckpt_final.npz")
+    docs = [d.data for d in load_corpus(heldout)]
+
+    def heldout_bpb(stream_bytes):
+        return eval_bpb(ck["params"], ck["config"], {"heldout": docs},
+                        lambda d: patch_strided(len(d), 4), stream_bytes).bpb["heldout"]
+
+    assert reported == heldout_bpb(64) != heldout_bpb(4096)

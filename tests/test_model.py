@@ -29,7 +29,7 @@ from patchlm.model import (
 from patchlm.ngram_hash import hash_ngram_ids
 from patchlm.patching import (
     PatchBoundaries,
-    patch_entropy_global,
+    patch_entropy,
     patch_space,
     patch_strided,
 )
@@ -390,7 +390,7 @@ def test_end_to_end_causality_fixed_boundaries():
     schemes = {
         "strided": lambda d: patch_strided(len(d), 4),
         "space": patch_space,
-        "entropy": lambda d: patch_entropy_global(ent.entropy_trace(d), 2.0),
+        "entropy": lambda d: patch_entropy(ent.entropy_trace(d), theta_g=2.0),
     }
     rng = np.random.default_rng(11)
     for name, patcher in schemes.items():
@@ -411,7 +411,7 @@ def test_pipeline_causality_with_repatching():
     params = init_params(cfg, seed=8)
     data = np.frombuffer(textgen.synthetic_text(100, seed=13).encode()[:100], np.uint8)
     ent = train_counts([data], order=2)
-    patcher = lambda d: patch_entropy_global(ent.entropy_trace(d), 2.2)
+    patcher = lambda d: patch_entropy(ent.entropy_trace(d), theta_g=2.2)
     rng = np.random.default_rng(3)
     s1 = Stream.from_documents([data], patcher)
     base = lm_forward(params, s1, cfg).logits.data

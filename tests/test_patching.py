@@ -14,8 +14,6 @@ from patchlm.patching import (
     check_incrementality,
     enforce_max_patch,
     patch_entropy,
-    patch_entropy_global,
-    patch_entropy_monotonic,
     patch_space,
     patch_strided,
     patch_stats,
@@ -56,8 +54,8 @@ def test_partition_coverage_fuzzed():
         for bounds in (
             patch_strided(n, int(rng.integers(1, 9))),
             patch_space(data),
-            patch_entropy_global(tr, float(rng.uniform(0, LN256))),
-            patch_entropy_monotonic(tr, float(rng.uniform(-1, 1))),
+            patch_entropy(tr, theta_g=float(rng.uniform(0, LN256))),
+            patch_entropy(tr, theta_r=float(rng.uniform(-1, 1))),
         ):
             assert bounds.starts[0] == 0
             assert bounds.n_patches <= n
@@ -101,15 +99,15 @@ def test_space_like_classes():
 
 def test_entropy_global_threshold_extremes():
     tr = _trace([0.5, 1.0, 2.0, 0.1])
-    assert patch_entropy_global(tr, LN256 + 1).starts.tolist() == [0]
-    assert patch_entropy_global(tr, 0.0).starts.tolist() == [0, 1, 2, 3]
-    assert patch_entropy_global(tr, 1.5).starts.tolist() == [0, 2]
+    assert patch_entropy(tr, theta_g=LN256 + 1).starts.tolist() == [0]
+    assert patch_entropy(tr, theta_g=0.0).starts.tolist() == [0, 1, 2, 3]
+    assert patch_entropy(tr, theta_g=1.5).starts.tolist() == [0, 2]
 
 
 def test_entropy_monotonic_examples():
-    assert patch_entropy_monotonic(_trace([3.0, 2.0, 1.0, 0.5]), 0.0).starts.tolist() == [0]
-    assert patch_entropy_monotonic(_trace([1.0, 0.2, 2.0]), 0.5).starts.tolist() == [0, 2]
-    assert patch_entropy_monotonic(_trace([1.0, 0.2, 2.0]), float("inf")).starts.tolist() == [0]
+    assert patch_entropy(_trace([3.0, 2.0, 1.0, 0.5]), theta_r=0.0).starts.tolist() == [0]
+    assert patch_entropy(_trace([1.0, 0.2, 2.0]), theta_r=0.5).starts.tolist() == [0, 2]
+    assert patch_entropy(_trace([1.0, 0.2, 2.0]), theta_r=float("inf")).starts.tolist() == [0]
 
 
 def test_entropy_or_combination():
@@ -125,7 +123,7 @@ def test_entropy_global_mean_size_monotone_in_threshold():
     tr = _trace(rng.uniform(0, LN256, size=4000))
     sizes = []
     for theta in np.linspace(0, LN256, 12):
-        sizes.append(patch_stats(patch_entropy_global(tr, float(theta), None)).mean_patch_size)
+        sizes.append(patch_stats(patch_entropy(tr, theta_g=float(theta), max_patch=None)).mean_patch_size)
     assert all(a <= b + 1e-12 for a, b in zip(sizes, sizes[1:]))
 
 
@@ -161,7 +159,7 @@ def test_patch_stats_examples():
 def test_calibration_hits_target(entropy3, english_docs):
     sample = english_docs[: len(english_docs) // 4]
     theta = calibrate_threshold(entropy3, sample, 4.5)
-    sizes = [patch_entropy_global(entropy3.entropy_trace(d), theta) for d in sample]
+    sizes = [patch_entropy(entropy3.entropy_trace(d), theta_g=theta) for d in sample]
     mean = sum(x.n_bytes for x in sizes) / sum(x.n_patches for x in sizes)
     assert abs(mean - 4.5) / 4.5 < 0.02
 
@@ -189,8 +187,8 @@ def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, 
     # calibrate_threshold scans the concatenated traces; the reference patches
     # each document on its own
     traces = [_trace(d) for d in docs]
-    patch = patch_entropy_monotonic if monotonic else patch_entropy_global
-    ref = [patch(t, theta, max_patch) for t in traces]
+    thetas = (None, theta) if monotonic else (theta, None)
+    ref = [patch_entropy(t, *thetas, max_patch) for t in traces]
     values = np.concatenate([t.values for t in traces])
     doc_start = np.zeros(len(values), dtype=bool)
     doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
@@ -202,7 +200,7 @@ def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, 
 def test_calibration_monotonic_scheme(entropy3, english_docs):
     sample = english_docs[: len(english_docs) // 4]
     theta = calibrate_threshold(entropy3, sample, 6.0, scheme="entropy_monotonic")
-    sizes = [patch_entropy_monotonic(entropy3.entropy_trace(d), theta) for d in sample]
+    sizes = [patch_entropy(entropy3.entropy_trace(d), theta_r=theta) for d in sample]
     mean = sum(x.n_bytes for x in sizes) / sum(x.n_patches for x in sizes)
     assert abs(mean - 6.0) / 6.0 < 0.02
 
@@ -230,8 +228,8 @@ def test_incremental_schemes_have_zero_violations(entropy3, english_docs):
     patchers = {
         "strided": lambda d: patch_strided(len(d), 4),
         "space": patch_space,
-        "entropy_global": lambda d: patch_entropy_global(entropy3.entropy_trace(d), theta),
-        "entropy_monotonic": lambda d: patch_entropy_monotonic(entropy3.entropy_trace(d), 0.3),
+        "entropy_global": lambda d: patch_entropy(entropy3.entropy_trace(d), theta_g=theta),
+        "entropy_monotonic": lambda d: patch_entropy(entropy3.entropy_trace(d), theta_r=0.3),
     }
     for name, p in patchers.items():
         assert check_incrementality(p, data, n_prefixes=50, seed=1) == [], name

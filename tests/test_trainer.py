@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from patchlm import textgen
 from patchlm.entropy_lm import train_counts
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
-from patchlm.patching import patch_entropy_global, patch_space, patch_strided
+from patchlm.patching import patch_entropy, patch_space, patch_strided
 from patchlm.tensor import parameter
 from patchlm.trainer import (
     LN2,
@@ -204,7 +204,7 @@ def eval_patchers():
     return {
         "space": patch_space,
         "strided": lambda d: patch_strided(len(d), 3),
-        "entropy": lambda d: patch_entropy_global(em.entropy_trace(d), 1.5),
+        "entropy": lambda d: patch_entropy(em.entropy_trace(d), theta_g=1.5),
     }
 
 
