@@ -9,8 +9,8 @@ Every command that patches (calibrate, patch, train, eval-bpb,
 check-incremental, trace) builds its patcher the same way. Given
 --target-patch-size (or patching.target_patch_size), it first calibrates the
 scheme's threshold on the command's own corpus: theta for entropy_global,
-theta-r for entropy_monotonic. Any other scheme with a target is a config
-error.
+theta-r for entropy_monotonic. That threshold set as well, or any other
+scheme with a target, is a config error.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -185,25 +185,26 @@ def cmd_patch(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    # built before the run directory, so a config or data error leaves none behind
+    docs = _load_docs(args, cfg)
+    rng = np.random.Generator(np.random.PCG64(cfg["run"]["seed"]))
+    order = rng.permutation(len(docs))
+    n_eval = max(1, int(len(docs) * cfg["data"]["eval_fraction"]))
+    eval_docs = [docs[i] for i in order[:n_eval]]
+    train_docs = [docs[i] for i in order[n_eval:]]
+    if args.corpus_eval:
+        ds = load_corpus(args.corpus_eval, format=args.format)
+        eval_docs = [d.data for d in ds]
+        train_docs = docs
+    patcher, pc, _ = _patcher(args, cfg, train_docs)
+    model_cfg = ModelConfig.from_dict(cfg["model"])
+    loader = PatchStreamLoader(train_docs, patcher,
+                               patch_budget=cfg["training"]["patch_budget"],
+                               seed=cfg["run"]["seed"])
+    optim = OptimSpec(**cfg["optimizer"])
+    params = init_params(model_cfg, seed=cfg["run"]["seed"])
     run_dir = _make_run_dir(args, cfg)
     try:
-        docs = _load_docs(args, cfg)
-        rng = np.random.Generator(np.random.PCG64(cfg["run"]["seed"]))
-        order = rng.permutation(len(docs))
-        n_eval = max(1, int(len(docs) * cfg["data"]["eval_fraction"]))
-        eval_docs = [docs[i] for i in order[:n_eval]]
-        train_docs = [docs[i] for i in order[n_eval:]]
-        if args.corpus_eval:
-            ds = load_corpus(args.corpus_eval, format=args.format)
-            eval_docs = [d.data for d in ds]
-            train_docs = docs
-        patcher, pc, _ = _patcher(args, cfg, train_docs)
-        model_cfg = ModelConfig.from_dict(cfg["model"])
-        params = init_params(model_cfg, seed=cfg["run"]["seed"])
-        loader = PatchStreamLoader(train_docs, patcher,
-                                   patch_budget=cfg["training"]["patch_budget"],
-                                   seed=cfg["run"]["seed"])
-        optim = OptimSpec(**cfg["optimizer"])
         result = train(
             params, model_cfg, loader, optim, cfg["training"]["steps"],
             run_dir=run_dir, eval_slices={"heldout": eval_docs}, eval_patcher=patcher,

@@ -7,15 +7,16 @@ the forward cost (backward counted at twice forward).
 
 The per-byte decomposition sums the latent transformer amortized over the
 mean patch size, the two local transformers at their attention windows, and
-the two cross-attention blocks. Cross-attention calls take the block's local
-width as the per-head dimension and the width ratio k as the head count, so
-the projection term runs at global width.
+the two cross-attention blocks. Encoder cross-attention takes the block's
+local width as the per-head dimension and the width ratio k as the head
+count, so its projection term runs at global width.
 
-The model computes local self-attention over each byte's window only, so its
-O(window) cost per byte matches the count here. Decoder cross-attention is
-charged one patch's k slots per byte (p=k), but the model lets each byte
-attend to every completed patch of its document, O(patches) per byte; that
-gap is not modeled.
+Decoder cross-attention is counted as executed, which departs from the
+paper's convention: each byte scores exactly one patch's k slots, where the
+causal average (p+1)/2 at p = k would charge (k+1)/2; the projections run at
+decoder width, not at k heads of it; and the keys add one set of k start slots
+per n_ctx-byte stream. Local self-attention runs over each byte's window only,
+O(window) per byte as counted here.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
     if n_p <= 0:
         raise ValueError("mean patch size must be positive")
     n_ctx = _fr(n_ctx)
+    if n_ctx <= 0:
+        raise ValueError("context length must be positive")
     d_ff = config.ff_mult
     k = config.k
     zero = Fraction(0)
@@ -145,7 +148,11 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
         config.dec_layers, config.dec_dim, config.dec_window, d_ff=d_ff, vocab=256
     )
     enc_x = cross_attention_flops(config.enc_layers, config.enc_dim, k, p=n_p, r=n_p / k) * k / n_p
-    dec_x = cross_attention_flops(config.dec_layers, config.dec_dim, k, p=k, r=Fraction(k) / n_p)
+    dec_x = zero if config.dec_layers == 0 else (
+        4 * config.dec_layers * config.dec_dim * k  # score and mix over k keys
+        + qkvo_flops(config.dec_layers, config.dec_dim, r=k / n_p + k / n_ctx)
+        + 2 * config.global_dim * k * config.dec_dim / n_p  # latent output -> k slots
+    )
     return FlopsReport(latent, enc_t, dec_t, enc_x, dec_x)
 
 

@@ -4,21 +4,18 @@ The encoder contextualizes bytes with windowed causal attention and pools them
 into patch queries that cross-attend only to their own patch's bytes. The
 latent transformer runs causally over patches. The decoder interchanges the
 cross-attention roles: byte queries attend to split projections of the latent
-outputs, restricted to patches that are already complete at the query
+outputs, restricted to the last patch that is already complete at the query
 position, so no information from inside the current patch can leak backward.
 
 Each of the four attention patterns gives every query one contiguous span of
 keys (``Spans``), which ``tensor.span_attention`` scores tile by tile without
-building an (n_queries, n_keys) array. Local self-attention therefore costs
-O(window) per byte, as ``flops.blt_flops_per_byte`` assumes. The decoder's
-keys hold each document's learned start slots directly before that
-document's patch slots, so a byte's start slots and completed patches form
-one span. Decoder cross-attention still sees every completed patch of the
-byte's document, O(patches) per byte, where the analytic model charges one
-patch's k slots. The ``*_mask`` builders are dense views of the same
-predicates. The forward path calls none of them; they stay because
-``perfbench/tracing.py`` wraps them by name, and tests use them as dense
-references.
+building an (n_queries, n_keys) array, under a tile plan that each span set
+builds once and shares across the layers that attend over it. Local
+self-attention therefore costs O(window) per byte, and decoder cross-attention
+k keys per byte, the k slots of one patch, as ``flops.blt_flops_per_byte``
+charges. The ``*_mask`` builders are dense views of the same predicates. The
+forward path calls none of them; they stay because ``perfbench/tracing.py``
+wraps them by name, and tests use them as dense references.
 
 Everything runs on the package's numpy autodiff; float64 mode exists for
 finite-difference gradient checks.
@@ -30,6 +27,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +43,7 @@ from .tensor import (
     segment_mean,
     softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
     span_attention,
+    tile_plan,
 )
 
 logger = logging.getLogger(__name__)
@@ -344,6 +343,11 @@ class Spans:
     lo: np.ndarray
     hi: np.ndarray
 
+    @cached_property
+    def plan(self) -> list[tuple]:
+        """``span_attention``'s tile plan, built once for every layer over these spans."""
+        return tile_plan(self.lo, self.hi)
+
     def dense(self, n_keys: int) -> np.ndarray:
         """The (n_queries, n_keys) boolean mask these spans describe."""
         j = np.arange(n_keys)
@@ -378,35 +382,15 @@ def membership_spans(boundaries: PatchBoundaries) -> Spans:
     return Spans(boundaries.starts, boundaries.ends() + 1)
 
 
-def decoder_key_rows(patch_doc_ids: np.ndarray, slots: int) -> np.ndarray:
-    """Row of [start slots; patch slots] that each decoder key holds.
-
-    Keys come in blocks of ``slots``. Each document's start slots come
-    directly before the slots of its patches: for the document of rank r
-    whose first patch is P, block r + P holds the start slots and block
-    r + 1 + j holds patch j. For a one-document stream the rows are
-    ``arange``.
-    """
-    m = len(patch_doc_ids)
-    doc_first = np.flatnonzero(_run_starts(patch_doc_ids) == np.arange(m))
-    blocks = np.insert(np.arange(1, m + 1), doc_first, 0)
-    return (slots * blocks[:, None] + np.arange(slots)).ravel()
-
-
 def completed_patch_spans(boundaries: PatchBoundaries, doc_ids: np.ndarray, slots: int) -> Spans:
-    """Byte i sees its document's start slots and the slots of the patches that
-    end at or before i in its document, in the key layout of ``decoder_key_rows``.
-
-    Bytes of a document's first patch, which has not completed yet, see only
-    the start slots. For the document of rank r whose first patch is P, the
-    span is [slots * (r + P), slots * (r + 1 + completed)), where completed
-    counts the stream's patches that end at or before i.
+    """Byte i sees one block of ``slots`` keys over [start slots; patch slots]:
+    block j + 1 for the last patch j of its document that ends at or before i,
+    or block 0, the start slots, while its document has no such patch.
     """
-    doc_start = _run_starts(doc_ids)
     i = np.arange(boundaries.n_bytes)
-    rank = np.cumsum(doc_start == i) - 1
     completed = np.searchsorted(boundaries.ends(), i, side="right")
-    return Spans(slots * (rank + boundaries.patch_of(doc_start)), slots * (rank + 1 + completed))
+    block = np.where(completed > boundaries.patch_of(_run_starts(doc_ids)), completed, 0)
+    return Spans(slots * block, slots * (block + 1))
 
 
 @dataclass
@@ -439,14 +423,11 @@ def patch_membership_mask(boundaries: PatchBoundaries) -> AttentionMask:
 
 
 def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> AttentionMask:
-    """Byte i sees patch j iff patch j ends at or before i in the same document.
-
-    Column 0 is the permanently visible learned start slot.
-    """
-    i = np.arange(boundaries.n_bytes)[:, None]
-    patches = (boundaries.ends() <= i) & (doc_ids[boundaries.starts] == doc_ids[:, None])
-    return AttentionMask("completed_patch_causal",
-                         np.column_stack([np.ones(boundaries.n_bytes, dtype=bool), patches]))
+    """Byte i sees patch j (column j + 1) iff j is the last patch of i's
+    document that ends at or before i, and the learned start slot (column 0)
+    while its document has no such patch."""
+    return AttentionMask("last_completed_patch",
+                         completed_patch_spans(boundaries, doc_ids, 1).dense(boundaries.n_patches + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +472,7 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
     scale = 1.0 / math.sqrt(q.shape[-1])
-    return span_attention(q, k, v, spans.lo, spans.hi, scale)
+    return span_attention(q, k, v, spans.lo, spans.hi, scale, spans.plan)
 
 
 def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
@@ -626,19 +607,17 @@ def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
     """Byte logits from encoder byte states and latent patch outputs.
 
     Each latent output is linearly mapped and split into k decoder-width
-    key/value slots. The byte query at position i attends only to slots of
-    patches that end at or before i in its document, and to the k learned
-    start slots, which each document gets its own copy of right before its
-    patch slots. A windowed causal transformer layer then refines the byte
-    sequence.
+    key/value slots, which follow the k learned start slots. The byte query at
+    position i attends to the k slots of the last patch that ends at or before
+    i in its document, or to the start slots while there is none, so no
+    information from inside its own patch leaks backward. A windowed causal
+    transformer layer then refines the byte sequence.
     """
     dtype = byte_states.dtype
     k, d = config.k, config.dec_dim
     m = latent_out.shape[0]
     slots = (latent_out @ params["dec.patch_proj"]).reshape(m * k, d)
-    # embedding scatter-adds, so every copy of the start slots passes its gradient back
-    kv = embedding(concat([params["dec.start_kv"], slots], axis=0),
-                   decoder_key_rows(stream.patch_doc_ids, k))
+    kv = concat([params["dec.start_kv"], slots], axis=0)
 
     xattn_spans = completed_patch_spans(stream.boundaries, stream.doc_ids, k)
     byte_spans = _local_spans(stream, config.dec_window, span_cache)

@@ -13,8 +13,8 @@ starts a patch when it meets either constraint that is set. The three entropy
 schemes differ only in which thresholds they read (``ENTROPY_THRESHOLDS``).
 A target mean patch size calibrates the one threshold of ``entropy_global``
 (theta_g) or ``entropy_monotonic`` (theta_r); ``calibrated_config`` returns
-the config with it filled in. Any other scheme has no single threshold to fit
-and rejects a target.
+the config with it filled in, and rejects a config that already sets it. Any
+other scheme has no single threshold to fit and rejects a target.
 """
 
 from __future__ import annotations
@@ -353,7 +353,12 @@ def calibrate_threshold(
 
 def calibrated_config(config: PatchingConfig, model: EntropyModel | None, sample: Iterable,
                       target_patch_size: float) -> PatchingConfig:
-    """``config`` with its scheme's one threshold calibrated to the target on ``sample``."""
+    """``config`` with its scheme's one threshold, which it must leave unset,
+    calibrated to the target on ``sample``."""
+    reads = ENTROPY_THRESHOLDS.get(config.scheme, ())
+    if len(reads) == 1 and getattr(config, reads[0]) is not None:
+        raise CalibrationError(f"{reads[0]}={getattr(config, reads[0])} is given, and a target "
+                               "patch size would calibrate it; give one of them")
     theta = calibrate_threshold(model, sample, target_patch_size, config.scheme,
                                 config.reset_on_newline, config.max_patch_size)
     (name,) = ENTROPY_THRESHOLDS[config.scheme]

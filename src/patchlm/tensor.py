@@ -3,10 +3,11 @@
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
 segment pooling over contiguous spans, a fused NLL-from-logits, and tiled
-attention over one contiguous key span per query. The attention plans its
-query tiles once per call (each tile's slice of key columns, and a mask over
-only the edge columns that some of its rows do not see), reuses the plan in
-its backward, and multiplies scores by contiguous kᵀ and vᵀ copies instead
+attention over one contiguous key span per query. The attention works from a
+plan of its query tiles (each tile's slice of key columns, and a mask over
+only the edge columns that some of its rows do not see), which callers can
+build once and pass to every call over the same spans; its backward reuses
+the plan, and it multiplies scores by contiguous kᵀ and vᵀ copies instead
 of transposed views of k and v, whose head-sized inner dimension BLAS
 handles slowly. Graphs are built eagerly, and only where some input
 requires grad: an op on tensors that do not records no parents and no vjp,
@@ -288,7 +289,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(y, (x,), vjp)
 
 
-def _tile_plan(lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
+def tile_plan(lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
     """For each tile of ``ATTN_TILE`` query rows: ``(rows, cols, edges)``.
 
     ``cols`` is the slice [first, last) of keys the tile scores: the range its
@@ -331,14 +332,14 @@ def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarra
 
 
 def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarray,
-                   scale: float) -> Tensor:
+                   scale: float, plan: list[tuple] | None = None) -> Tensor:
     """Multi-head softmax attention where query i sees keys [lo[i], hi[i]).
 
     ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
     (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows
-    under a tile plan built once per call and reused by the backward (see
-    ``_tile_plan``): a tile scores only the slice of keys its rows' spans
-    cover, and masks only the edge columns that some of its rows do not see.
+    under ``plan``, which must be ``tile_plan(lo, hi)`` (built here if not given)
+    and which the backward reuses: a tile scores only the slice of keys its rows'
+    spans cover, and masks only the edge columns that some of its rows do not see.
     Scores multiply by a contiguous kᵀ (heads, d, n_k) and the backward's
     ``g @ vᵀ`` by a contiguous vᵀ, never by a transposed view; the backward
     builds its own kᵀ instead of keeping the forward's alive until it runs.
@@ -356,7 +357,8 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarr
     if np.any(hi <= lo):
         raise ValueError("a query has no visible key")
     qs = q.data * scale
-    plan = _tile_plan(lo, hi)
+    if plan is None:
+        plan = tile_plan(lo, hi)
 
     kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
     out = np.empty(q.shape[:2] + v.shape[2:], dtype=q.dtype)

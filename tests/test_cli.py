@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -169,10 +170,14 @@ BAD_INPUTS = {
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
        for bad in ("magic", "checksum", "version", "not_nested")},
+    # on a corpus large enough to calibrate on, so only the contradiction fails
+    "theta_and_target": (["patch", "--corpus", "big.txt", "--scheme", "entropy_global",
+                          "--theta", "2.0", "--target-patch-size", "4.5"], EXIT_CONFIG),
 }
 
 
-def _write_bad_inputs(tmp_path):
+def _write_bad_inputs(tmp_path, corpus_file):
+    shutil.copy(corpus_file, tmp_path / "big.txt")
     (tmp_path / "text.txt").write_text("the cat sat on the mat\n")
     (tmp_path / "one.txt").write_bytes(b"x")
     (tmp_path / "alpha0.json").write_text(json.dumps({"entropy_model": {"alpha": 0}}))
@@ -196,8 +201,8 @@ def _write_bad_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_exits_with_code_and_no_traceback(tmp_path, case):
-    _write_bad_inputs(tmp_path)
+def test_bad_input_exits_with_code_and_no_traceback(tmp_path, corpus_file, case):
+    _write_bad_inputs(tmp_path, corpus_file)
     argv, code = BAD_INPUTS[case]
     proc = run_module(tmp_path, *argv)
     assert proc.returncode == code, proc.stderr
@@ -367,6 +372,20 @@ def test_target_patch_size_without_one_threshold_is_a_config_error(capsys, patch
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, command
         assert err.startswith("config error") and "Traceback" not in err, command
+        assert not Path("run").exists(), command  # a failed train leaves no run directory
+
+
+@pytest.mark.parametrize("scheme", ["entropy_global", "entropy_monotonic"])
+def test_threshold_given_next_to_a_target_is_a_config_error(capsys, patcher_command_dir, scheme):
+    (name,) = ENTROPY_THRESHOLDS[scheme]
+    flag = {"theta_g": "--theta", "theta_r": "--theta-r"}[name]
+    for command, extra in PATCHER_COMMANDS.items():
+        code = main([command, *patcher_command_dir, *extra, "--scheme", scheme,
+                     flag, "0.5", "--target-patch-size", "4.5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, command
+        assert err.startswith("config error") and name in err, command
+        assert not Path("run").exists(), command
 
 
 def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file):

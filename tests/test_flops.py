@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from patchlm.flops import (
@@ -16,7 +18,9 @@ from patchlm.flops import (
     transformer_flops_per_token,
     width_family,
 )
-from patchlm.model import ModelConfig, init_params
+from patchlm import textgen
+from patchlm.model import ModelConfig, Stream, completed_patch_spans, init_params, param_shapes
+from patchlm.patching import patch_space
 
 
 def test_de_embedding_plugin():
@@ -55,6 +59,30 @@ def test_blt_report_additivity_and_positivity():
     assert sum(comps.values()) == rep.total_forward
     assert all(v > 0 for v in comps.values())
     assert rep.total_train == 3 * rep.total_forward
+
+
+def test_decoder_xattn_equals_executed_count():
+    # the FLOPs decoder_forward executes on a 4,096-byte stream of two
+    # documents, from the spans and the parameter shapes: projections of the
+    # latent outputs to slots, of the byte queries and outputs, of the start and
+    # patch slots to keys and values, and score plus mix over each byte's keys
+    cfg = ModelConfig()
+    text = np.frombuffer(textgen.synthetic_text(4096, seed=4).encode()[:4096], np.uint8)
+    stream = Stream.from_documents([text[:1500], text[1500:]], patch_space)
+    n, m = stream.n_bytes, stream.n_patches
+    shapes = param_shapes(cfg)
+    keys = shapes["dec.start_kv"][0] + m * cfg.k
+    spans = completed_patch_spans(stream.boundaries, stream.doc_ids, cfg.k)
+    seen = int((spans.hi - spans.lo).sum())
+    executed = 2 * m * math.prod(shapes["dec.patch_proj"])
+    for i in range(cfg.dec_layers):
+        w = {name: shapes[f"dec.{i}.xattn.{name}"] for name in ("wq", "wk", "wv", "wo")}
+        executed += 2 * n * (math.prod(w["wq"]) + math.prod(w["wo"]))
+        executed += 2 * keys * (math.prod(w["wk"]) + math.prod(w["wv"]))
+        executed += 2 * seen * (w["wq"][1] + w["wv"][1])
+    analytic = blt_flops_per_byte(cfg, n_ctx=n, n_p=Fraction(n, m)).decoder_xattn
+    assert n == 4096 and seen == cfg.k * n
+    assert analytic == Fraction(executed, n)
 
 
 def test_only_latent_remains_without_local_layers():

@@ -14,8 +14,8 @@ from patchlm.model import (
     block_causal_patch_mask,
     completed_patch_mask,
     completed_patch_spans,
+    cross_attention_block,
     decoder_forward,
-    decoder_key_rows,
     encoder_forward,
     global_forward,
     grad_check,
@@ -34,7 +34,7 @@ from patchlm.patching import (
     patch_strided,
 )
 from patchlm import model
-from patchlm.tensor import ATTN_TILE, Tensor, concat, embedding, parameter, softmax
+from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, softmax
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -96,31 +96,24 @@ def test_completed_patch_mask_predicate():
     bounds = PatchBoundaries(np.array([0, 3, 5]), 8)  # patches [0,3) [3,5) [5,8)
     doc_ids = np.zeros(8, np.int32)
     m = completed_patch_mask(bounds, doc_ids)
-    assert m.allowed[:, 0].all()  # start slot always visible
-    ends = [2, 4, 7]
-    for i in range(8):
-        for j in range(3):
-            assert m.allowed[i, 1 + j] == (ends[j] <= i)
-    # first-patch bytes see only the start slot
-    assert m.allowed[1].tolist() == [True, False, False, False]
-    # one document keeps the plain [start slots; patch slots] key layout
-    assert decoder_key_rows(doc_ids[bounds.starts], 2).tolist() == list(range(8))
+    # bytes 0-1 see the start slot, 2-3 patch 0, 4-6 patch 1, 7 patch 2
+    assert m.allowed.argmax(axis=1).tolist() == [0, 0, 1, 1, 2, 2, 2, 3]
+    assert (m.allowed.sum(axis=1) == 1).all()
 
-    # two documents: a byte sees only its own document's completed patches
+    # two documents: a byte sees the last completed patch of its own document,
+    # and the start slot until that document has one
     bounds = PatchBoundaries(np.array([0, 2, 4, 5, 7]), 9)  # docs [0,4) [4,9)
     doc_ids = np.array([0] * 4 + [1] * 5, np.int32)
     m = completed_patch_mask(bounds, doc_ids)
     ends, patch_docs = bounds.ends(), doc_ids[bounds.starts]
     for i in range(9):
-        for j in range(5):
-            assert m.allowed[i, 1 + j] == (ends[j] <= i and patch_docs[j] == doc_ids[i])
-    # the decoder's keys hold k copies of each column: every byte sees each of
-    # them exactly once, through the key rows of its own document
-    rows = decoder_key_rows(patch_docs, 3)
-    byte, key = np.nonzero(completed_patch_spans(bounds, doc_ids, slots=3).dense(len(rows)))
-    counts = np.zeros((9, 3 * 6), dtype=int)
-    np.add.at(counts, (byte, rows[key]), 1)
-    np.testing.assert_array_equal(counts, np.repeat(m.allowed, 3, axis=1))
+        done = [j for j in range(5) if ends[j] <= i and patch_docs[j] == doc_ids[i]]
+        want = np.zeros(6, bool)
+        want[1 + done[-1] if done else 0] = True
+        np.testing.assert_array_equal(m.allowed[i], want, err_msg=f"byte {i}")
+    # the decoder's keys hold k slots per column, and the spans pick exactly them
+    spans = completed_patch_spans(bounds, doc_ids, slots=3)
+    np.testing.assert_array_equal(spans.dense(3 * 6), np.repeat(m.allowed, 3, axis=1))
 
 
 def test_masked_softmax_exact_zeros_and_row_sums():
@@ -292,6 +285,19 @@ def test_next_byte_scores_last_position_from_the_same_logits():
     assert abs(b.total_nats - (a.total_nats + nll_q)) <= 1e-12 * b.total_nats
     one = Stream(base.data[:1], np.zeros(1, np.int32), np.array([0]), next_byte=ord("q"))
     assert lm_forward(params, one, cfg).n_predicted == 1  # a 1-byte span predicts its successor
+
+
+def test_each_span_set_plans_its_tiles_once(monkeypatch):
+    # local spans (encoder and decoder layers), membership, latent and decoder
+    # spans: one tile plan each per forward, however many layers attend over them
+    cfg = tiny_cfg(global_layers=3, dec_layers=2)
+    params = init_params(cfg, seed=0)
+    calls, plan = [], model.tile_plan
+    monkeypatch.setattr(model, "tile_plan", lambda lo, hi: calls.append(len(lo)) or plan(lo, hi))
+    stream = text_stream()
+    lm_forward(params, stream, cfg)
+    assert sorted(calls) == sorted([stream.n_bytes, stream.n_patches, stream.n_patches,
+                                    stream.n_bytes])
 
 
 def test_forward_on_detached_params_builds_no_graph():
@@ -475,27 +481,34 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("doc_starts", [[], [ATTN_TILE], [37, 2 * ATTN_TILE],
-                                        [ATTN_TILE - 1, ATTN_TILE + 1]])
-def test_decoder_key_layout_matches_dense_oracle(doc_starts):
-    # decoder cross-attention over the per-document key layout against dense
-    # attention over [start_kv; slots] under the completed-patch mask; the
-    # document starts fall mid-tile and on tile edges
-    k, heads, dim = 3, 2, 8
-    n = 2 * ATTN_TILE + 45
+DOC_STARTS = [[], [ATTN_TILE], [37, 2 * ATTN_TILE], [ATTN_TILE - 1, ATTN_TILE + 1]]
+
+
+def _decoder_case(doc_starts, n=2 * ATTN_TILE + 45):
+    """Doc ids and random patches of an n-byte stream whose later documents
+    start at ``doc_starts`` (mid-tile and on tile edges)."""
     rng = np.random.default_rng(len(doc_starts))
     doc_ids = np.zeros(n, np.int32)
     for start in doc_starts:
         doc_ids[start:] += 1
     bounds = PatchBoundaries(np.union1d(np.flatnonzero(rng.random(n) < 0.2), [0, *doc_starts]), n)
+    return rng, doc_ids, bounds
+
+
+@pytest.mark.parametrize("doc_starts", DOC_STARTS)
+def test_decoder_key_layout_matches_dense_oracle(doc_starts):
+    # decoder cross-attention over [start_kv; slots] through the spans against
+    # dense attention under the last-completed-patch mask, in float64
+    k, heads, dim = 3, 2, 8
+    rng, doc_ids, bounds = _decoder_case(doc_starts)
+    n = bounds.n_bytes
     leaves = [rng.standard_normal(shape)
               for shape in ((heads, n, dim // heads), (k, dim), (bounds.n_patches * k, dim))]
     w_v = Tensor(rng.standard_normal((dim, dim)))
     weight = rng.standard_normal((heads, n, dim // heads))
     allowed = np.repeat(completed_patch_mask(bounds, doc_ids).allowed, k, axis=1)
 
-    def layout(q, kv):
-        kv = embedding(kv, decoder_key_rows(doc_ids[bounds.starts], k))
+    def spans(q, kv):
         keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)
         return model._attend(q, keys, values, completed_patch_spans(bounds, doc_ids, k))
 
@@ -505,13 +518,46 @@ def test_decoder_key_layout_matches_dense_oracle(doc_starts):
         return softmax(scores + np.where(allowed, 0.0, -np.inf), axis=-1) @ values
 
     results = []
-    for attend in (layout, dense):
+    for attend in (spans, dense):
         q, start_kv, slots = (parameter(x.copy()) for x in leaves)
         out = attend(q, concat([start_kv, slots], axis=0))
         (out * weight).sum().backward()
         results.append([out.data, q.grad, start_kv.grad, slots.grad])
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("doc_starts", DOC_STARTS)
+def test_decoder_spans_have_width_k(doc_starts):
+    # one patch's k slots per byte, however long the document: cross-attention
+    # that widened back to every completed patch would be O(patches) per byte
+    _, doc_ids, bounds = _decoder_case(doc_starts, n=4 * ATTN_TILE + 45)
+    for k in (1, 2, 3):
+        spans = completed_patch_spans(bounds, doc_ids, k)
+        assert (spans.hi - spans.lo == k).all()
+        assert (spans.lo % k == 0).all() and spans.hi.max() <= k * (bounds.n_patches + 1)
+
+
+@pytest.mark.parametrize("doc_starts", DOC_STARTS)
+def test_decoder_xattn_locality_zero_gradient(doc_starts):
+    # a byte's decoder cross-attention output depends on its own block of k
+    # keys only: the gradient to every other start or patch slot is exactly 0
+    cfg = tiny_cfg()
+    k = cfg.k
+    rng, doc_ids, bounds = _decoder_case(doc_starts)
+    params = init_params(cfg, seed=9).astype(np.float64)
+    x = Tensor(rng.standard_normal((bounds.n_bytes, cfg.dec_dim)))
+    spans = completed_patch_spans(bounds, doc_ids, k)
+    doc_first = np.flatnonzero(np.diff(doc_ids, prepend=-1))
+    for i in sorted({0, 1, bounds.n_bytes - 1, *doc_first, *(doc_first + 3), *bounds.ends()}):
+        kv = parameter(rng.standard_normal((k * (bounds.n_patches + 1), cfg.dec_dim)))
+        out = cross_attention_block(x, kv, params, "dec.0.xattn.", cfg.dec_heads, spans)
+        out[i].sum().backward()
+        block = slice(int(spans.lo[i]), int(spans.hi[i]))
+        outside = np.ones(len(kv.data), bool)
+        outside[block] = False
+        assert np.all(kv.grad[outside] == 0.0), f"byte {i}"
+        assert np.all(np.abs(kv.grad[block]).sum(axis=1) > 0), f"byte {i}"
 
 
 def test_long_stream_memory_stays_bounded():
