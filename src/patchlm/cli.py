@@ -41,6 +41,7 @@ from .trainer import (
     CheckpointError,
     OptimSpec,
     PatchStreamLoader,
+    check_disjoint,
     eval_bpb,
     load_checkpoint,
     train,
@@ -61,7 +62,8 @@ def _run_root(args) -> Path:
     return Path(root)
 
 
-def _make_run_dir(args, cfg: RunConfig) -> Path:
+def _free_run_dir(args, cfg: RunConfig) -> Path:
+    """The run directory's path, if it is absent, empty or ``--force`` is given."""
     if args.run_dir:
         run_dir = Path(args.run_dir)
     else:
@@ -69,6 +71,10 @@ def _make_run_dir(args, cfg: RunConfig) -> Path:
         run_dir = _run_root(args) / f"{cfg.content_hash[:8]}-{stamp}"
     if run_dir.exists() and any(run_dir.iterdir()) and not args.force:
         raise RunDirError(f"run directory {run_dir} exists; pass --force to overwrite")
+    return run_dir
+
+
+def _make_run_dir(run_dir: Path, cfg: RunConfig) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     lock = run_dir / ".lock"
     try:
@@ -78,7 +84,6 @@ def _make_run_dir(args, cfg: RunConfig) -> Path:
     except FileExistsError:
         raise RunDirError(f"run directory {run_dir} is locked by another process") from None
     cfg.write(run_dir / "config.json")
-    return run_dir
 
 
 def _release(run_dir: Path | None):
@@ -133,7 +138,7 @@ def _patcher(args, cfg: RunConfig, docs):
         pc = patching.calibrated_config(pc, model, docs, target)
     vocab = None
     if pc.scheme == "bpe":
-        vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=args.bpe_merges)
+        vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=pc.bpe_merges)
     return make_patcher(pc, entropy_model=model, bpe_vocab=vocab), pc, model
 
 
@@ -185,7 +190,9 @@ def cmd_patch(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    # built before the run directory, so a config or data error leaves none behind
+    # the run directory is checked first but created last, so a config or data
+    # error fails fast and leaves none behind
+    run_dir = _free_run_dir(args, cfg)
     docs = _load_docs(args, cfg)
     rng = np.random.Generator(np.random.PCG64(cfg["run"]["seed"]))
     order = rng.permutation(len(docs))
@@ -196,6 +203,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         ds = load_corpus(args.corpus_eval, format=args.format)
         eval_docs = [d.data for d in ds]
         train_docs = docs
+    check_disjoint(train_docs, eval_docs)
     patcher, pc, _ = _patcher(args, cfg, train_docs)
     model_cfg = ModelConfig.from_dict(cfg["model"])
     loader = PatchStreamLoader(train_docs, patcher,
@@ -203,7 +211,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
                                seed=cfg["run"]["seed"])
     optim = OptimSpec(**cfg["optimizer"])
     params = init_params(model_cfg, seed=cfg["run"]["seed"])
-    run_dir = _make_run_dir(args, cfg)
+    _make_run_dir(run_dir, cfg)
     try:
         result = train(
             params, model_cfg, loader, optim, cfg["training"]["steps"],
@@ -361,9 +369,12 @@ def _add_patch_flags(sp):
                          "--theta-r for entropy_monotonic) to this mean patch size on "
                          "the command's own corpus")
     sp.add_argument("--reset-newline", action="store_true", default=None)
-    sp.add_argument("--max-patch", type=int, default=None)
+    sp.add_argument("--max-patch", type=int, default=None,
+                    help="maximum patch length in bytes (patching.max_patch_size); "
+                         "the model sets no limit of its own")
     sp.add_argument("--entropy-model", default=None, help="path to a saved entropy model")
-    sp.add_argument("--bpe-merges", type=int, default=200)
+    sp.add_argument("--bpe-merges", type=int, default=None,
+                    help="merges of the bpe scheme's vocabulary (patching.bpe_merges)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 # patch flag -> key of the ``patching`` config section it overrides
 _PATCH_FLAG_KEYS = {"scheme": "scheme", "k": "k", "theta": "theta_g", "theta_r": "theta_r",
                     "max_patch": "max_patch_size", "reset_newline": "reset_on_newline",
-                    "target_patch_size": "target_patch_size"}
+                    "target_patch_size": "target_patch_size", "bpe_merges": "bpe_merges"}
 
 
 def _overrides(args) -> dict:

@@ -159,9 +159,9 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
 def non_embedding_params(config: ModelConfig) -> int:
     """Trainable parameter count excluding the byte and hash embedding tables."""
     E, G, D, k = config.enc_dim, config.global_dim, config.dec_dim, config.k
-    fe = ffn_hidden_dim(E, config.ff_mult, config.ff_multiple_of)
-    fg = ffn_hidden_dim(G, config.ff_mult, config.ff_multiple_of)
-    fd = ffn_hidden_dim(D, config.ff_mult, config.ff_multiple_of)
+    fe = ffn_hidden_dim(E, config.ff_mult)
+    fg = ffn_hidden_dim(G, config.ff_mult)
+    fd = ffn_hidden_dim(D, config.ff_mult)
 
     def layer(dim, ff):
         return 4 * dim * dim + 2 * dim + 3 * dim * ff
@@ -218,7 +218,7 @@ def width_family(template: ModelConfig, lo: int | None = None, hi: int | None = 
     def build(axis: int) -> ModelConfig:
         e = axis * step
         return ModelConfig.from_dict(
-            dict(template.to_dict(), enc_dim=e, dec_dim=e, global_dim=k * e)
+            dict(template.to_dict(), enc_dim=e, global_dim=k * e)
         )
 
     return ConfigFamily(build, lo, hi, axis_name=f"enc_dim(x{step})")

@@ -17,6 +17,14 @@ charges. The ``*_mask`` builders are dense views of the same predicates. The
 forward path calls none of them; they stay because ``perfbench/tracing.py``
 wraps them by name, and tests use them as dense references.
 
+Some widths and constants are fixed rather than configured. The decoder
+works at encoder width by construction, since it starts from the encoder's
+byte states, so ``ModelConfig.dec_dim`` is ``enc_dim``. Patch queries are
+initialised by max pooling, the hash multiplier is ``ngram_hash``'s fixed
+prime, and feed-forward widths round up to a multiple of 8. The maximum patch
+size is part of segmentation, not of the model: ``PatchingConfig`` holds it,
+and the model accepts patches of any length.
+
 Everything runs on the package's numpy autodiff; float64 mode exists for
 finite-difference gradient checks.
 """
@@ -31,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ngram_hash import DEFAULT_HASH_PRIME, hash_ngram_ids, validate_multiplier
+from .ngram_hash import hash_ngram_ids
 from .patching import PatchBoundaries
 from .tensor import (
     Tensor,
@@ -40,7 +48,6 @@ from .tensor import (
     nll_from_logits,
     parameter,
     segment_max,
-    segment_mean,
     softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
     span_attention,
     tile_plan,
@@ -55,22 +62,21 @@ class NumericError(Exception):
     pass
 
 
-def ffn_hidden_dim(dim: int, ff_mult: int = 4, multiple_of: int = 8) -> int:
-    """Gated feed-forward hidden width: 2/3 of mult*dim, rounded up.
+def ffn_hidden_dim(dim: int, ff_mult: int = 4) -> int:
+    """Gated feed-forward hidden width: 2/3 of mult*dim, rounded up to a multiple of 8.
 
     The 2/3 factor keeps the three-matmul gated block at the same cost as a
     plain two-matmul block of width mult*dim, which is what the FLOP
     accounting assumes.
     """
     h = int(2 * ff_mult * dim / 3)
-    return multiple_of * ((h + multiple_of - 1) // multiple_of)
+    return 8 * ((h + 7) // 8)
 
 
 @dataclass
 class ModelConfig:
     enc_dim: int = 64
     global_dim: int = 128
-    dec_dim: int = 64
     enc_layers: int = 1
     global_layers: int = 4
     dec_layers: int = 2
@@ -80,13 +86,9 @@ class ModelConfig:
     enc_window: int = 512
     dec_window: int = 512
     ff_mult: int = 4
-    ff_multiple_of: int = 8
     rope_theta: float = 500000.0
     ngram_sizes: tuple = (3, 4, 5, 6, 7, 8)
     hash_vocab: int = 4096  # buckets per n-gram size; 0 disables hash embeddings
-    hash_prime: int = DEFAULT_HASH_PRIME
-    max_patch_size: int = 512
-    pooling: str = "max"  # patch query init: max | mean
 
     def __post_init__(self):
         self.ngram_sizes = tuple(sorted(self.ngram_sizes))
@@ -95,8 +97,6 @@ class ModelConfig:
                 f"global_dim ({self.global_dim}) must be a multiple of enc_dim ({self.enc_dim}): "
                 "patch queries are maintained as encoder-width heads whose concatenation is global width"
             )
-        if self.dec_dim != self.enc_dim:
-            raise ValueError("dec_dim must equal enc_dim: the decoder starts from encoder byte states")
         for dim, heads, tag in ((self.enc_dim, self.enc_heads, "enc"),
                                 (self.global_dim, self.global_heads, "global"),
                                 (self.dec_dim, self.dec_heads, "dec")):
@@ -107,11 +107,13 @@ class ModelConfig:
         if self.enc_layers >= self.global_layers or self.dec_layers >= self.global_layers:
             warnings.warn("local blocks are expected to be much shallower than the latent transformer",
                           stacklevel=2)
-        if self.pooling not in ("max", "mean"):
-            raise ValueError(f"pooling must be max or mean, got {self.pooling!r}")
         if self.enc_window < 1 or self.dec_window < 1:
             raise ValueError("attention windows must be >= 1")
-        validate_multiplier(self.hash_prime)
+
+    @property
+    def dec_dim(self) -> int:
+        """Decoder width, which is encoder width: the decoder starts from encoder byte states."""
+        return self.enc_dim
 
     @property
     def k(self) -> int:
@@ -204,9 +206,9 @@ def _xattn_names(prefix: str, q_dim: int, kv_dim: int) -> list[tuple[str, tuple]
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Every parameter tensor's shape, keyed by name."""
     E, G, D, k = config.enc_dim, config.global_dim, config.dec_dim, config.k
-    fe = ffn_hidden_dim(E, config.ff_mult, config.ff_multiple_of)
-    fg = ffn_hidden_dim(G, config.ff_mult, config.ff_multiple_of)
-    fd = ffn_hidden_dim(D, config.ff_mult, config.ff_multiple_of)
+    fe = ffn_hidden_dim(E, config.ff_mult)
+    fg = ffn_hidden_dim(G, config.ff_mult)
+    fd = ffn_hidden_dim(D, config.ff_mult)
     shapes: dict[str, tuple] = {"byte_embed": (VOCAB, E)}
     if config.hash_vocab > 0:
         for n in config.ngram_sizes:
@@ -530,8 +532,7 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
     valid = {size: np.zeros(n, dtype=bool) for size in config.ngram_sizes}
     doc_bounds = np.nonzero(np.diff(stream.doc_ids, prepend=stream.doc_ids[0] - 1))[0]
     for lo, hi in zip(doc_bounds, np.append(doc_bounds[1:], n)):
-        doc_grams = hash_ngram_ids(stream.data[lo:hi], config.ngram_sizes, config.hash_vocab,
-                                   config.hash_prime)
+        doc_grams = hash_ngram_ids(stream.data[lo:hi], config.ngram_sizes, config.hash_vocab)
         for size, size_ids in doc_grams.items():
             ids[size][lo + size - 1 : hi] = size_ids
             valid[size][lo + size - 1 : hi] = True
@@ -562,19 +563,16 @@ def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
                     span_cache: dict | None = None) -> tuple[Tensor, Tensor]:
     """Byte states for the decoder plus patch representations for the latent model.
 
-    Patch queries are initialized by pooling the augmented byte embeddings of
-    each patch and projecting to global width; each cross-attention layer uses
+    Patch queries are initialized by max pooling the augmented byte embeddings
+    of each patch and projecting to global width; each cross-attention layer uses
     the byte states from before that layer's transformer (the embeddings for
     the first layer) as keys/values, restricted to the query's own patch.
     ``span_cache`` shares the local attention spans with ``decoder_forward``.
     """
     dtype = params["byte_embed"].dtype
     bounds = stream.boundaries
-    if int(bounds.lengths().max()) > config.max_patch_size:
-        raise ValueError(f"a patch exceeds max_patch_size={config.max_patch_size}")
     e = augmented_byte_embeddings(params, stream, config)
-    pool = segment_max if config.pooling == "max" else segment_mean
-    p = pool(e, stream.patch_starts) @ params["enc.pool_proj"]
+    p = segment_max(e, stream.patch_starts) @ params["enc.pool_proj"]
 
     byte_spans = _local_spans(stream, config.enc_window, span_cache)
     memb_spans = membership_spans(bounds)

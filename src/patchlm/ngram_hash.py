@@ -2,7 +2,8 @@
 
 The hash of an n-gram ending at position i is sum over j of
 ``byte[i - j + 1] * a**(j - 1)`` for j = 1..n, evaluated in wrapping 64-bit
-arithmetic, with ``a`` a 10-digit prime. Bucket ids are the hash modulo the
+arithmetic, with ``a`` = ``DEFAULT_HASH_PRIME``, the fixed 10-digit prime
+multiplier BLT uses; it is not a setting. Bucket ids are the hash modulo the
 per-size table vocabulary. n-grams of size n are omitted at positions with
 fewer than n preceding-or-current bytes. ``hash_ngram_ids`` is the one place
 this rule lives; the model's hash n-gram embeddings look their rows up with it.
@@ -19,38 +20,7 @@ DEFAULT_HASH_PRIME = 1_000_000_007
 _MASK64 = (1 << 64) - 1
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def validate_multiplier(a: int) -> None:
-    if len(str(a)) != 10:
-        raise ValueError(f"hash multiplier must have exactly 10 decimal digits, got {a}")
-    if not is_prime(a):
-        raise ValueError(f"hash multiplier must be prime, got {a}")
-
-
-def rolling_hashes(data, n: int, a: int = DEFAULT_HASH_PRIME) -> np.ndarray:
+def rolling_hashes(data, n: int) -> np.ndarray:
     """Hashes of every size-n gram; entry t covers bytes t..t+n-1 (vectorized)."""
     arr = np.asarray(data, dtype=np.uint8)
     if len(arr) < n:
@@ -61,12 +31,11 @@ def rolling_hashes(data, n: int, a: int = DEFAULT_HASH_PRIME) -> np.ndarray:
     with np.errstate(over="ignore"):
         for j in range(1, n + 1):  # j-th byte back from the gram's end
             out += a64[n - j : len(arr) - j + 1] * np.uint64(power)
-            power = (power * a) & _MASK64
+            power = (power * DEFAULT_HASH_PRIME) & _MASK64
     return out
 
 
-def hash_ngram_ids(data, sizes: Iterable[int], per_size_vocab: int,
-                   a: int = DEFAULT_HASH_PRIME) -> dict[int, np.ndarray]:
+def hash_ngram_ids(data, sizes: Iterable[int], per_size_vocab: int) -> dict[int, np.ndarray]:
     """Bucket id per position and n-gram size.
 
     ids[n][i] is defined for positions i >= n - 1 (0-based) and indexes the
@@ -75,5 +44,5 @@ def hash_ngram_ids(data, sizes: Iterable[int], per_size_vocab: int,
     """
     out = {}
     for n in sizes:
-        out[n] = (rolling_hashes(data, n, a) % np.uint64(per_size_vocab)).astype(np.int64)
+        out[n] = (rolling_hashes(data, n) % np.uint64(per_size_vocab)).astype(np.int64)
     return out

@@ -113,7 +113,11 @@ class PatchStats:
 
 @dataclass
 class PatchingConfig:
-    """Declarative patcher choice."""
+    """Declarative patcher choice.
+
+    ``max_patch_size`` is the one maximum patch length; ``bpe_merges`` is the
+    merge count of the vocabulary the ``bpe`` scheme trains.
+    """
 
     scheme: str = "entropy_global"
     k: int = 4
@@ -121,6 +125,7 @@ class PatchingConfig:
     theta_r: float | None = None
     reset_on_newline: bool = False
     max_patch_size: int = DEFAULT_MAX_PATCH
+    bpe_merges: int = 200
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -135,6 +140,8 @@ class PatchingConfig:
             raise PatchingError("theta_g must be nonnegative")
         if self.max_patch_size < 1:
             raise PatchingError("max_patch_size must be >= 1")
+        if self.bpe_merges < 0:
+            raise PatchingError("bpe_merges must be >= 0")
 
 
 def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int | None) -> tuple[np.ndarray, int]:

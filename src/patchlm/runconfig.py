@@ -7,6 +7,12 @@ and ``optimizer`` defaults are those of ``ModelConfig``, ``PatchingConfig``
 and ``OptimSpec``, so each default lives in one place. Input and output
 locations are not config keys: ``--corpus``, ``--corpus-eval``, ``--format``
 and ``--run-root`` name them.
+
+A setting with one legal value is not a key. Every generator is pcg64, the
+learning-rate schedule is warmup then cosine to zero (``trainer.lr_at``), and
+the hash n-gram multiplier is BLT's fixed 10-digit prime
+(``ngram_hash.DEFAULT_HASH_PRIME``). The maximum patch size is
+``patching.max_patch_size`` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ class ConfigError(Exception):
 
 DEFAULTS: dict = {
     "run": {"seed": 0},
-    "rng_algo": "pcg64",
     "data": {
         "synthetic_bytes": 0,  # generate a corpus when no --corpus is given
         "synthetic_doc_bytes": 512,
@@ -77,8 +82,6 @@ class RunConfig:
     def __init__(self, values: dict):
         _check_keys(values, DEFAULTS)
         self.values = _deep_merge(DEFAULTS, values)
-        if self.values["rng_algo"] != "pcg64":
-            raise ConfigError(f"unsupported rng_algo {self.values['rng_algo']!r}; this build pins pcg64")
 
     @classmethod
     def load(cls, path: str | Path | None, overrides: dict | None = None) -> "RunConfig":

@@ -2,7 +2,7 @@
 
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
-segment pooling over contiguous spans, a fused NLL-from-logits, and tiled
+max pooling over contiguous row segments, a fused NLL-from-logits, and tiled
 attention over one contiguous key span per query. The attention works from a
 plan of its query tiles (each tile's slice of key columns, and a mask over
 only the edge columns that some of its rows do not see), which callers can
@@ -431,20 +431,6 @@ def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
         return [(x, z)]
 
     return Tensor._result(out_data, (x,), vjp)
-
-
-def segment_mean(x: Tensor, starts: np.ndarray) -> Tensor:
-    """Columnwise mean over contiguous row segments."""
-    starts = np.asarray(starts, dtype=np.int64)
-    n, _ = x.data.shape
-    lengths = np.diff(np.append(starts, n)).astype(x.data.dtype)
-    sums_data = np.add.reduceat(x.data, starts, axis=0)
-
-    def vjp(g):
-        seg_of = np.searchsorted(starts, np.arange(n), side="right") - 1
-        return [(x, (g / lengths[:, None])[seg_of])]
-
-    return Tensor._result(sums_data / lengths[:, None], (x,), vjp)
 
 
 def parameter(data: np.ndarray, name: str | None = None) -> Tensor:

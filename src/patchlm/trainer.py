@@ -6,6 +6,9 @@ trajectory is bit-identical on a single worker, including across a
 checkpoint/resume split. Data order is a pure function of (seed, epoch), and
 the loader cursor rides along in the checkpoint, so no hidden RNG state
 exists.
+
+Checkpoints are format version 2, whose ``config`` and ``optim`` records hold
+only settings that can vary; ``load_checkpoint`` refuses any other version.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ from .patching import PatchBoundaries
 
 LN2 = float(np.log(2.0))
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# a loss above this multiple of the first step's loss counts toward divergence
+DIVERGENCE_FACTOR = 2.0
 
 
 class DivergenceError(NumericError):
@@ -46,9 +52,10 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class OptimSpec:
+    """AdamW settings; the schedule is always ``lr_at``'s warmup then cosine to zero."""
+
     lr_peak: float = 4e-4
     warmup_steps: int = 2000
-    schedule: str = "cosine_to_zero"
     beta1: float = 0.9
     beta2: float = 0.95
     eps: float = 1e-8
@@ -58,8 +65,6 @@ class OptimSpec:
     def __post_init__(self):
         if min(self.lr_peak, self.eps, self.grad_clip) <= 0 or self.warmup_steps < 0:
             raise ValueError("optimizer spec values must be positive")
-        if self.schedule != "cosine_to_zero":
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 def lr_at(step: int, spec: OptimSpec, total_steps: int) -> float:
@@ -442,7 +447,6 @@ def train(
     config_hash: str = "",
     start_step: int = 0,
     adam_state: AdamState | None = None,
-    divergence_factor: float = 2.0,
     divergence_patience: int = 100,
 ) -> TrainResult:
     """Run the loop; metrics stream to ``run_dir/metrics.jsonl``.
@@ -450,8 +454,11 @@ def train(
     Metrics rows carry only deterministic fields (step, loss, bpb, lr,
     grad_norm, patch/byte counts); wall-clock throughput and the process's
     peak resident memory so far go to a separate perf.jsonl, so two
-    identical runs produce bit-identical metrics files.
+    identical runs produce bit-identical metrics files. Overlapping train and
+    eval documents raise before any file is written.
     """
+    if eval_slices:
+        check_disjoint(loader.docs, [d for s in eval_slices.values() for d in s])
     state = adam_state if adam_state is not None else AdamState.init(params)
     run_dir = Path(run_dir) if run_dir else None
     metrics_fh = perf_fh = None
@@ -460,8 +467,6 @@ def train(
         mode = "a" if start_step > 0 else "w"
         metrics_fh = open(run_dir / "metrics.jsonl", mode)
         perf_fh = open(run_dir / "perf.jsonl", mode)
-    if eval_slices:
-        check_disjoint([d for d in loader.docs], [d for s in eval_slices.values() for d in s])
 
     result = TrainResult(steps_done=start_step, final_loss=float("nan"))
     initial_loss = None
@@ -484,7 +489,7 @@ def train(
 
             if initial_loss is None:
                 initial_loss = loss
-            bad_streak = bad_streak + 1 if loss > divergence_factor * initial_loss else 0
+            bad_streak = bad_streak + 1 if loss > DIVERGENCE_FACTOR * initial_loss else 0
             if metrics_fh:
                 row = {
                     "step": step,
@@ -506,7 +511,7 @@ def train(
             if bad_streak >= divergence_patience:
                 result.diverged = True
                 raise DivergenceError(
-                    f"loss {loss:.3f} above {divergence_factor}x initial {initial_loss:.3f} "
+                    f"loss {loss:.3f} above {DIVERGENCE_FACTOR}x initial {initial_loss:.3f} "
                     f"for {bad_streak} consecutive steps")
             if eval_every and eval_slices and (step + 1) % eval_every == 0:
                 result.eval_reports.append(

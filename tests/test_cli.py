@@ -18,7 +18,7 @@ from patchlm.entropy_lm import train_counts
 from patchlm.cli import EXIT_CONFIG, EXIT_DATA, main
 from patchlm.model import ModelConfig, init_params
 from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, patch_strided
-from patchlm.runconfig import ConfigError, RunConfig
+from patchlm.runconfig import DEFAULTS, ConfigError, RunConfig
 from patchlm.trainer import AdamState, OptimSpec, eval_bpb, load_checkpoint, save_checkpoint
 
 
@@ -30,7 +30,7 @@ def corpus_file(tmp_path_factory):
     return p
 
 
-TINY_MODEL = {"enc_dim": 16, "global_dim": 32, "dec_dim": 16, "enc_layers": 1,
+TINY_MODEL = {"enc_dim": 16, "global_dim": 32, "enc_layers": 1,
               "global_layers": 2, "dec_layers": 1, "enc_heads": 2, "global_heads": 2,
               "dec_heads": 2, "hash_vocab": 64, "enc_window": 16, "dec_window": 16}
 
@@ -136,7 +136,7 @@ def test_exit_codes(capsys, tmp_path):
     bad_cfg.write_text('{"nonsense_key": 1}')
     code, _ = run(capsys, "flops", "--config", str(bad_cfg))
     assert code == EXIT_CONFIG
-    bad_cfg.write_text('{"model": {"hash_prime": 4}}')
+    bad_cfg.write_text('{"model": {"enc_heads": 3}}')
     code, _ = run(capsys, "flops", "--config", str(bad_cfg))
     assert code == EXIT_CONFIG
 
@@ -167,6 +167,10 @@ BAD_INPUTS = {
                                      "--checkpoint", "text.txt"], EXIT_DATA),
     "checkpoint_version_99": (["eval-bpb", "--corpus", "text.txt",
                                "--checkpoint", "version99.npz"], EXIT_DATA),
+    # the format before the one-value and duplicate model and optimizer keys were removed
+    "checkpoint_version_1": (["eval-bpb", "--corpus", "text.txt",
+                              "--checkpoint", "version1.npz"], EXIT_DATA),
+    "removed_key_dec_dim": (["flops", "--config", "dec_dim.json"], EXIT_CONFIG),
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
        for bad in ("magic", "checksum", "version", "not_nested")},
@@ -181,6 +185,7 @@ def _write_bad_inputs(tmp_path, corpus_file):
     (tmp_path / "text.txt").write_text("the cat sat on the mat\n")
     (tmp_path / "one.txt").write_bytes(b"x")
     (tmp_path / "alpha0.json").write_text(json.dumps({"entropy_model": {"alpha": 0}}))
+    (tmp_path / "dec_dim.json").write_text(json.dumps({"model": {"dec_dim": 64}}))
     (tmp_path / "magic.bin").write_bytes(b"not an entropy model file")
     good = tmp_path / "good.bin"
     train_counts([b"the cat sat on the mat"], order=2).save(good)
@@ -198,6 +203,12 @@ def _write_bad_inputs(tmp_path, corpus_file):
     meta["version"] = 99
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     np.savez(tmp_path / "version99.npz", **arrays)
+    meta["version"] = 1
+    meta["config"].update(dec_dim=16, ff_multiple_of=8, hash_prime=1_000_000_007,
+                          max_patch_size=512, pooling="max")
+    meta["optim"]["schedule"] = "cosine_to_zero"
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    np.savez(tmp_path / "version1.npz", **arrays)
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -208,6 +219,8 @@ def test_bad_input_exits_with_code_and_no_traceback(tmp_path, corpus_file, case)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stderr.strip()
     assert proc.stderr.startswith("data error" if code == EXIT_DATA else "config error")
+    if case.startswith("checkpoint_version"):
+        assert "format version" in proc.stderr
 
 
 def test_bpe_merges_flag_is_honoured(tmp_path, capsys, corpus_file):
@@ -219,6 +232,19 @@ def test_bpe_merges_flag_is_honoured(tmp_path, capsys, corpus_file):
         counts[merges] = json.loads(out)
     assert counts["0"]["n_patches"] == counts["0"]["n_bytes"]  # no merges: one byte per patch
     assert counts["200"]["n_patches"] < counts["0"]["n_patches"]
+
+
+def test_bpe_merges_config_key_is_the_flag(tmp_path, capsys, corpus_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"patching": {"bpe_merges": 0}}))
+    reports = {}
+    for argv in (["--config", str(cfg_path)], ["--bpe-merges", "0"]):
+        code, out = run(capsys, "patch", "--json", "--corpus", str(corpus_file), "--scheme", "bpe",
+                        "--out", str(tmp_path / "b.tsv"), *argv)
+        assert code == 0
+        reports[argv[0]] = json.loads(out)
+    assert reports["--config"]["n_patches"] == reports["--bpe-merges"]["n_patches"]
+    assert reports["--config"]["patching"]["bpe_merges"] == 0
 
 
 def test_train_entropy_order_flag_is_the_config_order(tmp_path, capsys, corpus_file):
@@ -249,6 +275,38 @@ def test_train_command_end_to_end(tmp_path, capsys, corpus_file):
     code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus",
                   str(corpus_file), "--run-dir", str(run_dir))
     assert code == EXIT_CONFIG
+
+
+def test_train_checks_the_run_dir_before_reading_the_corpus(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text("{}")
+    code = main(["train", "--run-dir", str(run_dir), "--corpus", str(tmp_path / "nonexistent.txt")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and "run directory" in err
+
+
+def test_train_on_overlapping_eval_documents_writes_nothing(tmp_path, capsys, corpus_file):
+    run_dir = tmp_path / "run"
+    code = main(["train", "--corpus", str(corpus_file), "--corpus-eval", str(corpus_file),
+                 "--scheme", "strided", "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and "both train and eval" in err
+    assert not run_dir.exists()
+
+
+def test_eval_bpb_max_patch_is_the_patchers_alone(tmp_path, capsys):
+    # 600-byte patches are past the default 512-byte maximum; --max-patch
+    # lifts it, and the model takes patches of any length
+    long_doc = tmp_path / "long.txt"
+    long_doc.write_text(textgen.synthetic_text(1800, seed=3).replace("\n", " ") + "\n")
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    code, out = run(capsys, "eval-bpb", "--json", "--corpus", str(long_doc),
+                    "--checkpoint", str(tmp_path / "ckpt.npz"),
+                    "--scheme", "strided", "--k", "600", "--max-patch", "1024")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["patching"]["max_patch_size"] == 1024 and doc["mean_patch_size"]["eval"] > 512
 
 
 def test_train_target_patch_size_flag_calibrates(tmp_path, capsys, corpus_file):
@@ -306,6 +364,36 @@ def test_runconfig_unknown_keys_and_hash():
     b = RunConfig({"run": {"seed": 1}})
     c = RunConfig({"run": {"seed": 2}})
     assert a.content_hash == b.content_hash != c.content_hash
+
+
+# every settable key; adding or removing a setting is a deliberate edit here
+CONFIG_KEYS = [
+    "run.seed",
+    "data.synthetic_bytes", "data.synthetic_doc_bytes", "data.eval_fraction",
+    "model.enc_dim", "model.global_dim", "model.enc_layers", "model.global_layers",
+    "model.dec_layers", "model.enc_heads", "model.global_heads", "model.dec_heads",
+    "model.enc_window", "model.dec_window", "model.ff_mult", "model.rope_theta",
+    "model.ngram_sizes", "model.hash_vocab",
+    "patching.scheme", "patching.k", "patching.theta_g", "patching.theta_r",
+    "patching.reset_on_newline", "patching.max_patch_size", "patching.bpe_merges",
+    "patching.target_patch_size",
+    "entropy_model.order", "entropy_model.alpha", "entropy_model.path",
+    "optimizer.lr_peak", "optimizer.warmup_steps", "optimizer.beta1", "optimizer.beta2",
+    "optimizer.eps", "optimizer.weight_decay", "optimizer.grad_clip",
+    "training.steps", "training.patch_budget", "training.eval_every",
+    "training.checkpoint_every", "training.eval_stream_bytes",
+]
+
+
+def test_config_surface_is_pinned():
+    def flat(section, prefix=""):
+        for key, val in section.items():
+            if isinstance(val, dict):
+                yield from flat(val, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert list(flat(DEFAULTS)) == CONFIG_KEYS
 
 
 def test_runconfig_defaults_are_the_dataclass_defaults():

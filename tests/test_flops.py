@@ -97,7 +97,7 @@ def test_doubling_patch_size_halves_latent_share():
     # feed-forward and projections dominate at production-like widths, so the
     # per-byte latent share is inversely proportional to patch size up to the
     # (m+1)/2 attention term, which stays under 1% here
-    cfg = ModelConfig(enc_dim=1024, global_dim=4096, dec_dim=1024,
+    cfg = ModelConfig(enc_dim=1024, global_dim=4096,
                       enc_layers=1, global_layers=32, dec_layers=6,
                       enc_heads=16, global_heads=32, dec_heads=16)
     a = blt_flops_per_byte(cfg, 2048, 4).latent

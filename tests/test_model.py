@@ -38,7 +38,7 @@ from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, softmax
 
 
 def tiny_cfg(**over) -> ModelConfig:
-    base = dict(enc_dim=16, global_dim=32, dec_dim=16, enc_layers=1, global_layers=2,
+    base = dict(enc_dim=16, global_dim=32, enc_layers=1, global_layers=2,
                 dec_layers=1, enc_heads=2, global_heads=2, dec_heads=2, hash_vocab=64,
                 enc_window=16, dec_window=16)
     base.update(over)
@@ -139,23 +139,13 @@ def test_rms_norm_unit_rms_pre_gain():
 def test_config_rejects_bad_width_ratio():
     with pytest.raises(ValueError, match="multiple"):
         tiny_cfg(global_dim=40)
-    with pytest.raises(ValueError, match="dec_dim"):
-        tiny_cfg(dec_dim=32)
     with pytest.raises(ValueError, match="heads"):
         tiny_cfg(enc_heads=3)
 
 
-def test_config_rejects_bad_hash_prime():
-    tiny_cfg(hash_prime=1_000_000_007)
-    with pytest.raises(ValueError, match="10 decimal digits"):
-        tiny_cfg(hash_prime=4)
-    with pytest.raises(ValueError, match="prime"):
-        tiny_cfg(hash_prime=1_000_000_000)
-
-
 def test_config_warns_on_deep_local_blocks():
     with pytest.warns(UserWarning):
-        ModelConfig(enc_dim=16, global_dim=32, dec_dim=16, enc_layers=4, global_layers=2,
+        ModelConfig(enc_dim=16, global_dim=32, enc_layers=4, global_layers=2,
                     dec_layers=1, enc_heads=2, global_heads=2, dec_heads=2)
 
 
@@ -171,19 +161,11 @@ def test_stream_validation():
         Stream(np.arange(4, dtype=np.uint8), np.zeros(4, np.int32), np.array([0]), next_byte=256)
 
 
-def test_max_patch_guard():
-    cfg = tiny_cfg(max_patch_size=4)
-    params = init_params(cfg, seed=0)
-    stream = text_stream(k=8)
-    with pytest.raises(ValueError, match="max_patch_size"):
-        lm_forward(params, stream, cfg)
-
-
 # -- embeddings -------------------------------------------------------------------
 
 
 def augment_embeddings(byte_embeds: np.ndarray, tables: dict[int, np.ndarray], data,
-                       per_size_vocab: int, a: int) -> np.ndarray:
+                       per_size_vocab: int) -> np.ndarray:
     """Plain-numpy reference for one document.
 
     e[i] = (x[i] + sum over available sizes of tables[n][id]) / (available + 1),
@@ -191,7 +173,7 @@ def augment_embeddings(byte_embeds: np.ndarray, tables: dict[int, np.ndarray], d
     """
     acc = byte_embeds.astype(np.float64).copy()
     divisor = np.ones(len(byte_embeds), dtype=np.float64)
-    ids = hash_ngram_ids(data, sorted(tables), per_size_vocab, a)
+    ids = hash_ngram_ids(data, sorted(tables), per_size_vocab)
     for n, table in tables.items():
         acc[n - 1 :] += table[ids[n]]
         divisor[n - 1 :] += 1.0
@@ -206,7 +188,7 @@ def test_augmented_embeddings_match_reference_oracle():
 
     tables = {n: params[f"hash_embed.n{n}"].data for n in cfg.ngram_sizes}
     byte_embeds = params["byte_embed"].data[stream.data]
-    want = augment_embeddings(byte_embeds, tables, stream.data, cfg.hash_vocab, cfg.hash_prime)
+    want = augment_embeddings(byte_embeds, tables, stream.data, cfg.hash_vocab)
     np.testing.assert_allclose(got, want, rtol=2e-6, atol=1e-7)
 
 
@@ -242,7 +224,7 @@ def test_shape_law():
 
 
 def test_single_patch_and_byte_level_degenerate():
-    cfg = tiny_cfg(max_patch_size=512)
+    cfg = tiny_cfg()
     params = init_params(cfg, seed=1)
     data = np.frombuffer(b"abcdefgh", np.uint8)
     one = Stream(data, np.zeros(8, np.int32), np.array([0]))
@@ -600,10 +582,3 @@ def test_grad_check_detects_corrupted_gradient():
     rel = abs(corrupted.flat[0] - numeric) / max(abs(corrupted.flat[0]), abs(numeric))
     assert rel > 1e-4  # the check must flag it
 
-
-def test_pooling_variants_both_work():
-    for pooling in ("max", "mean"):
-        cfg = tiny_cfg(pooling=pooling)
-        params = init_params(cfg, seed=0)
-        res = lm_forward(params, text_stream(), cfg)
-        assert np.isfinite(res.loss.data)

@@ -1,14 +1,9 @@
+import math
+
 import numpy as np
-import pytest
 
 from patchlm.model import ModelConfig, Stream, augmented_byte_embeddings, init_params
-from patchlm.ngram_hash import (
-    DEFAULT_HASH_PRIME,
-    hash_ngram_ids,
-    is_prime,
-    rolling_hashes,
-    validate_multiplier,
-)
+from patchlm.ngram_hash import DEFAULT_HASH_PRIME, hash_ngram_ids, rolling_hashes
 from patchlm.patching import patch_strided
 
 MASK = (1 << 64) - 1
@@ -79,13 +74,10 @@ def test_ids_match_bigint_oracle_mod_vocab():
         assert int(ids[t]) == bigint_hash(gram) % vocab
 
 
-def test_prime_validation():
-    validate_multiplier(DEFAULT_HASH_PRIME)
-    with pytest.raises(ValueError, match="10 decimal digits"):
-        validate_multiplier(7919)
-    with pytest.raises(ValueError, match="prime"):
-        validate_multiplier(1000000000)
-    assert is_prime(2) and is_prime(1000000007) and not is_prime(10**9)
+def test_default_hash_prime_is_a_10_digit_prime():
+    assert len(str(DEFAULT_HASH_PRIME)) == 10
+    divisors = np.arange(2, math.isqrt(DEFAULT_HASH_PRIME) + 1)
+    assert np.all(DEFAULT_HASH_PRIME % divisors != 0)
 
 
 def test_bucket_load_smoke():
@@ -98,7 +90,7 @@ def test_bucket_load_smoke():
 
 
 def _model_and_stream(doc_lengths):
-    cfg = ModelConfig(enc_dim=16, global_dim=32, dec_dim=16, enc_layers=1, global_layers=2,
+    cfg = ModelConfig(enc_dim=16, global_dim=32, enc_layers=1, global_layers=2,
                       dec_layers=1, enc_heads=2, global_heads=2, dec_heads=2, hash_vocab=64)
     docs = [np.arange(n, dtype=np.uint8) + 10 * d for d, n in enumerate(doc_lengths)]
     stream = Stream.from_documents(docs, lambda doc: patch_strided(len(doc), 4))

@@ -32,7 +32,7 @@ from patchlm.model import BltParams
 def tiny_cfg(**over):
     import warnings
 
-    base = dict(enc_dim=16, global_dim=32, dec_dim=16, enc_layers=1, global_layers=2,
+    base = dict(enc_dim=16, global_dim=32, enc_layers=1, global_layers=2,
                 dec_layers=1, enc_heads=2, global_heads=2, dec_heads=2, hash_vocab=64,
                 enc_window=16, dec_window=16)
     base.update(over)
