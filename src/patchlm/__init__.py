@@ -2,6 +2,7 @@
 
 The package is organized as a small numpy library:
 
+- ``errors``: the three failures a command reports, one per exit code
 - ``corpus``: document loading and character-level noising
 - ``textgen``: deterministic English-like sample text (no external datasets)
 - ``entropy_lm``: count-based byte language model and per-position entropy traces

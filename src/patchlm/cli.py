@@ -12,7 +12,9 @@ scheme's threshold on the command's own corpus: theta for entropy_global,
 theta-r for entropy_monotonic. That threshold set as well, or any other
 scheme with a target, is a config error.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 ok, 2 config error (``errors.ConfigError``), 3 data error
+(``errors.DataError``), 4 numeric failure (``errors.NumericError``). Any other
+exception is a bug: it prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -31,30 +34,18 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import entropy_lm, flops, patching, textgen
 from .bpe import train_bpe
-from .corpus import CorpusError, NoiseSpec, apply_noise, load_corpus
-from .entropy_lm import EntropyDataError, EntropyModelError
-from .flops import SizeMatchError
-from .model import ModelConfig, NumericError, init_params
-from .patching import CalibrationError, PatchingConfig, PatchingError, make_patcher
-from .runconfig import ConfigError, RunConfig
-from .trainer import (
-    CheckpointError,
-    OptimSpec,
-    PatchStreamLoader,
-    check_disjoint,
-    eval_bpb,
-    load_checkpoint,
-    train,
-)
+from .corpus import NoiseSpec, apply_noise, load_corpus
+from .errors import ConfigError, DataError, NumericError, read_input
+from .model import ModelConfig, init_params
+from .patching import PatchingConfig, make_patcher
+from .runconfig import RunConfig
+from .trainer import (OptimSpec, PatchStreamLoader, check_disjoint, eval_bpb, load_checkpoint,
+                      lr_at, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-class RunDirError(ConfigError):
-    pass
 
 
 def _run_root(args) -> Path:
@@ -69,8 +60,10 @@ def _free_run_dir(args, cfg: RunConfig) -> Path:
     else:
         stamp = _dt.datetime.now().strftime("%Y%m%d-%H%M%S")
         run_dir = _run_root(args) / f"{cfg.content_hash[:8]}-{stamp}"
+    if run_dir.exists() and not run_dir.is_dir():
+        raise ConfigError(f"run directory {run_dir} is not a directory")
     if run_dir.exists() and any(run_dir.iterdir()) and not args.force:
-        raise RunDirError(f"run directory {run_dir} exists; pass --force to overwrite")
+        raise ConfigError(f"run directory {run_dir} exists; pass --force to overwrite")
     return run_dir
 
 
@@ -82,13 +75,8 @@ def _make_run_dir(run_dir: Path, cfg: RunConfig) -> None:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
     except FileExistsError:
-        raise RunDirError(f"run directory {run_dir} is locked by another process") from None
+        raise ConfigError(f"run directory {run_dir} is locked by another process") from None
     cfg.write(run_dir / "config.json")
-
-
-def _release(run_dir: Path | None):
-    if run_dir and (run_dir / ".lock").exists():
-        (run_dir / ".lock").unlink()
 
 
 def _emit(report: dict, args, human=None):
@@ -100,15 +88,17 @@ def _emit(report: dict, args, human=None):
         print("\n".join(lines))
 
 
-def _load_docs(args, cfg: RunConfig) -> list[np.ndarray]:
-    if args.corpus:
-        ds = load_corpus(args.corpus, format=args.format)
+def _load_docs(args, cfg: RunConfig, path=None) -> list[np.ndarray]:
+    """The documents of ``path``, else of ``--corpus``, else synthetic ones."""
+    path = path or args.corpus
+    if path:
+        ds = load_corpus(path, format=args.format)
         if not len(ds):
-            raise CorpusError(f"no documents in {args.corpus}")
+            raise DataError(f"no documents in {path}")
         return [d.data for d in ds]
     n_bytes = cfg["data"]["synthetic_bytes"]
     if not n_bytes:
-        raise CorpusError("no corpus given: pass --corpus or set data.synthetic_bytes")
+        raise DataError("no corpus given: pass --corpus or set data.synthetic_bytes")
     texts = textgen.synthetic_documents(
         max(1, n_bytes // cfg["data"]["synthetic_doc_bytes"]),
         cfg["data"]["synthetic_doc_bytes"],
@@ -123,6 +113,14 @@ def _entropy_model(args, cfg: RunConfig, docs) -> entropy_lm.EntropyModel:
         return entropy_lm.EntropyModel.load(path)
     return entropy_lm.train_counts(docs, order=cfg["entropy_model"]["order"],
                                    alpha=cfg["entropy_model"]["alpha"])
+
+
+def _positive(args, *flags) -> None:
+    """Reject a numeric flag that is not a finite number above zero."""
+    for flag in flags:
+        val = getattr(args, flag)
+        if not (math.isfinite(val) and val > 0):
+            raise ConfigError(f"--{flag.replace('_', '-')} must be a finite number > 0, got {val}")
 
 
 def _patcher(args, cfg: RunConfig, docs):
@@ -190,6 +188,10 @@ def cmd_patch(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    optim = OptimSpec(**cfg["optimizer"])
+    steps = cfg["training"]["steps"]
+    if steps:
+        lr_at(0, optim, steps)  # a warmup as long as the run raises before any work
     # the run directory is checked first but created last, so a config or data
     # error fails fast and leaves none behind
     run_dir = _free_run_dir(args, cfg)
@@ -200,8 +202,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     eval_docs = [docs[i] for i in order[:n_eval]]
     train_docs = [docs[i] for i in order[n_eval:]]
     if args.corpus_eval:
-        ds = load_corpus(args.corpus_eval, format=args.format)
-        eval_docs = [d.data for d in ds]
+        eval_docs = _load_docs(args, cfg, args.corpus_eval)
         train_docs = docs
     check_disjoint(train_docs, eval_docs)
     patcher, pc, _ = _patcher(args, cfg, train_docs)
@@ -209,12 +210,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     loader = PatchStreamLoader(train_docs, patcher,
                                patch_budget=cfg["training"]["patch_budget"],
                                seed=cfg["run"]["seed"])
-    optim = OptimSpec(**cfg["optimizer"])
     params = init_params(model_cfg, seed=cfg["run"]["seed"])
     _make_run_dir(run_dir, cfg)
     try:
         result = train(
-            params, model_cfg, loader, optim, cfg["training"]["steps"],
+            params, model_cfg, loader, optim, steps,
             run_dir=run_dir, eval_slices={"heldout": eval_docs}, eval_patcher=patcher,
             eval_every=cfg["training"]["eval_every"],
             checkpoint_every=cfg["training"]["checkpoint_every"],
@@ -236,13 +236,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
         _emit(report, args)
         return EXIT_OK
     finally:
-        _release(run_dir)
+        (run_dir / ".lock").unlink(missing_ok=True)
 
 
 def cmd_eval_bpb(args, cfg: RunConfig) -> int:
     docs = _load_docs(args, cfg)
-    if all(len(d) < 2 for d in docs):
-        raise CorpusError("no byte to predict: every document is shorter than 2 bytes")
     if args.uniform:
         report = eval_bpb(None, None, {"eval": docs}).to_dict()
     else:
@@ -263,6 +261,7 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
 
 
 def cmd_flops(args, cfg: RunConfig) -> int:
+    _positive(args, "n_ctx", "patch_size")
     model_cfg = ModelConfig.from_dict(cfg["model"])
     rep = flops.blt_flops_per_byte(model_cfg, args.n_ctx, Fraction(str(args.patch_size)))
     doc = rep.as_floats()
@@ -284,6 +283,7 @@ def cmd_flops(args, cfg: RunConfig) -> int:
 
 
 def cmd_size_match(args, cfg: RunConfig) -> int:
+    _positive(args, "target", "n_ctx", "patch_size", "tol")
     template = ModelConfig.from_dict(cfg["model"])
     fam = flops.width_family(template)
     solved, achieved = flops.size_match(Fraction(str(args.target)), fam,
@@ -299,10 +299,12 @@ def cmd_size_match(args, cfg: RunConfig) -> int:
 def cmd_noise(args, cfg: RunConfig) -> int:
     if args.text is not None:
         text = args.text
-    elif args.infile:
-        text = Path(args.infile).read_text()
     else:
-        text = sys.stdin.read()
+        raw = read_input(args.infile) if args.infile else sys.stdin.buffer.read()
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError:
+            raise DataError(f"{args.infile or 'stdin'} is not UTF-8 text") from None
     spec = NoiseSpec(strategy=args.strategy, rate=args.rate, seed=args.seed or 0,
                      target=args.target)
     out = apply_noise(text, spec)
@@ -316,6 +318,7 @@ def cmd_noise(args, cfg: RunConfig) -> int:
 
 
 def cmd_check_incremental(args, cfg: RunConfig) -> int:
+    _positive(args, "n_prefixes")
     docs = _load_docs(args, cfg)
     patcher, pc, _ = _patcher(args, cfg, docs)
     data = np.concatenate(docs) if len(docs) > 1 else docs[0]
@@ -476,14 +479,13 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, _overrides(args))
         return args.fn(args, cfg)
-    except (CorpusError, EntropyDataError, CheckpointError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, PatchingError, CalibrationError, EntropyModelError, SizeMatchError,
-            ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, FloatingPointError) as exc:
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -11,16 +11,14 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import ConfigError, DataError, read_input
+
 logger = logging.getLogger(__name__)
 
 NOISE_STRATEGIES = ("antspeak", "drop", "random_case", "repeat", "upper_case")
 
 # Default per-character rates for the rate-driven strategies.
 DEFAULT_NOISE_RATES = {"drop": 0.10, "random_case": 0.50, "repeat": 0.20}
-
-
-class CorpusError(Exception):
-    """Unreadable path or malformed record."""
 
 
 @dataclass
@@ -59,16 +57,14 @@ def load_corpus(path: str | Path, format: str = "plain-text", strict: bool = Fal
     Bytes are the raw UTF-8 encoding of the text; no normalization is applied.
     Malformed JSONL records are reported with their line number and either
     skipped (default) or fatal (``strict=True``). Empty records are skipped.
+    An unreadable path or a fatal record raises ``DataError``.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus path does not exist: {path}")
     if format not in ("plain-text", "jsonl"):
-        raise CorpusError(f"unknown corpus format: {format!r}")
+        raise ConfigError(f"unknown corpus format: {format!r}")
 
     out = DocumentSet()
-    with open(path, "rb") as fh:
-        raw_lines = fh.read().split(b"\n")
+    raw_lines = read_input(path).split(b"\n")
     # A trailing newline produces one empty tail entry, not an empty document.
     if raw_lines and raw_lines[-1] == b"":
         raw_lines.pop()
@@ -88,7 +84,7 @@ def load_corpus(path: str | Path, format: str = "plain-text", strict: bool = Fal
             except Exception as exc:
                 msg = f"{path.name}:{lineno}: malformed record ({exc})"
                 if strict:
-                    raise CorpusError(msg) from exc
+                    raise DataError(msg) from exc
                 logger.warning("%s -- skipped", msg)
                 out.skipped += 1
                 continue
@@ -98,8 +94,6 @@ def load_corpus(path: str | Path, format: str = "plain-text", strict: bool = Fal
             doc_id = str(rec.get("id", f"{path.name}:{lineno}"))
             out.docs.append(Document.from_text(doc_id, text))
 
-    if not out.docs:
-        logger.warning("no documents loaded from %s", path)
     return out
 
 
@@ -119,12 +113,12 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.strategy not in NOISE_STRATEGIES:
-            raise ValueError(f"unknown noise strategy {self.strategy!r}; pick one of {NOISE_STRATEGIES}")
+            raise ConfigError(f"unknown noise strategy {self.strategy!r}; pick one of {NOISE_STRATEGIES}")
         if self.target not in ("prompt", "completion", "both"):
-            raise ValueError(f"bad noise target {self.target!r}")
+            raise ConfigError(f"bad noise target {self.target!r}")
         r = self.effective_rate
         if not (0.0 <= r <= 1.0):
-            raise ValueError(f"noise rate must be in [0, 1], got {r}")
+            raise ConfigError(f"noise rate must be in [0, 1], got {r}")
 
     @property
     def effective_rate(self) -> float:

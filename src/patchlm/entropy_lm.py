@@ -29,19 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document, DocumentSet
+from .errors import ConfigError, DataError, read_input
 
 LN256 = float(np.log(256.0))
 NEWLINE = 0x0A
 
 _MAGIC = b"PLMENT01"
-
-
-class EntropyModelError(Exception):
-    pass
-
-
-class EntropyDataError(EntropyModelError):
-    """The corpus or model file, not the settings, is unusable."""
 
 
 def _as_bytes_array(data) -> np.ndarray:
@@ -134,9 +127,9 @@ class EntropyModel:
 
     def __init__(self, order: int, alpha: float, levels: list[_Level]):
         if not (1 <= order <= 8):
-            raise EntropyModelError(f"order must be in [1, 8], got {order}")
-        if alpha <= 0:
-            raise EntropyModelError("smoothing alpha must be > 0")
+            raise ConfigError(f"order must be in [1, 8], got {order}")
+        if not alpha > 0:  # NaN too
+            raise ConfigError("smoothing alpha must be > 0")
         self.order = order
         self.alpha = alpha
         self.levels = levels  # levels[k] holds length-k contexts, k = 0..order
@@ -170,7 +163,7 @@ class EntropyModel:
                 want = ((lev.pair_ctx % mod) << np.uint64(8)) | lev.pair_next.astype(np.uint64)
                 at = np.searchsorted(prev_keys, want)
                 if (at == len(prev_keys)).any() or (prev_keys[at] != want).any():
-                    raise EntropyDataError(
+                    raise DataError(
                         f"counts do not nest: a length-{k} pair has no length-{k - 1} suffix pair")
                 q = prev_p[at]
                 h_sfx = prev_h[np.searchsorted(prev_ctx, lev.ctx_keys % mod)]
@@ -200,7 +193,7 @@ class EntropyModel:
         arr = _as_bytes_array(data)
         n = len(arr)
         if n == 0:
-            raise EntropyModelError("entropy_trace needs a non-empty byte sequence")
+            raise DataError("entropy_trace needs a non-empty byte sequence")
 
         seg_start = np.zeros(n, dtype=np.int64)
         resets = np.zeros(0, dtype=np.int64)
@@ -269,16 +262,16 @@ class EntropyModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "EntropyModel":
-        raw = Path(path).read_bytes()
+        raw = read_input(path)
         if len(raw) < len(_MAGIC) + 32 or raw[: len(_MAGIC)] != _MAGIC:
-            raise EntropyDataError(f"not an entropy model file: {path}")
+            raise DataError(f"not an entropy model file: {path}")
         payload, digest = raw[:-32], raw[-32:]
         if hashlib.sha256(payload).digest() != digest:
-            raise EntropyDataError(f"checksum mismatch in {path}")
+            raise DataError(f"checksum mismatch in {path}")
         off = len(_MAGIC)
         version, order, alpha = struct.unpack_from("<HBd", payload, off)
         if version != cls.VERSION:
-            raise EntropyDataError(f"unsupported entropy model version {version}")
+            raise DataError(f"unsupported entropy model version {version}")
         off += struct.calcsize("<HBd")
         levels = []
         for _ in range(order + 1):
@@ -308,15 +301,15 @@ def train_counts(
     the pair budget would be exceeded.
     """
     if not (1 <= order <= 8):
-        raise EntropyModelError(f"order must be in [1, 8], got {order}")
+        raise ConfigError(f"order must be in [1, 8], got {order}")
     docs = [_as_bytes_array(d) for d in corpus]
     docs = [d for d in docs if len(d) > 0]
     if not docs:
-        raise EntropyDataError("corpus is empty")
+        raise DataError("corpus is empty")
     total = sum(len(d) for d in docs)
     est = (order + 1) * total
     if est > max_pairs:
-        raise EntropyModelError(
+        raise ConfigError(
             f"order {order} over {total} bytes stores up to {est} (context, byte) pairs, "
             f"exceeding the budget of {max_pairs}; lower the order or raise max_pairs"
         )

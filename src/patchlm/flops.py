@@ -21,18 +21,20 @@ O(window) per byte as counted here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .model import ModelConfig, ffn_hidden_dim
+from .errors import ConfigError
+from .model import ModelConfig, param_shapes
 
 Number = int | float | Fraction
 
 TRAIN_OVER_FORWARD = 3  # forward + 2x backward
 
 
-class SizeMatchError(Exception):
+class SizeMatchError(ConfigError):
     def __init__(self, msg: str, bracket: tuple | None = None):
         super().__init__(msg)
         self.bracket = bracket
@@ -129,10 +131,10 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
     """
     n_p = _fr(n_p)
     if n_p <= 0:
-        raise ValueError("mean patch size must be positive")
+        raise ConfigError("mean patch size must be positive")
     n_ctx = _fr(n_ctx)
     if n_ctx <= 0:
-        raise ValueError("context length must be positive")
+        raise ConfigError("context length must be positive")
     d_ff = config.ff_mult
     k = config.k
     zero = Fraction(0)
@@ -158,30 +160,12 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
 
 def non_embedding_params(config: ModelConfig) -> int:
     """Trainable parameter count excluding the byte and hash embedding tables."""
-    E, G, D, k = config.enc_dim, config.global_dim, config.dec_dim, config.k
-    fe = ffn_hidden_dim(E, config.ff_mult)
-    fg = ffn_hidden_dim(G, config.ff_mult)
-    fd = ffn_hidden_dim(D, config.ff_mult)
-
-    def layer(dim, ff):
-        return 4 * dim * dim + 2 * dim + 3 * dim * ff
-
-    def xattn(qd, kd):
-        return qd + kd + qd * qd + 2 * kd * qd + qd * qd
-
-    total = config.enc_layers * (layer(E, fe) + xattn(G, E)) + E * G
-    total += config.global_layers * layer(G, fg)
-    total += G * (k * D) + k * D
-    total += config.dec_layers * (layer(D, fd) + xattn(D, D))
-    total += D + D * 256
-    return total
+    return sum(math.prod(shape) for name, shape in param_shapes(config).items()
+               if "embed" not in name)
 
 
 def total_params(config: ModelConfig) -> int:
-    emb = 256 * config.enc_dim
-    if config.hash_vocab > 0:
-        emb += len(config.ngram_sizes) * config.hash_vocab * config.enc_dim
-    return non_embedding_params(config) + emb
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 # ---------------------------------------------------------------------------

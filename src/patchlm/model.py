@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError, NumericError
 from .ngram_hash import hash_ngram_ids
 from .patching import PatchBoundaries
 from .tensor import (
@@ -56,10 +57,6 @@ from .tensor import (
 logger = logging.getLogger(__name__)
 
 VOCAB = 256
-
-
-class NumericError(Exception):
-    pass
 
 
 def ffn_hidden_dim(dim: int, ff_mult: int = 4) -> int:
@@ -92,8 +89,12 @@ class ModelConfig:
 
     def __post_init__(self):
         self.ngram_sizes = tuple(sorted(self.ngram_sizes))
+        if (min(self.enc_dim, self.global_dim, self.enc_heads, self.global_heads, self.dec_heads,
+                self.enc_window, self.dec_window, self.ff_mult, *self.ngram_sizes) < 1
+                or min(self.enc_layers, self.global_layers, self.dec_layers, self.hash_vocab) < 0):
+            raise ConfigError("layer counts and hash_vocab must be >= 0, other sizes >= 1")
         if self.global_dim % self.enc_dim != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"global_dim ({self.global_dim}) must be a multiple of enc_dim ({self.enc_dim}): "
                 "patch queries are maintained as encoder-width heads whose concatenation is global width"
             )
@@ -101,14 +102,12 @@ class ModelConfig:
                                 (self.global_dim, self.global_heads, "global"),
                                 (self.dec_dim, self.dec_heads, "dec")):
             if dim % heads != 0:
-                raise ValueError(f"{tag}_dim {dim} not divisible by {tag}_heads {heads}")
+                raise ConfigError(f"{tag}_dim {dim} not divisible by {tag}_heads {heads}")
             if (dim // heads) % 2 != 0:
-                raise ValueError(f"{tag} head dim must be even for rotary embeddings")
+                raise ConfigError(f"{tag} head dim must be even for rotary embeddings")
         if self.enc_layers >= self.global_layers or self.dec_layers >= self.global_layers:
             warnings.warn("local blocks are expected to be much shallower than the latent transformer",
                           stacklevel=2)
-        if self.enc_window < 1 or self.dec_window < 1:
-            raise ValueError("attention windows must be >= 1")
 
     @property
     def dec_dim(self) -> int:

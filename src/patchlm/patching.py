@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .entropy_lm import LN256, EntropyModel, EntropyTrace, _as_bytes_array
+from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -44,11 +45,7 @@ ENTROPY_THRESHOLDS = {
 }
 
 
-class PatchingError(Exception):
-    pass
-
-
-class CalibrationError(PatchingError):
+class CalibrationError(ConfigError):
     """Requested mean patch size is not achievable; carries the feasible range."""
 
     def __init__(self, msg: str, achievable: tuple[float, float] | None = None):
@@ -71,17 +68,17 @@ class PatchBoundaries:
         starts = np.asarray(self.starts, dtype=np.int64)
         object.__setattr__(self, "starts", starts)
         if self.n_bytes < 0:
-            raise PatchingError("n_bytes must be >= 0")
+            raise ValueError("n_bytes must be >= 0")
         if self.n_bytes == 0:
             if len(starts):
-                raise PatchingError("empty sequence cannot have patch starts")
+                raise ValueError("empty sequence cannot have patch starts")
             return
         if len(starts) == 0 or starts[0] != 0:
-            raise PatchingError("first byte must start a patch")
+            raise ValueError("first byte must start a patch")
         if np.any(np.diff(starts) <= 0):
-            raise PatchingError("patch starts must be strictly increasing")
+            raise ValueError("patch starts must be strictly increasing")
         if starts[-1] >= self.n_bytes:
-            raise PatchingError("patch starts must be < n_bytes")
+            raise ValueError("patch starts must be < n_bytes")
 
     @property
     def n_patches(self) -> int:
@@ -129,19 +126,19 @@ class PatchingConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise PatchingError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.k < 1:
-            raise PatchingError("strided k must be >= 1")
+            raise ConfigError("strided k must be >= 1")
         for name in ("theta_g", "theta_r"):
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
-                raise PatchingError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if self.theta_g is not None and self.theta_g < 0:
-            raise PatchingError("theta_g must be nonnegative")
+            raise ConfigError("theta_g must be nonnegative")
         if self.max_patch_size < 1:
-            raise PatchingError("max_patch_size must be >= 1")
+            raise ConfigError("max_patch_size must be >= 1")
         if self.bpe_merges < 0:
-            raise PatchingError("bpe_merges must be >= 0")
+            raise ConfigError("bpe_merges must be >= 0")
 
 
 def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int | None) -> tuple[np.ndarray, int]:
@@ -176,7 +173,7 @@ def _from_flags(flags: np.ndarray, max_patch: int | None) -> PatchBoundaries:
 def patch_strided(n_bytes: int, k: int, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     """A patch starts every k bytes."""
     if k < 1:
-        raise PatchingError("stride k must be >= 1")
+        raise ConfigError("stride k must be >= 1")
     if n_bytes == 0:
         return PatchBoundaries(np.zeros(0, np.int64), 0)
     starts = np.arange(0, n_bytes, k, dtype=np.int64)
@@ -218,7 +215,7 @@ def patch_entropy(trace: EntropyTrace, theta_g: float | None = None, theta_r: fl
     """A byte starts a patch when its entropy exceeds theta_g or jumps over the
     previous byte's by more than theta_r; a threshold of None is not checked."""
     if theta_g is None and theta_r is None:
-        raise PatchingError("need at least one of theta_g, theta_r")
+        raise ConfigError("need at least one of theta_g, theta_r")
     v = trace.values
     flags = v > theta_g if theta_g is not None else np.zeros(len(v), dtype=bool)
     if theta_r is not None and len(v) > 1:
@@ -262,16 +259,16 @@ def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = No
         return lambda data: patch_space(data, mp)
     if config.scheme == "bpe":
         if bpe_vocab is None:
-            raise PatchingError("bpe scheme needs a trained vocabulary")
+            raise ConfigError("bpe scheme needs a trained vocabulary")
         return lambda data: bpe_adapter(bpe_vocab.token_starts(_as_bytes_array(data)),
                                         len(_as_bytes_array(data)), mp)
     if entropy_model is None:
-        raise PatchingError(f"scheme {config.scheme!r} needs an entropy model")
+        raise ConfigError(f"scheme {config.scheme!r} needs an entropy model")
     reads = ENTROPY_THRESHOLDS[config.scheme]
     theta_g, theta_r = (getattr(config, name) if name in reads else None
                         for name in ("theta_g", "theta_r"))
     if theta_g is None and theta_r is None:
-        raise PatchingError(f"{config.scheme} needs {' or '.join(reads)}")
+        raise ConfigError(f"{config.scheme} needs {' or '.join(reads)}")
     reset = config.reset_on_newline
     return lambda data: patch_entropy(
         entropy_model.entropy_trace(_as_bytes_array(data), reset_on_newline=reset),

@@ -21,16 +21,13 @@ import copy
 import hashlib
 import json
 from dataclasses import asdict
+from math import inf
 from pathlib import Path
 
+from .errors import ConfigError, read_input
 from .model import ModelConfig
 from .patching import PatchingConfig
 from .trainer import OptimSpec
-
-
-class ConfigError(Exception):
-    pass
-
 
 DEFAULTS: dict = {
     "run": {"seed": 0},
@@ -60,12 +57,36 @@ def _strip_meta(values: dict) -> dict:
             for k, v in values.items() if not k.startswith("_")}
 
 
+# [low, high) of the keys whose readers do not check them
+_RANGES = {"run.seed": (0, inf), "data.synthetic_doc_bytes": (1, inf),
+           "data.eval_fraction": (0, 1), "training.steps": (0, inf)}
+
+
+def _type_ok(val, default, name: str) -> bool:
+    """Whether ``val`` has the JSON type of ``default``; an int passes for a float,
+    and a ``null`` default takes a number (``entropy_model.path`` a string)."""
+    if default is None:
+        want = str if name == "entropy_model.path" else (int, float)
+        return val is None or (isinstance(val, want) and not isinstance(val, bool))
+    want = (int, float) if type(default) is float else type(default)
+    if not isinstance(val, want) or isinstance(val, bool) != isinstance(default, bool):
+        return False
+    return not isinstance(val, list) or all(_type_ok(v, default[0], name) for v in val)
+
+
 def _check_keys(given: dict, allowed: dict, path: str = "") -> None:
     for key, val in given.items():
+        name = path + key
         if key not in allowed:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            raise ConfigError(f"unknown config key {name!r}")
         if isinstance(allowed[key], dict) and isinstance(val, dict):
-            _check_keys(val, allowed[key], path + key + ".")
+            _check_keys(val, allowed[key], name + ".")
+        elif not _type_ok(val, allowed[key], name):
+            raise ConfigError(f"config key {name!r} has the wrong type: {val!r} "
+                              f"(default {allowed[key]!r})")
+        elif name in _RANGES and not _RANGES[name][0] <= val < _RANGES[name][1]:  # NaN fails
+            raise ConfigError(f"config key {name!r} must be in [{_RANGES[name][0]}, "
+                              f"{_RANGES[name][1]}), got {val}")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -87,13 +108,11 @@ class RunConfig:
     def load(cls, path: str | Path | None, overrides: dict | None = None) -> "RunConfig":
         values: dict = {}
         if path:
-            p = Path(path)
-            if not p.exists():
-                raise ConfigError(f"config file not found: {p}")
+            raw = read_input(path, ConfigError)
             try:
-                values = json.loads(p.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+                values = json.loads(raw)
+            except ValueError as exc:  # JSON or UTF-8 decoding
+                raise ConfigError(f"config is not valid JSON: {exc}") from None
             if not isinstance(values, dict):
                 raise ConfigError("config root must be a JSON object")
             values = _strip_meta(values)

@@ -25,13 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .entropy_lm import LN256
-from .model import (
-    BltParams,
-    ModelConfig,
-    NumericError,
-    Stream,
-    lm_forward,
-)
+from .errors import ConfigError, DataError, NumericError
+from .model import BltParams, ModelConfig, Stream, lm_forward
 from .patching import PatchBoundaries
 
 LN2 = float(np.log(2.0))
@@ -42,20 +37,12 @@ CHECKPOINT_VERSION = 2
 DIVERGENCE_FACTOR = 2.0
 
 
-class DivergenceError(NumericError):
-    pass
-
-
-class CheckpointError(Exception):
-    """A file that is not a readable checkpoint."""
-
-
 @dataclass(frozen=True)
 class OptimSpec:
     """AdamW settings; the schedule is always ``lr_at``'s warmup then cosine to zero."""
 
     lr_peak: float = 4e-4
-    warmup_steps: int = 2000
+    warmup_steps: int = 100
     beta1: float = 0.9
     beta2: float = 0.95
     eps: float = 1e-8
@@ -64,7 +51,7 @@ class OptimSpec:
 
     def __post_init__(self):
         if min(self.lr_peak, self.eps, self.grad_clip) <= 0 or self.warmup_steps < 0:
-            raise ValueError("optimizer spec values must be positive")
+            raise ConfigError("optimizer spec values must be positive")
 
 
 def lr_at(step: int, spec: OptimSpec, total_steps: int) -> float:
@@ -72,7 +59,7 @@ def lr_at(step: int, spec: OptimSpec, total_steps: int) -> float:
     if not (0 <= step <= total_steps):
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     if spec.warmup_steps >= total_steps:
-        raise ValueError("warmup must be shorter than the total schedule")
+        raise ConfigError(f"optimizer.warmup_steps must be below the {total_steps} total steps")
     if step < spec.warmup_steps:
         return spec.lr_peak * step / spec.warmup_steps
     t = (step - spec.warmup_steps) / (total_steps - spec.warmup_steps)
@@ -172,11 +159,11 @@ class PatchStreamLoader:
 
     def __init__(self, docs: list[np.ndarray], patcher, patch_budget: int, seed: int = 0):
         if patch_budget < 1:
-            raise ValueError("patch_budget must be >= 1")
+            raise ConfigError("patch_budget must be >= 1")
         self.docs = [np.asarray(d, dtype=np.uint8) for d in docs]
         self.docs = [d for d in self.docs if len(d)]
         if not self.docs:
-            raise ValueError("no non-empty documents")
+            raise DataError("no non-empty documents")
         self.bounds: list[PatchBoundaries] = [patcher(d) for d in self.docs]
         self.patch_budget = patch_budget
         self.seed = seed
@@ -263,7 +250,7 @@ def doc_hashes(docs) -> set[bytes]:
 def check_disjoint(train_docs, eval_docs):
     overlap = doc_hashes(train_docs) & doc_hashes(eval_docs)
     if overlap:
-        raise ValueError(f"{len(overlap)} documents appear in both train and eval slices")
+        raise ConfigError(f"{len(overlap)} documents appear in both train and eval slices")
 
 
 def _split_doc(bounds: PatchBoundaries, max_bytes: int):
@@ -314,10 +301,10 @@ def eval_bpb(
     for name, docs in slices.items():
         docs = [np.asarray(d, dtype=np.uint8) for d in docs if len(d)]
         if not docs:
-            raise ValueError(f"slice {name!r} is empty")
+            raise DataError(f"slice {name!r} is empty")
         n_pred = sum(len(d) - 1 for d in docs)
         if n_pred == 0:
-            raise ValueError(f"slice {name!r} has no predictable bytes")
+            raise DataError(f"slice {name!r} has no predictable bytes")
         if params is None:
             total = n_pred * LN256
             bpb[name] = total / (LN2 * n_pred)
@@ -385,7 +372,7 @@ def load_checkpoint(path: str | Path) -> dict:
         with np.load(path) as z:  # an .npy file loads as an array, which has no ``with``
             meta = json.loads(bytes(z["meta_json"]).decode())
             if meta["version"] != CHECKPOINT_VERSION:
-                raise CheckpointError(f"checkpoint {path} has format version {meta['version']}; "
+                raise DataError(f"checkpoint {path} has format version {meta['version']}; "
                                       f"this build reads version {CHECKPOINT_VERSION}")
             config = ModelConfig.from_dict(meta["config"])
             params = BltParams(
@@ -398,8 +385,8 @@ def load_checkpoint(path: str | Path) -> dict:
                 t=meta["adam_t"],
                 skipped=meta["skipped"],
             )
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"not a readable checkpoint file: {path}") from exc
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"not a readable checkpoint file: {path}") from exc
     return {
         "params": params,
         "adam": state,
@@ -427,7 +414,6 @@ def _param(arr: np.ndarray, key: str):
 class TrainResult:
     steps_done: int
     final_loss: float
-    diverged: bool = False
     eval_reports: list[EvalReport] = field(default_factory=list)
     skipped_steps: int = 0
 
@@ -509,8 +495,7 @@ def train(
                     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # ru_maxrss: KiB
                 }) + "\n")
             if bad_streak >= divergence_patience:
-                result.diverged = True
-                raise DivergenceError(
+                raise NumericError(
                     f"loss {loss:.3f} above {DIVERGENCE_FACTOR}x initial {initial_loss:.3f} "
                     f"for {bad_streak} consecutive steps")
             if eval_every and eval_slices and (step + 1) % eval_every == 0:

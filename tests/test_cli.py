@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import patchlm
-from patchlm import textgen
+from patchlm import textgen, trainer
 from patchlm.corpus import load_corpus
 from patchlm.entropy_lm import train_counts
-from patchlm.cli import EXIT_CONFIG, EXIT_DATA, main
+from patchlm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from patchlm.errors import ConfigError
 from patchlm.model import ModelConfig, init_params
 from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, patch_strided
-from patchlm.runconfig import DEFAULTS, ConfigError, RunConfig
+from patchlm.runconfig import DEFAULTS, RunConfig
 from patchlm.trainer import AdamState, OptimSpec, eval_bpb, load_checkpoint, save_checkpoint
 
 
@@ -497,3 +498,147 @@ def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file)
                         lambda d: patch_strided(len(d), 4), stream_bytes).bpb["heldout"]
 
     assert reported == heldout_bpb(64) != heldout_bpb(4096)
+
+
+# -- bad input at every edge --------------------------------------------------
+
+# command -> (arguments besides the crossed path, the crossed path's flag, a
+# bad number); an argument naming a file of the inputs directory is read from
+# there, and outputs land in each case's own directory
+EDGE_COMMANDS = {
+    "train-entropy": (["--out", "e.bin"], "--corpus", ["--order", "0"]),
+    "calibrate": (["--scheme", "entropy_global", "--target-patch-size", "4"], "--corpus",
+                  ["--max-patch", "0"]),
+    "patch": (["--scheme", "strided", "--out", "b.tsv"], "--corpus", ["--k", "0"]),
+    "patch --entropy-model": (["--corpus", "text.txt", "--theta", "2", "--out", "b.tsv"],
+                              "--entropy-model", ["--theta", "nan"]),
+    "train": (["--config", "cfg.json", "--scheme", "strided", "--run-dir", "run"], "--corpus",
+              ["--max-patch", "0"]),
+    "train --corpus-eval": (["--config", "cfg.json", "--corpus", "text.txt", "--scheme", "strided",
+                             "--run-dir", "run"], "--corpus-eval", ["--k", "0"]),
+    "eval-bpb": (["--checkpoint", "ckpt.npz", "--scheme", "strided"], "--corpus",
+                 ["--max-patch", "0"]),
+    "eval-bpb --checkpoint": (["--corpus", "text.txt", "--scheme", "strided"], "--checkpoint",
+                              ["--k", "0"]),
+    "flops": ([], "--config", ["--patch-size", "nan"]),
+    "size-match": (["--target", "1e6"], "--config", ["--tol", "-1"]),
+    "noise": (["--strategy", "drop", "--out", "n.txt"], "--in", ["--rate", "2"]),
+    "check-incremental": (["--scheme", "strided"], "--corpus", ["--n-prefixes", "-5"]),
+    "trace": (["--scheme", "strided", "--out", "t.tsv"], "--corpus", ["--theta", "-1"]),
+}
+
+# the file each command reads at the crossed flag when the number is the bad input
+GOOD_PATH = {"--corpus": "text.txt", "--corpus-eval": "heldout.txt", "--entropy-model": "ent.bin",
+             "--checkpoint": "ckpt.npz", "--config": "cfg.json", "--in": "text.txt"}
+BAD_PATHS = {"empty": "empty.bin", "one_byte": "one.bin", "random_binary": "random.bin",
+             "missing": "missing.bin", "directory": "a_directory"}
+PREFIX = {EXIT_CONFIG: "config error: ", EXIT_DATA: "data error: ", EXIT_NUMERIC: "numeric failure: "}
+
+
+@pytest.fixture(scope="module")
+def edge_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    text = "\n".join(textgen.synthetic_text(120, seed=i).replace("\n", " ") for i in range(12))
+    (d / "text.txt").write_text(text + "\n")
+    (d / "heldout.txt").write_text(textgen.synthetic_text(200, seed=99).replace("\n", " ") + "\n")
+    (d / "cfg.json").write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                            "training": {"steps": 2, "patch_budget": 16}}))
+    train_counts(load_corpus(d / "text.txt"), order=2).save(d / "ent.bin")
+    save_tiny_checkpoint(d / "ckpt.npz")
+    (d / "empty.bin").write_bytes(b"")
+    (d / "one.bin").write_bytes(b"x")
+    (d / "random.bin").write_bytes(np.random.default_rng(0).integers(0, 256, 2000, np.uint8).tobytes())
+    (d / "a_directory").mkdir()
+    return d
+
+
+@pytest.mark.parametrize("bad", [*BAD_PATHS, "out_of_range"])
+@pytest.mark.parametrize("command", list(EDGE_COMMANDS))
+def test_bad_input_at_every_edge_exits_with_one_line(tmp_path, monkeypatch, capsys, edge_inputs,
+                                                     command, bad):
+    args, flag, bad_number = EDGE_COMMANDS[command]
+    monkeypatch.chdir(tmp_path)  # outputs land here
+    path = GOOD_PATH[flag] if bad == "out_of_range" else BAD_PATHS[bad]
+    argv = [command.split()[0], *[str(edge_inputs / a) if (edge_inputs / a).exists() else a
+                                  for a in args], flag, str(edge_inputs / path)]
+    if bad == "out_of_range":
+        argv += bad_number
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), err
+    if code:
+        assert err.startswith(PREFIX[code]) and err.count("\n") == 1, err
+    if bad in ("missing", "directory", "out_of_range"):
+        assert code == (EXIT_CONFIG if bad == "out_of_range" or flag == "--config" else EXIT_DATA), err
+
+
+def test_a_library_value_error_escapes_main(tmp_path, monkeypatch, corpus_file):
+    # a ValueError from inside the model is a bug: it must show its traceback,
+    # not read as a config error
+    def broken_forward(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(trainer, "lm_forward", broken_forward)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16}}))
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    with pytest.raises(ValueError, match="injected"):
+        main(["train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+              "--scheme", "strided", "--run-dir", str(tmp_path / "run")])
+    with pytest.raises(ValueError, match="injected"):
+        main(["eval-bpb", "--corpus", str(corpus_file), "--checkpoint", str(tmp_path / "ckpt.npz"),
+              "--scheme", "strided"])
+
+
+def test_default_warmup_is_shorter_than_the_default_run():
+    assert OptimSpec().warmup_steps < DEFAULTS["training"]["steps"]
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"optimizer": {"warmup_steps": 5}, "training": {"steps": 5}}, "warmup_steps"),
+    ({"training": {"steps": "ten"}}, "training.steps"),
+    ({"data": {"eval_fraction": 2.0}}, "data.eval_fraction"),
+])
+def test_train_config_error_writes_no_run_dir(tmp_path, capsys, corpus_file, values, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    code = main(["train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                 "--scheme", "strided", "--run-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and key in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_dir_naming_a_file_is_a_config_error(tmp_path, capsys, corpus_file):
+    target = tmp_path / "notes.txt"
+    target.write_bytes(b"keep me\n")
+    code = main(["train", "--corpus", str(corpus_file), "--scheme", "strided",
+                 "--run-dir", str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and "run directory" in err
+    assert target.read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"model": {"enc_dim": "64"}}, "model.enc_dim"),
+    ({"model": {"hash_vocab": True}}, "model.hash_vocab"),
+    ({"model": {"ngram_sizes": [3, "4"]}}, "model.ngram_sizes"),
+    ({"patching": {"reset_on_newline": 1}}, "patching.reset_on_newline"),
+    ({"patching": {"theta_g": "2"}}, "patching.theta_g"),
+    ({"entropy_model": {"path": 3}}, "entropy_model.path"),
+    ({"optimizer": {"lr_peak": None}}, "optimizer.lr_peak"),
+    ({"training": 5}, "training"),
+    ({"data": {"synthetic_doc_bytes": 0}}, "data.synthetic_doc_bytes"),
+    ({"data": {"eval_fraction": -0.1}}, "data.eval_fraction"),
+    ({"run": {"seed": -1}}, "run.seed"),
+])
+def test_config_values_are_checked_by_type_and_range(values, key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        RunConfig(values)
+
+
+def test_config_accepts_an_int_for_a_float_and_a_value_for_a_null():
+    cfg = RunConfig({"optimizer": {"lr_peak": 1}, "patching": {"theta_g": 2},
+                     "entropy_model": {"path": "ent.bin"}, "data": {"eval_fraction": 0}})
+    assert cfg["optimizer"]["lr_peak"] == 1 and cfg["patching"]["theta_g"] == 2

@@ -3,12 +3,8 @@ import math
 
 import pytest
 
-from patchlm.corpus import (
-    CorpusError,
-    NoiseSpec,
-    apply_noise,
-    load_corpus,
-)
+from patchlm.corpus import NoiseSpec, apply_noise, load_corpus
+from patchlm.errors import DataError
 
 
 # -- loading -----------------------------------------------------------------
@@ -41,12 +37,12 @@ def test_jsonl_malformed_skipped_or_fatal(tmp_path):
     p.write_text('{"text": "ok"}\nnot json\n')
     ds = load_corpus(p, "jsonl")
     assert len(ds) == 1 and ds.skipped == 1
-    with pytest.raises(CorpusError, match="c.jsonl:2"):
+    with pytest.raises(DataError, match="c.jsonl:2"):
         load_corpus(p, "jsonl", strict=True)
 
 
 def test_missing_path_raises():
-    with pytest.raises(CorpusError):
+    with pytest.raises(DataError):
         load_corpus("/nonexistent/corpus.txt")
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from patchlm import textgen
 from patchlm.corpus import Document
+from patchlm.errors import ConfigError, DataError
 from patchlm.entropy_lm import (
     LN256,
     EntropyModel,
-    EntropyModelError,
     _Level,
     _count_pairs,
     _pack_keys,
@@ -230,13 +230,13 @@ def test_incremental_trace_equals_from_scratch(entropy3, english_docs):
 
 
 def test_order_and_alpha_validation(small_docs):
-    with pytest.raises(EntropyModelError):
+    with pytest.raises(ConfigError):
         train_counts(small_docs, order=0)
-    with pytest.raises(EntropyModelError):
+    with pytest.raises(ConfigError):
         train_counts(small_docs, order=9)
-    with pytest.raises(EntropyModelError, match="pairs"):
+    with pytest.raises(ConfigError, match="pairs"):
         train_counts(small_docs, order=8, max_pairs=1000)
-    with pytest.raises(EntropyModelError):
+    with pytest.raises(DataError):
         train_counts([], order=2)
 
 
@@ -251,7 +251,7 @@ def test_serialization_roundtrip_and_checksum(tmp_path, entropy2_small, small_do
     raw[20] ^= 0xFF
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(EntropyModelError, match="checksum"):
+    with pytest.raises(DataError, match="checksum"):
         EntropyModel.load(bad)
 
 
@@ -264,7 +264,7 @@ def test_load_rejects_counts_that_do_not_nest(tmp_path, entropy2_small):
     levels[1] = _Level(lev1.pair_ctx[~drop], lev1.pair_next[~drop], lev1.pair_cnt[~drop])
     path = tmp_path / "not_nested.bin"
     EntropyModel(2, entropy2_small.alpha, levels).save(path)
-    with pytest.raises(EntropyModelError, match="do not nest"):
+    with pytest.raises(DataError, match="do not nest"):
         EntropyModel.load(path)
 
 

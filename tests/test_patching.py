@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from patchlm.bpe import train_bpe
 from patchlm.entropy_lm import LN256, EntropyTrace, train_counts
+from patchlm.errors import ConfigError
 from patchlm.patching import (
     CalibrationError,
     PatchBoundaries,
     PatchingConfig,
-    PatchingError,
     bpe_adapter,
     calibrate_threshold,
     check_incrementality,
@@ -34,11 +34,11 @@ def _trace(values) -> EntropyTrace:
 
 
 def test_boundaries_validation():
-    with pytest.raises(PatchingError):
+    with pytest.raises(ValueError):
         PatchBoundaries(np.array([1, 2]), 5)  # missing 0
-    with pytest.raises(PatchingError):
+    with pytest.raises(ValueError):
         PatchBoundaries(np.array([0, 2, 2]), 5)  # not strictly increasing
-    with pytest.raises(PatchingError):
+    with pytest.raises(ValueError):
         PatchBoundaries(np.array([0, 5]), 5)  # start beyond sequence
     empty = PatchBoundaries(np.zeros(0, np.int64), 0)
     assert empty.n_patches == 0
@@ -114,7 +114,7 @@ def test_entropy_or_combination():
     tr = _trace([1.0, 0.2, 0.9, 3.0])
     got = patch_entropy(tr, theta_g=2.0, theta_r=0.5)
     assert got.starts.tolist() == [0, 2, 3]
-    with pytest.raises(PatchingError):
+    with pytest.raises(ConfigError):
         patch_entropy(tr)
 
 
@@ -267,11 +267,11 @@ def test_checker_reports_mismatch_positions():
 
 
 def test_patching_config_validation():
-    with pytest.raises(PatchingError):
+    with pytest.raises(ConfigError):
         PatchingConfig(scheme="nope")
-    with pytest.raises(PatchingError):
+    with pytest.raises(ConfigError):
         PatchingConfig(scheme="strided", k=0)
-    with pytest.raises(PatchingError):
+    with pytest.raises(ConfigError):
         PatchingConfig(theta_g=float("nan"))
 
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from patchlm import textgen
 from patchlm.entropy_lm import train_counts
+from patchlm.errors import DataError, NumericError
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
 from patchlm.patching import patch_entropy, patch_space, patch_strided
 from patchlm.tensor import parameter
 from patchlm.trainer import (
     LN2,
     AdamState,
-    DivergenceError,
     EvalReport,
     OptimSpec,
     PatchStreamLoader,
@@ -221,7 +221,7 @@ def test_eval_scores_every_byte_exactly_once(eval_patchers, scheme, max_stream_b
     cuts = np.cumsum([0] + lengths)
     docs = [np.frombuffer(text[a:b], np.uint8) for a, b in zip(cuts[:-1], cuts[1:])]
     if sum(lengths) == len(lengths):  # only 1-byte documents: nothing to predict
-        with pytest.raises(ValueError, match="no predictable bytes"):
+        with pytest.raises(DataError, match="no predictable bytes"):
             eval_bpb(params, cfg, {"x": docs}, eval_patchers[scheme], max_stream_bytes)
         return
     rep = eval_bpb(params, cfg, {"x": docs}, eval_patchers[scheme], max_stream_bytes)
@@ -258,7 +258,7 @@ def test_eval_long_stream_builds_no_graph():
 
 
 def test_eval_empty_slice_rejected():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(DataError, match="empty"):
         eval_bpb(None, None, {"a": []})
 
 
@@ -316,7 +316,7 @@ def test_divergence_aborts():
     docs = make_docs(6, 150, seed=3)
     loader = PatchStreamLoader(docs, STRIDED4, patch_budget=32, seed=0)
     bad = OptimSpec(lr_peak=2.0, warmup_steps=1, weight_decay=0.0)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(NumericError):
         train(params, cfg, loader, bad, total_steps=60, divergence_patience=5)
 
 
