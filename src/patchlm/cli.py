@@ -1,9 +1,16 @@
 """Batch command-line surface.
 
 Subcommands: train-entropy, calibrate, patch, train, eval-bpb, flops,
-size-match, noise, check-incremental, trace. Every command accepts --config,
---seed, and --json; artifact-producing commands write into a run directory
-named by config hash + timestamp under --run-root (or $PATCHLM_RUN_ROOT).
+size-match, noise, check-incremental, trace. Each accepts only the flags it
+reads. Every command takes --json, and every one but noise takes --config.
+The commands that read a corpus take --corpus, --format and --seed (which
+also seeds a synthetic corpus); noise takes --seed for its own generator.
+
+Only train writes a run directory: --run-dir, or one named by config hash +
+timestamp under --run-root (or $PATCHLM_RUN_ROOT). It and every --out path
+are checked before any work: a path below an existing file, an --out that is
+a directory or whose directory is missing, and a run directory that holds
+files without --force are config errors.
 
 Every command that patches (calibrate, patch, train, eval-bpb,
 check-incremental, trace) builds its patcher the same way. Given
@@ -40,7 +47,7 @@ from .model import ModelConfig, init_params
 from .patching import PatchingConfig, make_patcher
 from .runconfig import RunConfig
 from .trainer import (OptimSpec, PatchStreamLoader, check_disjoint, eval_bpb, load_checkpoint,
-                      lr_at, train)
+                      lr_at, scorable_slices, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,6 +60,22 @@ def _run_root(args) -> Path:
     return Path(root)
 
 
+def _nearest_dir(path: Path, subject: str) -> Path:
+    """The nearest of ``path`` and its ancestors that exists, which must be a directory."""
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"{subject}: {found} is not a directory")
+    return found
+
+
+def _out_path(out: str) -> Path:
+    """``--out`` as a path, if it names a file in an existing directory."""
+    path = Path(out)
+    if path.is_dir() or _nearest_dir(path.parent, f"--out {path}") != path.parent:
+        raise ConfigError(f"--out {path} must name a file in an existing directory")
+    return path
+
+
 def _free_run_dir(args, cfg: RunConfig) -> Path:
     """The run directory's path, if it is absent, empty or ``--force`` is given."""
     if args.run_dir:
@@ -60,8 +83,7 @@ def _free_run_dir(args, cfg: RunConfig) -> Path:
     else:
         stamp = _dt.datetime.now().strftime("%Y%m%d-%H%M%S")
         run_dir = _run_root(args) / f"{cfg.content_hash[:8]}-{stamp}"
-    if run_dir.exists() and not run_dir.is_dir():
-        raise ConfigError(f"run directory {run_dir} is not a directory")
+    _nearest_dir(run_dir, f"run directory {run_dir}")
     if run_dir.exists() and any(run_dir.iterdir()) and not args.force:
         raise ConfigError(f"run directory {run_dir} exists; pass --force to overwrite")
     return run_dir
@@ -92,10 +114,10 @@ def _load_docs(args, cfg: RunConfig, path=None) -> list[np.ndarray]:
     """The documents of ``path``, else of ``--corpus``, else synthetic ones."""
     path = path or args.corpus
     if path:
-        ds = load_corpus(path, format=args.format)
-        if not len(ds):
+        docs = load_corpus(path, format=args.format)
+        if not docs:
             raise DataError(f"no documents in {path}")
-        return [d.data for d in ds]
+        return docs
     n_bytes = cfg["data"]["synthetic_bytes"]
     if not n_bytes:
         raise DataError("no corpus given: pass --corpus or set data.synthetic_bytes")
@@ -146,10 +168,10 @@ def _patcher(args, cfg: RunConfig, docs):
 
 
 def cmd_train_entropy(args, cfg: RunConfig) -> int:
+    out = _out_path(args.out or "entropy.bin")
     docs = _load_docs(args, cfg)
     model = entropy_lm.train_counts(docs, order=cfg["entropy_model"]["order"],
                                     alpha=cfg["entropy_model"]["alpha"])
-    out = Path(args.out or "entropy.bin")
     model.save(out)
     _emit({"out": str(out), "order": model.order, "alpha": model.alpha,
            "docs": len(docs), "bytes": int(sum(len(d) for d in docs)),
@@ -173,10 +195,10 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 
 
 def cmd_patch(args, cfg: RunConfig) -> int:
+    out = _out_path(args.out or "boundaries.tsv")
     docs = _load_docs(args, cfg)
     patcher, pc, _ = _patcher(args, cfg, docs)
     items = [(f"doc{idx}", patcher(d)) for idx, d in enumerate(docs)]
-    out = Path(args.out or "boundaries.tsv")
     patching.write_boundaries_tsv(out, items)
     total_bytes = sum(b.n_bytes for _, b in items)
     total_patches = sum(b.n_patches for _, b in items)
@@ -205,6 +227,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         eval_docs = _load_docs(args, cfg, args.corpus_eval)
         train_docs = docs
     check_disjoint(train_docs, eval_docs)
+    scorable_slices({"heldout": eval_docs})
     patcher, pc, _ = _patcher(args, cfg, train_docs)
     model_cfg = ModelConfig.from_dict(cfg["model"])
     loader = PatchStreamLoader(train_docs, patcher,
@@ -297,6 +320,7 @@ def cmd_size_match(args, cfg: RunConfig) -> int:
 
 
 def cmd_noise(args, cfg: RunConfig) -> int:
+    out_path = _out_path(args.out) if args.out else None
     if args.text is not None:
         text = args.text
     else:
@@ -305,11 +329,11 @@ def cmd_noise(args, cfg: RunConfig) -> int:
             text = raw.decode()
         except UnicodeDecodeError:
             raise DataError(f"{args.infile or 'stdin'} is not UTF-8 text") from None
-    spec = NoiseSpec(strategy=args.strategy, rate=args.rate, seed=args.seed or 0,
+    spec = NoiseSpec(strategy=args.strategy, rate=args.rate, seed=cfg["run"]["seed"],
                      target=args.target)
     out = apply_noise(text, spec)
-    if args.out:
-        Path(args.out).write_text(out)
+    if out_path:
+        out_path.write_text(out)
         _emit({"out": args.out, "strategy": args.strategy, "in_chars": len(text),
                "out_chars": len(out)}, args)
     else:
@@ -323,7 +347,7 @@ def cmd_check_incremental(args, cfg: RunConfig) -> int:
     patcher, pc, _ = _patcher(args, cfg, docs)
     data = np.concatenate(docs) if len(docs) > 1 else docs[0]
     violations = patching.check_incrementality(patcher, data, n_prefixes=args.n_prefixes,
-                                               seed=args.seed or 0)
+                                               seed=cfg["run"]["seed"])
     _emit({"scheme": pc.scheme, "n_prefixes": args.n_prefixes,
            "n_violations": len(violations), "violations": violations[:32],
            "incremental": not violations, "patching": asdict(pc)}, args)
@@ -331,6 +355,7 @@ def cmd_check_incremental(args, cfg: RunConfig) -> int:
 
 
 def cmd_trace(args, cfg: RunConfig) -> int:
+    out = _out_path(args.out or "trace.tsv")
     docs = _load_docs(args, cfg)
     patcher, pc, model = _patcher(args, cfg, docs)
     if model is None:  # the entropy is traced next to any scheme's boundaries
@@ -338,7 +363,6 @@ def cmd_trace(args, cfg: RunConfig) -> int:
     data = docs[0]
     trace = model.entropy_trace(data, reset_on_newline=pc.reset_on_newline)
     bounds = patcher(data)
-    out = Path(args.out or "trace.tsv")
     entropy_lm.write_trace_tsv(out, trace, data, bounds)
     _emit({"out": str(out), "positions": len(trace.values),
            "mean_entropy_nats": float(trace.values.mean()),
@@ -351,15 +375,22 @@ def cmd_trace(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON run config; flags override its keys")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.add_argument("--run-root", default=None)
-    sp.add_argument("--run-dir", default=None)
-    sp.add_argument("--force", action="store_true", help="overwrite an existing run dir")
-    sp.add_argument("--corpus", default=None, help="input corpus file")
-    sp.add_argument("--format", default="plain-text", choices=["plain-text", "jsonl"])
+# the flags several commands share; each command names the ones it reads
+_SHARED_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--config": dict(help="JSON run config; flags override its keys"),
+    "--seed": dict(type=int, default=None),
+    "--corpus": dict(default=None, help="input corpus file"),
+    "--format": dict(default="plain-text", choices=["plain-text", "jsonl"]),
+}
+
+# what a command that reads a corpus takes; the seed also seeds a synthetic one
+_CORPUS_FLAGS = ("--config", "--seed", "--corpus", "--format")
+
+
+def _add_shared(sp, *flags):
+    for flag in ("--json", *flags):
+        sp.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _add_patch_flags(sp):
@@ -386,43 +417,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("train-entropy", help="count-train the byte entropy model")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
     sp.add_argument("--order", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_train_entropy)
 
     sp = sub.add_parser("calibrate", help="bisect a threshold for a target mean patch size")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
     _add_patch_flags(sp)
     sp.set_defaults(fn=cmd_calibrate)
 
     sp = sub.add_parser("patch", help="emit patch boundaries for a corpus")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
     _add_patch_flags(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_patch)
 
     sp = sub.add_parser("train", help="train a model per the run config")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
+    sp.add_argument("--run-root", default=None)
+    sp.add_argument("--run-dir", default=None)
+    sp.add_argument("--force", action="store_true", help="overwrite an existing run dir")
     _add_patch_flags(sp)
     sp.add_argument("--corpus-eval", default=None)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval-bpb", help="bits-per-byte of a checkpoint (or the uniform model)")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
     _add_patch_flags(sp)
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--uniform", action="store_true")
     sp.set_defaults(fn=cmd_eval_bpb)
 
     sp = sub.add_parser("flops", help="per-component FLOPs/byte for a model config")
-    _add_common(sp)
+    _add_shared(sp, "--config")
     sp.add_argument("--n-ctx", type=int, default=4096)
     sp.add_argument("--patch-size", type=float, default=4.0)
     sp.set_defaults(fn=cmd_flops)
 
     sp = sub.add_parser("size-match", help="solve a config for a FLOPs/byte target")
-    _add_common(sp)
+    _add_shared(sp, "--config")
     sp.add_argument("--target", type=float, required=True)
     sp.add_argument("--n-ctx", type=int, default=4096)
     sp.add_argument("--patch-size", type=float, default=4.0)
@@ -430,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_size_match)
 
     sp = sub.add_parser("noise", help="apply a character-level noising strategy")
-    _add_common(sp)
+    _add_shared(sp, "--seed")
     sp.add_argument("--strategy", required=True, choices=list(corpus_mod.NOISE_STRATEGIES))
     sp.add_argument("--rate", type=float, default=None)
     sp.add_argument("--target", default="both", choices=["prompt", "completion", "both"])
@@ -440,13 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_noise)
 
     sp = sub.add_parser("check-incremental", help="prefix-stability check for a patcher")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
     _add_patch_flags(sp)
     sp.add_argument("--n-prefixes", type=int, default=1000)
     sp.set_defaults(fn=cmd_check_incremental)
 
     sp = sub.add_parser("trace", help="entropy-and-boundary dump for plotting")
-    _add_common(sp)
+    _add_shared(sp, *_CORPUS_FLAGS)
     _add_patch_flags(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_trace)
@@ -463,7 +497,7 @@ _PATCH_FLAG_KEYS = {"scheme": "scheme", "k": "k", "theta": "theta_g", "theta_r":
 def _overrides(args) -> dict:
     """Config overrides from the flags, so that config.json records them."""
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["run"] = {"seed": args.seed}
     patch = {key: getattr(args, flag) for flag, key in _PATCH_FLAG_KEYS.items()
              if getattr(args, flag, None) is not None}
@@ -477,7 +511,7 @@ def _overrides(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config, _overrides(args))
+        cfg = RunConfig.load(getattr(args, "config", None), _overrides(args))
         return args.fn(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,17 +1,16 @@
-"""Document loading and character-level noising."""
+"""Corpus loading, one plain ``uint8`` array per document, and character-level noising."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_input
+from .errors import ConfigError, read_input
 
 logger = logging.getLogger(__name__)
 
@@ -21,80 +20,37 @@ NOISE_STRATEGIES = ("antspeak", "drop", "random_case", "repeat", "upper_case")
 DEFAULT_NOISE_RATES = {"drop": 0.10, "random_case": 0.50, "repeat": 0.20}
 
 
-@dataclass
-class Document:
-    """A unit of processing: an id plus raw UTF-8 bytes."""
-
-    id: str
-    data: np.ndarray  # uint8
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    @classmethod
-    def from_text(cls, doc_id: str, text: str) -> "Document":
-        return cls(doc_id, np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
-
-
-@dataclass
-class DocumentSet:
-    docs: list[Document] = field(default_factory=list)
-    skipped: int = 0
-
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self.docs)
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-
-def load_corpus(path: str | Path, format: str = "plain-text", strict: bool = False) -> DocumentSet:
-    """Load one document per line (plain-text) or per JSONL record with a ``text`` field.
+def load_corpus(path: str | Path, format: str = "plain-text") -> list[np.ndarray]:
+    """The ``uint8`` documents of ``path``: one per line (plain-text) or per
+    JSONL record with a ``text`` field.
 
     Bytes are the raw UTF-8 encoding of the text; no normalization is applied.
-    Malformed JSONL records are reported with their line number and either
-    skipped (default) or fatal (``strict=True``). Empty records are skipped.
-    An unreadable path or a fatal record raises ``DataError``.
+    Empty records are skipped; a malformed JSONL record is skipped with a
+    warning naming its ``file:line``. An unreadable path raises ``DataError``.
     """
     path = Path(path)
     if format not in ("plain-text", "jsonl"):
         raise ConfigError(f"unknown corpus format: {format!r}")
 
-    out = DocumentSet()
+    docs = []
     raw_lines = read_input(path).split(b"\n")
     # A trailing newline produces one empty tail entry, not an empty document.
     if raw_lines and raw_lines[-1] == b"":
         raw_lines.pop()
 
     for lineno, raw in enumerate(raw_lines, start=1):
-        if format == "plain-text":
-            if not raw:
-                out.skipped += 1
-                continue
-            out.docs.append(Document(f"{path.name}:{lineno}", np.frombuffer(raw, dtype=np.uint8)))
-        else:
+        if format == "jsonl":
             try:
-                rec = json.loads(raw.decode("utf-8"))
-                text = rec["text"]
+                text = json.loads(raw.decode("utf-8"))["text"]
                 if not isinstance(text, str):
                     raise TypeError("text field is not a string")
-            except Exception as exc:
-                msg = f"{path.name}:{lineno}: malformed record ({exc})"
-                if strict:
-                    raise DataError(msg) from exc
-                logger.warning("%s -- skipped", msg)
-                out.skipped += 1
+            except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, no text
+                logger.warning("%s:%d: malformed record (%s) -- skipped", path.name, lineno, exc)
                 continue
-            if not text:
-                out.skipped += 1
-                continue
-            doc_id = str(rec.get("id", f"{path.name}:{lineno}"))
-            out.docs.append(Document.from_text(doc_id, text))
-
-    return out
+            raw = text.encode("utf-8")
+        if raw:
+            docs.append(np.frombuffer(raw, dtype=np.uint8))
+    return docs
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, DocumentSet
 from .errors import ConfigError, DataError, read_input
 
 LN256 = float(np.log(256.0))
@@ -36,10 +35,11 @@ NEWLINE = 0x0A
 
 _MAGIC = b"PLMENT01"
 
+# the most (context, next-byte) pairs ``train_counts`` will store: (order + 1) per byte
+MAX_PAIRS = 50_000_000
+
 
 def _as_bytes_array(data) -> np.ndarray:
-    if isinstance(data, Document):
-        return data.data
     if isinstance(data, (bytes, bytearray)):
         return np.frombuffer(bytes(data), dtype=np.uint8)
     return np.asarray(data, dtype=np.uint8)
@@ -290,15 +290,14 @@ class EntropyModel:
 
 
 def train_counts(
-    corpus: DocumentSet | Sequence,
+    corpus: Sequence,
     order: int,
     alpha: float = 0.01,
-    max_pairs: int = 50_000_000,
 ) -> EntropyModel:
     """Accumulate (context, next-byte) counts within documents and smooth them.
 
     Counting never crosses document boundaries. Raises with a size estimate if
-    the pair budget would be exceeded.
+    the pairs would exceed ``MAX_PAIRS``.
     """
     if not (1 <= order <= 8):
         raise ConfigError(f"order must be in [1, 8], got {order}")
@@ -308,10 +307,10 @@ def train_counts(
         raise DataError("corpus is empty")
     total = sum(len(d) for d in docs)
     est = (order + 1) * total
-    if est > max_pairs:
+    if est > MAX_PAIRS:
         raise ConfigError(
             f"order {order} over {total} bytes stores up to {est} (context, byte) pairs, "
-            f"exceeding the budget of {max_pairs}; lower the order or raise max_pairs"
+            f"exceeding the budget of {MAX_PAIRS}; lower the order or use a smaller corpus"
         )
     levels = []
     for k in range(order + 1):

@@ -141,10 +141,8 @@ class PatchingConfig:
             raise ConfigError("bpe_merges must be >= 0")
 
 
-def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int | None) -> tuple[np.ndarray, int]:
+def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int) -> tuple[np.ndarray, int]:
     """Split any patch longer than ``max_patch``; returns (starts, forced split count)."""
-    if max_patch is None or n_bytes == 0:
-        return starts, 0
     lengths = np.diff(np.append(starts, n_bytes))
     long = np.nonzero(lengths > max_patch)[0]
     if len(long) == 0:
@@ -155,7 +153,7 @@ def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int | None) -
     return merged, forced
 
 
-def _from_flags(flags: np.ndarray, max_patch: int | None) -> PatchBoundaries:
+def _from_flags(flags: np.ndarray, max_patch: int) -> PatchBoundaries:
     n = len(flags)
     if n == 0:
         return PatchBoundaries(np.zeros(0, np.int64), 0)
@@ -170,7 +168,7 @@ def _from_flags(flags: np.ndarray, max_patch: int | None) -> PatchBoundaries:
 # ---------------------------------------------------------------------------
 
 
-def patch_strided(n_bytes: int, k: int, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+def patch_strided(n_bytes: int, k: int, max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     """A patch starts every k bytes."""
     if k < 1:
         raise ConfigError("stride k must be >= 1")
@@ -191,7 +189,7 @@ for _b in range(256):
         _SPACE_LIKE[_b] = False
 
 
-def patch_space(data, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+def patch_space(data, max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     """Boundary where the previous byte is space-like and the current one is not.
 
     Runs of space-like bytes stay glued to the preceding patch, so every patch
@@ -211,7 +209,7 @@ def patch_space(data, max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundar
 
 
 def patch_entropy(trace: EntropyTrace, theta_g: float | None = None, theta_r: float | None = None,
-                  max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+                  max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     """A byte starts a patch when its entropy exceeds theta_g or jumps over the
     previous byte's by more than theta_r; a threshold of None is not checked."""
     if theta_g is None and theta_r is None:
@@ -224,7 +222,7 @@ def patch_entropy(trace: EntropyTrace, theta_g: float | None = None, theta_r: fl
 
 
 def bpe_adapter(token_starts: Sequence[int] | np.ndarray, n_bytes: int,
-                max_patch: int | None = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+                max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     """Wrap externally computed token start offsets as patch boundaries."""
     starts = np.asarray(token_starts, dtype=np.int64)
     starts, forced = enforce_max_patch(starts, n_bytes, max_patch)
@@ -276,7 +274,7 @@ def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = No
 
 
 def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
-                  max_patch: int | None) -> float:
+                  max_patch: int) -> float:
     """Mean patch size over concatenated documents when ``score > theta`` starts a patch.
 
     Counts what patching each document on its own gives: every document
@@ -284,10 +282,8 @@ def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
     forced splits.
     """
     starts = np.flatnonzero(doc_start | (score > theta))
-    n_patches = len(starts)
-    if max_patch is not None:
-        lengths = np.diff(np.append(starts, len(score)))
-        n_patches += int(((lengths - 1) // max_patch).sum())
+    lengths = np.diff(np.append(starts, len(score)))
+    n_patches = len(starts) + int(((lengths - 1) // max_patch).sum())
     return len(score) / n_patches
 
 
@@ -297,7 +293,7 @@ def calibrate_threshold(
     target_patch_size: float,
     scheme: str = "entropy_global",
     reset_on_newline: bool = False,
-    max_patch: int | None = DEFAULT_MAX_PATCH,
+    max_patch: int = DEFAULT_MAX_PATCH,
     tol: float = 0.02,
     iters: int = 60,
 ) -> float:

@@ -33,8 +33,10 @@ LN2 = float(np.log(2.0))
 
 CHECKPOINT_VERSION = 2
 
-# a loss above this multiple of the first step's loss counts toward divergence
+# a loss above this multiple of the first step's loss counts toward divergence,
+# and this many such steps in a row abort the run
 DIVERGENCE_FACTOR = 2.0
+DIVERGENCE_PATIENCE = 100
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,20 @@ def check_disjoint(train_docs, eval_docs):
         raise ConfigError(f"{len(overlap)} documents appear in both train and eval slices")
 
 
+def scorable_slices(slices: dict[str, list]) -> dict[str, list[np.ndarray]]:
+    """Each slice's non-empty documents as ``uint8`` arrays; a slice with no
+    document, or none longer than one byte, has nothing to score and raises."""
+    out = {}
+    for name, docs in slices.items():
+        docs = [np.asarray(d, dtype=np.uint8) for d in docs if len(d)]
+        if not docs:
+            raise DataError(f"slice {name!r} is empty")
+        if all(len(d) == 1 for d in docs):
+            raise DataError(f"slice {name!r} has no predictable bytes")
+        out[name] = docs
+    return out
+
+
 def _split_doc(bounds: PatchBoundaries, max_bytes: int):
     """Spans of at most max_bytes, cut at patch boundaries."""
     spans = []
@@ -298,13 +314,8 @@ def eval_bpb(
     eight bits per byte.
     """
     bpb, nats, nbytes, mps = {}, {}, {}, {}
-    for name, docs in slices.items():
-        docs = [np.asarray(d, dtype=np.uint8) for d in docs if len(d)]
-        if not docs:
-            raise DataError(f"slice {name!r} is empty")
+    for name, docs in scorable_slices(slices).items():
         n_pred = sum(len(d) - 1 for d in docs)
-        if n_pred == 0:
-            raise DataError(f"slice {name!r} has no predictable bytes")
         if params is None:
             total = n_pred * LN256
             bpb[name] = total / (LN2 * n_pred)
@@ -424,7 +435,7 @@ def train(
     loader: PatchStreamLoader,
     optim: OptimSpec,
     total_steps: int,
-    run_dir: str | Path | None = None,
+    run_dir: str | Path,
     eval_slices: dict[str, list[np.ndarray]] | None = None,
     eval_patcher=None,
     eval_every: int = 0,
@@ -433,7 +444,6 @@ def train(
     config_hash: str = "",
     start_step: int = 0,
     adam_state: AdamState | None = None,
-    divergence_patience: int = 100,
 ) -> TrainResult:
     """Run the loop; metrics stream to ``run_dir/metrics.jsonl``.
 
@@ -446,13 +456,11 @@ def train(
     if eval_slices:
         check_disjoint(loader.docs, [d for s in eval_slices.values() for d in s])
     state = adam_state if adam_state is not None else AdamState.init(params)
-    run_dir = Path(run_dir) if run_dir else None
-    metrics_fh = perf_fh = None
-    if run_dir:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        mode = "a" if start_step > 0 else "w"
-        metrics_fh = open(run_dir / "metrics.jsonl", mode)
-        perf_fh = open(run_dir / "perf.jsonl", mode)
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    mode = "a" if start_step > 0 else "w"
+    metrics_fh = open(run_dir / "metrics.jsonl", mode)
+    perf_fh = open(run_dir / "perf.jsonl", mode)
 
     result = TrainResult(steps_done=start_step, final_loss=float("nan"))
     initial_loss = None
@@ -476,25 +484,24 @@ def train(
             if initial_loss is None:
                 initial_loss = loss
             bad_streak = bad_streak + 1 if loss > DIVERGENCE_FACTOR * initial_loss else 0
-            if metrics_fh:
-                row = {
-                    "step": step,
-                    "loss_nats": loss,
-                    "bpb": loss / LN2,
-                    "lr": lr,
-                    "grad_norm": gnorm,
-                    "n_patches": stream.n_patches,
-                    "n_bytes": stream.n_bytes,
-                }
-                metrics_fh.write(json.dumps(row) + "\n")
-                dt = time.perf_counter() - t0
-                perf_fh.write(json.dumps({
-                    "step": step,
-                    "patches_per_s": stream.n_patches / dt,
-                    "bytes_per_s": stream.n_bytes / dt,
-                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # ru_maxrss: KiB
-                }) + "\n")
-            if bad_streak >= divergence_patience:
+            row = {
+                "step": step,
+                "loss_nats": loss,
+                "bpb": loss / LN2,
+                "lr": lr,
+                "grad_norm": gnorm,
+                "n_patches": stream.n_patches,
+                "n_bytes": stream.n_bytes,
+            }
+            metrics_fh.write(json.dumps(row) + "\n")
+            dt = time.perf_counter() - t0
+            perf_fh.write(json.dumps({
+                "step": step,
+                "patches_per_s": stream.n_patches / dt,
+                "bytes_per_s": stream.n_bytes / dt,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # ru_maxrss: KiB
+            }) + "\n")
+            if bad_streak >= DIVERGENCE_PATIENCE:
                 raise NumericError(
                     f"loss {loss:.3f} above {DIVERGENCE_FACTOR}x initial {initial_loss:.3f} "
                     f"for {bad_streak} consecutive steps")
@@ -502,19 +509,17 @@ def train(
                 result.eval_reports.append(
                     eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
                              steps=step + 1))
-            if checkpoint_every and run_dir and (step + 1) % checkpoint_every == 0:
+            if checkpoint_every and (step + 1) % checkpoint_every == 0:
                 save_checkpoint(run_dir / f"ckpt_{step + 1:07d}.npz", params, state,
                                 loader, step + 1, config, optim, config_hash)
-        if run_dir:
-            save_checkpoint(run_dir / "ckpt_final.npz", params, state, loader,
-                            result.steps_done, config, optim, config_hash)
+        save_checkpoint(run_dir / "ckpt_final.npz", params, state, loader,
+                        result.steps_done, config, optim, config_hash)
         if eval_slices and total_steps > 0:
             result.eval_reports.append(
                 eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
                          steps=result.steps_done))
     finally:
         result.skipped_steps = state.skipped
-        if metrics_fh:
-            metrics_fh.close()
-            perf_fh.close()
+        metrics_fh.close()
+        perf_fh.close()
     return result

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from patchlm import textgen
-from patchlm.corpus import Document
 from patchlm.entropy_lm import train_counts
 
 

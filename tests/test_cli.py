@@ -15,7 +15,7 @@ import patchlm
 from patchlm import textgen, trainer
 from patchlm.corpus import load_corpus
 from patchlm.entropy_lm import train_counts
-from patchlm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from patchlm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, build_parser, main
 from patchlm.errors import ConfigError
 from patchlm.model import ModelConfig, init_params
 from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, patch_strided
@@ -178,6 +178,9 @@ BAD_INPUTS = {
     # on a corpus large enough to calibrate on, so only the contradiction fails
     "theta_and_target": (["patch", "--corpus", "big.txt", "--scheme", "entropy_global",
                           "--theta", "2.0", "--target-patch-size", "4.5"], EXIT_CONFIG),
+    # checked before the (missing) corpus is read
+    "run_dir_below_a_file": (["train", "--corpus", "missing.txt", "--run-dir", "text.txt/sub"],
+                             EXIT_CONFIG),
 }
 
 
@@ -397,6 +400,47 @@ def test_config_surface_is_pinned():
     assert list(flat(DEFAULTS)) == CONFIG_KEYS
 
 
+PATCH_FLAGS = ["--scheme", "--k", "--theta", "--theta-r", "--target-patch-size", "--reset-newline",
+               "--max-patch", "--entropy-model", "--bpe-merges"]
+CORPUS_FLAGS = ["--json", "--config", "--seed", "--corpus", "--format"]
+
+# every (subcommand, flag) pair; a command accepts only the flags it reads
+CLI_FLAGS = {
+    "train-entropy": [*CORPUS_FLAGS, "--order", "--out"],
+    "calibrate": [*CORPUS_FLAGS, *PATCH_FLAGS],
+    "patch": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
+    "train": [*CORPUS_FLAGS, "--run-root", "--run-dir", "--force", *PATCH_FLAGS, "--corpus-eval"],
+    "eval-bpb": [*CORPUS_FLAGS, *PATCH_FLAGS, "--checkpoint", "--uniform"],
+    "flops": ["--json", "--config", "--n-ctx", "--patch-size"],
+    "size-match": ["--json", "--config", "--target", "--n-ctx", "--patch-size", "--tol"],
+    "noise": ["--json", "--seed", "--strategy", "--rate", "--target", "--text", "--in", "--out"],
+    "check-incremental": [*CORPUS_FLAGS, *PATCH_FLAGS, "--n-prefixes"],
+    "trace": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    surface = {name: [flag for action in sp._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")]
+               for name, sp in sub.choices.items()}
+    assert surface == CLI_FLAGS
+    assert sum(len(flags) for flags in surface.values()) == 118
+
+
+@pytest.mark.parametrize("argv", [
+    ["flops", "--corpus", "x"],
+    ["size-match", "--target", "1e6", "--seed", "1"],
+    ["noise", "--strategy", "drop", "--text", "a", "--config", "c.json"],
+    ["patch", "--scheme", "strided", "--run-dir", "r"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_runconfig_defaults_are_the_dataclass_defaults():
     cfg = RunConfig({})
     assert cfg["model"] == ModelConfig().to_dict()
@@ -491,7 +535,7 @@ def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file)
     assert code == 0
     reported = json.loads((run_dir / "report.json").read_text())["evals"][-1]["bpb"]["heldout"]
     ck = load_checkpoint(run_dir / "ckpt_final.npz")
-    docs = [d.data for d in load_corpus(heldout)]
+    docs = load_corpus(heldout)
 
     def heldout_bpb(stream_bytes):
         return eval_bpb(ck["params"], ck["config"], {"heldout": docs},
@@ -608,6 +652,57 @@ def test_train_config_error_writes_no_run_dir(tmp_path, capsys, corpus_file, val
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and key in err, err
     assert not (tmp_path / "run").exists()
+
+
+# each command that writes --out, with arguments whose input is missing: a
+# bad --out must fail before that input is read
+OUT_COMMANDS = {
+    "train-entropy": ["--corpus", "missing.txt"],
+    "patch": ["--corpus", "missing.txt", "--scheme", "strided"],
+    "trace": ["--corpus", "missing.txt", "--scheme", "strided"],
+    "noise": ["--strategy", "drop", "--in", "missing.txt"],
+}
+
+
+@pytest.mark.parametrize("out", ["a_directory", "nodir/o.txt", "notes.txt/o.txt"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_bad_out_path_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, command, out):
+    monkeypatch.chdir(tmp_path)
+    Path("a_directory").mkdir()
+    Path("notes.txt").write_bytes(b"keep me\n")
+    code = main([command, *OUT_COMMANDS[command], "--out", out])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and err.startswith(f"config error: --out {out}"), err
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory", "notes.txt"]
+
+
+def test_train_eval_slice_with_nothing_to_predict_writes_no_run_dir(tmp_path, capsys, corpus_file):
+    heldout = tmp_path / "heldout.txt"
+    heldout.write_bytes(b"a\nb\n")  # 1-byte documents: no byte has a predecessor
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16}}))
+    code = main(["train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                 "--corpus-eval", str(heldout), "--scheme", "strided",
+                 "--run-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA and "no predictable bytes" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_check_incremental_reads_the_config_seed(tmp_path, capsys, corpus_file):
+    small = tmp_path / "small.txt"
+    small.write_text("".join(corpus_file.read_text().splitlines(keepends=True)[:40]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"run": {"seed": 7}}))
+    reports = {}
+    for argv in (["--config", str(cfg_path)], ["--seed", "7"], []):
+        code, out = run(capsys, "check-incremental", "--json", "--corpus", str(small),
+                        "--scheme", "bpe", "--n-prefixes", "50", *argv)
+        assert code == 0
+        reports[" ".join(argv[:1])] = json.loads(out)["violations"]
+    assert reports["--config"] == reports["--seed"] != reports[""]
 
 
 def test_run_dir_naming_a_file_is_a_config_error(tmp_path, capsys, corpus_file):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from patchlm.corpus import NoiseSpec, apply_noise, load_corpus
@@ -13,32 +14,30 @@ from patchlm.errors import DataError
 def test_plain_text_one_doc_per_line(tmp_path):
     p = tmp_path / "c.txt"
     p.write_bytes(b"ab\n")
-    ds = load_corpus(p, "plain-text")
-    assert len(ds) == 1
-    assert ds.docs[0].data.tolist() == [0x61, 0x62]
+    docs = load_corpus(p, "plain-text")
+    assert len(docs) == 1
+    assert docs[0].dtype == np.uint8 and docs[0].tolist() == [0x61, 0x62]
 
 
 def test_empty_file_gives_empty_set(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_bytes(b"")
-    ds = load_corpus(p, "plain-text")
-    assert len(ds) == 0
+    assert load_corpus(p, "plain-text") == []
 
 
 def test_jsonl_utf8_bytes(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text(json.dumps({"text": "hé"}) + "\n")
-    ds = load_corpus(p, "jsonl")
-    assert ds.docs[0].data.tolist() == [0x68, 0xC3, 0xA9]
+    assert load_corpus(p, "jsonl")[0].tolist() == [0x68, 0xC3, 0xA9]
 
 
-def test_jsonl_malformed_skipped_or_fatal(tmp_path):
+def test_jsonl_malformed_record_skipped_with_its_line(tmp_path, caplog):
     p = tmp_path / "c.jsonl"
-    p.write_text('{"text": "ok"}\nnot json\n')
-    ds = load_corpus(p, "jsonl")
-    assert len(ds) == 1 and ds.skipped == 1
-    with pytest.raises(DataError, match="c.jsonl:2"):
-        load_corpus(p, "jsonl", strict=True)
+    p.write_text('{"text": "ok"}\nnot json\n{"text": ""}\n{"text": 3}\n')
+    docs = load_corpus(p, "jsonl")
+    assert [d.tolist() for d in docs] == [[0x6F, 0x6B]]
+    warned = [r.getMessage() for r in caplog.records]
+    assert len(warned) == 2 and "c.jsonl:2" in warned[0] and "c.jsonl:4" in warned[1]
 
 
 def test_missing_path_raises():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchlm import textgen
-from patchlm.corpus import Document
+from patchlm import entropy_lm, textgen
 from patchlm.errors import ConfigError, DataError
 from patchlm.entropy_lm import (
     LN256,
@@ -21,8 +20,8 @@ from patchlm.entropy_lm import (
 from patchlm.patching import PatchBoundaries
 
 
-def _doc(data: bytes) -> Document:
-    return Document("d", np.frombuffer(data, np.uint8))
+def _doc(data: bytes) -> np.ndarray:
+    return np.frombuffer(data, np.uint8)
 
 
 def oracle_distribution(model: EntropyModel, context: bytes) -> np.ndarray:
@@ -82,7 +81,7 @@ def test_uniform_random_corpus_entropy_approaches_ln256():
     # with order 1 the per-context counts are dense enough to sit at the limit
     rng = np.random.Generator(np.random.PCG64(0))
     data = rng.integers(0, 256, size=2_000_000, dtype=np.uint8).astype(np.uint8)
-    m1 = train_counts([Document("d", data)], order=1)
+    m1 = train_counts([data], order=1)
     tr = m1.entropy_trace(data[:5000])
     assert abs(tr.values[100:].mean() - LN256) < 0.05
     # order-2 contexts are sparse at these sizes; once counts outgrow the
@@ -90,7 +89,7 @@ def test_uniform_random_corpus_entropy_approaches_ln256():
     h = []
     for size in (800_000, 2_000_000, 8_000_000):
         more = rng.integers(0, 256, size=size, dtype=np.uint8).astype(np.uint8)
-        m2 = train_counts([Document("d", more)], order=2, max_pairs=60_000_000)
+        m2 = train_counts([more], order=2)
         h.append(m2.entropy_trace(data[:3000]).values[100:].mean())
     assert h[0] < h[1] < h[2] < LN256
 
@@ -229,13 +228,14 @@ def test_incremental_trace_equals_from_scratch(entropy3, english_docs):
         np.testing.assert_array_equal(entropy3.entropy_trace(data[:cut]).values, full[:cut])
 
 
-def test_order_and_alpha_validation(small_docs):
+def test_order_and_alpha_validation(small_docs, monkeypatch):
     with pytest.raises(ConfigError):
         train_counts(small_docs, order=0)
     with pytest.raises(ConfigError):
         train_counts(small_docs, order=9)
+    monkeypatch.setattr(entropy_lm, "MAX_PAIRS", 1000)
     with pytest.raises(ConfigError, match="pairs"):
-        train_counts(small_docs, order=8, max_pairs=1000)
+        train_counts(small_docs, order=8)
     with pytest.raises(DataError):
         train_counts([], order=2)
 

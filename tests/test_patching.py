@@ -123,7 +123,8 @@ def test_entropy_global_mean_size_monotone_in_threshold():
     tr = _trace(rng.uniform(0, LN256, size=4000))
     sizes = []
     for theta in np.linspace(0, LN256, 12):
-        sizes.append(patch_stats(patch_entropy(tr, theta_g=float(theta), max_patch=None)).mean_patch_size)
+        bounds = patch_entropy(tr, theta_g=float(theta), max_patch=len(tr.values))  # no forced split
+        sizes.append(patch_stats(bounds).mean_patch_size)
     assert all(a <= b + 1e-12 for a, b in zip(sizes, sizes[1:]))
 
 
@@ -182,7 +183,7 @@ _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.5]
 @given(docs=st.lists(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=30),
                      min_size=1, max_size=6),
        theta=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 3.5]),
-       monotonic=st.booleans(), max_patch=st.sampled_from([None, 1, 3, 512]))
+       monotonic=st.booleans(), max_patch=st.sampled_from([1, 3, 512]))
 def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, max_patch):
     # calibrate_threshold scans the concatenated traces; the reference patches
     # each document on its own

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchlm import textgen
+from patchlm import textgen, trainer
 from patchlm.entropy_lm import train_counts
 from patchlm.errors import DataError, NumericError
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
@@ -310,22 +310,23 @@ def test_resume_is_bit_identical(tmp_path):
     assert full == resumed
 
 
-def test_divergence_aborts():
+def test_divergence_aborts(tmp_path, monkeypatch):
+    monkeypatch.setattr(trainer, "DIVERGENCE_PATIENCE", 5)
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
     docs = make_docs(6, 150, seed=3)
     loader = PatchStreamLoader(docs, STRIDED4, patch_budget=32, seed=0)
     bad = OptimSpec(lr_peak=2.0, warmup_steps=1, weight_decay=0.0)
     with pytest.raises(NumericError):
-        train(params, cfg, loader, bad, total_steps=60, divergence_patience=5)
+        train(params, cfg, loader, bad, total_steps=60, run_dir=tmp_path)
 
 
-def test_zero_steps_initial_eval_only():
+def test_zero_steps_initial_eval_only(tmp_path):
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
     docs = make_docs(8, 120, seed=41)
     loader = PatchStreamLoader(docs[:6], STRIDED4, patch_budget=16, seed=0)
-    res = train(params, cfg, loader, OptimSpec(), total_steps=0,
+    res = train(params, cfg, loader, OptimSpec(), total_steps=0, run_dir=tmp_path,
                 eval_slices={"held": docs[6:]}, eval_patcher=STRIDED4)
     assert res.steps_done == 0 and len(res.eval_reports) == 1
     assert res.eval_reports[0].steps == 0
