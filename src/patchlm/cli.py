@@ -2,7 +2,8 @@
 
 Subcommands: train-entropy, calibrate, patch, train, eval-bpb, flops,
 size-match, noise, check-incremental, trace. Each accepts only the flags it
-reads. Every command takes --json, and every one but noise takes --config.
+reads. Every command takes --json and --log-level (the level of the
+messages printed to stderr), and every one but noise takes --config.
 The commands that read a corpus take --corpus, --format and --seed (which
 also seeds a synthetic corpus); noise takes --seed for its own generator.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import logging
 import math
 import os
 import sys
@@ -378,6 +380,8 @@ def cmd_trace(args, cfg: RunConfig) -> int:
 # the flags several commands share; each command names the ones it reads
 _SHARED_FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
+    "--log-level": dict(default="WARNING", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="lowest level of the log messages printed to stderr"),
     "--config": dict(help="JSON run config; flags override its keys"),
     "--seed": dict(type=int, default=None),
     "--corpus": dict(default=None, help="input corpus file"),
@@ -389,7 +393,7 @@ _CORPUS_FLAGS = ("--config", "--seed", "--corpus", "--format")
 
 
 def _add_shared(sp, *flags):
-    for flag in ("--json", *flags):
+    for flag in ("--json", "--log-level", *flags):
         sp.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
@@ -510,6 +514,7 @@ def _overrides(args) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = RunConfig.load(getattr(args, "config", None), _overrides(args))
         return args.fn(args, cfg)

@@ -14,6 +14,14 @@ every byte outside S has p_k(b | c) = a * q_b, so
 
     H_k(c) = -sum_S p log p - a * [(1 - sum_S q) log a - H_{k-1}(c[1:]) - sum_S q log q].
 
+The H_k tables are built once, on the first trace (or on ``load``), next to
+one direct-index table of the contexts of length at most 2: 1 + 256 + 65,536 =
+65,793 float64 entries (526 KB), each holding the entropy its backoff resolves
+to. Building is idempotent and a reader sees the tables only once they are
+complete, so concurrent reads stay safe. A trace reads every position's
+short context from that table and searches the sparse levels 3..order
+deepest first, backing off on a miss.
+
 Entropies are in nats throughout; callers convert to bits only at reporting
 edges.
 """
@@ -38,6 +46,13 @@ _MAGIC = b"PLMENT01"
 # the most (context, next-byte) pairs ``train_counts`` will store: (order + 1) per byte
 MAX_PAIRS = 50_000_000
 
+# contexts of at most _SHORT bytes resolve through one direct-index table, whose
+# length-k block starts at (256**k - 1) / 255; the last entry is the table's size
+_SHORT = 2
+_SHORT_START = np.array([(256**k - 1) // 255 for k in range(_SHORT + 2)], dtype=np.uint64)
+# _KEY_MASK[k] keeps the last k bytes of a packed context
+_KEY_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+
 
 def _as_bytes_array(data) -> np.ndarray:
     if isinstance(data, (bytes, bytearray)):
@@ -45,20 +60,18 @@ def _as_bytes_array(data) -> np.ndarray:
     return np.asarray(data, dtype=np.uint8)
 
 
-def _pack_keys(arr: np.ndarray, k: int) -> np.ndarray:
-    """Pack length-k contexts ending just before each position into uint64 keys.
+def _pack_keys(arr: np.ndarray, width) -> np.ndarray:
+    """Pack the context of ``width`` bytes ending just before each position of
+    ``arr`` into a uint64 key; zero bytes stand in before the start.
 
-    Returns keys for positions k..n-1 of ``arr``; key of context c_1..c_k is
-    sum(c_j * 256**(k - j)) (big-endian, last byte least significant).
+    ``width`` is an int or one per position. The key of context c_1..c_k is
+    sum(c_j * 256**(k - j)) (big-endian, last byte least significant), so the
+    last j bytes of a context are its key & _KEY_MASK[j]. One pass packs every
+    position: its 8 preceding bytes read as one big-endian word, then masked.
     """
-    n = len(arr)
-    if n <= k:
-        return np.zeros(0, dtype=np.uint64)
-    out = np.zeros(n - k, dtype=np.uint64)
-    a64 = arr.astype(np.uint64)
-    for t in range(1, k + 1):  # t bytes back from the predicted position
-        out += a64[k - t : n - t] << np.uint64(8 * (t - 1))
-    return out
+    padded = np.concatenate((np.zeros(8, np.uint8), arr))
+    words = np.ndarray((len(arr),), dtype=">u8", buffer=padded, strides=(1,))
+    return words.astype(np.uint64) & _KEY_MASK[width]
 
 
 def _count_pairs(keys: np.ndarray, nxt: np.ndarray,
@@ -121,7 +134,12 @@ class EntropyTrace:
 
 
 class EntropyModel:
-    """Immutable after construction; concurrent read queries are safe."""
+    """Immutable after construction; concurrent read queries are safe.
+
+    The entropy tables are derived from ``levels`` once, lazily and
+    idempotently: a per-level H_k table plus the 65,793-entry (526 KB) table
+    of contexts of at most two bytes.
+    """
 
     VERSION = 1
 
@@ -136,6 +154,7 @@ class EntropyModel:
 
         self._gamma = 256.0 * alpha
         self._h_tables: list[np.ndarray] | None = None
+        self._short_h: np.ndarray | None = None  # set with _h_tables
 
     # -- entropy tables (one per context length) -----------------------------
 
@@ -148,6 +167,12 @@ class EntropyModel:
         in uint64 below length 8. Only the previous level's per-pair
         probabilities are kept, so memory is O(pairs). A loaded file whose
         counts do not nest raises.
+
+        Also builds ``_short_h``: the entropy of every context of at most
+        ``_SHORT`` bytes, stored or not, with backoff resolved. Block k starts
+        as block k-1 repeated (an unseen context keeps its suffix's entropy),
+        then takes H_k at the stored contexts. ``_h_tables`` is assigned last,
+        so a reader that sees it sees both.
         """
         if self._h_tables is not None:
             return
@@ -178,6 +203,12 @@ class EntropyModel:
             if k < self.order:
                 prev_keys = (lev.pair_ctx << np.uint64(8)) | lev.pair_next.astype(np.uint64)
                 prev_p, prev_ctx, prev_h = p, lev.ctx_keys, h
+        short = np.full(int(_SHORT_START[-1]), tables[0][0] if len(tables[0]) else LN256)
+        for k in range(1, min(self.order, _SHORT) + 1):
+            lo, hi = int(_SHORT_START[k - 1]), int(_SHORT_START[k])
+            short[hi:hi + 256**k] = np.tile(short[lo:hi], 256)
+            short[hi + self.levels[k].ctx_keys] = tables[k]
+        self._short_h = short
         self._h_tables = tables
 
     # -- traces ---------------------------------------------------------------
@@ -195,54 +226,40 @@ class EntropyModel:
         if n == 0:
             raise DataError("entropy_trace needs a non-empty byte sequence")
 
-        seg_start = np.zeros(n, dtype=np.int64)
+        since_reset = np.arange(n, dtype=np.int64)
         resets = np.zeros(0, dtype=np.int64)
         if reset_on_newline:
             after = np.nonzero(arr == NEWLINE)[0] + 1
-            after = after[after < n]
-            seg_start[after] = after
-            seg_start = np.maximum.accumulate(seg_start)
-            resets = after
-        avail = np.minimum(self.order, np.arange(n, dtype=np.int64) - seg_start)
+            resets = after[after < n]
+            seg_start = np.zeros(n, dtype=np.int64)
+            seg_start[resets] = resets
+            since_reset -= np.maximum.accumulate(seg_start)
+        avail = np.minimum(self.order, since_reset)
 
         return EntropyTrace(self._trace_fast(arr, avail), resets)
 
     def _trace_fast(self, arr: np.ndarray, avail: np.ndarray) -> np.ndarray:
         self._ensure_h_tables()
-        n = len(arr)
-        values = np.empty(n, dtype=np.float64)
-        key = np.zeros(n, dtype=np.uint64)
-        a64 = arr.astype(np.uint64)
-        # key[i] = packed trailing context of length avail[i]
-        for t in range(1, self.order + 1):
-            idx = np.nonzero(avail >= t)[0]
-            key[idx] += a64[idx - t] << np.uint64(8 * (t - 1))
-        # Resolve each position at its deepest seen context, backing off to the
-        # suffix key on a miss (an unseen context has exactly its suffix's
-        # distribution, so the entropy carries over unchanged).
-        resolved = np.zeros(n, dtype=bool)
+        key = _pack_keys(arr, avail)
+        values = self._short_h[_SHORT_START[np.minimum(avail, _SHORT)] + (key & _KEY_MASK[_SHORT])]
+        # Deeper contexts overwrite that at their deepest stored length: a miss
+        # backs off to the suffix (an unseen context has exactly its suffix's
+        # distribution), and one that reaches _SHORT bytes keeps its table value.
+        # Sorted needles make the binary searches walk ctx_keys in order.
         lvl = avail.copy()
-        for k in range(self.order, 0, -1):
-            sel = np.nonzero(~resolved & (lvl == k))[0]
-            if len(sel) == 0:
+        for k in range(self.order, _SHORT, -1):
+            sel = np.flatnonzero(lvl == k)
+            ctx_keys = self.levels[k].ctx_keys
+            if len(sel) == 0 or len(ctx_keys) == 0:
+                lvl[sel] = k - 1
                 continue
-            lev = self.levels[k]
-            if len(lev.ctx_keys):
-                pos = np.searchsorted(lev.ctx_keys, key[sel])
-                pos_c = np.minimum(pos, len(lev.ctx_keys) - 1)
-                found = lev.ctx_keys[pos_c] == key[sel]
-            else:
-                found = np.zeros(len(sel), dtype=bool)
-                pos_c = np.zeros(len(sel), dtype=np.int64)
-            hit = sel[found]
-            if len(hit):
-                values[hit] = self._h_tables[k][pos_c[found]]
-                resolved[hit] = True
-            miss = sel[~found]
-            key[miss] %= np.uint64(1 << (8 * (k - 1)))
-            lvl[miss] = k - 1
-        h0 = self._h_tables[0]
-        values[~resolved] = h0[0] if len(h0) else LN256  # no counts at all: uniform
+            needles = key[sel] & _KEY_MASK[k]
+            srt = np.argsort(needles)
+            sel, needles = sel[srt], needles[srt]
+            pos = np.minimum(np.searchsorted(ctx_keys, needles), len(ctx_keys) - 1)
+            found = ctx_keys[pos] == needles
+            values[sel[found]] = self._h_tables[k][pos[found]]
+            lvl[sel[~found]] = k - 1
         return values
 
     # -- serialization --------------------------------------------------------
@@ -312,20 +329,13 @@ def train_counts(
             f"order {order} over {total} bytes stores up to {est} (context, byte) pairs, "
             f"exceeding the budget of {MAX_PAIRS}; lower the order or use a smaller corpus"
         )
+    packed = [_pack_keys(d, order) for d in docs]
     levels = []
     for k in range(order + 1):
-        keys_parts, next_parts = [], []
-        for d in docs:
-            if len(d) <= k:
-                continue
-            keys_parts.append(_pack_keys(d, k))
-            next_parts.append(d[k:])
-        if keys_parts:
-            keys = np.concatenate(keys_parts)
-            nxts = np.concatenate(next_parts)
-        else:
-            keys = np.zeros(0, np.uint64)
-            nxts = np.zeros(0, np.uint8)
+        long_enough = [i for i, d in enumerate(docs) if len(d) > k]
+        keys = np.concatenate([packed[i][k:] for i in long_enough] or [np.zeros(0, np.uint64)])
+        keys &= _KEY_MASK[k]
+        nxts = np.concatenate([docs[i][k:] for i in long_enough] or [np.zeros(0, np.uint8)])
         levels.append(_Level(*_count_pairs(keys, nxts, k)))
     return EntropyModel(order, alpha, levels)
 

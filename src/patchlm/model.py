@@ -31,7 +31,6 @@ finite-difference gradient checks.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, asdict
@@ -53,8 +52,6 @@ from .tensor import (
     span_attention,
     tile_plan,
 )
-
-logger = logging.getLogger(__name__)
 
 VOCAB = 256
 

@@ -402,7 +402,7 @@ def test_config_surface_is_pinned():
 
 PATCH_FLAGS = ["--scheme", "--k", "--theta", "--theta-r", "--target-patch-size", "--reset-newline",
                "--max-patch", "--entropy-model", "--bpe-merges"]
-CORPUS_FLAGS = ["--json", "--config", "--seed", "--corpus", "--format"]
+CORPUS_FLAGS = ["--json", "--log-level", "--config", "--seed", "--corpus", "--format"]
 
 # every (subcommand, flag) pair; a command accepts only the flags it reads
 CLI_FLAGS = {
@@ -411,9 +411,10 @@ CLI_FLAGS = {
     "patch": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
     "train": [*CORPUS_FLAGS, "--run-root", "--run-dir", "--force", *PATCH_FLAGS, "--corpus-eval"],
     "eval-bpb": [*CORPUS_FLAGS, *PATCH_FLAGS, "--checkpoint", "--uniform"],
-    "flops": ["--json", "--config", "--n-ctx", "--patch-size"],
-    "size-match": ["--json", "--config", "--target", "--n-ctx", "--patch-size", "--tol"],
-    "noise": ["--json", "--seed", "--strategy", "--rate", "--target", "--text", "--in", "--out"],
+    "flops": ["--json", "--log-level", "--config", "--n-ctx", "--patch-size"],
+    "size-match": ["--json", "--log-level", "--config", "--target", "--n-ctx", "--patch-size", "--tol"],
+    "noise": ["--json", "--log-level", "--seed", "--strategy", "--rate", "--target", "--text", "--in",
+              "--out"],
     "check-incremental": [*CORPUS_FLAGS, *PATCH_FLAGS, "--n-prefixes"],
     "trace": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
 }
@@ -425,7 +426,17 @@ def test_cli_surface_is_pinned():
                       if flag not in ("-h", "--help")]
                for name, sp in sub.choices.items()}
     assert surface == CLI_FLAGS
-    assert sum(len(flags) for flags in surface.values()) == 118
+    assert sum(len(flags) for flags in surface.values()) == 128
+
+
+def test_log_level_debug_shows_the_debug_lines(tmp_path):
+    (tmp_path / "spaces.txt").write_bytes(b" \t  \n")
+    argv = ["patch", "--corpus", "spaces.txt", "--scheme", "space"]
+    line = "space patching: degenerate all space-like input of 4 bytes"
+    quiet, debug = run_module(tmp_path, *argv), run_module(tmp_path, *argv, "--log-level", "DEBUG")
+    assert quiet.returncode == debug.returncode == 0
+    assert line not in quiet.stderr
+    assert f"DEBUG patchlm.patching: {line}" in debug.stderr
 
 
 @pytest.mark.parametrize("argv", [

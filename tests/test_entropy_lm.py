@@ -99,7 +99,7 @@ def test_uniform_random_corpus_entropy_approaches_ln256():
        seed=st.integers(0, 2**32 - 1))
 def test_count_pairs_branches_match_counter_oracle(k, n, alphabet, seed):
     data = np.random.default_rng(seed).integers(0, alphabet, size=n).astype(np.uint8)
-    keys, nxt = _pack_keys(data, k), data[k:]
+    keys, nxt = _pack_keys(data, k)[k:], data[k:]
     want = sorted(Counter(zip(keys.tolist(), nxt.tolist())).items())
     packed, lexsorted = _count_pairs(keys, nxt, k), _count_pairs(keys, nxt, 8)
     for ctx, x, cnt in (packed, lexsorted):
@@ -168,6 +168,96 @@ def test_trace_matches_oracle(models_by_order, small_docs, order, reset, doc, wh
     model = models_by_order[order]
     tr = model.entropy_trace(np.frombuffer(data, np.uint8), reset_on_newline=reset)
     np.testing.assert_allclose(tr.values, oracle_trace(model, data, reset), rtol=0, atol=1e-12)
+
+
+def cascade_trace(model: EntropyModel, data: np.ndarray, reset_on_newline: bool) -> np.ndarray:
+    """The per-level cascade trace that the short-context table and the
+    sorted-needle search replaced: every context length searched by one
+    unsorted ``searchsorted``, deepest first. Exact oracle for the fast trace."""
+    arr = data
+    n = len(arr)
+    seg_start = np.zeros(n, dtype=np.int64)
+    if reset_on_newline:
+        after = np.nonzero(arr == 0x0A)[0] + 1
+        after = after[after < n]
+        seg_start[after] = after
+        seg_start = np.maximum.accumulate(seg_start)
+    avail = np.minimum(model.order, np.arange(n, dtype=np.int64) - seg_start)
+
+    model._ensure_h_tables()
+    values = np.empty(n, dtype=np.float64)
+    key = np.zeros(n, dtype=np.uint64)
+    a64 = arr.astype(np.uint64)
+    # key[i] = packed trailing context of length avail[i]
+    for t in range(1, model.order + 1):
+        idx = np.nonzero(avail >= t)[0]
+        key[idx] += a64[idx - t] << np.uint64(8 * (t - 1))
+    # Resolve each position at its deepest seen context, backing off to the
+    # suffix key on a miss (an unseen context has exactly its suffix's
+    # distribution, so the entropy carries over unchanged).
+    resolved = np.zeros(n, dtype=bool)
+    lvl = avail.copy()
+    for k in range(model.order, 0, -1):
+        sel = np.nonzero(~resolved & (lvl == k))[0]
+        if len(sel) == 0:
+            continue
+        lev = model.levels[k]
+        if len(lev.ctx_keys):
+            pos = np.searchsorted(lev.ctx_keys, key[sel])
+            pos_c = np.minimum(pos, len(lev.ctx_keys) - 1)
+            found = lev.ctx_keys[pos_c] == key[sel]
+        else:
+            found = np.zeros(len(sel), dtype=bool)
+            pos_c = np.zeros(len(sel), dtype=np.int64)
+        hit = sel[found]
+        if len(hit):
+            values[hit] = model._h_tables[k][pos_c[found]]
+            resolved[hit] = True
+        miss = sel[~found]
+        key[miss] %= np.uint64(1 << (8 * (k - 1)))
+        lvl[miss] = k - 1
+    h0 = model._h_tables[0]
+    values[~resolved] = h0[0] if len(h0) else LN256  # no counts at all: uniform
+    return values
+
+
+@pytest.fixture(scope="module")
+def model_variants(models_by_order, small_docs, tmp_path_factory):
+    """Per order: the trained model, one trained only on documents shorter than
+    its order (its upper levels are empty) and the trained one after save/load."""
+    variants = {}
+    for order, model in models_by_order.items():
+        path = tmp_path_factory.mktemp("models") / f"o{order}.bin"
+        model.save(path)
+        short = [d[: 1 + i % max(1, order - 1)] for i, d in enumerate(small_docs[:20])]
+        variants[order] = {"trained": model, "short_docs": train_counts(short, order=order),
+                           "loaded": EntropyModel.load(path)}
+    assert not len(variants[3]["short_docs"].levels[3].ctx_keys)
+    return variants
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 8), reset=st.booleans(),
+       variant=st.sampled_from(["trained", "short_docs", "loaded"]),
+       source=st.sampled_from(["training_text", "training_alphabet", "any_byte"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_trace_is_bitwise_the_cascade_trace(model_variants, small_docs, order, reset, variant,
+                                            source, seed, data):
+    n = data.draw(st.one_of(st.integers(1, order + 3), st.integers(1_900, 2_100)), label="n")
+    rng = np.random.default_rng(seed)
+    train = np.concatenate(small_docs[:20])
+    if source == "training_text":  # stored contexts at every level
+        lo = int(rng.integers(0, len(train) - n))
+        arr = train[lo: lo + n].copy()
+    elif source == "training_alphabet":
+        arr = rng.choice(np.union1d(train, [0x0A]), size=n).astype(np.uint8)
+    else:  # unseen contexts at every level
+        arr = rng.integers(0, 256, size=n).astype(np.uint8)
+    model = model_variants[order][variant]
+    got = model.entropy_trace(arr, reset_on_newline=reset).values
+    want = cascade_trace(model, arr, reset)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_trace_fast_path_matches_reference(entropy2_small, small_docs):
@@ -270,7 +360,8 @@ def test_load_rejects_counts_that_do_not_nest(tmp_path, entropy2_small):
 
 def test_order8_tables_memory_is_bounded_by_pairs():
     # the dense tables this replaced kept a 256-wide float64 row per context,
-    # about 466 MB here
+    # about 466 MB here; the short-context table adds a fixed 65,793 float64s
+    short_bytes = 65_793 * 8
     text = textgen.synthetic_text(256_000, seed=3).encode()
     model = train_counts([_doc(text)], order=8)
     tracemalloc.start()
@@ -279,7 +370,8 @@ def test_order8_tables_memory_is_bounded_by_pairs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert model._short_h.nbytes == short_bytes
+    assert peak < 64 * 2**20 + short_bytes
 
 
 def test_serialization_deterministic(tmp_path, small_docs):
