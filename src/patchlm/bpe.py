@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MIN_MERGE_COUNT = 2  # a pair seen fewer times than this is not merged
+
 
 def _apply_merge(arr: np.ndarray, lengths: np.ndarray, a: int, b: int, new_id: int):
     """Replace non-overlapping (a, b) adjacencies left-to-right with new_id."""
@@ -70,8 +72,9 @@ class BpeVocab:
         return b"".join(self.token_bytes[int(i)] for i in ids)
 
 
-def train_bpe(docs, n_merges: int, min_count: int = 2) -> BpeVocab:
-    """Learn up to ``n_merges`` merges by repeatedly fusing the most frequent pair.
+def train_bpe(docs, n_merges: int) -> BpeVocab:
+    """Learn up to ``n_merges`` merges by repeatedly fusing the most frequent pair,
+    while it occurs at least ``MIN_MERGE_COUNT`` times.
 
     Ties break toward the lexicographically smallest (left, right) pair so
     training is fully deterministic. Pairs never span document boundaries.
@@ -90,7 +93,7 @@ def train_bpe(docs, n_merges: int, min_count: int = 2) -> BpeVocab:
             break
         keys, counts = np.unique(np.concatenate(keys_parts), return_counts=True)
         best = int(np.argmax(counts))  # first max = smallest (a, b) on ties
-        if counts[best] < min_count:
+        if counts[best] < MIN_MERGE_COUNT:
             break
         a = int(keys[best] >> np.uint64(32))
         b = int(keys[best] & np.uint64(0xFFFFFFFF))

@@ -45,6 +45,7 @@ _MAGIC = b"PLMENT01"
 
 # the most (context, next-byte) pairs ``train_counts`` will store: (order + 1) per byte
 MAX_PAIRS = 50_000_000
+DEFAULT_ALPHA = 0.01  # add-alpha smoothing of the count model
 
 # contexts of at most _SHORT bytes resolve through one direct-index table, whose
 # length-k block starts at (256**k - 1) / 255; the last entry is the table's size
@@ -309,7 +310,7 @@ class EntropyModel:
 def train_counts(
     corpus: Sequence,
     order: int,
-    alpha: float = 0.01,
+    alpha: float = DEFAULT_ALPHA,
 ) -> EntropyModel:
     """Accumulate (context, next-byte) counts within documents and smooth them.
 

@@ -180,7 +180,6 @@ class ConfigFamily:
     build: Callable[[int], ModelConfig]
     lo: int
     hi: int
-    axis_name: str = "width"
 
 
 def width_family(template: ModelConfig, lo: int | None = None, hi: int | None = None,
@@ -205,7 +204,7 @@ def width_family(template: ModelConfig, lo: int | None = None, hi: int | None = 
             dict(template.to_dict(), enc_dim=e, global_dim=k * e)
         )
 
-    return ConfigFamily(build, lo, hi, axis_name=f"enc_dim(x{step})")
+    return ConfigFamily(build, lo, hi)
 
 
 def size_match(target_flops_per_byte: Number, family: ConfigFamily, n_ctx: Number, n_p: Number,

@@ -8,14 +8,15 @@ outputs, restricted to the last patch that is already complete at the query
 position, so no information from inside the current patch can leak backward.
 
 Each of the four attention patterns gives every query one contiguous span of
-keys (``Spans``), which ``tensor.span_attention`` scores tile by tile without
-building an (n_queries, n_keys) array, under a tile plan that each span set
-builds once and shares across the layers that attend over it. Local
-self-attention therefore costs O(window) per byte, and decoder cross-attention
-k keys per byte, the k slots of one patch, as ``flops.blt_flops_per_byte``
-charges. The ``*_mask`` builders are dense views of the same predicates. The
-forward path calls none of them; they stay because ``perfbench/tracing.py``
-wraps them by name, and tests use them as dense references.
+keys, a ``tensor.Spans``, built once per forward; ``tensor.span_attention``
+scores it tile by tile without building an (n_queries, n_keys) array, under
+the tile plan the span set builds once and shares across the layers that
+attend over it. Local self-attention therefore costs O(window) per byte, and
+decoder cross-attention k keys per byte, the k slots of one patch, as
+``flops.blt_flops_per_byte`` charges. The ``*_mask`` builders are dense views
+of the same predicates. The forward path calls none of them; they stay
+because ``perfbench/tracing.py`` wraps them by name, and tests use them as
+dense references.
 
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, asdict
-from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .errors import ConfigError, NumericError
 from .ngram_hash import hash_ngram_ids
 from .patching import PatchBoundaries
 from .tensor import (
+    Spans,
     Tensor,
     concat,
     embedding,
@@ -50,7 +51,6 @@ from .tensor import (
     segment_max,
     softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
     span_attention,
-    tile_plan,
 )
 
 VOCAB = 256
@@ -292,8 +292,7 @@ class Stream:
             raise ValueError("doc_ids must be nondecreasing (documents are contiguous)")
         PatchBoundaries(self.patch_starts, n)  # validates order/range
         # every document start must begin a patch, and patches stay inside one doc
-        doc_start = np.nonzero(np.diff(self.doc_ids, prepend=self.doc_ids[0] - 1))[0]
-        if not np.isin(doc_start, self.patch_starts).all():
+        if not np.isin(_run_starts(self.doc_ids), self.patch_starts).all():
             raise ValueError("every document start must start a patch")
         if np.any(self.doc_ids[self.patch_starts] != self.doc_ids[self.boundaries.ends()]):
             raise ValueError("a patch may not span documents")
@@ -334,26 +333,9 @@ class Stream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spans:
-    """Query i sees keys [lo[i], hi[i])."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @cached_property
-    def plan(self) -> list[tuple]:
-        """``span_attention``'s tile plan, built once for every layer over these spans."""
-        return tile_plan(self.lo, self.hi)
-
-    def dense(self, n_keys: int) -> np.ndarray:
-        """The (n_queries, n_keys) boolean mask these spans describe."""
-        j = np.arange(n_keys)
-        return (self.lo[:, None] <= j) & (j < self.hi[:, None])
-
-
 def _run_starts(ids: np.ndarray) -> np.ndarray:
-    """For each position of a nondecreasing id array, the first index with its id."""
+    """For each position of a nondecreasing id array, the first index with its id:
+    a byte's document start, or a patch's first patch of its document."""
     idx = np.arange(len(ids))
     new_run = np.diff(ids, prepend=ids[:1] - 1) != 0
     return np.maximum.accumulate(np.where(new_run, idx, 0))
@@ -435,9 +417,9 @@ def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> At
 RMS_EPS = 1e-6
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * ((ms + eps) ** -0.5) * gain
+    return x * ((ms + RMS_EPS) ** -0.5) * gain
 
 
 def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -468,11 +450,6 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.swapaxes(0, 1).reshape(n, h * dh)
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    return span_attention(q, k, v, spans.lo, spans.hi, scale, spans.plan)
-
-
 def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
                          spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
     xn = rms_norm(x, params[f"{prefix}attn_norm"])
@@ -482,7 +459,7 @@ def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
     cos, sin = rope
     q = apply_rope(q, cos, sin)
     k = apply_rope(k, cos, sin)
-    return x + _merge_heads(_attend(q, k, v, spans)) @ params[f"{prefix}attn.wo"]
+    return x + _merge_heads(span_attention(q, k, v, spans)) @ params[f"{prefix}attn.wo"]
 
 
 def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
@@ -505,7 +482,7 @@ def cross_attention_block(q_in: Tensor, kv_in: Tensor, params: BltParams, prefix
     q = _split_heads(qn @ params[f"{prefix}wq"], heads)
     k = _split_heads(kvn @ params[f"{prefix}wk"], heads)
     v = _split_heads(kvn @ params[f"{prefix}wv"], heads)
-    return q_in + _merge_heads(_attend(q, k, v, spans)) @ params[f"{prefix}wo"]
+    return q_in + _merge_heads(span_attention(q, k, v, spans)) @ params[f"{prefix}wo"]
 
 
 # ---------------------------------------------------------------------------
@@ -517,30 +494,24 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
     """Byte embeddings plus per-size hash n-gram embeddings, averaged.
 
     n-grams never cross document boundaries: a size is available at a position
-    only once the document provides that many bytes.
+    only once the document provides that many bytes. The whole stream is
+    hashed at once, and a gram whose first byte would lie before its
+    document's start is masked out.
     """
     dtype = params["byte_embed"].dtype
     e = embedding(params["byte_embed"], stream.data)
     if config.hash_vocab <= 0 or not config.ngram_sizes:
         return e
     n = stream.n_bytes
-    ids = {size: np.zeros(n, dtype=np.int64) for size in config.ngram_sizes}
-    valid = {size: np.zeros(n, dtype=bool) for size in config.ngram_sizes}
-    doc_bounds = np.nonzero(np.diff(stream.doc_ids, prepend=stream.doc_ids[0] - 1))[0]
-    for lo, hi in zip(doc_bounds, np.append(doc_bounds[1:], n)):
-        doc_grams = hash_ngram_ids(stream.data[lo:hi], config.ngram_sizes, config.hash_vocab)
-        for size, size_ids in doc_grams.items():
-            ids[size][lo + size - 1 : hi] = size_ids
-            valid[size][lo + size - 1 : hi] = True
+    offset = np.arange(n) - _run_starts(stream.doc_ids)  # position within the document
     divisor = np.ones(n, dtype=dtype)
-    contributions = [e]
-    for size in config.ngram_sizes:
-        gathered = embedding(params[f"hash_embed.n{size}"], ids[size])
-        contributions.append(gathered * valid[size].astype(dtype)[:, None])
-        divisor += valid[size].astype(dtype)
-    total = contributions[0]
-    for c in contributions[1:]:
-        total = total + c
+    total = e
+    for size, grams in hash_ngram_ids(stream.data, config.ngram_sizes, config.hash_vocab).items():
+        valid = offset >= size - 1
+        ids = np.zeros(n, dtype=np.int64)
+        ids[size - 1 :] = grams
+        total = total + embedding(params[f"hash_embed.n{size}"], ids) * valid.astype(dtype)[:, None]
+        divisor += valid.astype(dtype)
     return total * (1.0 / divisor)[:, None]
 
 # ---------------------------------------------------------------------------
@@ -672,14 +643,17 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
 # ---------------------------------------------------------------------------
 
 
+GRAD_CHECK_ABS_FLOOR = 1e-7  # an absolute difference this small passes whatever its ratio
+
+
 def grad_check(params: BltParams, stream: Stream, config: ModelConfig,
-               eps: float = 1e-5, samples_per_tensor: int = 4, seed: int = 0,
-               abs_floor: float = 1e-7) -> dict:
+               eps: float = 1e-5, samples_per_tensor: int = 4, seed: int = 0) -> dict:
     """Central-difference check of every parameter tensor at 64-bit precision.
 
     Samples a few entries per tensor; an entry passes when the analytic and
-    numeric values agree to a relative error of 1e-4, or to ``abs_floor``
-    absolutely for near-zero gradients. Returns a per-tensor report.
+    numeric values agree to a relative error of 1e-4, or to
+    ``GRAD_CHECK_ABS_FLOOR`` absolutely for near-zero gradients. Returns a
+    per-tensor report.
     """
     p64 = params.astype(np.float64)
     view = p64.detached()  # shares p64's arrays, so the perturbations below show
@@ -708,7 +682,7 @@ def grad_check(params: BltParams, stream: Stream, config: ModelConfig,
             numeric = (f_plus - f_minus) / (2 * eps)
             analytic = float(grad.flat[flat])
             diff = abs(analytic - numeric)
-            if diff > abs_floor:
+            if diff > GRAD_CHECK_ABS_FLOOR:
                 max_rel = max(max_rel, diff / max(abs(analytic), abs(numeric)))
         report[name] = {"max_rel_err": max_rel, "passed": max_rel < 1e-4}
         worst = max(worst, max_rel)

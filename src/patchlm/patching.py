@@ -2,9 +2,10 @@
 
 Every scheme maps a byte sequence to a strictly increasing list of patch start
 indices beginning at 0; patches partition the sequence with no gaps or
-overlaps. All schemes are pure functions of (bytes, config, model), and every
-scheme enforces a maximum patch size so a single patch can never blow up
-memory downstream (forced splits are counted).
+overlaps. All schemes are pure functions of (bytes, config, model) and only
+propose starts. ``make_patcher`` then caps every patch at the config's
+maximum patch size (``enforce_max_patch``), so a single patch can never blow
+up memory downstream, and counts the splits it forces.
 
 Entropy patching (BLT §2.3) has two constraints on the next-byte entropy
 H(x_t): the global one, H(x_t) > theta_g, and the approximate monotonic one,
@@ -23,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .errors import ConfigError
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_PATCH = 512
+CALIBRATION_TOL = 0.02  # largest relative miss of the target mean patch size
+CALIBRATION_ITERS = 60  # bisection steps over the threshold
 
 SCHEMES = ("strided", "space", "entropy_global", "entropy_monotonic", "entropy_or", "bpe")
 
@@ -141,26 +144,27 @@ class PatchingConfig:
             raise ConfigError("bpe_merges must be >= 0")
 
 
+def _forced_splits(lengths: np.ndarray, max_patch: int) -> np.ndarray:
+    """The splits that cap a patch of each length at ``max_patch`` bytes."""
+    return (lengths - 1) // max_patch
+
+
 def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int) -> tuple[np.ndarray, int]:
     """Split any patch longer than ``max_patch``; returns (starts, forced split count)."""
     lengths = np.diff(np.append(starts, n_bytes))
-    long = np.nonzero(lengths > max_patch)[0]
-    if len(long) == 0:
+    if lengths.max(initial=0) <= max_patch:
         return starts, 0
-    extra = [np.arange(starts[i] + max_patch, starts[i] + lengths[i], max_patch) for i in long]
-    forced = sum(len(e) for e in extra)
-    merged = np.sort(np.concatenate([starts] + extra))
-    return merged, forced
+    splits = _forced_splits(lengths, max_patch)
+    extra = [starts[i] + max_patch * np.arange(1, splits[i] + 1) for i in np.flatnonzero(splits)]
+    return np.sort(np.concatenate([starts] + extra)), int(splits.sum())
 
 
-def _from_flags(flags: np.ndarray, max_patch: int) -> PatchBoundaries:
+def _from_flags(flags: np.ndarray) -> PatchBoundaries:
     n = len(flags)
     if n == 0:
         return PatchBoundaries(np.zeros(0, np.int64), 0)
     flags[0] = True  # every caller passes a fresh array
-    starts = np.nonzero(flags)[0].astype(np.int64)
-    starts, forced = enforce_max_patch(starts, n, max_patch)
-    return PatchBoundaries(starts, n, forced)
+    return PatchBoundaries(np.flatnonzero(flags), n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +172,11 @@ def _from_flags(flags: np.ndarray, max_patch: int) -> PatchBoundaries:
 # ---------------------------------------------------------------------------
 
 
-def patch_strided(n_bytes: int, k: int, max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+def patch_strided(n_bytes: int, k: int) -> PatchBoundaries:
     """A patch starts every k bytes."""
     if k < 1:
         raise ConfigError("stride k must be >= 1")
-    if n_bytes == 0:
-        return PatchBoundaries(np.zeros(0, np.int64), 0)
-    starts = np.arange(0, n_bytes, k, dtype=np.int64)
-    starts, forced = enforce_max_patch(starts, n_bytes, max_patch)
-    return PatchBoundaries(starts, n_bytes, forced)
+    return PatchBoundaries(np.arange(0, n_bytes, k, dtype=np.int64), n_bytes)
 
 
 _SPACE_LIKE = np.ones(256, dtype=bool)
@@ -189,7 +189,7 @@ for _b in range(256):
         _SPACE_LIKE[_b] = False
 
 
-def patch_space(data, max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+def patch_space(data) -> PatchBoundaries:
     """Boundary where the previous byte is space-like and the current one is not.
 
     Runs of space-like bytes stay glued to the preceding patch, so every patch
@@ -205,11 +205,11 @@ def patch_space(data, max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
     flags[1:] = sl[:-1] & ~sl[1:]
     if not flags.any() and sl.all():
         logger.debug("space patching: degenerate all space-like input of %d bytes", n)
-    return _from_flags(flags, max_patch)
+    return _from_flags(flags)
 
 
-def patch_entropy(trace: EntropyTrace, theta_g: float | None = None, theta_r: float | None = None,
-                  max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
+def patch_entropy(trace: EntropyTrace, theta_g: float | None = None,
+                  theta_r: float | None = None) -> PatchBoundaries:
     """A byte starts a patch when its entropy exceeds theta_g or jumps over the
     previous byte's by more than theta_r; a threshold of None is not checked."""
     if theta_g is None and theta_r is None:
@@ -218,15 +218,7 @@ def patch_entropy(trace: EntropyTrace, theta_g: float | None = None, theta_r: fl
     flags = v > theta_g if theta_g is not None else np.zeros(len(v), dtype=bool)
     if theta_r is not None and len(v) > 1:
         flags[1:] |= (v[1:] - v[:-1]) > theta_r
-    return _from_flags(flags, max_patch)
-
-
-def bpe_adapter(token_starts: Sequence[int] | np.ndarray, n_bytes: int,
-                max_patch: int = DEFAULT_MAX_PATCH) -> PatchBoundaries:
-    """Wrap externally computed token start offsets as patch boundaries."""
-    starts = np.asarray(token_starts, dtype=np.int64)
-    starts, forced = enforce_max_patch(starts, n_bytes, max_patch)
-    return PatchBoundaries(starts, n_bytes, forced)
+    return _from_flags(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +241,35 @@ Patcher = Callable[[np.ndarray], PatchBoundaries]
 
 def make_patcher(config: PatchingConfig, entropy_model: EntropyModel | None = None,
                  bpe_vocab=None) -> Patcher:
-    """Close a PatchingConfig over its models into a bytes -> boundaries function."""
-    mp = config.max_patch_size
+    """Close a PatchingConfig over its models into a bytes -> boundaries function:
+    the scheme's proposal, capped at ``config.max_patch_size``."""
     if config.scheme == "strided":
-        return lambda data: patch_strided(len(_as_bytes_array(data)), config.k, mp)
-    if config.scheme == "space":
-        return lambda data: patch_space(data, mp)
-    if config.scheme == "bpe":
+        propose = lambda arr: patch_strided(len(arr), config.k)
+    elif config.scheme == "space":
+        propose = patch_space
+    elif config.scheme == "bpe":
         if bpe_vocab is None:
             raise ConfigError("bpe scheme needs a trained vocabulary")
-        return lambda data: bpe_adapter(bpe_vocab.token_starts(_as_bytes_array(data)),
-                                        len(_as_bytes_array(data)), mp)
-    if entropy_model is None:
-        raise ConfigError(f"scheme {config.scheme!r} needs an entropy model")
-    reads = ENTROPY_THRESHOLDS[config.scheme]
-    theta_g, theta_r = (getattr(config, name) if name in reads else None
-                        for name in ("theta_g", "theta_r"))
-    if theta_g is None and theta_r is None:
-        raise ConfigError(f"{config.scheme} needs {' or '.join(reads)}")
-    reset = config.reset_on_newline
-    return lambda data: patch_entropy(
-        entropy_model.entropy_trace(_as_bytes_array(data), reset_on_newline=reset),
-        theta_g, theta_r, mp)
+        propose = lambda arr: PatchBoundaries(bpe_vocab.token_starts(arr), len(arr))
+    else:
+        if entropy_model is None:
+            raise ConfigError(f"scheme {config.scheme!r} needs an entropy model")
+        reads = ENTROPY_THRESHOLDS[config.scheme]
+        theta_g, theta_r = (getattr(config, name) if name in reads else None
+                            for name in ("theta_g", "theta_r"))
+        if theta_g is None and theta_r is None:
+            raise ConfigError(f"{config.scheme} needs {' or '.join(reads)}")
+        reset = config.reset_on_newline
+        propose = lambda arr: patch_entropy(
+            entropy_model.entropy_trace(arr, reset_on_newline=reset), theta_g, theta_r)
+
+    def patcher(data) -> PatchBoundaries:
+        proposed = propose(_as_bytes_array(data))
+        starts, forced = enforce_max_patch(proposed.starts, proposed.n_bytes,
+                                           config.max_patch_size)
+        return PatchBoundaries(starts, proposed.n_bytes, forced) if forced else proposed
+
+    return patcher
 
 
 def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
@@ -283,7 +282,7 @@ def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
     """
     starts = np.flatnonzero(doc_start | (score > theta))
     lengths = np.diff(np.append(starts, len(score)))
-    n_patches = len(starts) + int(((lengths - 1) // max_patch).sum())
+    n_patches = len(starts) + int(_forced_splits(lengths, max_patch).sum())
     return len(score) / n_patches
 
 
@@ -294,15 +293,13 @@ def calibrate_threshold(
     scheme: str = "entropy_global",
     reset_on_newline: bool = False,
     max_patch: int = DEFAULT_MAX_PATCH,
-    tol: float = 0.02,
-    iters: int = 60,
 ) -> float:
     """Bisect the entropy threshold so the sample's mean patch size hits the target.
 
     Mean patch size is monotone nondecreasing in the threshold (raising it can
     only remove boundaries); for the jump scheme this is verified on the
     bracket rather than assumed. Raises CalibrationError with the achievable
-    range when the target cannot be met within ``tol``.
+    range when the target cannot be met within ``CALIBRATION_TOL``.
     """
     if not (1.0 < target_patch_size <= 64.0):
         raise CalibrationError(f"target patch size must be in (1, 64], got {target_patch_size}")
@@ -335,7 +332,7 @@ def calibrate_threshold(
             f"[{size_lo:.3f}, {size_hi:.3f}]",
             achievable=(size_lo, size_hi),
         )
-    for _ in range(iters):
+    for _ in range(CALIBRATION_ITERS):
         mid = 0.5 * (lo + hi)
         if mean_size(mid) < target_patch_size:
             lo = mid
@@ -343,7 +340,7 @@ def calibrate_threshold(
             hi = mid
     _, theta = min((abs(mean_size(t) - target_patch_size), t) for t in (lo, hi))
     achieved = mean_size(theta)
-    if abs(achieved - target_patch_size) / target_patch_size > tol:
+    if abs(achieved - target_patch_size) / target_patch_size > CALIBRATION_TOL:
         raise CalibrationError(
             f"calibration missed target {target_patch_size}: closest achievable {achieved:.4f}",
             achievable=(size_lo, size_hi),

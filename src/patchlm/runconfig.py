@@ -4,9 +4,10 @@ Unknown keys are rejected (typos should fail loudly), CLI flags override file
 values, and the fully resolved config plus its content hash are written into
 every run directory so artifacts are traceable. The ``model``, ``patching``
 and ``optimizer`` defaults are those of ``ModelConfig``, ``PatchingConfig``
-and ``OptimSpec``, so each default lives in one place. Input and output
-locations are not config keys: ``--corpus``, ``--corpus-eval``, ``--format``
-and ``--run-root`` name them.
+and ``OptimSpec``, and ``entropy_model.alpha`` and ``training.eval_stream_bytes``
+are ``entropy_lm.DEFAULT_ALPHA`` and ``trainer.EVAL_STREAM_BYTES``, so each
+default lives in one place. Input and output locations are not config keys:
+``--corpus``, ``--corpus-eval``, ``--format`` and ``--run-root`` name them.
 
 A setting with one legal value is not a key. Every generator is pcg64, the
 learning-rate schedule is warmup then cosine to zero (``trainer.lr_at``), and
@@ -24,10 +25,11 @@ from dataclasses import asdict
 from math import inf
 from pathlib import Path
 
+from .entropy_lm import DEFAULT_ALPHA
 from .errors import ConfigError, read_input
 from .model import ModelConfig
 from .patching import PatchingConfig
-from .trainer import OptimSpec
+from .trainer import EVAL_STREAM_BYTES, OptimSpec
 
 DEFAULTS: dict = {
     "run": {"seed": 0},
@@ -39,14 +41,14 @@ DEFAULTS: dict = {
     "model": ModelConfig().to_dict(),
     # target_patch_size, when set, calibrates the scheme's threshold (patching.calibrated_config)
     "patching": {**asdict(PatchingConfig()), "target_patch_size": None},
-    "entropy_model": {"order": 3, "alpha": 0.01, "path": None},
+    "entropy_model": {"order": 3, "alpha": DEFAULT_ALPHA, "path": None},
     "optimizer": asdict(OptimSpec()),
     "training": {
         "steps": 1000,
         "patch_budget": 128,
         "eval_every": 0,
         "checkpoint_every": 0,
-        "eval_stream_bytes": 4096,
+        "eval_stream_bytes": EVAL_STREAM_BYTES,
     },
 }
 

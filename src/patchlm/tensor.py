@@ -3,15 +3,16 @@
 Just enough machinery for the models in this package: broadcasting
 elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
 max pooling over contiguous row segments, a fused NLL-from-logits, and tiled
-attention over one contiguous key span per query. The attention works from a
-plan of its query tiles (each tile's slice of key columns, and a mask over
-only the edge columns that some of its rows do not see), which callers can
-build once and pass to every call over the same spans; its backward reuses
-the plan, and it multiplies scores by contiguous kᵀ and vᵀ copies instead
-of transposed views of k and v, whose head-sized inner dimension BLAS
-handles slowly. Graphs are built eagerly, and only where some input
-requires grad: an op on tensors that do not records no parents and no vjp,
-so a forward pass over detached parameters builds no graph at all.
+attention over one contiguous key span per query. ``Spans`` holds those
+spans: it checks its bounds once, when it is built, and builds the plan of
+its query tiles (each tile's slice of key columns, and a mask over only the
+edge columns that some of its rows do not see) once, on first use, for every
+attention call over it. The backward reuses the plan, and it multiplies
+scores by contiguous kᵀ and vᵀ copies instead of transposed views of k and
+v, whose head-sized inner dimension BLAS handles slowly. Graphs are built
+eagerly, and only where some input requires grad: an op on tensors that do
+not records no parents and no vjp, so a forward pass over detached
+parameters builds no graph at all.
 ``backward()`` walks a topological order, accumulates vector-Jacobian
 products into ``.grad`` and consumes the graph as it goes: each interior
 node is released once its vjp has run, so its activations and gradient are
@@ -25,6 +26,10 @@ remains float64.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,9 +150,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor._result(-self.data, (self,), lambda g: [(self, -g)])
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return Tensor._result(
@@ -156,9 +158,6 @@ class Tensor:
                 lambda g: [(self, _unbroadcast(g, self.shape)), (other, _unbroadcast(-g, other.shape))],
             )
         return Tensor._result(self.data - other, (self,), lambda g: [(self, _unbroadcast(g, self.shape))])
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -173,18 +172,6 @@ class Tensor:
         return Tensor._result(self.data * other, (self,), lambda g: [(self, _unbroadcast(g * other, self.shape))])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return Tensor._result(
-                self.data / other.data,
-                (self, other),
-                lambda g: [
-                    (self, _unbroadcast(g / other.data, self.shape)),
-                    (other, _unbroadcast(-g * self.data / (other.data * other.data), other.shape)),
-                ],
-            )
-        return self.__mul__(1.0 / other)
 
     def __pow__(self, c):
         assert np.isscalar(c), "only scalar exponents are supported"
@@ -323,6 +310,37 @@ def tile_plan(lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
     return plan
 
 
+@dataclass(frozen=True)
+class Spans:
+    """Query i sees keys [lo[i], hi[i]); every query sees at least one key."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        if self.lo.ndim != 1 or self.hi.shape != self.lo.shape:
+            raise ValueError("span bounds must have one entry per query")
+        if len(self.lo) and self.lo.min() < 0:
+            raise ValueError("key spans out of range")
+        if np.any(self.hi <= self.lo):
+            raise ValueError("a query has no visible key")
+
+    @cached_property
+    def n_keys(self) -> int:
+        """The fewest keys these spans fit: one past the last key any query sees."""
+        return int(self.hi.max(initial=0))
+
+    @cached_property
+    def plan(self) -> list[tuple]:
+        """``span_attention``'s tile plan, built once for every call over these spans."""
+        return tile_plan(self.lo, self.hi)
+
+    def dense(self, n_keys: int) -> np.ndarray:
+        """The (n_queries, n_keys) boolean mask these spans describe."""
+        j = np.arange(n_keys)
+        return (self.lo[:, None] <= j) & (j < self.hi[:, None])
+
+
 def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarray:
     """One tile's scaled scores, with the hidden ones set to -inf (their exp is exactly 0)."""
     scores = qs[:, rows] @ kT[:, :, cols]
@@ -331,39 +349,33 @@ def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarra
     return scores
 
 
-def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarray,
-                   scale: float, plan: list[tuple] | None = None) -> Tensor:
-    """Multi-head softmax attention where query i sees keys [lo[i], hi[i]).
+def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
+    """Multi-head softmax attention, scaled by 1/sqrt(d), where query i sees
+    keys [spans.lo[i], spans.hi[i]).
 
     ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
     (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows
-    under ``plan``, which must be ``tile_plan(lo, hi)`` (built here if not given)
-    and which the backward reuses: a tile scores only the slice of keys its rows'
-    spans cover, and masks only the edge columns that some of its rows do not see.
+    under ``spans.plan``, which the backward reuses: a tile scores only the
+    slice of keys its rows' spans cover, and masks only the edge columns that
+    some of its rows do not see.
     Scores multiply by a contiguous kᵀ (heads, d, n_k) and the backward's
     ``g @ vᵀ`` by a contiguous vᵀ, never by a transposed view; the backward
     builds its own kᵀ instead of keeping the forward's alive until it runs.
     The forward keeps each row's log-sum-exp and the backward recomputes the
     probabilities tile by tile, so memory stays linear in the number of
-    queries and keys. Every query must see at least one key.
+    queries and keys.
     """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    n_q, n_k = q.shape[1], k.shape[1]
-    if lo.shape != (n_q,) or hi.shape != (n_q,):
+    if len(spans.lo) != q.shape[1]:
         raise ValueError("span bounds must have one entry per query")
-    if n_q and (lo.min() < 0 or hi.max() > n_k):
+    if spans.n_keys > k.shape[1]:
         raise ValueError("key spans out of range")
-    if np.any(hi <= lo):
-        raise ValueError("a query has no visible key")
+    scale = 1.0 / math.sqrt(q.shape[-1])
     qs = q.data * scale
-    if plan is None:
-        plan = tile_plan(lo, hi)
 
     kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
     out = np.empty(q.shape[:2] + v.shape[2:], dtype=q.dtype)
     lse = np.empty(q.shape[:2] + (1,), dtype=q.dtype)
-    for rows, cols, edges in plan:
+    for rows, cols, edges in spans.plan:
         s = _tile_scores(qs, kT, rows, cols, edges)
         m = s.max(axis=-1, keepdims=True)
         e = np.exp(np.subtract(s, m, out=s), out=s)
@@ -378,7 +390,7 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, lo: np.ndarray, hi: np.ndarr
         dk = np.zeros(k.shape, k.dtype)  # C order: k and v may be strided views
         dv = np.zeros(v.shape, v.dtype)
         delta = (g * out).sum(axis=-1, keepdims=True)
-        for rows, cols, edges in plan:
+        for rows, cols, edges in spans.plan:
             s = _tile_scores(qs, kT, rows, cols, edges)
             p = np.exp(np.subtract(s, lse[:, rows], out=s), out=s)
             g_t = g[:, rows]

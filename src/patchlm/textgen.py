@@ -74,18 +74,15 @@ _NAMES = (
 _VOCAB = _FUNCTION_WORDS + _CONTENT_WORDS + _NAMES
 
 
-def _word_weights() -> np.ndarray:
-    ranks = np.arange(1, len(_VOCAB) + 1, dtype=np.float64)
-    w = 1.0 / ranks
-    return w / w.sum()
-
-
-_WEIGHTS = _word_weights()
+_WEIGHTS = 1.0 / np.arange(1, len(_VOCAB) + 1, dtype=np.float64)
+_CDF = (_WEIGHTS / _WEIGHTS.sum()).cumsum()
+_CDF /= _CDF[-1]  # normalised as Generator.choice(p=) normalises it
 
 
 def _sentence(rng: np.random.Generator) -> str:
     n_words = int(rng.integers(4, 15))
-    idx = rng.choice(len(_VOCAB), size=n_words, p=_WEIGHTS)
+    # the draws of rng.choice(len(_VOCAB), n_words, p=weights), without its per-call checks
+    idx = _CDF.searchsorted(rng.random(n_words), side="right")
     words = [_VOCAB[i] for i in idx]
     # Occasional numerals and mid-sentence commas keep the byte mix honest.
     if rng.random() < 0.12:

@@ -38,6 +38,8 @@ CHECKPOINT_VERSION = 2
 DIVERGENCE_FACTOR = 2.0
 DIVERGENCE_PATIENCE = 100
 
+EVAL_STREAM_BYTES = 4096  # longest stream eval_bpb scores in one forward
+
 
 @dataclass(frozen=True)
 class OptimSpec:
@@ -294,7 +296,7 @@ def eval_bpb(
     config: ModelConfig | None,
     slices: dict[str, list[np.ndarray]],
     patcher=None,
-    max_stream_bytes: int = 4096,
+    max_stream_bytes: int = EVAL_STREAM_BYTES,
     steps: int = 0,
 ) -> EvalReport:
     """Bits-per-byte per slice: total cross-entropy nats over ln(2) times the
@@ -440,7 +442,7 @@ def train(
     eval_patcher=None,
     eval_every: int = 0,
     checkpoint_every: int = 0,
-    eval_stream_bytes: int = 4096,
+    eval_stream_bytes: int = EVAL_STREAM_BYTES,
     config_hash: str = "",
     start_step: int = 0,
     adam_state: AdamState | None = None,

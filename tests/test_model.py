@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patchlm import textgen
 from patchlm.entropy_lm import train_counts
@@ -33,8 +34,8 @@ from patchlm.patching import (
     patch_space,
     patch_strided,
 )
-from patchlm import model
-from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, softmax
+from patchlm import model, tensor
+from patchlm.tensor import ATTN_TILE, Tensor, concat, embedding, parameter, softmax, span_attention
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -205,6 +206,54 @@ def test_ngrams_do_not_cross_documents():
     np.testing.assert_array_equal(e_joint, e_solo)
 
 
+def per_document_embeddings(params, stream, config):
+    """``augmented_byte_embeddings`` as it was when it hashed each document on
+    its own, kept verbatim as the oracle of the whole-stream version."""
+    dtype = params["byte_embed"].dtype
+    e = embedding(params["byte_embed"], stream.data)
+    if config.hash_vocab <= 0 or not config.ngram_sizes:
+        return e
+    n = stream.n_bytes
+    ids = {size: np.zeros(n, dtype=np.int64) for size in config.ngram_sizes}
+    valid = {size: np.zeros(n, dtype=bool) for size in config.ngram_sizes}
+    doc_bounds = np.nonzero(np.diff(stream.doc_ids, prepend=stream.doc_ids[0] - 1))[0]
+    for lo, hi in zip(doc_bounds, np.append(doc_bounds[1:], n)):
+        doc_grams = hash_ngram_ids(stream.data[lo:hi], config.ngram_sizes, config.hash_vocab)
+        for size, size_ids in doc_grams.items():
+            ids[size][lo + size - 1 : hi] = size_ids
+            valid[size][lo + size - 1 : hi] = True
+    divisor = np.ones(n, dtype=dtype)
+    contributions = [e]
+    for size in config.ngram_sizes:
+        gathered = embedding(params[f"hash_embed.n{size}"], ids[size])
+        contributions.append(gathered * valid[size].astype(dtype)[:, None])
+        divisor += valid[size].astype(dtype)
+    total = contributions[0]
+    for c in contributions[1:]:
+        total = total + c
+    return total * (1.0 / divisor)[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_embeddings_are_bitwise_the_per_document_oracle(lengths, dtype, seed):
+    # documents of 1..12 bytes, so many are shorter than the largest n-gram (8)
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(seed)
+    docs = [rng.integers(0, 256, n).astype(np.uint8) for n in lengths]
+    stream = Stream.from_documents(docs, lambda d: patch_strided(len(d), 3))
+    weight = rng.standard_normal((stream.n_bytes, cfg.enc_dim)).astype(dtype)
+    results = []
+    for embed in (augmented_byte_embeddings, per_document_embeddings):
+        params = init_params(cfg, seed=seed, dtype=dtype)
+        out = embed(params, stream, cfg)
+        (out * weight).sum().backward()
+        results.append([out.data] + [params[f"hash_embed.n{n}"].grad for n in cfg.ngram_sizes])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
 # -- shapes and degenerate cases -----------------------------------------------------
 
 
@@ -274,8 +323,8 @@ def test_each_span_set_plans_its_tiles_once(monkeypatch):
     # spans: one tile plan each per forward, however many layers attend over them
     cfg = tiny_cfg(global_layers=3, dec_layers=2)
     params = init_params(cfg, seed=0)
-    calls, plan = [], model.tile_plan
-    monkeypatch.setattr(model, "tile_plan", lambda lo, hi: calls.append(len(lo)) or plan(lo, hi))
+    calls, plan = [], tensor.tile_plan
+    monkeypatch.setattr(tensor, "tile_plan", lambda lo, hi: calls.append(len(lo)) or plan(lo, hi))
     stream = text_stream()
     lm_forward(params, stream, cfg)
     assert sorted(calls) == sorted([stream.n_bytes, stream.n_patches, stream.n_patches,
@@ -455,7 +504,7 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
         return float(res.loss.data), {k: g.copy() for k, g in params.grads().items()}
 
     loss, grads = loss_and_grads()
-    monkeypatch.setattr(model, "_attend", _dense_attend)
+    monkeypatch.setattr(model, "span_attention", _dense_attend)
     want_loss, want_grads = loss_and_grads()
     assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
     for name, want in want_grads.items():
@@ -492,7 +541,7 @@ def test_decoder_key_layout_matches_dense_oracle(doc_starts):
 
     def spans(q, kv):
         keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)
-        return model._attend(q, keys, values, completed_patch_spans(bounds, doc_ids, k))
+        return span_attention(q, keys, values, completed_patch_spans(bounds, doc_ids, k))
 
     def dense(q, kv):
         keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)

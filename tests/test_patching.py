@@ -9,10 +9,10 @@ from patchlm.patching import (
     CalibrationError,
     PatchBoundaries,
     PatchingConfig,
-    bpe_adapter,
     calibrate_threshold,
     check_incrementality,
     enforce_max_patch,
+    make_patcher,
     patch_entropy,
     patch_space,
     patch_strided,
@@ -123,7 +123,7 @@ def test_entropy_global_mean_size_monotone_in_threshold():
     tr = _trace(rng.uniform(0, LN256, size=4000))
     sizes = []
     for theta in np.linspace(0, LN256, 12):
-        bounds = patch_entropy(tr, theta_g=float(theta), max_patch=len(tr.values))  # no forced split
+        bounds = patch_entropy(tr, theta_g=float(theta))  # a scheme forces no split
         sizes.append(patch_stats(bounds).mean_patch_size)
     assert all(a <= b + 1e-12 for a, b in zip(sizes, sizes[1:]))
 
@@ -134,12 +134,49 @@ def test_entropy_global_mean_size_monotone_in_threshold():
 def test_max_patch_cap_forces_splits():
     starts, forced = enforce_max_patch(np.array([0], np.int64), 1300, 512)
     assert starts.tolist() == [0, 512, 1024] and forced == 2
-    bounds = patch_space(b(b"x" * 1200), max_patch=512)
+    space = make_patcher(PatchingConfig(scheme="space", max_patch_size=512))
+    bounds = space(b(b"x" * 1200))
     assert bounds.lengths().max() <= 512
     assert bounds.forced_splits == 2 and patch_stats(bounds).forced_splits == 2
-    assert patch_strided(1300, 1300, max_patch=512).forced_splits == 2
-    assert bpe_adapter([0], 1300, max_patch=512).forced_splits == 2
-    assert patch_space(b(b"x" * 512), max_patch=512).forced_splits == 0
+    assert patch_space(b(b"x" * 1200)).forced_splits == 0  # a scheme only proposes starts
+    strided = make_patcher(PatchingConfig(scheme="strided", k=1300, max_patch_size=512))
+    assert strided(np.zeros(1300, np.uint8)).forced_splits == 2
+    bpe = make_patcher(PatchingConfig(scheme="bpe", max_patch_size=1),
+                       bpe_vocab=train_bpe([b"x" * 4], n_merges=1))  # 2-byte tokens
+    assert bpe(b(b"x" * 1300)).forced_splits == 650
+    assert space(b(b"x" * 512)).forced_splits == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["strided", "space", "entropy_global", "entropy_monotonic",
+                               "entropy_or", "bpe"]),
+       data=st.lists(st.sampled_from(list(b"ab c\n.,xyz0123")), min_size=1,
+                     max_size=1200).map(bytes),
+       max_patch=st.sampled_from([1, 3, 512]), k=st.integers(1, 700),
+       theta=st.sampled_from([0.5, 1.5, 2.5, 10.0]))
+def test_make_patcher_forces_the_splits_the_cap_implies(entropy3, scheme, data, max_patch, k,
+                                                        theta):
+    # the scheme's uncapped proposal, then (L - 1) // max_patch splits per patch of length L
+    arr = b(data)
+    vocab = train_bpe([b"aaab cab x", b"xyz xyz 012"], n_merges=8)
+    trace = entropy3.entropy_trace(arr)
+    proposals = {
+        "strided": lambda: patch_strided(len(arr), k),
+        "space": lambda: patch_space(arr),
+        "entropy_global": lambda: patch_entropy(trace, theta_g=theta),
+        "entropy_monotonic": lambda: patch_entropy(trace, theta_r=theta - 1.0),
+        "entropy_or": lambda: patch_entropy(trace, theta, theta - 1.0),
+        "bpe": lambda: PatchBoundaries(vocab.token_starts(arr), len(arr)),
+    }
+    config = PatchingConfig(scheme=scheme, k=k, theta_g=theta, theta_r=theta - 1.0,
+                            max_patch_size=max_patch)
+    got = make_patcher(config, entropy_model=entropy3, bpe_vocab=vocab)(arr)
+    proposed = proposals[scheme]()
+    assert proposed.forced_splits == 0
+    assert got.forced_splits == int(((proposed.lengths() - 1) // max_patch).sum())
+    assert got.n_patches == proposed.n_patches + got.forced_splits
+    assert np.isin(proposed.starts, got.starts).all()
+    assert got.n_bytes == len(arr) and (got.lengths() <= max_patch).all()
 
 
 # -- stats -----------------------------------------------------------------------
@@ -189,13 +226,13 @@ def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, 
     # each document on its own
     traces = [_trace(d) for d in docs]
     thetas = (None, theta) if monotonic else (theta, None)
-    ref = [patch_entropy(t, *thetas, max_patch) for t in traces]
+    ref = [enforce_max_patch(patch_entropy(t, *thetas).starts, len(t.values), max_patch)[0]
+           for t in traces]
     values = np.concatenate([t.values for t in traces])
     doc_start = np.zeros(len(values), dtype=bool)
     doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
     score = np.diff(values, prepend=values[0]) if monotonic else values
-    assert _mean_size_at(score, doc_start, theta, max_patch) == (
-        sum(r.n_bytes for r in ref) / sum(r.n_patches for r in ref))
+    assert _mean_size_at(score, doc_start, theta, max_patch) == len(values) / sum(map(len, ref))
 
 
 def test_calibration_monotonic_scheme(entropy3, english_docs):
@@ -206,20 +243,18 @@ def test_calibration_monotonic_scheme(entropy3, english_docs):
     assert abs(mean - 6.0) / 6.0 < 0.02
 
 
-# -- bpe adapter, incrementality ----------------------------------------------------
+# -- bpe scheme, incrementality ----------------------------------------------------
 
 
 def test_bpe_adapter_identity_vocab():
     vocab = train_bpe([b"xy"], n_merges=0)
-    data = b(b"abcd")
-    bounds = bpe_adapter(vocab.token_starts(data), len(data))
+    bounds = make_patcher(PatchingConfig(scheme="bpe"), bpe_vocab=vocab)(b(b"abcd"))
     assert bounds.starts.tolist() == [0, 1, 2, 3]
 
 
 def test_bpe_adapter_greedy_merge():
     vocab = train_bpe([b"aaaa"], n_merges=1)
-    data = b(b"aaaa")
-    bounds = bpe_adapter(vocab.token_starts(data), len(data))
+    bounds = make_patcher(PatchingConfig(scheme="bpe"), bpe_vocab=vocab)(b(b"aaaa"))
     assert bounds.starts.tolist() == [0, 2]
 
 
@@ -244,7 +279,7 @@ def test_bpe_violates_incrementality_on_witness():
     merged_pairs = [(va, vb) for va, vb, _ in vocab.merges]
     assert (ord("b"), ord("c")) in merged_pairs and (ord("a"), ord("b")) in merged_pairs
 
-    patcher = lambda d: bpe_adapter(vocab.token_starts(d), len(d))
+    patcher = make_patcher(PatchingConfig(scheme="bpe"), bpe_vocab=vocab)
     witness = None
     for cand in (b"abc", b"abcabc", b"aabc"):
         if check_incrementality(patcher, b(cand), n_prefixes=len(cand), seed=0):
