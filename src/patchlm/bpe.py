@@ -44,7 +44,14 @@ def _apply_merge(arr: np.ndarray, lengths: np.ndarray, a: int, b: int, new_id: i
 @dataclass
 class BpeVocab:
     merges: list[tuple[int, int, int]] = field(default_factory=list)
-    token_bytes: list[bytes] = field(default_factory=lambda: [bytes([i]) for i in range(256)])
+
+    @property
+    def token_bytes(self) -> list[bytes]:
+        """The bytes of each token id: the 256 single bytes, then each merge's pair."""
+        table = [bytes([i]) for i in range(256)]
+        for a, b, _ in self.merges:
+            table.append(table[a] + table[b])
+        return table
 
     @property
     def vocab_size(self) -> int:
@@ -69,7 +76,8 @@ class BpeVocab:
         return np.concatenate([[0], np.cumsum(lengths)[:-1]])
 
     def decode(self, ids) -> bytes:
-        return b"".join(self.token_bytes[int(i)] for i in ids)
+        table = self.token_bytes
+        return b"".join(table[int(i)] for i in ids)
 
 
 def train_bpe(docs, n_merges: int) -> BpeVocab:
@@ -99,7 +107,6 @@ def train_bpe(docs, n_merges: int) -> BpeVocab:
         b = int(keys[best] & np.uint64(0xFFFFFFFF))
         new_id = vocab.vocab_size
         vocab.merges.append((a, b, new_id))
-        vocab.token_bytes.append(vocab.token_bytes[a] + vocab.token_bytes[b])
         for i in range(len(seqs)):
             seqs[i], lens[i] = _apply_merge(seqs[i], lens[i], a, b, new_id)
     return vocab

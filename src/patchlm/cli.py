@@ -13,12 +13,15 @@ are checked before any work: a path below an existing file, an --out that is
 a directory or whose directory is missing, and a run directory that holds
 files without --force are config errors.
 
-Every command that patches (calibrate, patch, train, eval-bpb,
-check-incremental, trace) builds its patcher the same way. Given
---target-patch-size (or patching.target_patch_size), it first calibrates the
-scheme's threshold on the command's own corpus: theta for entropy_global,
-theta-r for entropy_monotonic. That threshold set as well, or any other
-scheme with a target, is a config error.
+Every command that builds a patcher (calibrate, patch, train,
+check-incremental, trace) builds it the same way. Given --target-patch-size
+(or patching.target_patch_size), it first calibrates the scheme's threshold
+on the command's own corpus: theta for entropy_global, theta-r for
+entropy_monotonic. That threshold set as well, or any other scheme with a
+target, is a config error. train saves its patcher in the run directory
+(patcher.json, and entropy.bin for an entropy scheme) before the first step,
+and eval-bpb --checkpoint scores under the patcher saved next to the
+checkpoint, so no command fits a patcher to the corpus it scores.
 
 Exit codes: 0 ok, 2 config error (``errors.ConfigError``), 3 data error
 (``errors.DataError``), 4 numeric failure (``errors.NumericError``). Any other
@@ -46,7 +49,7 @@ from .bpe import train_bpe
 from .corpus import NoiseSpec, apply_noise, load_corpus
 from .errors import ConfigError, DataError, NumericError, read_input
 from .model import ModelConfig, init_params
-from .patching import PatchingConfig, make_patcher
+from .patching import PatchingConfig
 from .runconfig import RunConfig
 from .trainer import (OptimSpec, PatchStreamLoader, check_disjoint, eval_bpb, load_checkpoint,
                       lr_at, scorable_slices, train)
@@ -147,11 +150,8 @@ def _positive(args, *flags) -> None:
             raise ConfigError(f"--{flag.replace('_', '-')} must be a finite number > 0, got {val}")
 
 
-def _patcher(args, cfg: RunConfig, docs):
-    """The patcher, its resolved config and entropy model (None if unread).
-
-    A target patch size calibrates the scheme's threshold on ``docs``.
-    """
+def _patcher(args, cfg: RunConfig, docs) -> patching.Patcher:
+    """The config's patcher; a target patch size calibrates the scheme's threshold on ``docs``."""
     settings = dict(cfg["patching"])
     target = settings.pop("target_patch_size")
     pc = PatchingConfig(**settings)
@@ -161,7 +161,7 @@ def _patcher(args, cfg: RunConfig, docs):
     vocab = None
     if pc.scheme == "bpe":
         vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=pc.bpe_merges)
-    return make_patcher(pc, entropy_model=model, bpe_vocab=vocab), pc, model
+    return patching.Patcher(pc, model, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,8 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     if target is None:
         raise ConfigError("calibrate needs --target-patch-size")
     docs = _load_docs(args, cfg)
-    patcher, pc, _ = _patcher(args, cfg, docs)
+    patcher = _patcher(args, cfg, docs)
+    pc = patcher.config
     sizes = [patching.patch_stats(patcher(d)) for d in docs]
     achieved = sum(s.n_bytes for s in sizes) / sum(s.n_patches for s in sizes)
     (name,) = patching.ENTROPY_THRESHOLDS[pc.scheme]
@@ -199,15 +200,16 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 def cmd_patch(args, cfg: RunConfig) -> int:
     out = _out_path(args.out or "boundaries.tsv")
     docs = _load_docs(args, cfg)
-    patcher, pc, _ = _patcher(args, cfg, docs)
+    patcher = _patcher(args, cfg, docs)
     items = [(f"doc{idx}", patcher(d)) for idx, d in enumerate(docs)]
     patching.write_boundaries_tsv(out, items)
     total_bytes = sum(b.n_bytes for _, b in items)
     total_patches = sum(b.n_patches for _, b in items)
-    _emit({"out": str(out), "scheme": pc.scheme, "docs": len(items),
+    _emit({"out": str(out), "scheme": patcher.config.scheme, "docs": len(items),
            "n_bytes": total_bytes, "n_patches": total_patches,
            "mean_patch_size": total_bytes / total_patches,
-           "forced_splits": sum(b.forced_splits for _, b in items), "patching": asdict(pc)}, args)
+           "forced_splits": sum(b.forced_splits for _, b in items),
+           "patching": asdict(patcher.config)}, args)
     return EXIT_OK
 
 
@@ -230,7 +232,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         train_docs = docs
     check_disjoint(train_docs, eval_docs)
     scorable_slices({"heldout": eval_docs})
-    patcher, pc, _ = _patcher(args, cfg, train_docs)
+    patcher = _patcher(args, cfg, train_docs)
     model_cfg = ModelConfig.from_dict(cfg["model"])
     loader = PatchStreamLoader(train_docs, patcher,
                                patch_budget=cfg["training"]["patch_budget"],
@@ -238,6 +240,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     params = init_params(model_cfg, seed=cfg["run"]["seed"])
     _make_run_dir(run_dir, cfg)
     try:
+        patcher.save(run_dir)  # first, so that every checkpoint can be evaluated
         result = train(
             params, model_cfg, loader, optim, steps,
             run_dir=run_dir, eval_slices={"heldout": eval_docs}, eval_patcher=patcher,
@@ -254,7 +257,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             "skipped_steps": result.skipped_steps,
             "mean_patch_size": loader.mean_patch_size,
             "forced_splits": loader.forced_splits,
-            "patching": asdict(pc),
+            "patching": asdict(patcher.config),
             "evals": [r.to_dict() for r in result.eval_reports],
         }
         (run_dir / "report.json").write_text(json.dumps(report, indent=2))
@@ -272,11 +275,11 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
         if not args.checkpoint:
             raise ConfigError("eval-bpb needs --checkpoint or --uniform")
         ck = load_checkpoint(args.checkpoint)
-        patcher, pc, _ = _patcher(args, cfg, docs)
+        patcher = patching.Patcher.load(Path(args.checkpoint).parent)
         report = eval_bpb(ck["params"], ck["config"], {"eval": docs}, patcher,
                           max_stream_bytes=cfg["training"]["eval_stream_bytes"],
                           steps=ck["step"]).to_dict()
-        report["patching"] = asdict(pc)
+        report["patching"] = asdict(patcher.config)
 
     def human(rep):
         return [f"{name}: {val:.3f} bits/byte" for name, val in rep["bpb"].items()]
@@ -331,44 +334,43 @@ def cmd_noise(args, cfg: RunConfig) -> int:
             text = raw.decode()
         except UnicodeDecodeError:
             raise DataError(f"{args.infile or 'stdin'} is not UTF-8 text") from None
-    spec = NoiseSpec(strategy=args.strategy, rate=args.rate, seed=cfg["run"]["seed"],
-                     target=args.target)
+    spec = NoiseSpec(strategy=args.strategy, rate=args.rate, seed=cfg["run"]["seed"])
     out = apply_noise(text, spec)
     if out_path:
         out_path.write_text(out)
         _emit({"out": args.out, "strategy": args.strategy, "in_chars": len(text),
                "out_chars": len(out)}, args)
     else:
-        print(out)
+        print(out, end="" if out.endswith("\n") else "\n")
     return EXIT_OK
 
 
 def cmd_check_incremental(args, cfg: RunConfig) -> int:
     _positive(args, "n_prefixes")
     docs = _load_docs(args, cfg)
-    patcher, pc, _ = _patcher(args, cfg, docs)
+    patcher = _patcher(args, cfg, docs)
     data = np.concatenate(docs) if len(docs) > 1 else docs[0]
     violations = patching.check_incrementality(patcher, data, n_prefixes=args.n_prefixes,
                                                seed=cfg["run"]["seed"])
-    _emit({"scheme": pc.scheme, "n_prefixes": args.n_prefixes,
+    _emit({"scheme": patcher.config.scheme, "n_prefixes": args.n_prefixes,
            "n_violations": len(violations), "violations": violations[:32],
-           "incremental": not violations, "patching": asdict(pc)}, args)
+           "incremental": not violations, "patching": asdict(patcher.config)}, args)
     return EXIT_OK
 
 
 def cmd_trace(args, cfg: RunConfig) -> int:
     out = _out_path(args.out or "trace.tsv")
     docs = _load_docs(args, cfg)
-    patcher, pc, model = _patcher(args, cfg, docs)
-    if model is None:  # the entropy is traced next to any scheme's boundaries
-        model = _entropy_model(args, cfg, docs)
+    patcher = _patcher(args, cfg, docs)
+    # the entropy is traced next to any scheme's boundaries
+    model = patcher.entropy_model or _entropy_model(args, cfg, docs)
     data = docs[0]
-    trace = model.entropy_trace(data, reset_on_newline=pc.reset_on_newline)
+    trace = model.entropy_trace(data, reset_on_newline=patcher.config.reset_on_newline)
     bounds = patcher(data)
     entropy_lm.write_trace_tsv(out, trace, data, bounds)
     _emit({"out": str(out), "positions": len(trace.values),
            "mean_entropy_nats": float(trace.values.mean()),
-           "n_boundaries": bounds.n_patches, "patching": asdict(pc)}, args)
+           "n_boundaries": bounds.n_patches, "patching": asdict(patcher.config)}, args)
     return EXIT_OK
 
 
@@ -448,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval-bpb", help="bits-per-byte of a checkpoint (or the uniform model)")
     _add_shared(sp, *_CORPUS_FLAGS)
-    _add_patch_flags(sp)
-    sp.add_argument("--checkpoint", default=None)
+    sp.add_argument("--checkpoint", default=None,
+                    help="scored under the patcher its run saved next to it")
     sp.add_argument("--uniform", action="store_true")
     sp.set_defaults(fn=cmd_eval_bpb)
 
@@ -471,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(sp, "--seed")
     sp.add_argument("--strategy", required=True, choices=list(corpus_mod.NOISE_STRATEGIES))
     sp.add_argument("--rate", type=float, default=None)
-    sp.add_argument("--target", default="both", choices=["prompt", "completion", "both"])
     sp.add_argument("--text", default=None)
     sp.add_argument("--in", dest="infile", default=None)
     sp.add_argument("--out", default=None)

@@ -60,18 +60,17 @@ def load_corpus(path: str | Path, format: str = "plain-text") -> list[np.ndarray
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Which noiser to run, how hard, and on which side of a prompt/completion pair."""
+    """Which noiser to run and, for a strategy that reads one, at what rate."""
 
     strategy: str
     rate: float | None = None
     seed: int = 0
-    target: str = "both"  # prompt | completion | both
 
     def __post_init__(self):
         if self.strategy not in NOISE_STRATEGIES:
             raise ConfigError(f"unknown noise strategy {self.strategy!r}; pick one of {NOISE_STRATEGIES}")
-        if self.target not in ("prompt", "completion", "both"):
-            raise ConfigError(f"bad noise target {self.target!r}")
+        if self.rate is not None and self.strategy not in DEFAULT_NOISE_RATES:
+            raise ConfigError(f"noise strategy {self.strategy!r} reads no rate")
         r = self.effective_rate
         if not (0.0 <= r <= 1.0):
             raise ConfigError(f"noise rate must be in [0, 1], got {r}")
@@ -99,29 +98,30 @@ def apply_noise(text: str, spec: NoiseSpec) -> str:
 
     Pure function of (text, spec): the PCG64 stream is derived from spec.seed
     only. Operates on characters (Unicode scalars), never on raw bytes, so the
-    output is always valid text.
+    output is always valid text. A newline is never dropped, repeated or
+    joined, so every line (a plain-text document) stays its own line.
     """
     if not text:
         return text
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     rate = spec.effective_rate
     chars = list(text)
-    n = len(chars)
 
     if spec.strategy == "upper_case":
         return "".join(_upper1(c) for c in chars)
 
     if spec.strategy == "antspeak":
-        kept = [_upper1(c) for c in chars if not c.isspace()]
-        return " ".join(kept)
+        return "\n".join(" ".join(_upper1(c) for c in line if not c.isspace())
+                         for line in text.split("\n"))
 
     if spec.strategy == "drop":
-        # Exact-count sampling: removes floor(rate * n) characters, so the
-        # output length is deterministic (not just in expectation).
-        k = math.floor(rate * n)
+        # Exact-count sampling: removes floor(rate * n) of the n characters
+        # other than newlines, so the output length is deterministic.
+        droppable = [i for i, c in enumerate(chars) if c != "\n"]
+        k = math.floor(rate * len(droppable))
         if k == 0:
             return text
-        doomed = set(rng.choice(n, size=k, replace=False).tolist())
+        doomed = {droppable[i] for i in rng.choice(len(droppable), size=k, replace=False)}
         return "".join(c for i, c in enumerate(chars) if i not in doomed)
 
     if spec.strategy == "random_case":
@@ -137,7 +137,7 @@ def apply_noise(text: str, spec: NoiseSpec) -> str:
         out = []
         for c in chars:
             out.append(c)
-            if rng.random() < rate:
+            if c != "\n" and rng.random() < rate:
                 # 1..3 extra copies, so a character occurs at most 4 times.
                 out.append(c * int(rng.integers(1, 4)))
         return "".join(out)

@@ -272,22 +272,13 @@ def scorable_slices(slices: dict[str, list]) -> dict[str, list[np.ndarray]]:
 
 
 def _split_doc(bounds: PatchBoundaries, max_bytes: int):
-    """Spans of at most max_bytes, cut at patch boundaries."""
-    spans = []
-    lo_patch = 0
-    starts = bounds.starts
-    while lo_patch < bounds.n_patches:
-        byte_lo = int(starts[lo_patch])
-        hi_patch = lo_patch + 1
-        while hi_patch < bounds.n_patches and int(starts[hi_patch]) - byte_lo <= max_bytes:
-            hi_patch += 1
-        # hi_patch is the first patch start beyond the window (or the end)
-        byte_hi = int(starts[hi_patch]) if hi_patch < bounds.n_patches else bounds.n_bytes
-        if byte_hi - byte_lo > max_bytes and hi_patch - lo_patch > 1:
-            hi_patch -= 1
-            byte_hi = int(starts[hi_patch])
-        spans.append((byte_lo, byte_hi, starts[lo_patch:hi_patch] - byte_lo))
-        lo_patch = hi_patch
+    """Spans of at most max_bytes, cut at patch boundaries; a longer patch is a span of its own."""
+    starts, ends = bounds.starts, np.append(bounds.starts[1:], bounds.n_bytes)
+    spans, lo = [], 0
+    while lo < bounds.n_patches:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + max_bytes, "right")))
+        spans.append((int(starts[lo]), int(ends[hi - 1]), starts[lo:hi] - starts[lo]))
+        lo = hi
     return spans
 
 

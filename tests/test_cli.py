@@ -18,7 +18,7 @@ from patchlm.entropy_lm import train_counts
 from patchlm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, build_parser, main
 from patchlm.errors import ConfigError
 from patchlm.model import ModelConfig, init_params
-from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, patch_strided
+from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, Patcher, patch_strided
 from patchlm.runconfig import DEFAULTS, RunConfig
 from patchlm.trainer import AdamState, OptimSpec, eval_bpb, load_checkpoint, save_checkpoint
 
@@ -43,9 +43,11 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 
 def save_tiny_checkpoint(path):
+    """A tiny untrained checkpoint, with a strided patcher saved next to it as a run would."""
     cfg = ModelConfig(**TINY_MODEL)
     params = init_params(cfg, seed=0)
     save_checkpoint(path, params, AdamState.init(params), None, 0, cfg, OptimSpec())
+    Patcher(PatchingConfig(scheme="strided")).save(Path(path).parent)
 
 
 def test_patch_strided_tsv(tmp_path, capsys, corpus_file):
@@ -299,15 +301,19 @@ def test_train_on_overlapping_eval_documents_writes_nothing(tmp_path, capsys, co
     assert not run_dir.exists()
 
 
-def test_eval_bpb_max_patch_is_the_patchers_alone(tmp_path, capsys):
-    # 600-byte patches are past the default 512-byte maximum; --max-patch
-    # lifts it, and the model takes patches of any length
+def test_eval_bpb_max_patch_is_the_patchers_alone(tmp_path, capsys, corpus_file):
+    # 600-byte patches are past the default 512-byte maximum; --max-patch at
+    # train lifts it for the run's patcher, and the model takes patches of any length
     long_doc = tmp_path / "long.txt"
     long_doc.write_text(textgen.synthetic_text(1800, seed=3).replace("\n", " ") + "\n")
-    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "training": {"steps": 0}}))
+    code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                  "--corpus-eval", str(long_doc), "--run-dir", str(tmp_path / "run"),
+                  "--scheme", "strided", "--k", "600", "--max-patch", "1024")
+    assert code == 0
     code, out = run(capsys, "eval-bpb", "--json", "--corpus", str(long_doc),
-                    "--checkpoint", str(tmp_path / "ckpt.npz"),
-                    "--scheme", "strided", "--k", "600", "--max-patch", "1024")
+                    "--checkpoint", str(tmp_path / "run" / "ckpt_final.npz"))
     assert code == 0
     doc = json.loads(out)
     assert doc["patching"]["max_patch_size"] == 1024 and doc["mean_patch_size"]["eval"] > 512
@@ -410,11 +416,10 @@ CLI_FLAGS = {
     "calibrate": [*CORPUS_FLAGS, *PATCH_FLAGS],
     "patch": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
     "train": [*CORPUS_FLAGS, "--run-root", "--run-dir", "--force", *PATCH_FLAGS, "--corpus-eval"],
-    "eval-bpb": [*CORPUS_FLAGS, *PATCH_FLAGS, "--checkpoint", "--uniform"],
+    "eval-bpb": [*CORPUS_FLAGS, "--checkpoint", "--uniform"],
     "flops": ["--json", "--log-level", "--config", "--n-ctx", "--patch-size"],
     "size-match": ["--json", "--log-level", "--config", "--target", "--n-ctx", "--patch-size", "--tol"],
-    "noise": ["--json", "--log-level", "--seed", "--strategy", "--rate", "--target", "--text", "--in",
-              "--out"],
+    "noise": ["--json", "--log-level", "--seed", "--strategy", "--rate", "--text", "--in", "--out"],
     "check-incremental": [*CORPUS_FLAGS, *PATCH_FLAGS, "--n-prefixes"],
     "trace": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
 }
@@ -426,7 +431,7 @@ def test_cli_surface_is_pinned():
                       if flag not in ("-h", "--help")]
                for name, sp in sub.choices.items()}
     assert surface == CLI_FLAGS
-    assert sum(len(flags) for flags in surface.values()) == 128
+    assert sum(len(flags) for flags in surface.values()) == 118
 
 
 def test_log_level_debug_shows_the_debug_lines(tmp_path):
@@ -469,7 +474,6 @@ PATCHER_COMMANDS = {
     "calibrate": [],
     "patch": ["--out", "b.tsv"],
     "train": ["--config", "cfg.json", "--corpus-eval", "heldout.txt", "--run-dir", "run"],
-    "eval-bpb": ["--checkpoint", "ckpt.npz"],
     "check-incremental": ["--n-prefixes", "3"],
     "trace": ["--out", "trace.tsv"],
 }
@@ -483,7 +487,6 @@ def patcher_command_dir(tmp_path, monkeypatch, corpus_file):
         {"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
          "training": {"steps": 2, "patch_budget": 16}}))
     (tmp_path / "heldout.txt").write_text(textgen.synthetic_text(300, seed=10_000) + "\n")
-    save_tiny_checkpoint(tmp_path / "ckpt.npz")
     return ["--corpus", str(corpus_file), "--entropy-model", "ent.bin"]
 
 
@@ -496,13 +499,13 @@ def test_every_patcher_command_calibrates_the_same_threshold(capsys, patcher_com
                         "--scheme", scheme, "--target-patch-size", "4.5")
         assert code == 0, command
         reports[command] = json.loads(out)
-    # a trained run records the calibrated threshold, and evaluating it by its
-    # config.json calibrates that threshold again on the eval corpus
+    # a trained run records the calibrated threshold, and its checkpoint is
+    # scored under the patcher the run saved, whatever corpus eval-bpb reads
     reports["train report.json"] = json.loads(Path("run/report.json").read_text())
-    code, out = run(capsys, "eval-bpb", "--json", *patcher_command_dir, "--config",
-                    "run/config.json", "--checkpoint", "run/ckpt_final.npz")
+    code, out = run(capsys, "eval-bpb", "--json", "--corpus", "heldout.txt",
+                    "--checkpoint", "run/ckpt_final.npz")
     assert code == 0
-    reports["eval-bpb --config"] = json.loads(out)
+    reports["eval-bpb"] = json.loads(out)
     thetas = {command: report["patching"][name] for command, report in reports.items()}
     assert thetas == dict.fromkeys(thetas, reports["calibrate"]["theta"])
 
@@ -555,6 +558,72 @@ def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file)
     assert reported == heldout_bpb(64) != heldout_bpb(4096)
 
 
+# patching settings of a run -> the train flags that give them
+RUN_PATCHERS = {
+    "entropy_global": ["--scheme", "entropy_global", "--target-patch-size", "4"],
+    "strided": ["--scheme", "strided", "--k", "3"],
+    "bpe": ["--scheme", "bpe", "--bpe-merges", "50"],
+}
+
+
+@pytest.mark.parametrize("scheme", list(RUN_PATCHERS))
+def test_eval_bpb_reproduces_the_runs_heldout_bpb(tmp_path, capsys, corpus_file, scheme):
+    # a held-out corpus far under the 1e5 bytes a calibration needs: the run's
+    # own patcher is loaded, not fitted again to the documents it scores
+    heldout = tmp_path / "heldout.txt"
+    heldout.write_text("\n".join(textgen.synthetic_text(300, seed=20_000 + i).replace("\n", " ")
+                                 for i in range(8)) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 3, "patch_budget": 16}}))
+    run_dir = tmp_path / "run"
+    code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                  "--corpus-eval", str(heldout), "--run-dir", str(run_dir), *RUN_PATCHERS[scheme])
+    assert code == 0
+    assert (run_dir / "entropy.bin").exists() == (scheme in ENTROPY_THRESHOLDS)
+    final = json.loads((run_dir / "report.json").read_text())["evals"][-1]
+    code, out = run(capsys, "eval-bpb", "--json", "--corpus", str(heldout),
+                    "--checkpoint", str(run_dir / "ckpt_final.npz"))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bpb"]["eval"] == final["bpb"]["heldout"]
+    assert doc["mean_patch_size"]["eval"] == final["mean_patch_size"]["heldout"]
+
+
+@pytest.mark.parametrize("damage", ["missing", "not_json", "unknown_key", "no_entropy_model"])
+def test_checkpoint_without_a_readable_patcher_is_a_data_error(tmp_path, capsys, corpus_file,
+                                                               damage):
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    saved = tmp_path / "patcher.json"
+    if damage == "missing":
+        saved.unlink()
+    elif damage == "not_json":
+        saved.write_text('{"patching": {"scheme": "str')
+    elif damage == "unknown_key":
+        saved.write_text(json.dumps({"patching": {"scheme": "strided", "stride": 4}, "merges": None}))
+    else:  # an entropy scheme whose entropy.bin is gone
+        saved.write_text(json.dumps({"patching": {"scheme": "entropy_global", "theta_g": 2.0},
+                                     "merges": None}))
+    code = main(["eval-bpb", "--corpus", str(corpus_file), "--checkpoint", str(tmp_path / "ckpt.npz")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
+
+
+def test_noise_to_stdout_adds_no_second_newline(tmp_path, capsys):
+    (tmp_path / "three.txt").write_text("the cat\nsat on\nthe mat\n")
+    code, out = run(capsys, "noise", "--strategy", "antspeak", "--in", str(tmp_path / "three.txt"))
+    assert code == 0 and out == "T H E C A T\nS A T O N\nT H E M A T\n"
+    code, out = run(capsys, "noise", "--strategy", "upper_case", "--text", "cat")
+    assert code == 0 and out == "CAT\n"
+
+
+@pytest.mark.parametrize("strategy", ["upper_case", "antspeak"])
+def test_noise_rate_where_it_is_not_read_is_a_config_error(capsys, strategy):
+    code = main(["noise", "--strategy", strategy, "--rate", "0.5", "--text", "cat"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and "reads no rate" in err
+
+
 # -- bad input at every edge --------------------------------------------------
 
 # command -> (arguments besides the crossed path, the crossed path's flag, a
@@ -571,10 +640,8 @@ EDGE_COMMANDS = {
               ["--max-patch", "0"]),
     "train --corpus-eval": (["--config", "cfg.json", "--corpus", "text.txt", "--scheme", "strided",
                              "--run-dir", "run"], "--corpus-eval", ["--k", "0"]),
-    "eval-bpb": (["--checkpoint", "ckpt.npz", "--scheme", "strided"], "--corpus",
-                 ["--max-patch", "0"]),
-    "eval-bpb --checkpoint": (["--corpus", "text.txt", "--scheme", "strided"], "--checkpoint",
-                              ["--k", "0"]),
+    "eval-bpb": (["--checkpoint", "ckpt.npz"], "--corpus", ["--seed", "-1"]),
+    "eval-bpb --checkpoint": (["--corpus", "text.txt"], "--checkpoint", ["--seed", "-1"]),
     "flops": ([], "--config", ["--patch-size", "nan"]),
     "size-match": (["--target", "1e6"], "--config", ["--tol", "-1"]),
     "noise": (["--strategy", "drop", "--out", "n.txt"], "--in", ["--rate", "2"]),
@@ -642,8 +709,7 @@ def test_a_library_value_error_escapes_main(tmp_path, monkeypatch, corpus_file):
         main(["train", "--config", str(cfg_path), "--corpus", str(corpus_file),
               "--scheme", "strided", "--run-dir", str(tmp_path / "run")])
     with pytest.raises(ValueError, match="injected"):
-        main(["eval-bpb", "--corpus", str(corpus_file), "--checkpoint", str(tmp_path / "ckpt.npz"),
-              "--scheme", "strided"])
+        main(["eval-bpb", "--corpus", str(corpus_file), "--checkpoint", str(tmp_path / "ckpt.npz")])
 
 
 def test_default_warmup_is_shorter_than_the_default_run():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from patchlm.corpus import NoiseSpec, apply_noise, load_corpus
-from patchlm.errors import DataError
+from patchlm.corpus import DEFAULT_NOISE_RATES, NOISE_STRATEGIES, NoiseSpec, apply_noise, load_corpus
+from patchlm.errors import ConfigError, DataError
 
 
 # -- loading -----------------------------------------------------------------
@@ -103,6 +103,23 @@ def test_random_case_preserves_uncased():
 
 def test_empty_text_passthrough():
     assert apply_noise("", NoiseSpec("drop")) == ""
+
+
+def test_every_strategy_keeps_every_line():
+    text = "the cat sat\n\nOn the  mat\tof x\nab\nc d e f g\n" * 3
+    for strategy in NOISE_STRATEGIES:
+        rates = (0.1, 0.5, 0.9, 1.0) if strategy in DEFAULT_NOISE_RATES else (None,)
+        for rate in rates:
+            for seed in range(6):
+                out = apply_noise(text, NoiseSpec(strategy, rate=rate, seed=seed))
+                assert out.count("\n") == text.count("\n"), (strategy, rate, seed)
+
+
+def test_rate_is_rejected_where_it_is_not_read():
+    for strategy in NOISE_STRATEGIES:
+        if strategy not in DEFAULT_NOISE_RATES:
+            with pytest.raises(ConfigError, match="reads no rate"):
+                NoiseSpec(strategy, rate=0.5)
 
 
 def test_bad_spec_rejected():

@@ -6,8 +6,10 @@ from patchlm.bpe import train_bpe
 from patchlm.entropy_lm import LN256, EntropyTrace, train_counts
 from patchlm.errors import ConfigError
 from patchlm.patching import (
+    SCHEMES,
     CalibrationError,
     PatchBoundaries,
+    Patcher,
     PatchingConfig,
     calibrate_threshold,
     check_incrementality,
@@ -246,13 +248,13 @@ def test_calibration_monotonic_scheme(entropy3, english_docs):
 # -- bpe scheme, incrementality ----------------------------------------------------
 
 
-def test_bpe_adapter_identity_vocab():
+def test_bpe_scheme_identity_vocab():
     vocab = train_bpe([b"xy"], n_merges=0)
     bounds = make_patcher(PatchingConfig(scheme="bpe"), bpe_vocab=vocab)(b(b"abcd"))
     assert bounds.starts.tolist() == [0, 1, 2, 3]
 
 
-def test_bpe_adapter_greedy_merge():
+def test_bpe_scheme_greedy_merge():
     vocab = train_bpe([b"aaaa"], n_merges=1)
     bounds = make_patcher(PatchingConfig(scheme="bpe"), bpe_vocab=vocab)(b(b"aaaa"))
     assert bounds.starts.tolist() == [0, 2]
@@ -309,6 +311,34 @@ def test_patching_config_validation():
         PatchingConfig(scheme="strided", k=0)
     with pytest.raises(ConfigError):
         PatchingConfig(theta_g=float("nan"))
+
+
+SAVED_CONFIGS = {
+    "strided": PatchingConfig(scheme="strided", k=3),
+    "space": PatchingConfig(scheme="space", max_patch_size=7),
+    "entropy_global": PatchingConfig(scheme="entropy_global", theta_g=1.8689012345678901,
+                                     reset_on_newline=True),
+    "entropy_monotonic": PatchingConfig(scheme="entropy_monotonic", theta_r=0.3, max_patch_size=5),
+    "entropy_or": PatchingConfig(scheme="entropy_or", theta_g=2.5, theta_r=0.2),
+    "bpe": PatchingConfig(scheme="bpe", bpe_merges=40),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_saved_patcher_loads_the_same_patches(tmp_path, small_docs, entropy2_small, scheme):
+    config = SAVED_CONFIGS[scheme]
+    vocab = train_bpe(small_docs[:8], n_merges=config.bpe_merges) if scheme == "bpe" else None
+    patcher = Patcher(config, entropy2_small if scheme.startswith("entropy") else None, vocab)
+    patcher.save(tmp_path)
+    assert (tmp_path / "entropy.bin").exists() == scheme.startswith("entropy")
+    loaded = Patcher.load(tmp_path)
+    assert loaded.config == config
+    if vocab is not None:
+        assert loaded.bpe_vocab.merges == vocab.merges
+        assert loaded.bpe_vocab.token_bytes == vocab.token_bytes
+    for doc in small_docs[10:20]:
+        want, got = patcher(doc), loaded(doc)
+        assert np.array_equal(got.starts, want.starts) and got.forced_splits == want.forced_splits
 
 
 def test_boundary_tsv_export(tmp_path):

@@ -9,7 +9,7 @@ from patchlm import textgen, trainer
 from patchlm.entropy_lm import train_counts
 from patchlm.errors import DataError, NumericError
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
-from patchlm.patching import patch_entropy, patch_space, patch_strided
+from patchlm.patching import PatchBoundaries, patch_entropy, patch_space, patch_strided
 from patchlm.tensor import parameter
 from patchlm.trainer import (
     LN2,
@@ -227,6 +227,37 @@ def test_eval_scores_every_byte_exactly_once(eval_patchers, scheme, max_stream_b
     rep = eval_bpb(params, cfg, {"x": docs}, eval_patchers[scheme], max_stream_bytes)
     assert rep.n_bytes["x"] == sum(len(d) - 1 for d in docs)
     assert np.isfinite(rep.bpb["x"])
+
+
+def split_doc_by_patches(bounds, max_bytes):
+    """The per-patch loop ``trainer._split_doc`` replaced, kept as its oracle."""
+    spans = []
+    lo_patch = 0
+    starts = bounds.starts
+    while lo_patch < bounds.n_patches:
+        byte_lo = int(starts[lo_patch])
+        hi_patch = lo_patch + 1
+        while hi_patch < bounds.n_patches and int(starts[hi_patch]) - byte_lo <= max_bytes:
+            hi_patch += 1
+        # hi_patch is the first patch start beyond the window (or the end)
+        byte_hi = int(starts[hi_patch]) if hi_patch < bounds.n_patches else bounds.n_bytes
+        if byte_hi - byte_lo > max_bytes and hi_patch - lo_patch > 1:
+            hi_patch -= 1
+            byte_hi = int(starts[hi_patch])
+        spans.append((byte_lo, byte_hi, starts[lo_patch:hi_patch] - byte_lo))
+        lo_patch = hi_patch
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_bytes=st.integers(1, 300), max_bytes=st.integers(1, 80), data=st.data())
+def test_split_doc_matches_the_per_patch_loop(n_bytes, max_bytes, data):
+    inner = data.draw(st.sets(st.integers(1, n_bytes - 1), max_size=n_bytes - 1)
+                      if n_bytes > 1 else st.just(set()))
+    bounds = PatchBoundaries(np.array(sorted({0, *inner})), n_bytes)
+    got, want = trainer._split_doc(bounds, max_bytes), split_doc_by_patches(bounds, max_bytes)
+    assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+    assert all(np.array_equal(g, w) for (_, _, g), (_, _, w) in zip(got, want))
 
 
 def test_eval_uncut_document_scores_as_one_stream():
