@@ -3,9 +3,11 @@
 Subcommands: train-entropy, calibrate, patch, train, eval-bpb, flops,
 size-match, noise, check-incremental, trace. Each accepts only the flags it
 reads. Every command takes --json and --log-level (the level of the
-messages printed to stderr), and every one but noise takes --config.
-The commands that read a corpus take --corpus, --format and --seed (which
-also seeds a synthetic corpus); noise takes --seed for its own generator.
+messages printed to stderr), and all but noise and eval-bpb take --config.
+The commands that read a corpus take --corpus and --format, and all of those
+but eval-bpb --seed, which also seeds a synthetic corpus; noise takes --seed
+for its own generator. Input files are flags, never config keys: --corpus,
+--corpus-eval, --entropy-model, --checkpoint and --in.
 
 Only train writes a run directory: --run-dir, or one named by config hash +
 timestamp under --run-root (or $PATCHLM_RUN_ROOT). It and every --out path
@@ -19,9 +21,10 @@ check-incremental, trace) builds it the same way. Given --target-patch-size
 on the command's own corpus: theta for entropy_global, theta-r for
 entropy_monotonic. That threshold set as well, or any other scheme with a
 target, is a config error. train saves its patcher in the run directory
-(patcher.json, and entropy.bin for an entropy scheme) before the first step,
-and eval-bpb --checkpoint scores under the patcher saved next to the
-checkpoint, so no command fits a patcher to the corpus it scores.
+(patcher.json, and entropy.bin for an entropy scheme) before the first step.
+eval-bpb --checkpoint reads the run back from the checkpoint's directory:
+that patcher, and the model and eval stream size from the config.json whose
+hash the checkpoint holds. So no command fits a patcher to the corpus it scores.
 
 Exit codes: 0 ok, 2 config error (``errors.ConfigError``), 3 data error
 (``errors.DataError``), 4 numeric failure (``errors.NumericError``). Any other
@@ -135,9 +138,8 @@ def _load_docs(args, cfg: RunConfig, path=None) -> list[np.ndarray]:
 
 
 def _entropy_model(args, cfg: RunConfig, docs) -> entropy_lm.EntropyModel:
-    path = getattr(args, "entropy_model", None) or cfg["entropy_model"]["path"]
-    if path:
-        return entropy_lm.EntropyModel.load(path)
+    if args.entropy_model:
+        return entropy_lm.EntropyModel.load(args.entropy_model)
     return entropy_lm.train_counts(docs, order=cfg["entropy_model"]["order"],
                                    alpha=cfg["entropy_model"]["alpha"])
 
@@ -268,16 +270,23 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval_bpb(args, cfg: RunConfig) -> int:
+    if args.uniform == bool(args.checkpoint):
+        raise ConfigError("eval-bpb needs one of --checkpoint and --uniform")
     docs = _load_docs(args, cfg)
     if args.uniform:
         report = eval_bpb(None, None, {"eval": docs}).to_dict()
     else:
-        if not args.checkpoint:
-            raise ConfigError("eval-bpb needs --checkpoint or --uniform")
         ck = load_checkpoint(args.checkpoint)
-        patcher = patching.Patcher.load(Path(args.checkpoint).parent)
-        report = eval_bpb(ck["params"], ck["config"], {"eval": docs}, patcher,
-                          max_stream_bytes=cfg["training"]["eval_stream_bytes"],
+        run_config = Path(args.checkpoint).parent / "config.json"
+        try:  # the run's settings; a config.json that fails to load is bad data here
+            cfg = RunConfig.load(run_config)
+        except ConfigError as exc:
+            raise DataError(f"{run_config} is not a run config: {exc}") from None
+        if cfg.content_hash != ck["config_hash"]:
+            raise DataError(f"{run_config} is not the config {args.checkpoint} was saved under")
+        patcher = patching.Patcher.load(run_config.parent)
+        report = eval_bpb(ck["params"], ModelConfig.from_dict(cfg["model"]), {"eval": docs},
+                          patcher, max_stream_bytes=cfg["training"]["eval_stream_bytes"],
                           steps=ck["step"]).to_dict()
         report["patching"] = asdict(patcher.config)
 
@@ -449,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval-bpb", help="bits-per-byte of a checkpoint (or the uniform model)")
-    _add_shared(sp, *_CORPUS_FLAGS)
+    _add_shared(sp, "--corpus", "--format")
     sp.add_argument("--checkpoint", default=None,
-                    help="scored under the patcher its run saved next to it")
+                    help="scored under the config.json and patcher its run saved next to it")
     sp.add_argument("--uniform", action="store_true")
     sp.set_defaults(fn=cmd_eval_bpb)
 

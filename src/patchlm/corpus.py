@@ -115,14 +115,15 @@ def apply_noise(text: str, spec: NoiseSpec) -> str:
                          for line in text.split("\n"))
 
     if spec.strategy == "drop":
-        # Exact-count sampling: removes floor(rate * n) of the n characters
-        # other than newlines, so the output length is deterministic.
-        droppable = [i for i, c in enumerate(chars) if c != "\n"]
-        k = math.floor(rate * len(droppable))
-        if k == 0:
-            return text
-        doomed = {droppable[i] for i in rng.choice(len(droppable), size=k, replace=False)}
-        return "".join(c for i, c in enumerate(chars) if i not in doomed)
+        # Exact-count sampling: removes min(floor(rate * L), L - 1) of each line's
+        # L characters, so the output length is deterministic and no line empties.
+        lines = text.split("\n")
+        for j, line in enumerate(lines):
+            k = min(math.floor(rate * len(line)), len(line) - 1)
+            if k > 0:
+                doomed = set(rng.choice(len(line), size=k, replace=False).tolist())
+                lines[j] = "".join(c for i, c in enumerate(line) if i not in doomed)
+        return "\n".join(lines)
 
     if spec.strategy == "random_case":
         out = []

@@ -137,20 +137,19 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
         raise ConfigError("context length must be positive")
     d_ff = config.ff_mult
     k = config.k
-    zero = Fraction(0)
     latent = transformer_flops_per_token(
         config.global_layers, config.global_dim, n_ctx / n_p, d_ff=d_ff, vocab=0
     ) / n_p
-    # a zero-layer local block is absent entirely (including its output vocab
-    # projection), leaving the latent transformer as the whole model
-    enc_t = zero if config.enc_layers == 0 else transformer_flops_per_token(
+    # every encoder term scales with enc_layers, so a zero-layer encoder costs
+    # nothing; the decoder has at least one layer (ModelConfig)
+    enc_t = transformer_flops_per_token(
         config.enc_layers, config.enc_dim, config.enc_window, d_ff=d_ff, vocab=0
     )
-    dec_t = zero if config.dec_layers == 0 else transformer_flops_per_token(
+    dec_t = transformer_flops_per_token(
         config.dec_layers, config.dec_dim, config.dec_window, d_ff=d_ff, vocab=256
     )
     enc_x = cross_attention_flops(config.enc_layers, config.enc_dim, k, p=n_p, r=n_p / k) * k / n_p
-    dec_x = zero if config.dec_layers == 0 else (
+    dec_x = (
         4 * config.dec_layers * config.dec_dim * k  # score and mix over k keys
         + qkvo_flops(config.dec_layers, config.dec_dim, r=k / n_p + k / n_ctx)
         + 2 * config.global_dim * k * config.dec_dim / n_p  # latent output -> k slots

@@ -81,15 +81,15 @@ class ModelConfig:
     dec_window: int = 512
     ff_mult: int = 4
     rope_theta: float = 500000.0
-    ngram_sizes: tuple = (3, 4, 5, 6, 7, 8)
-    hash_vocab: int = 4096  # buckets per n-gram size; 0 disables hash embeddings
+    ngram_sizes: tuple = (3, 4, 5, 6, 7, 8)  # empty: no hash embeddings
+    hash_vocab: int = 4096  # buckets per n-gram size
 
     def __post_init__(self):
         self.ngram_sizes = tuple(sorted(self.ngram_sizes))
         if (min(self.enc_dim, self.global_dim, self.enc_heads, self.global_heads, self.dec_heads,
-                self.enc_window, self.dec_window, self.ff_mult, *self.ngram_sizes) < 1
-                or min(self.enc_layers, self.global_layers, self.dec_layers, self.hash_vocab) < 0):
-            raise ConfigError("layer counts and hash_vocab must be >= 0, other sizes >= 1")
+                self.enc_window, self.dec_window, self.ff_mult, self.dec_layers, self.hash_vocab,
+                *self.ngram_sizes) < 1 or min(self.enc_layers, self.global_layers) < 0):
+            raise ConfigError("enc_layers and global_layers must be >= 0, other sizes >= 1")
         if self.global_dim % self.enc_dim != 0:
             raise ConfigError(
                 f"global_dim ({self.global_dim}) must be a multiple of enc_dim ({self.enc_dim}): "
@@ -135,11 +135,10 @@ class ModelConfig:
 
 
 class BltParams:
-    """Named parameter tensors plus initialization metadata."""
+    """Named parameter tensors."""
 
-    def __init__(self, tensors: dict[str, Tensor], meta: dict):
+    def __init__(self, tensors: dict[str, Tensor]):
         self.tensors = tensors
-        self.meta = meta
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -147,15 +146,9 @@ class BltParams:
     def items(self):
         return self.tensors.items()
 
-    def n_params(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
     def zero_grad(self):
         for t in self.tensors.values():
             t.grad = None
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {k: t.grad for k, t in self.tensors.items()}
 
     def detached(self) -> "BltParams":
         """The same parameters as tensors that share each ``data`` array but
@@ -165,13 +158,10 @@ class BltParams:
         builds no autodiff graph; in-place updates of the parameters show in
         the view.
         """
-        return BltParams({k: Tensor(t.data, name=k) for k, t in self.tensors.items()}, self.meta)
+        return BltParams({k: Tensor(t.data, name=k) for k, t in self.tensors.items()})
 
     def astype(self, dtype) -> "BltParams":
-        return BltParams(
-            {k: parameter(t.data.astype(dtype), k) for k, t in self.tensors.items()},
-            dict(self.meta, dtype=np.dtype(dtype).name),
-        )
+        return BltParams({k: parameter(t.data.astype(dtype), k) for k, t in self.tensors.items()})
 
 
 def _layer_names(prefix: str, dim: int, ff: int) -> list[tuple[str, tuple]]:
@@ -206,9 +196,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     fg = ffn_hidden_dim(G, config.ff_mult)
     fd = ffn_hidden_dim(D, config.ff_mult)
     shapes: dict[str, tuple] = {"byte_embed": (VOCAB, E)}
-    if config.hash_vocab > 0:
-        for n in config.ngram_sizes:
-            shapes[f"hash_embed.n{n}"] = (config.hash_vocab, E)
+    for n in config.ngram_sizes:
+        shapes[f"hash_embed.n{n}"] = (config.hash_vocab, E)
     shapes["enc.pool_proj"] = (E, G)
     for i in range(config.enc_layers):
         shapes.update(dict(_xattn_names(f"enc.{i}.xattn.", G, E)))
@@ -249,13 +238,7 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> BltPara
                 std = base_std / math.sqrt(2.0 * _block_depth(name, config))
             data = std * rng.standard_normal(shape)
         tensors[name] = parameter(data.astype(dtype), name)
-    meta = {
-        "init": "normal(std=0.02, residual_out/sqrt(2*depth))",
-        "seed": seed,
-        "dtype": np.dtype(dtype).name,
-        "rng": "pcg64",
-    }
-    return BltParams(tensors, meta)
+    return BltParams(tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +483,7 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
     """
     dtype = params["byte_embed"].dtype
     e = embedding(params["byte_embed"], stream.data)
-    if config.hash_vocab <= 0 or not config.ngram_sizes:
+    if not config.ngram_sizes:
         return e
     n = stream.n_bytes
     offset = np.arange(n) - _run_starts(stream.doc_ids)  # position within the document

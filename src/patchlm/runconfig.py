@@ -7,7 +7,8 @@ and ``optimizer`` defaults are those of ``ModelConfig``, ``PatchingConfig``
 and ``OptimSpec``, and ``entropy_model.alpha`` and ``training.eval_stream_bytes``
 are ``entropy_lm.DEFAULT_ALPHA`` and ``trainer.EVAL_STREAM_BYTES``, so each
 default lives in one place. Input and output locations are not config keys:
-``--corpus``, ``--corpus-eval``, ``--format`` and ``--run-root`` name them.
+``--corpus``, ``--corpus-eval``, ``--entropy-model``, ``--format`` and
+``--run-root`` name them.
 
 A setting with one legal value is not a key. Every generator is pcg64, the
 learning-rate schedule is warmup then cosine to zero (``trainer.lr_at``), and
@@ -41,7 +42,7 @@ DEFAULTS: dict = {
     "model": ModelConfig().to_dict(),
     # target_patch_size, when set, calibrates the scheme's threshold (patching.calibrated_config)
     "patching": {**asdict(PatchingConfig()), "target_patch_size": None},
-    "entropy_model": {"order": 3, "alpha": DEFAULT_ALPHA, "path": None},
+    "entropy_model": {"order": 3, "alpha": DEFAULT_ALPHA},
     "optimizer": asdict(OptimSpec()),
     "training": {
         "steps": 1000,
@@ -64,16 +65,15 @@ _RANGES = {"run.seed": (0, inf), "data.synthetic_doc_bytes": (1, inf),
            "data.eval_fraction": (0, 1), "training.steps": (0, inf)}
 
 
-def _type_ok(val, default, name: str) -> bool:
+def _type_ok(val, default) -> bool:
     """Whether ``val`` has the JSON type of ``default``; an int passes for a float,
-    and a ``null`` default takes a number (``entropy_model.path`` a string)."""
+    and a ``null`` default takes a number."""
     if default is None:
-        want = str if name == "entropy_model.path" else (int, float)
-        return val is None or (isinstance(val, want) and not isinstance(val, bool))
+        return val is None or (isinstance(val, (int, float)) and not isinstance(val, bool))
     want = (int, float) if type(default) is float else type(default)
     if not isinstance(val, want) or isinstance(val, bool) != isinstance(default, bool):
         return False
-    return not isinstance(val, list) or all(_type_ok(v, default[0], name) for v in val)
+    return not isinstance(val, list) or all(_type_ok(v, default[0]) for v in val)
 
 
 def _check_keys(given: dict, allowed: dict, path: str = "") -> None:
@@ -83,7 +83,7 @@ def _check_keys(given: dict, allowed: dict, path: str = "") -> None:
             raise ConfigError(f"unknown config key {name!r}")
         if isinstance(allowed[key], dict) and isinstance(val, dict):
             _check_keys(val, allowed[key], name + ".")
-        elif not _type_ok(val, allowed[key], name):
+        elif not _type_ok(val, allowed[key]):
             raise ConfigError(f"config key {name!r} has the wrong type: {val!r} "
                               f"(default {allowed[key]!r})")
         elif name in _RANGES and not _RANGES[name][0] <= val < _RANGES[name][1]:  # NaN fails
@@ -126,12 +126,10 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.values, sort_keys=True, separators=(",", ":"))
-
     @property
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        canonical = json.dumps(self.values, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
     def write(self, path: str | Path) -> None:
         doc = dict(self.values)

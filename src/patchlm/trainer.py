@@ -7,8 +7,9 @@ checkpoint/resume split. Data order is a pure function of (seed, epoch), and
 the loader cursor rides along in the checkpoint, so no hidden RNG state
 exists.
 
-Checkpoints are format version 2, whose ``config`` and ``optim`` records hold
-only settings that can vary; ``load_checkpoint`` refuses any other version.
+Checkpoints are format version 3: the state a continued run needs, and the content
+hash of the run's ``config.json``, which alone holds the settings. ``load_checkpoint``
+refuses any other version, and ``train(resume=path)`` goes on from a checkpoint.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .entropy_lm import LN256
 from .errors import ConfigError, DataError, NumericError
 from .model import BltParams, ModelConfig, Stream, lm_forward
 from .patching import PatchBoundaries
+from .tensor import parameter
 
 LN2 = float(np.log(2.0))
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-# a loss above this multiple of the first step's loss counts toward divergence,
-# and this many such steps in a row abort the run
-DIVERGENCE_FACTOR = 2.0
+DIVERGENCE_FACTOR = 2.0  # the two settings of ``Divergence``
 DIVERGENCE_PATIENCE = 100
 
 EVAL_STREAM_BYTES = 4096  # longest stream eval_bpb scores in one forward
@@ -347,9 +347,25 @@ def eval_bpb(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Divergence:
+    """A loss above DIVERGENCE_FACTOR times the first step's counts toward divergence,
+    and DIVERGENCE_PATIENCE such steps in a row abort the run."""
+
+    initial_loss: float | None = None
+    streak: int = 0
+
+    def update(self, loss: float) -> None:
+        self.initial_loss = loss if self.initial_loss is None else self.initial_loss
+        self.streak = self.streak + 1 if loss > DIVERGENCE_FACTOR * self.initial_loss else 0
+        if self.streak >= DIVERGENCE_PATIENCE:
+            raise NumericError(f"loss {loss:.3f} above {DIVERGENCE_FACTOR}x initial "
+                               f"{self.initial_loss:.3f} for {self.streak} consecutive steps")
+
+
 def save_checkpoint(path: str | Path, params: BltParams, state: AdamState,
-                    loader: PatchStreamLoader | None, step: int, config: ModelConfig,
-                    optim: OptimSpec, config_hash: str = "") -> None:
+                    loader: PatchStreamLoader | None, step: int, config_hash: str = "",
+                    divergence: Divergence | None = None) -> None:
     arrays = {f"param/{k}": t.data for k, t in params.items()}
     arrays.update({f"adam_m/{k}": v for k, v in state.m.items()})
     arrays.update({f"adam_v/{k}": v for k, v in state.v.items()})
@@ -358,13 +374,9 @@ def save_checkpoint(path: str | Path, params: BltParams, state: AdamState,
         "step": step,
         "adam_t": state.t,
         "skipped": state.skipped,
-        "config": config.to_dict(),
-        "optim": asdict(optim),
         "config_hash": config_hash,
         "loader_state": loader.state_dict() if loader else None,
-        "loader_seed": loader.seed if loader else None,
-        "rng": "pcg64",
-        "params_meta": params.meta,
+        "divergence": asdict(divergence or Divergence()),
     }
     arrays["meta_json"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -372,41 +384,29 @@ def save_checkpoint(path: str | Path, params: BltParams, state: AdamState,
 
 
 def load_checkpoint(path: str | Path) -> dict:
+    """The checkpoint's meta, with its ``params``, ``adam`` state and ``divergence`` monitor."""
     try:
         with np.load(path) as z:  # an .npy file loads as an array, which has no ``with``
-            meta = json.loads(bytes(z["meta_json"]).decode())
-            if meta["version"] != CHECKPOINT_VERSION:
-                raise DataError(f"checkpoint {path} has format version {meta['version']}; "
-                                      f"this build reads version {CHECKPOINT_VERSION}")
-            config = ModelConfig.from_dict(meta["config"])
-            params = BltParams(
-                {k[len("param/"):]: _param(z[k], k) for k in z.files if k.startswith("param/")},
-                meta.get("params_meta", {}),
-            )
-            state = AdamState(
-                m={k[len("adam_m/"):]: z[k].copy() for k in z.files if k.startswith("adam_m/")},
-                v={k[len("adam_v/"):]: z[k].copy() for k in z.files if k.startswith("adam_v/")},
-                t=meta["adam_t"],
-                skipped=meta["skipped"],
-            )
+            ck = json.loads(bytes(z["meta_json"]).decode())
+            if ck["version"] != CHECKPOINT_VERSION:
+                raise DataError(f"checkpoint {path} has format version {ck['version']}; "
+                                f"this build reads version {CHECKPOINT_VERSION}")
+            m, v, p = ({k.split("/", 1)[1]: z[k].copy() for k in z.files if k.startswith(kind)}
+                       for kind in ("adam_m/", "adam_v/", "param/"))
+            ck["adam"] = AdamState(m, v, ck["adam_t"], ck["skipped"])
+            ck["divergence"] = Divergence(**ck["divergence"])
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"not a readable checkpoint file: {path}") from exc
-    return {
-        "params": params,
-        "adam": state,
-        "step": meta["step"],
-        "config": config,
-        "optim": OptimSpec(**meta["optim"]),
-        "config_hash": meta["config_hash"],
-        "loader_state": meta["loader_state"],
-        "meta": meta,
-    }
+    ck["params"] = BltParams({k: parameter(a, k) for k, a in p.items()})
+    return ck
 
 
-def _param(arr: np.ndarray, key: str):
-    from .tensor import parameter
-
-    return parameter(arr.copy(), key[len("param/"):])
+def _log(path: Path, start_step: int):
+    """``path`` opened for appending after its rows of the steps before ``start_step``."""
+    rows = path.read_text().splitlines(keepends=True) if start_step and path.exists() else []
+    fh = open(path, "w")
+    fh.writelines(rows[:start_step])
+    return fh
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +435,7 @@ def train(
     checkpoint_every: int = 0,
     eval_stream_bytes: int = EVAL_STREAM_BYTES,
     config_hash: str = "",
-    start_step: int = 0,
-    adam_state: AdamState | None = None,
+    resume: str | Path | None = None,
 ) -> TrainResult:
     """Run the loop; metrics stream to ``run_dir/metrics.jsonl``.
 
@@ -444,25 +443,31 @@ def train(
     grad_norm, patch/byte counts); wall-clock throughput and the process's
     peak resident memory so far go to a separate perf.jsonl, so two
     identical runs produce bit-identical metrics files. Overlapping train and
-    eval documents raise before any file is written.
+    eval documents raise before any file is written. ``resume`` names a
+    checkpoint saved under ``config_hash``; the run goes on from its state,
+    after the logs' rows of the steps before it.
     """
     if eval_slices:
         check_disjoint(loader.docs, [d for s in eval_slices.values() for d in s])
-    state = adam_state if adam_state is not None else AdamState.init(params)
+    if resume is None:
+        state, divergence, start = AdamState.init(params), Divergence(), 0
+    else:
+        ck = load_checkpoint(resume)
+        if ck["config_hash"] != config_hash:
+            raise DataError(f"checkpoint {resume} was saved under another config")
+        if {k: t.shape for k, t in ck["params"].items()} != {k: t.shape for k, t in params.items()}:
+            raise DataError(f"checkpoint {resume} holds other parameter names or shapes")
+        for name, t in params.items():
+            t.data[...] = ck["params"][name].data
+        loader.load_state_dict(ck["loader_state"])
+        state, divergence, start = ck["adam"], ck["divergence"], ck["step"]
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    mode = "a" if start_step > 0 else "w"
-    metrics_fh = open(run_dir / "metrics.jsonl", mode)
-    perf_fh = open(run_dir / "perf.jsonl", mode)
+    metrics_fh, perf_fh = (_log(run_dir / f"{name}.jsonl", start) for name in ("metrics", "perf"))
 
-    result = TrainResult(steps_done=start_step, final_loss=float("nan"))
-    initial_loss = None
-    bad_streak = 0
+    result = TrainResult(steps_done=start, final_loss=float("nan"))
     try:
-        if total_steps == 0 and eval_slices:
-            result.eval_reports.append(
-                eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes, steps=0))
-        for step in range(start_step, total_steps):
+        for step in range(start, total_steps):
             t0 = time.perf_counter()
             stream = loader.next_stream()
             params.zero_grad()
@@ -473,10 +478,6 @@ def train(
             loss = float(res.loss.data)
             result.steps_done = step + 1
             result.final_loss = loss
-
-            if initial_loss is None:
-                initial_loss = loss
-            bad_streak = bad_streak + 1 if loss > DIVERGENCE_FACTOR * initial_loss else 0
             row = {
                 "step": step,
                 "loss_nats": loss,
@@ -494,20 +495,17 @@ def train(
                 "bytes_per_s": stream.n_bytes / dt,
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # ru_maxrss: KiB
             }) + "\n")
-            if bad_streak >= DIVERGENCE_PATIENCE:
-                raise NumericError(
-                    f"loss {loss:.3f} above {DIVERGENCE_FACTOR}x initial {initial_loss:.3f} "
-                    f"for {bad_streak} consecutive steps")
+            divergence.update(loss)
             if eval_every and eval_slices and (step + 1) % eval_every == 0:
                 result.eval_reports.append(
                     eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
                              steps=step + 1))
             if checkpoint_every and (step + 1) % checkpoint_every == 0:
                 save_checkpoint(run_dir / f"ckpt_{step + 1:07d}.npz", params, state,
-                                loader, step + 1, config, optim, config_hash)
+                                loader, step + 1, config_hash, divergence)
         save_checkpoint(run_dir / "ckpt_final.npz", params, state, loader,
-                        result.steps_done, config, optim, config_hash)
-        if eval_slices and total_steps > 0:
+                        result.steps_done, config_hash, divergence)
+        if eval_slices:
             result.eval_reports.append(
                 eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
                          steps=result.steps_done))

@@ -43,10 +43,12 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 
 def save_tiny_checkpoint(path):
-    """A tiny untrained checkpoint, with a strided patcher saved next to it as a run would."""
-    cfg = ModelConfig(**TINY_MODEL)
-    params = init_params(cfg, seed=0)
-    save_checkpoint(path, params, AdamState.init(params), None, 0, cfg, OptimSpec())
+    """A tiny untrained checkpoint, with its run's config.json and a strided
+    patcher saved next to it as a run would."""
+    cfg = RunConfig({"model": TINY_MODEL})
+    params = init_params(ModelConfig(**TINY_MODEL), seed=0)
+    save_checkpoint(path, params, AdamState.init(params), None, 0, cfg.content_hash)
+    cfg.write(Path(path).parent / "config.json")
     Patcher(PatchingConfig(scheme="strided")).save(Path(path).parent)
 
 
@@ -170,9 +172,9 @@ BAD_INPUTS = {
                                      "--checkpoint", "text.txt"], EXIT_DATA),
     "checkpoint_version_99": (["eval-bpb", "--corpus", "text.txt",
                                "--checkpoint", "version99.npz"], EXIT_DATA),
-    # the format before the one-value and duplicate model and optimizer keys were removed
-    "checkpoint_version_1": (["eval-bpb", "--corpus", "text.txt",
-                              "--checkpoint", "version1.npz"], EXIT_DATA),
+    # the format that also held the model and optimizer settings of config.json
+    "checkpoint_version_2": (["eval-bpb", "--corpus", "text.txt",
+                              "--checkpoint", "version2.npz"], EXIT_DATA),
     "removed_key_dec_dim": (["flops", "--config", "dec_dim.json"], EXIT_CONFIG),
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
@@ -209,12 +211,11 @@ def _write_bad_inputs(tmp_path, corpus_file):
     meta["version"] = 99
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     np.savez(tmp_path / "version99.npz", **arrays)
-    meta["version"] = 1
-    meta["config"].update(dec_dim=16, ff_multiple_of=8, hash_prime=1_000_000_007,
-                          max_patch_size=512, pooling="max")
-    meta["optim"]["schedule"] = "cosine_to_zero"
+    del meta["divergence"]
+    meta.update(version=2, config=TINY_MODEL, optim=asdict(OptimSpec()), loader_seed=None,
+                rng="pcg64", params_meta={})
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-    np.savez(tmp_path / "version1.npz", **arrays)
+    np.savez(tmp_path / "version2.npz", **arrays)
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -387,7 +388,7 @@ CONFIG_KEYS = [
     "patching.scheme", "patching.k", "patching.theta_g", "patching.theta_r",
     "patching.reset_on_newline", "patching.max_patch_size", "patching.bpe_merges",
     "patching.target_patch_size",
-    "entropy_model.order", "entropy_model.alpha", "entropy_model.path",
+    "entropy_model.order", "entropy_model.alpha",
     "optimizer.lr_peak", "optimizer.warmup_steps", "optimizer.beta1", "optimizer.beta2",
     "optimizer.eps", "optimizer.weight_decay", "optimizer.grad_clip",
     "training.steps", "training.patch_budget", "training.eval_every",
@@ -404,6 +405,21 @@ def test_config_surface_is_pinned():
                 yield prefix + key
 
     assert list(flat(DEFAULTS)) == CONFIG_KEYS
+    assert len(CONFIG_KEYS) == 40
+
+
+# every field of a checkpoint's meta: the state a continued run needs, and the
+# hash of the config.json that holds its settings
+CHECKPOINT_META = ["adam_t", "config_hash", "divergence", "loader_state", "skipped", "step",
+                   "version"]
+
+
+def test_checkpoint_meta_is_pinned(tmp_path):
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    with np.load(tmp_path / "ckpt.npz") as z:
+        meta = json.loads(bytes(z["meta_json"]).decode())
+    assert sorted(meta) == CHECKPOINT_META
+    assert meta["divergence"] == {"initial_loss": None, "streak": 0}
 
 
 PATCH_FLAGS = ["--scheme", "--k", "--theta", "--theta-r", "--target-patch-size", "--reset-newline",
@@ -416,7 +432,7 @@ CLI_FLAGS = {
     "calibrate": [*CORPUS_FLAGS, *PATCH_FLAGS],
     "patch": [*CORPUS_FLAGS, *PATCH_FLAGS, "--out"],
     "train": [*CORPUS_FLAGS, "--run-root", "--run-dir", "--force", *PATCH_FLAGS, "--corpus-eval"],
-    "eval-bpb": [*CORPUS_FLAGS, "--checkpoint", "--uniform"],
+    "eval-bpb": ["--json", "--log-level", "--corpus", "--format", "--checkpoint", "--uniform"],
     "flops": ["--json", "--log-level", "--config", "--n-ctx", "--patch-size"],
     "size-match": ["--json", "--log-level", "--config", "--target", "--n-ctx", "--patch-size", "--tol"],
     "noise": ["--json", "--log-level", "--seed", "--strategy", "--rate", "--text", "--in", "--out"],
@@ -431,7 +447,7 @@ def test_cli_surface_is_pinned():
                       if flag not in ("-h", "--help")]
                for name, sp in sub.choices.items()}
     assert surface == CLI_FLAGS
-    assert sum(len(flags) for flags in surface.values()) == 118
+    assert sum(len(flags) for flags in surface.values()) == 116
 
 
 def test_log_level_debug_shows_the_debug_lines(tmp_path):
@@ -552,33 +568,36 @@ def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file)
     docs = load_corpus(heldout)
 
     def heldout_bpb(stream_bytes):
-        return eval_bpb(ck["params"], ck["config"], {"heldout": docs},
+        return eval_bpb(ck["params"], ModelConfig(**TINY_MODEL), {"heldout": docs},
                         lambda d: patch_strided(len(d), 4), stream_bytes).bpb["heldout"]
 
     assert reported == heldout_bpb(64) != heldout_bpb(4096)
 
 
-# patching settings of a run -> the train flags that give them
+# settings of a run -> the train flags and the config's training keys that give them
 RUN_PATCHERS = {
-    "entropy_global": ["--scheme", "entropy_global", "--target-patch-size", "4"],
-    "strided": ["--scheme", "strided", "--k", "3"],
-    "bpe": ["--scheme", "bpe", "--bpe-merges", "50"],
+    "entropy_global": (["--scheme", "entropy_global", "--target-patch-size", "4"], {}),
+    "strided": (["--scheme", "strided", "--k", "3"], {}),
+    "bpe": (["--scheme", "bpe", "--bpe-merges", "50"], {}),
+    "eval_stream_bytes_256": (["--scheme", "strided", "--k", "3"], {"eval_stream_bytes": 256}),
 }
 
 
 @pytest.mark.parametrize("scheme", list(RUN_PATCHERS))
 def test_eval_bpb_reproduces_the_runs_heldout_bpb(tmp_path, capsys, corpus_file, scheme):
     # a held-out corpus far under the 1e5 bytes a calibration needs: the run's
-    # own patcher is loaded, not fitted again to the documents it scores
+    # own patcher is loaded, not fitted again to the documents it scores, and
+    # its eval stream size is read from its config.json
     heldout = tmp_path / "heldout.txt"
     heldout.write_text("\n".join(textgen.synthetic_text(300, seed=20_000 + i).replace("\n", " ")
                                  for i in range(8)) + "\n")
+    flags, training = RUN_PATCHERS[scheme]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
-                                    "training": {"steps": 3, "patch_budget": 16}}))
+                                    "training": {"steps": 3, "patch_budget": 16, **training}}))
     run_dir = tmp_path / "run"
     code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus", str(corpus_file),
-                  "--corpus-eval", str(heldout), "--run-dir", str(run_dir), *RUN_PATCHERS[scheme])
+                  "--corpus-eval", str(heldout), "--run-dir", str(run_dir), *flags)
     assert code == 0
     assert (run_dir / "entropy.bin").exists() == (scheme in ENTROPY_THRESHOLDS)
     final = json.loads((run_dir / "report.json").read_text())["evals"][-1]
@@ -609,6 +628,22 @@ def test_checkpoint_without_a_readable_patcher_is_a_data_error(tmp_path, capsys,
     assert code == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("damage", ["missing", "not_json", "other_run"])
+def test_checkpoint_without_its_runs_config_is_a_data_error(tmp_path, capsys, corpus_file, damage):
+    save_tiny_checkpoint(tmp_path / "ckpt.npz")
+    saved = tmp_path / "config.json"
+    if damage == "missing":
+        saved.unlink()
+    elif damage == "not_json":
+        saved.write_text('{"model": {"enc_dim": 1')
+    else:  # a run that differs only in its seed
+        RunConfig({"model": TINY_MODEL, "run": {"seed": 1}}).write(saved)
+    code = main(["eval-bpb", "--corpus", str(corpus_file), "--checkpoint", str(tmp_path / "ckpt.npz")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA and err.startswith("data error: ") and err.count("\n") == 1, err
+    assert "config.json" in err
+
+
 def test_noise_to_stdout_adds_no_second_newline(tmp_path, capsys):
     (tmp_path / "three.txt").write_text("the cat\nsat on\nthe mat\n")
     code, out = run(capsys, "noise", "--strategy", "antspeak", "--in", str(tmp_path / "three.txt"))
@@ -627,8 +662,9 @@ def test_noise_rate_where_it_is_not_read_is_a_config_error(capsys, strategy):
 # -- bad input at every edge --------------------------------------------------
 
 # command -> (arguments besides the crossed path, the crossed path's flag, a
-# bad number); an argument naming a file of the inputs directory is read from
-# there, and outputs land in each case's own directory
+# bad number, or for eval-bpb, which reads none, a contradicting flag); an
+# argument naming a file of the inputs directory is read from there, and
+# outputs land in each case's own directory
 EDGE_COMMANDS = {
     "train-entropy": (["--out", "e.bin"], "--corpus", ["--order", "0"]),
     "calibrate": (["--scheme", "entropy_global", "--target-patch-size", "4"], "--corpus",
@@ -640,8 +676,8 @@ EDGE_COMMANDS = {
               ["--max-patch", "0"]),
     "train --corpus-eval": (["--config", "cfg.json", "--corpus", "text.txt", "--scheme", "strided",
                              "--run-dir", "run"], "--corpus-eval", ["--k", "0"]),
-    "eval-bpb": (["--checkpoint", "ckpt.npz"], "--corpus", ["--seed", "-1"]),
-    "eval-bpb --checkpoint": (["--corpus", "text.txt"], "--checkpoint", ["--seed", "-1"]),
+    "eval-bpb": (["--checkpoint", "ckpt.npz"], "--corpus", ["--uniform"]),
+    "eval-bpb --checkpoint": (["--corpus", "text.txt"], "--checkpoint", ["--uniform"]),
     "flops": ([], "--config", ["--patch-size", "nan"]),
     "size-match": (["--target", "1e6"], "--config", ["--tol", "-1"]),
     "noise": (["--strategy", "drop", "--out", "n.txt"], "--in", ["--rate", "2"]),
@@ -812,5 +848,5 @@ def test_config_values_are_checked_by_type_and_range(values, key):
 
 def test_config_accepts_an_int_for_a_float_and_a_value_for_a_null():
     cfg = RunConfig({"optimizer": {"lr_peak": 1}, "patching": {"theta_g": 2},
-                     "entropy_model": {"path": "ent.bin"}, "data": {"eval_fraction": 0}})
+                     "data": {"eval_fraction": 0}})
     assert cfg["optimizer"]["lr_peak"] == 1 and cfg["patching"]["theta_g"] == 2

@@ -105,14 +105,20 @@ def test_empty_text_passthrough():
     assert apply_noise("", NoiseSpec("drop")) == ""
 
 
-def test_every_strategy_keeps_every_line():
-    text = "the cat sat\n\nOn the  mat\tof x\nab\nc d e f g\n" * 3
-    for strategy in NOISE_STRATEGIES:
-        rates = (0.1, 0.5, 0.9, 1.0) if strategy in DEFAULT_NOISE_RATES else (None,)
-        for rate in rates:
-            for seed in range(6):
-                out = apply_noise(text, NoiseSpec(strategy, rate=rate, seed=seed))
-                assert out.count("\n") == text.count("\n"), (strategy, rate, seed)
+def test_every_strategy_keeps_every_line(tmp_path):
+    # and every document: no line that held a character is emptied
+    path = tmp_path / "noised.txt"
+    for text in ("the cat sat\n\nOn the  mat\tof x\nab\nc d e f g\n" * 3, "ab\ncd\nef\nghij\nk\n"):
+        path.write_text(text)
+        n_docs = len(load_corpus(path))
+        for strategy in NOISE_STRATEGIES:
+            rates = (0.1, 0.5, 0.9, 1.0) if strategy in DEFAULT_NOISE_RATES else (None,)
+            for rate in rates:
+                for seed in range(6):
+                    out = apply_noise(text, NoiseSpec(strategy, rate=rate, seed=seed))
+                    assert out.count("\n") == text.count("\n"), (strategy, rate, seed)
+                    path.write_text(out)
+                    assert len(load_corpus(path)) == n_docs, (strategy, rate, seed)
 
 
 def test_rate_is_rejected_where_it_is_not_read():

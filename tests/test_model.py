@@ -24,9 +24,11 @@ from patchlm.model import (
     lm_forward,
     local_block_causal_mask,
     membership_spans,
+    param_shapes,
     patch_membership_mask,
     rms_norm,
 )
+from patchlm.errors import ConfigError
 from patchlm.ngram_hash import hash_ngram_ids
 from patchlm.patching import (
     PatchBoundaries,
@@ -144,6 +146,15 @@ def test_config_rejects_bad_width_ratio():
         tiny_cfg(enc_heads=3)
 
 
+def test_config_needs_a_decoder_layer_and_hash_buckets():
+    # with no decoder layer the latent model is cut out of the loss; an empty
+    # ngram_sizes is the one switch that turns hash embeddings off
+    for bad in ({"dec_layers": 0}, {"hash_vocab": 0}):
+        with pytest.raises(ConfigError, match="other sizes >= 1"):
+            tiny_cfg(**bad)
+    assert not any(name.startswith("hash_embed") for name in param_shapes(tiny_cfg(ngram_sizes=())))
+
+
 def test_config_warns_on_deep_local_blocks():
     with pytest.warns(UserWarning):
         ModelConfig(enc_dim=16, global_dim=32, enc_layers=4, global_layers=2,
@@ -211,7 +222,7 @@ def per_document_embeddings(params, stream, config):
     its own, kept verbatim as the oracle of the whole-stream version."""
     dtype = params["byte_embed"].dtype
     e = embedding(params["byte_embed"], stream.data)
-    if config.hash_vocab <= 0 or not config.ngram_sizes:
+    if not config.ngram_sizes:
         return e
     n = stream.n_bytes
     ids = {size: np.zeros(n, dtype=np.int64) for size in config.ngram_sizes}
@@ -501,7 +512,7 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
         params.zero_grad()
         res = lm_forward(params, stream, cfg)
         res.loss.backward()
-        return float(res.loss.data), {k: g.copy() for k, g in params.grads().items()}
+        return float(res.loss.data), {k: t.grad.copy() for k, t in params.items()}
 
     loss, grads = loss_and_grads()
     monkeypatch.setattr(model, "span_attention", _dense_attend)

@@ -73,7 +73,7 @@ def test_lr_schedule_continuous_at_junction():
 
 
 def _toy_params(values):
-    return BltParams({k: parameter(np.array(v, dtype=np.float64), k) for k, v in values.items()}, {})
+    return BltParams({k: parameter(np.array(v, dtype=np.float64), k) for k, v in values.items()})
 
 
 def test_zero_grads_zero_decay_is_noop():
@@ -327,18 +327,17 @@ def test_resume_is_bit_identical(tmp_path):
     loader_b = PatchStreamLoader(docs, STRIDED4, patch_budget=32, seed=1)
     train(params_b, cfg, loader_b, optim, total_steps=16, run_dir=tmp_path / "part",
           checkpoint_every=8)
-    ck = load_checkpoint(tmp_path / "part" / "ckpt_0000008.npz")
+    # parameters of another seed and a fresh loader: the checkpoint restores both
+    params_c = init_params(cfg, seed=2)
     loader_c = PatchStreamLoader(docs, STRIDED4, patch_budget=32, seed=1)
-    loader_c.load_state_dict(ck["loader_state"])
-    # wipe the tail of the metrics file as a resume would append after step 8
-    part_rows = (tmp_path / "part" / "metrics.jsonl").read_text().splitlines()[:8]
-    (tmp_path / "part" / "metrics.jsonl").write_text("\n".join(part_rows) + "\n")
-    train(ck["params"], cfg, loader_c, ck["optim"], total_steps=16,
-          run_dir=tmp_path / "part", start_step=ck["step"], adam_state=ck["adam"])
+    res = train(params_c, cfg, loader_c, optim, total_steps=16, run_dir=tmp_path / "part",
+                resume=tmp_path / "part" / "ckpt_0000008.npz")
 
-    full = (tmp_path / "full" / "metrics.jsonl").read_text()
-    resumed = (tmp_path / "part" / "metrics.jsonl").read_text()
-    assert full == resumed
+    assert res.steps_done == 16
+    full = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+    assert (tmp_path / "part" / "metrics.jsonl").read_bytes() == full
+    for name, t in params_a.items():
+        np.testing.assert_array_equal(params_c[name].data, t.data)
 
 
 def test_divergence_aborts(tmp_path, monkeypatch):
@@ -350,6 +349,44 @@ def test_divergence_aborts(tmp_path, monkeypatch):
     bad = OptimSpec(lr_peak=2.0, warmup_steps=1, weight_decay=0.0)
     with pytest.raises(NumericError):
         train(params, cfg, loader, bad, total_steps=60, run_dir=tmp_path)
+
+
+@pytest.mark.parametrize("resume_step", [4, 6])
+def test_a_resumed_diverging_run_aborts_at_the_same_step(tmp_path, monkeypatch, resume_step):
+    # the checkpoint carries the divergence monitor: a resumed run neither
+    # forgets its streak nor takes a later loss as its initial one
+    monkeypatch.setattr(trainer, "DIVERGENCE_PATIENCE", 5)
+    cfg = tiny_cfg()
+    docs = make_docs(6, 150, seed=3)
+    bad = OptimSpec(lr_peak=2.0, warmup_steps=1, weight_decay=0.0)
+
+    def abort(**resume):
+        loader = PatchStreamLoader(docs, STRIDED4, patch_budget=32, seed=0)
+        with pytest.raises(NumericError) as exc:
+            train(init_params(cfg, seed=0), cfg, loader, bad, total_steps=60, run_dir=tmp_path,
+                  checkpoint_every=2, **resume)
+        return str(exc.value), (tmp_path / "metrics.jsonl").read_bytes()
+
+    message, metrics = abort()
+    assert resume_step < metrics.count(b"\n") < 60
+    assert abort(resume=tmp_path / f"ckpt_{resume_step:07d}.npz") == (message, metrics)
+
+
+def test_resume_refuses_a_checkpoint_of_another_run(tmp_path):
+    cfg = tiny_cfg()
+    docs = make_docs(6, 120, seed=11)
+
+    def run(config, run_dir, **kw):
+        loader = PatchStreamLoader(docs, STRIDED4, patch_budget=16, seed=0)
+        train(init_params(config, seed=0), config, loader, OptimSpec(warmup_steps=1),
+              total_steps=2, run_dir=tmp_path / run_dir, **kw)
+
+    run(cfg, "a", config_hash="aaaa")
+    with pytest.raises(DataError, match="another config"):
+        run(cfg, "b", config_hash="bbbb", resume=tmp_path / "a" / "ckpt_final.npz")
+    with pytest.raises(DataError, match="shapes"):
+        run(tiny_cfg(hash_vocab=32), "c", config_hash="aaaa",
+            resume=tmp_path / "a" / "ckpt_final.npz")
 
 
 def test_zero_steps_initial_eval_only(tmp_path):
@@ -370,13 +407,15 @@ def test_checkpoint_roundtrip(tmp_path):
     loader = PatchStreamLoader(docs, STRIDED4, patch_budget=16, seed=5)
     state = AdamState.init(params)
     state.t = 42
+    loader.next_stream()
     path = tmp_path / "ck.npz"
-    save_checkpoint(path, params, state, loader, step=17, config=cfg,
-                    optim=OptimSpec(), config_hash="deadbeef")
+    save_checkpoint(path, params, state, loader, step=17, config_hash="deadbeef",
+                    divergence=trainer.Divergence(initial_loss=5.5, streak=3))
     ck = load_checkpoint(path)
     assert ck["step"] == 17 and ck["config_hash"] == "deadbeef"
     assert ck["adam"].t == 42
-    assert ck["config"].to_dict() == cfg.to_dict()
+    assert ck["loader_state"] == loader.state_dict()
+    assert ck["divergence"] == trainer.Divergence(initial_loss=5.5, streak=3)
     for name, t in params.items():
         np.testing.assert_array_equal(ck["params"][name].data, t.data)
 
