@@ -152,12 +152,16 @@ def _positive(args, *flags) -> None:
             raise ConfigError(f"--{flag.replace('_', '-')} must be a finite number > 0, got {val}")
 
 
-def _patcher(args, cfg: RunConfig, docs) -> patching.Patcher:
-    """The config's patcher; a target patch size calibrates the scheme's threshold on ``docs``."""
+def _patcher(args, cfg: RunConfig, docs, model=None) -> patching.Patcher:
+    """The config's patcher; a target patch size calibrates the scheme's threshold on ``docs``.
+    An entropy scheme uses ``model``, if given, else ``_entropy_model``'s."""
     settings = dict(cfg["patching"])
     target = settings.pop("target_patch_size")
     pc = PatchingConfig(**settings)
-    model = _entropy_model(args, cfg, docs) if pc.scheme in patching.ENTROPY_THRESHOLDS else None
+    if pc.scheme not in patching.ENTROPY_THRESHOLDS:
+        model = None
+    elif model is None:
+        model = _entropy_model(args, cfg, docs)
     if target is not None:
         pc = patching.calibrated_config(pc, model, docs, target)
     vocab = None
@@ -220,6 +224,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
     steps = cfg["training"]["steps"]
     if steps:
         lr_at(0, optim, steps)  # a warmup as long as the run raises before any work
+    entropy_model = None
+    if args.entropy_model and cfg["patching"]["scheme"] in patching.ENTROPY_THRESHOLDS:
+        # config.json and its hash record the order and alpha of the model the run uses
+        entropy_model = entropy_lm.EntropyModel.load(args.entropy_model)
+        cfg = RunConfig({**cfg.values,
+                         "entropy_model": {"order": entropy_model.order, "alpha": entropy_model.alpha}})
     # the run directory is checked first but created last, so a config or data
     # error fails fast and leaves none behind
     run_dir = _free_run_dir(args, cfg)
@@ -234,7 +244,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         train_docs = docs
     check_disjoint(train_docs, eval_docs)
     scorable_slices({"heldout": eval_docs})
-    patcher = _patcher(args, cfg, train_docs)
+    patcher = _patcher(args, cfg, train_docs, entropy_model)
     model_cfg = ModelConfig.from_dict(cfg["model"])
     loader = PatchStreamLoader(train_docs, patcher,
                                patch_budget=cfg["training"]["patch_budget"],

@@ -111,7 +111,8 @@ def apply_noise(text: str, spec: NoiseSpec) -> str:
         return "".join(_upper1(c) for c in chars)
 
     if spec.strategy == "antspeak":
-        return "\n".join(" ".join(_upper1(c) for c in line if not c.isspace())
+        # a line of only whitespace is left as it is: emptied, it would stop being a document
+        return "\n".join(" ".join(_upper1(c) for c in line if not c.isspace()) if line.strip() else line
                          for line in text.split("\n"))
 
     if spec.strategy == "drop":

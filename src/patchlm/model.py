@@ -18,6 +18,12 @@ of the same predicates. The forward path calls none of them; they stay
 because ``perfbench/tracing.py`` wraps them by name, and tests use them as
 dense references.
 
+The norm, rotary, gate and embedding blocks are single autodiff ops
+(``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean``) that
+keep only what their backward reads, so the graph a training step holds is
+mostly the inputs of matmuls and attention. They compute the same numbers as
+the compositions of elementwise ops they replace, bit for bit in the forward.
+
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's
 byte states, so ``ModelConfig.dec_dim`` is ``enc_dim``. Patch queries are
@@ -44,13 +50,17 @@ from .patching import PatchBoundaries
 from .tensor import (
     Spans,
     Tensor,
+    apply_rope,
     concat,
-    embedding,
+    embedding_mean,
     nll_from_logits,
     parameter,
+    rms_norm,
+    rope_cache,
     segment_max,
     softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
     span_attention,
+    swiglu,
 )
 
 VOCAB = 256
@@ -400,29 +410,6 @@ def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> At
 RMS_EPS = 1e-6
 
 
-def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * ((ms + RMS_EPS) ** -0.5) * gain
-
-
-def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    half = head_dim // 2
-    inv_freq = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
-    angles = positions[:, None].astype(np.float64) * inv_freq[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-
-
-def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate (heads, n, head_dim) queries/keys pairwise over even/odd channels."""
-    h, n, d = x.shape
-    xe = x[..., 0::2]
-    xo = x[..., 1::2]
-    out_e = xe * cos - xo * sin
-    out_o = xe * sin + xo * cos
-    paired = concat([out_e.reshape(h, n, d // 2, 1), out_o.reshape(h, n, d // 2, 1)], axis=-1)
-    return paired.reshape(h, n, d)
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     n, d = x.shape
     return x.reshape(n, heads, d // heads).swapaxes(0, 1)
@@ -435,7 +422,7 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
                          spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
-    xn = rms_norm(x, params[f"{prefix}attn_norm"])
+    xn = rms_norm(x, params[f"{prefix}attn_norm"], RMS_EPS)
     q = _split_heads(xn @ params[f"{prefix}attn.wq"], heads)
     k = _split_heads(xn @ params[f"{prefix}attn.wk"], heads)
     v = _split_heads(xn @ params[f"{prefix}attn.wv"], heads)
@@ -446,8 +433,8 @@ def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
 
 
 def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
-    xn = rms_norm(x, params[f"{prefix}ffn_norm"])
-    gated = (xn @ params[f"{prefix}ffn.w_gate"]).silu() * (xn @ params[f"{prefix}ffn.w_up"])
+    xn = rms_norm(x, params[f"{prefix}ffn_norm"], RMS_EPS)
+    gated = swiglu(xn @ params[f"{prefix}ffn.w_gate"], xn @ params[f"{prefix}ffn.w_up"])
     return x + gated @ params[f"{prefix}ffn.w_down"]
 
 
@@ -460,8 +447,8 @@ def transformer_layer(x: Tensor, params: BltParams, prefix: str, heads: int,
 def cross_attention_block(q_in: Tensor, kv_in: Tensor, params: BltParams, prefix: str,
                           heads: int, spans: Spans) -> Tensor:
     """Pre-normed multi-head cross-attention with residual; no positional encoding."""
-    qn = rms_norm(q_in, params[f"{prefix}q_norm"])
-    kvn = rms_norm(kv_in, params[f"{prefix}kv_norm"])
+    qn = rms_norm(q_in, params[f"{prefix}q_norm"], RMS_EPS)
+    kvn = rms_norm(kv_in, params[f"{prefix}kv_norm"], RMS_EPS)
     q = _split_heads(qn @ params[f"{prefix}wq"], heads)
     k = _split_heads(kvn @ params[f"{prefix}wk"], heads)
     v = _split_heads(kvn @ params[f"{prefix}wv"], heads)
@@ -479,23 +466,16 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
     n-grams never cross document boundaries: a size is available at a position
     only once the document provides that many bytes. The whole stream is
     hashed at once, and a gram whose first byte would lie before its
-    document's start is masked out.
+    document's start is masked out of the mean.
     """
-    dtype = params["byte_embed"].dtype
-    e = embedding(params["byte_embed"], stream.data)
-    if not config.ngram_sizes:
-        return e
     n = stream.n_bytes
     offset = np.arange(n) - _run_starts(stream.doc_ids)  # position within the document
-    divisor = np.ones(n, dtype=dtype)
-    total = e
+    lookups = [(params["byte_embed"], stream.data, None)]
     for size, grams in hash_ngram_ids(stream.data, config.ngram_sizes, config.hash_vocab).items():
-        valid = offset >= size - 1
         ids = np.zeros(n, dtype=np.int64)
         ids[size - 1 :] = grams
-        total = total + embedding(params[f"hash_embed.n{size}"], ids) * valid.astype(dtype)[:, None]
-        divisor += valid.astype(dtype)
-    return total * (1.0 / divisor)[:, None]
+        lookups.append((params[f"hash_embed.n{size}"], ids, offset >= size - 1))
+    return embedding_mean(lookups)
 
 # ---------------------------------------------------------------------------
 # Forward passes
@@ -575,7 +555,7 @@ def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
     for i in range(config.dec_layers):
         x = cross_attention_block(x, kv, params, f"dec.{i}.xattn.", config.dec_heads, xattn_spans)
         x = transformer_layer(x, params, f"dec.{i}.", config.dec_heads, byte_spans, rope)
-    return rms_norm(x, params["out_norm"]) @ params["out_proj"]
+    return rms_norm(x, params["out_norm"], RMS_EPS) @ params["out_proj"]
 
 
 @dataclass

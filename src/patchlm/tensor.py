@@ -1,18 +1,26 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Just enough machinery for the models in this package: broadcasting
-elementwise ops, (batched) matmul, softmax, gather-style embedding lookup,
-max pooling over contiguous row segments, a fused NLL-from-logits, and tiled
-attention over one contiguous key span per query. ``Spans`` holds those
-spans: it checks its bounds once, when it is built, and builds the plan of
-its query tiles (each tile's slice of key columns, and a mask over only the
-edge columns that some of its rows do not see) once, on first use, for every
-attention call over it. The backward reuses the plan, and it multiplies
-scores by contiguous kᵀ and vᵀ copies instead of transposed views of k and
-v, whose head-sized inner dimension BLAS handles slowly. Graphs are built
-eagerly, and only where some input requires grad: an op on tensors that do
-not records no parents and no vjp, so a forward pass over detached
-parameters builds no graph at all.
+Just enough machinery for the models in this package: broadcasting addition
+and multiplication, sums, reshapes, axis swaps and concatenation, (batched)
+matmul, softmax, max pooling over contiguous row segments, a fused
+NLL-from-logits, and tiled attention over one contiguous key span per query.
+``Spans`` holds those spans: it checks its bounds once, when it is built, and
+builds the plan of its query tiles (each tile's slice of key columns, and a
+mask over only the edge columns that some of its rows do not see) once, on
+first use, for every attention call over it. The backward reuses the plan,
+and it multiplies scores by contiguous kᵀ and vᵀ copies instead of transposed
+views of k and v, whose head-sized inner dimension BLAS handles slowly.
+
+The model's per-byte blocks are single ops as well: ``rms_norm``,
+``apply_rope``, ``swiglu`` and ``embedding_mean`` (a masked mean of rows
+gathered from several tables). Each computes exactly the numpy sequence of
+the composition of small ops it replaces, but keeps only what its backward
+reads and recomputes the rest, where the composition kept every intermediate
+alive until the backward ran.
+
+Graphs are built eagerly, and only where some input requires grad: an op on
+tensors that do not records no parents and no vjp, so a forward pass over
+detached parameters builds no graph at all.
 ``backward()`` walks a topological order, accumulates vector-Jacobian
 products into ``.grad`` and consumes the graph as it goes: each interior
 node is released once its vjp has run, so its activations and gradient are
@@ -37,8 +45,13 @@ ATTN_TILE = 64  # query rows per tile in span_attention
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in its tanh form, which cannot overflow."""
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+    """Logistic function in its tanh form, 0.5 + 0.5 tanh(x / 2), which cannot
+    overflow; computed in one new array."""
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def _released(g):
@@ -150,15 +163,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return Tensor._result(
-                self.data - other.data,
-                (self, other),
-                lambda g: [(self, _unbroadcast(g, self.shape)), (other, _unbroadcast(-g, other.shape))],
-            )
-        return Tensor._result(self.data - other, (self,), lambda g: [(self, _unbroadcast(g, self.shape))])
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return Tensor._result(
@@ -173,11 +177,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __pow__(self, c):
-        assert np.isscalar(c), "only scalar exponents are supported"
-        out_data = self.data**c
-        return Tensor._result(out_data, (self,), lambda g: [(self, g * c * self.data ** (c - 1))])
-
     # -- shape ops --------------------------------------------------------------
 
     def reshape(self, *shape):
@@ -188,14 +187,6 @@ class Tensor:
 
     def swapaxes(self, a, b):
         return Tensor._result(self.data.swapaxes(a, b), (self,), lambda g: [(self, g.swapaxes(a, b))])
-
-    def __getitem__(self, idx):
-        def vjp(g):
-            z = np.zeros_like(self.data)
-            z[idx] = g
-            return [(self, z)]
-
-        return Tensor._result(self.data[idx], (self,), vjp)
 
     # -- reductions ---------------------------------------------------------------
 
@@ -209,17 +200,6 @@ class Tensor:
             return [(self, np.broadcast_to(gx, orig))]
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
-
-    def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    # -- nonlinearities -------------------------------------------------------------
-
-    def silu(self):
-        s = _sigmoid(self.data)
-        out_data = self.data * s
-        return Tensor._result(out_data, (self,), lambda g: [(self, g * (s + out_data * (1.0 - s)))])
 
     # -- matmul ------------------------------------------------------------------------
 
@@ -252,16 +232,115 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(np.concatenate(datas, axis=axis), tuple(tensors), vjp)
 
 
-def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Row gather with scatter-add backward (indices may repeat)."""
-    idx = np.asarray(idx)
+def embedding_mean(lookups: list[tuple[Tensor, np.ndarray, np.ndarray | None]]) -> Tensor:
+    """Row i is the mean of ``table[ids[i]]`` over the ``(table, ids, valid)``
+    lookups whose boolean ``valid[i]`` is set; ``valid=None`` sets every row.
+
+    The rows are summed in lookup order and then scaled by one over their
+    count. The backward keeps only the ids, the masks and that scale, and
+    scatter-adds each table's valid rows (ids may repeat).
+    """
+    dtype = lookups[0][0].dtype
+    total, count = None, np.zeros(len(lookups[0][1]), dtype)
+    for table, ids, valid in lookups:
+        rows = table.data[ids]
+        if valid is not None:
+            rows = rows * valid.astype(dtype)[:, None]
+        total = rows if total is None else total + rows
+        count += 1.0 if valid is None else valid
+    scale = (1.0 / count)[:, None]
 
     def vjp(g):
-        z = np.zeros_like(table.data)
-        np.add.at(z, idx, g)
-        return [(table, z)]
+        g = g * scale
+        grads = []
+        for table, ids, valid in lookups:
+            z = np.zeros_like(table.data)
+            if valid is None:
+                np.add.at(z, ids, g)
+            else:
+                np.add.at(z, ids[valid], g[valid])
+            grads.append((table, z))
+        return grads
 
-    return Tensor._result(table.data[idx], (table,), vjp)
+    return Tensor._result(total * scale, tuple(t for t, _, _ in lookups), vjp)
+
+
+def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
+    """``x * (mean(x²) + eps)^-½ * gain`` over the last axis.
+
+    The backward keeps only ``x`` and the per-row reciprocal RMS, and
+    recomputes the normalised rows from them.
+    """
+    inv_d = 1.0 / x.shape[-1]
+    rstd = ((x.data * x.data).sum(axis=-1, keepdims=True) * inv_d + eps) ** -0.5
+
+    def vjp(g):
+        xhat = x.data * rstd
+        gx = g * gain.data
+        dx = rstd * (gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_d))
+        return [(x, dx), (gain, _unbroadcast(g * xhat, gain.shape))]
+
+    return Tensor._result(x.data * rstd * gain.data, (x, gain), vjp)
+
+
+def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_rope``'s (n, head_dim) tables at ``positions``. Channel pair i
+    turns at frequency theta^(-2i / head_dim); the tables hold its cosine on
+    both channels, and its sine, negated on the even channel."""
+    half = head_dim // 2
+    inv_freq = theta ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+    angles = positions[:, None].astype(np.float64) * inv_freq[None, :]
+    cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    return np.repeat(cos, 2, axis=1), np.stack((-sin, sin), axis=-1).reshape(len(positions), head_dim)
+
+
+def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate each (even, odd) channel pair of (heads, n, head_dim) queries or
+    keys: ``out = x * cos + swap(x) * sin``, where ``swap`` exchanges the two
+    channels of each pair.
+
+    ``cos`` and ``sin`` are (n, head_dim) tables: each pair's cosine on both
+    its channels, and its sine, negated on the even channel
+    (``rope_cache``). Every product and sum is then contiguous, and
+    equals the even/odd form ``(xe cos - xo sin, xe sin + xo cos)`` bit for
+    bit. The backward rotates the gradient back, so it keeps only the tables.
+    """
+    out = x.data * cos
+    swapped = _swap_pairs(x.data)
+    swapped *= sin
+    out += swapped
+
+    def vjp(g):
+        dx = g * cos
+        dx += _swap_pairs(g * sin)
+        return [(x, dx)]
+
+    return Tensor._result(out, (x,), vjp)
+
+
+def _swap_pairs(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``a`` with channels 2i and 2i + 1 of its last axis exchanged."""
+    out = np.empty(a.shape, a.dtype)
+    out[..., 0::2] = a[..., 1::2]
+    out[..., 1::2] = a[..., 0::2]
+    return out
+
+
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """``silu(a) * b``, the gated product of a SwiGLU feed-forward block.
+
+    The backward keeps only ``a`` and ``b`` and recomputes the sigmoid.
+    """
+    out = _sigmoid(a.data)
+    out *= a.data
+    out *= b.data
+
+    def vjp(g):
+        s = _sigmoid(a.data)
+        silu = a.data * s
+        return [(a, (g * b.data) * (s + silu * (1.0 - s))), (b, g * silu)]
+
+    return Tensor._result(out, (a, b), vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -1,0 +1,95 @@
+"""The composed forms of the package's fused ops, kept as oracles.
+
+``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean`` each
+replace a composition of smaller autodiff ops that kept every intermediate
+alive until the backward. The smaller ops that only those compositions used
+(subtraction, scalar power, mean, slicing, silu and the single-table
+embedding) live here, unchanged, so the compositions still run: a fused op's
+forward must equal its composition bit for bit, and its vjp must agree with
+the composition's autodiff up to rounding.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from patchlm.tensor import Tensor, _sigmoid, _unbroadcast, concat
+
+
+def sub(a: Tensor, b) -> Tensor:
+    if isinstance(b, Tensor):
+        return Tensor._result(
+            a.data - b.data,
+            (a, b),
+            lambda g: [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))],
+        )
+    return Tensor._result(a.data - b, (a,), lambda g: [(a, _unbroadcast(g, a.shape))])
+
+
+def power(x: Tensor, c: float) -> Tensor:
+    return Tensor._result(x.data**c, (x,), lambda g: [(x, g * c * x.data ** (c - 1))])
+
+
+def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
+    count = x.data.size if axis is None else x.data.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def getitem(x: Tensor, idx) -> Tensor:
+    def vjp(g):
+        z = np.zeros_like(x.data)
+        z[idx] = g
+        return [(x, z)]
+
+    return Tensor._result(x.data[idx], (x,), vjp)
+
+
+def silu(x: Tensor) -> Tensor:
+    s = _sigmoid(x.data)
+    out = x.data * s
+    return Tensor._result(out, (x,), lambda g: [(x, g * (s + out * (1.0 - s)))])
+
+
+def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
+    """Row gather with scatter-add backward (indices may repeat)."""
+    idx = np.asarray(idx)
+
+    def vjp(g):
+        z = np.zeros_like(table.data)
+        np.add.at(z, idx, g)
+        return [(table, z)]
+
+    return Tensor._result(table.data[idx], (table,), vjp)
+
+
+def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
+    ms = mean(x * x, axis=-1, keepdims=True)
+    return x * power(ms + eps, -0.5) * gain
+
+
+def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """The even/odd form, on the (n, head_dim / 2) tables inside ``rope_cache``'s."""
+    cos, sin = cos[:, 0::2], sin[:, 1::2]
+    h, n, d = x.shape
+    xe = getitem(x, (Ellipsis, slice(0, None, 2)))
+    xo = getitem(x, (Ellipsis, slice(1, None, 2)))
+    out_e = sub(xe * cos, xo * sin)
+    out_o = xe * sin + xo * cos
+    paired = concat([out_e.reshape(h, n, d // 2, 1), out_o.reshape(h, n, d // 2, 1)], axis=-1)
+    return paired.reshape(h, n, d)
+
+
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    return silu(a) * b
+
+
+def embedding_mean(lookups) -> Tensor:
+    """The first lookup sets every row; the others are masked by ``valid``."""
+    (table, ids, _), *masked = lookups
+    dtype = table.dtype
+    total = embedding(table, ids)
+    divisor = np.ones(len(ids), dtype=dtype)
+    for table, ids, valid in masked:
+        total = total + embedding(table, ids) * valid.astype(dtype)[:, None]
+        divisor += valid.astype(dtype)
+    return total * (1.0 / divisor)[:, None]

@@ -363,6 +363,24 @@ def test_train_patch_flags_are_recorded_in_config_json(tmp_path, capsys, corpus_
     assert resolved[4]["_content_hash"] != resolved[8]["_content_hash"]
 
 
+def test_train_records_the_entropy_model_file_in_config_json(tmp_path, capsys, corpus_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
+                                    "training": {"steps": 2, "patch_budget": 16}}))
+    docs = load_corpus(corpus_file)
+    resolved = {}
+    for order in (2, 3):
+        train_counts(docs, order=order, alpha=0.25).save(tmp_path / f"ent{order}.bin")
+        run_dir = tmp_path / f"run{order}"
+        code, _ = run(capsys, "train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                      "--run-dir", str(run_dir), "--theta", "2",
+                      "--entropy-model", str(tmp_path / f"ent{order}.bin"))
+        assert code == 0
+        resolved[order] = json.loads((run_dir / "config.json").read_text())
+        assert resolved[order]["entropy_model"] == {"order": order, "alpha": 0.25}
+    assert resolved[2]["_content_hash"] != resolved[3]["_content_hash"]
+
+
 def test_runconfig_unknown_keys_and_hash():
     with pytest.raises(ConfigError, match="unknown config key"):
         RunConfig({"modle": {}})

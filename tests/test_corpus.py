@@ -59,6 +59,17 @@ def test_antspeak_drops_spaces_and_length_law():
     assert len(out) == 2 * n_nonspace - 1
 
 
+def test_antspeak_keeps_a_whitespace_only_line(tmp_path):
+    text = "ab\n \t \ncd\n"
+    path = tmp_path / "ws.txt"
+    path.write_text(text)
+    assert len(load_corpus(path)) == 3
+    out = apply_noise(text, NoiseSpec("antspeak"))
+    assert out == "A B\n \t \nC D\n"
+    path.write_text(out)
+    assert len(load_corpus(path)) == 3
+
+
 def test_uppercase_trivial_and_idempotent():
     assert apply_noise("abc", NoiseSpec("upper_case")) == "ABC"
     t = "mIxEd 123 ß text"
@@ -108,7 +119,8 @@ def test_empty_text_passthrough():
 def test_every_strategy_keeps_every_line(tmp_path):
     # and every document: no line that held a character is emptied
     path = tmp_path / "noised.txt"
-    for text in ("the cat sat\n\nOn the  mat\tof x\nab\nc d e f g\n" * 3, "ab\ncd\nef\nghij\nk\n"):
+    for text in ("the cat sat\n\nOn the  mat\tof x\nab\nc d e f g\n" * 3, "ab\ncd\nef\nghij\nk\n",
+                 "ab\n \t \ncd\n"):
         path.write_text(text)
         n_docs = len(load_corpus(path))
         for strategy in NOISE_STRATEGIES:

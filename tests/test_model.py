@@ -26,7 +26,6 @@ from patchlm.model import (
     membership_spans,
     param_shapes,
     patch_membership_mask,
-    rms_norm,
 )
 from patchlm.errors import ConfigError
 from patchlm.ngram_hash import hash_ngram_ids
@@ -37,7 +36,8 @@ from patchlm.patching import (
     patch_strided,
 )
 from patchlm import model, tensor
-from patchlm.tensor import ATTN_TILE, Tensor, concat, embedding, parameter, softmax, span_attention
+from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, rms_norm, softmax, span_attention
+from tests import composed
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -131,7 +131,7 @@ def test_masked_softmax_exact_zeros_and_row_sums():
 def test_rms_norm_unit_rms_pre_gain():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(32, 256)))
-    y = rms_norm(x, Tensor(np.ones(256)))
+    y = rms_norm(x, Tensor(np.ones(256)), model.RMS_EPS)
     rms = np.sqrt((y.data**2).mean(axis=-1))
     np.testing.assert_allclose(rms, 1.0, atol=1e-6)
 
@@ -221,7 +221,7 @@ def per_document_embeddings(params, stream, config):
     """``augmented_byte_embeddings`` as it was when it hashed each document on
     its own, kept verbatim as the oracle of the whole-stream version."""
     dtype = params["byte_embed"].dtype
-    e = embedding(params["byte_embed"], stream.data)
+    e = composed.embedding(params["byte_embed"], stream.data)
     if not config.ngram_sizes:
         return e
     n = stream.n_bytes
@@ -236,7 +236,7 @@ def per_document_embeddings(params, stream, config):
     divisor = np.ones(n, dtype=dtype)
     contributions = [e]
     for size in config.ngram_sizes:
-        gathered = embedding(params[f"hash_embed.n{size}"], ids[size])
+        gathered = composed.embedding(params[f"hash_embed.n{size}"], ids[size])
         contributions.append(gathered * valid[size].astype(dtype)[:, None])
         divisor += valid[size].astype(dtype)
     total = contributions[0]
@@ -312,6 +312,40 @@ def test_forward_deterministic():
     b = lm_forward(params, stream, cfg)
     assert float(a.loss.data) == float(b.loss.data)
     np.testing.assert_array_equal(a.logits.data, b.logits.data)
+
+
+def compose_blocks(mp):
+    """Run the model's norm, rotary, gate and embedding blocks as the compositions they fuse."""
+    for name in ("rms_norm", "apply_rope", "swiglu", "embedding_mean"):
+        mp.setattr(model, name, getattr(composed, name))
+
+
+def test_fused_blocks_give_the_composed_model_bitwise():
+    cfg = tiny_cfg()
+    stream = text_stream(n_bytes=150, n_docs=3)
+    results = []
+    for compose in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if compose:
+                compose_blocks(mp)
+            res = lm_forward(init_params(cfg, seed=4), stream, cfg)
+        results.append((res.logits.data.tobytes(), res.loss.data.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_fused_blocks_grads_match_the_composed_model():
+    cfg = tiny_cfg()
+    stream = text_stream(n_bytes=150, n_docs=3)
+    grads = []
+    for compose in (False, True):
+        params = init_params(cfg, seed=4).astype(np.float64)
+        with pytest.MonkeyPatch.context() as mp:
+            if compose:
+                compose_blocks(mp)
+            lm_forward(params, stream, cfg).loss.backward()
+        grads.append({name: t.grad for name, t in params.items()})
+    for name, got in grads[0].items():
+        np.testing.assert_allclose(got, grads[1][name], rtol=1e-9, atol=1e-13, err_msg=name)
 
 
 def test_next_byte_scores_last_position_from_the_same_logits():
@@ -391,6 +425,13 @@ def test_doc_swap_equivariance():
     np.testing.assert_allclose(o_ab[na:], o_ba[:-na], atol=1e-9)
 
 
+def row_grad(out: Tensor, i: int) -> np.ndarray:
+    """The output gradient of ``out[i].sum()``: ones in row i, zeros elsewhere."""
+    g = np.zeros_like(out.data)
+    g[i] = 1.0
+    return g
+
+
 def test_encoder_patch_locality_zero_gradient():
     # gradient of patch-0's representation w.r.t. byte states of other patches
     # through the cross-attention path is exactly zero
@@ -404,7 +445,7 @@ def test_encoder_patch_locality_zero_gradient():
     p0 = segment_max(h, stream.patch_starts) @ params["enc.pool_proj"]
     p1 = cross_attention_block(p0, h, params, "enc.0.xattn.", cfg.k,
                                membership_spans(stream.boundaries))
-    p1[0].sum().backward()
+    p1.backward(row_grad(p1, 0))
     outside = np.ones(stream.n_bytes, bool)
     outside[: int(stream.patch_starts[1])] = False
     assert np.all(h.grad[outside] == 0.0)
@@ -594,7 +635,7 @@ def test_decoder_xattn_locality_zero_gradient(doc_starts):
     for i in sorted({0, 1, bounds.n_bytes - 1, *doc_first, *(doc_first + 3), *bounds.ends()}):
         kv = parameter(rng.standard_normal((k * (bounds.n_patches + 1), cfg.dec_dim)))
         out = cross_attention_block(x, kv, params, "dec.0.xattn.", cfg.dec_heads, spans)
-        out[i].sum().backward()
+        out.backward(row_grad(out, i))
         block = slice(int(spans.lo[i]), int(spans.hi[i]))
         outside = np.ones(len(kv.data), bool)
         outside[block] = False
@@ -618,6 +659,27 @@ def test_long_stream_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2**30, f"peak {peak / 2**20:.0f} MB"
+
+
+def test_training_graph_memory_stays_at_its_measured_size():
+    # what lm_forward leaves held for the backward on a 2,100-byte, 3-document
+    # stream at the default config: 73.7 MB with the fused norm, rotary, gate
+    # and embedding ops, 126.2 MB when they were compositions of smaller ops
+    import tracemalloc
+
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0)
+    docs = [np.frombuffer(textgen.synthetic_text(700, seed=s).encode()[:700], np.uint8) for s in range(3)]
+    stream = Stream.from_documents(docs, patch_space)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = lm_forward(params, stream, cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert res.loss.requires_grad
+    assert held < 80 * 2**20, f"graph holds {held / 2**20:.1f} MB"
 
 
 def test_grad_check_detects_corrupted_gradient():

@@ -6,14 +6,19 @@ from patchlm.tensor import (
     ATTN_TILE,
     Spans,
     Tensor,
+    apply_rope,
     concat,
-    embedding,
+    embedding_mean,
     nll_from_logits,
     parameter,
+    rms_norm,
+    rope_cache,
     segment_max,
     softmax,
     span_attention,
+    swiglu,
 )
+from tests import composed
 
 
 def numeric_grad(f, x: np.ndarray, eps=1e-6) -> np.ndarray:
@@ -49,11 +54,11 @@ def test_add_mul_broadcast():
 
 
 def test_sub_broadcast():
-    check_op(lambda a, b: ((a - b) * (a - 2.0)).sum(), (2, 5), (5,))
+    check_op(lambda a, b: (composed.sub(a, b) * composed.sub(a, 2.0)).sum(), (2, 5), (5,))
 
 
 def test_pow_sqrt_exp_log():
-    check_op(lambda a: ((a * a + 1.0) ** -0.5).sum(), (4, 3))
+    check_op(lambda a: composed.power(a * a + 1.0, -0.5).sum(), (4, 3))
 
 
 def test_matmul_2d_and_batched():
@@ -62,16 +67,118 @@ def test_matmul_2d_and_batched():
 
 
 def test_reshape_swapaxes_getitem():
-    check_op(lambda a: a.reshape(6, 2).swapaxes(0, 1)[0, ::2].sum(), (3, 4))
+    check_op(lambda a: composed.getitem(a.reshape(6, 2).swapaxes(0, 1), (0, slice(None, None, 2))).sum(),
+             (3, 4))
 
 
 def test_sum_mean_keepdims():
-    check_op(lambda a: (a.sum(axis=1, keepdims=True) * a).mean(), (3, 5))
-    check_op(lambda a: a.mean(axis=0).sum(), (4, 2))
+    check_op(lambda a: composed.mean(a.sum(axis=1, keepdims=True) * a), (3, 5))
+    check_op(lambda a: composed.mean(a, axis=0).sum(), (4, 2))
 
 
 def test_sigmoid_silu():
-    check_op(lambda a: a.silu().sum(), (7,))
+    check_op(lambda a: composed.silu(a).sum(), (7,))
+
+
+# -- fused ops against their composed forms -------------------------------------
+
+# Fixed before measuring, from float64's 2.2e-16: the fused vjps regroup at
+# most a few dozen roundings of O(1) values.
+FUSED_GRAD_RTOL = 1e-10
+FUSED_GRAD_ATOL = 1e-12
+
+
+def rope_tables(n, head_dim, dtype):
+    return rope_cache(np.arange(n), head_dim, 10.0, dtype)
+
+
+def fused_case(name, dtype):
+    """(shapes of the inputs, fused op over them, its composed form)."""
+    if name == "rms_norm":
+        return [(6, 8), (8,)], rms_norm, composed.rms_norm, (1e-6,)
+    if name == "apply_rope":
+        # a (n, heads * head_dim) projection viewed as (heads, n, head_dim), as the model does
+        n, heads, hd = 9, 2, 6
+        cos, sin = rope_tables(n, hd, dtype)
+
+        def build(op):
+            return lambda x: op(x.reshape(n, heads, hd).swapaxes(0, 1), cos, sin)
+
+        return [(n, heads * hd)], build(apply_rope), build(composed.apply_rope), ()
+    if name == "swiglu":
+        return [(5, 7), (5, 7)], swiglu, composed.swiglu, ()
+    ids = [np.array([3, 0, 3, 7, 1, 3]), np.array([4, 4, 0, 2, 1, 4]), np.array([0, 5, 5, 5, 2, 1])]
+    valid = [None, np.array([0, 1, 1, 1, 0, 1], bool), np.array([0, 0, 1, 0, 1, 1], bool)]
+
+    def build(op):
+        return lambda *tables: op(list(zip(tables, ids, valid)))
+
+    return [(8, 4), (5, 4), (6, 4)], build(embedding_mean), build(composed.embedding_mean), ()
+
+
+FUSED = ["rms_norm", "apply_rope", "swiglu", "embedding_mean"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_forward_is_bitwise_the_composition(name, dtype):
+    shapes, fused, oracle, extra = fused_case(name, dtype)
+    rng = np.random.default_rng(FUSED.index(name))
+    xs = [Tensor((rng.standard_normal(s) * 3.0).astype(dtype)) for s in shapes]
+    got, want = fused(*xs, *extra).data, oracle(*xs, *extra).data
+    assert got.dtype == want.dtype == dtype
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_grads_match_the_composition(name, seed):
+    shapes, fused, oracle, extra = fused_case(name, np.float64)
+    rng = np.random.default_rng(seed)
+    inputs = [rng.standard_normal(s) * 3.0 for s in shapes]
+    grads = []
+    for op in (fused, oracle):
+        xs = [parameter(x.copy()) for x in inputs]
+        out = op(*xs, *extra)
+        (out * np.random.default_rng(seed + 9).standard_normal(out.shape)).sum().backward()
+        grads.append([x.grad for x in xs])
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=FUSED_GRAD_RTOL, atol=FUSED_GRAD_ATOL)
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_grads_numeric(name):
+    shapes, fused, _, extra = fused_case(name, np.float64)
+    out_shape = fused(*(Tensor(np.zeros(s)) for s in shapes), *extra).shape
+    weight = np.random.default_rng(5).standard_normal(out_shape)
+    check_op(lambda *xs: (fused(*xs, *extra) * weight).sum(), *shapes)
+
+
+def test_fused_ops_keep_no_intermediate():
+    # each vjp closes over the op's inputs and small tables only: what the
+    # graph holds beyond the inputs is the output and, for rms_norm, one
+    # value per row
+    rng = np.random.default_rng(0)
+    x = parameter(rng.standard_normal((256, 64)))
+    gain = parameter(np.ones(64))
+    cos, sin = rope_tables(256, 16, np.float64)
+    cases = [
+        (lambda: rms_norm(x, gain, 1e-6), 256 * 8),
+        (lambda: apply_rope(x.reshape(256, 4, 16).swapaxes(0, 1), cos, sin), 0),
+        (lambda: swiglu(x, x), 0),
+        (lambda: embedding_mean([(x, np.arange(256), None)]), 256 * 8),
+    ]
+    import tracemalloc
+
+    for build, extra in cases:
+        tracemalloc.start()
+        try:
+            out = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + extra + 4096, (held, out.data.nbytes)
 
 
 def test_softmax_grad_and_rows_sum_to_one():
@@ -90,13 +197,14 @@ def test_softmax_with_additive_mask_is_exactly_zero():
 
 
 def test_concat_grad():
-    check_op(lambda a, b: concat([a, b], axis=1).sum(axis=0)[1:].sum(), (2, 3), (2, 2))
+    check_op(lambda a, b: composed.getitem(concat([a, b], axis=1).sum(axis=0), slice(1, None)).sum(),
+             (2, 3), (2, 2))
 
 
 def test_embedding_scatter_accumulates():
     table = parameter(np.random.default_rng(2).normal(size=(5, 3)))
     idx = np.array([0, 1, 1, 4])
-    out = embedding(table, idx)
+    out = embedding_mean([(table, idx, None)])
     (out * np.ones((4, 3))).sum().backward()
     assert table.grad[1].tolist() == [2.0, 2.0, 2.0]
     assert table.grad[2].tolist() == [0.0, 0.0, 0.0]
@@ -104,7 +212,7 @@ def test_embedding_scatter_accumulates():
 
 def test_embedding_numeric():
     idx = np.array([2, 0, 2])
-    check_op(lambda t: (embedding(t, idx) * 0.7).sum(), (3, 4))
+    check_op(lambda t: (embedding_mean([(t, idx, None)]) * 0.7).sum(), (3, 4))
 
 
 def test_nll_from_logits_matches_manual():
@@ -135,8 +243,11 @@ def test_segment_max_numeric():
 
 def test_dtype_discipline_float32_stays_float32():
     a = parameter(np.ones((2, 2), np.float32))
-    out = ((a * 0.5 + 1.0) @ a).silu().sum()
-    assert out.dtype == np.float32
+    gain = parameter(np.ones(2, np.float32))
+    h = swiglu(rms_norm(a * 0.5 + 1.0, gain, 1e-6) @ a, a)
+    out = apply_rope(h.reshape(1, 2, 2), *rope_tables(2, 2, np.float32))
+    out = out + embedding_mean([(a, np.array([0, 1]), None), (a, np.array([1, 1]), np.array([True, False]))])
+    assert out.dtype == np.float32 and out.sum().dtype == np.float32
 
 
 def test_graph_pruning_without_requires_grad():
