@@ -194,12 +194,11 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     docs = _load_docs(args, cfg)
     patcher = _patcher(args, cfg, docs)
     pc = patcher.config
-    sizes = [patching.patch_stats(patcher(d)) for d in docs]
-    achieved = sum(s.n_bytes for s in sizes) / sum(s.n_patches for s in sizes)
+    stats = patching.patch_stats(*map(patcher, docs))
     (name,) = patching.ENTROPY_THRESHOLDS[pc.scheme]
     _emit({"scheme": pc.scheme, "target_patch_size": target,
-           "theta": getattr(pc, name), "achieved_mean_patch_size": achieved,
-           "forced_splits": sum(s.forced_splits for s in sizes), "patching": asdict(pc)}, args)
+           "theta": getattr(pc, name), "achieved_mean_patch_size": stats.mean_patch_size,
+           "forced_splits": stats.forced_splits, "patching": asdict(pc)}, args)
     return EXIT_OK
 
 
@@ -207,20 +206,19 @@ def cmd_patch(args, cfg: RunConfig) -> int:
     out = _out_path(args.out or "boundaries.tsv")
     docs = _load_docs(args, cfg)
     patcher = _patcher(args, cfg, docs)
-    items = [(f"doc{idx}", patcher(d)) for idx, d in enumerate(docs)]
-    patching.write_boundaries_tsv(out, items)
-    total_bytes = sum(b.n_bytes for _, b in items)
-    total_patches = sum(b.n_patches for _, b in items)
-    _emit({"out": str(out), "scheme": patcher.config.scheme, "docs": len(items),
-           "n_bytes": total_bytes, "n_patches": total_patches,
-           "mean_patch_size": total_bytes / total_patches,
-           "forced_splits": sum(b.forced_splits for _, b in items),
+    bounds = [patcher(d) for d in docs]
+    patching.write_boundaries_tsv(out, ((f"doc{idx}", b) for idx, b in enumerate(bounds)))
+    stats = patching.patch_stats(*bounds)
+    _emit({"out": str(out), "scheme": patcher.config.scheme, "docs": len(bounds),
+           "n_bytes": stats.n_bytes, "n_patches": stats.n_patches,
+           "mean_patch_size": stats.mean_patch_size, "forced_splits": stats.forced_splits,
            "patching": asdict(patcher.config)}, args)
     return EXIT_OK
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     optim = OptimSpec(**cfg["optimizer"])
+    model_cfg = ModelConfig.from_dict(cfg["model"])
     steps = cfg["training"]["steps"]
     if steps:
         lr_at(0, optim, steps)  # a warmup as long as the run raises before any work
@@ -245,7 +243,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
     check_disjoint(train_docs, eval_docs)
     scorable_slices({"heldout": eval_docs})
     patcher = _patcher(args, cfg, train_docs, entropy_model)
-    model_cfg = ModelConfig.from_dict(cfg["model"])
     loader = PatchStreamLoader(train_docs, patcher,
                                patch_budget=cfg["training"]["patch_budget"],
                                seed=cfg["run"]["seed"])
@@ -268,7 +265,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             "final_bpb": result.final_loss / float(np.log(2)),
             "skipped_steps": result.skipped_steps,
             "mean_patch_size": loader.mean_patch_size,
-            "forced_splits": loader.forced_splits,
+            "forced_splits": loader.stats.forced_splits,
             "patching": asdict(patcher.config),
             "evals": [r.to_dict() for r in result.eval_reports],
         }

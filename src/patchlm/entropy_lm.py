@@ -125,10 +125,9 @@ class _Level:
 
 @dataclass
 class EntropyTrace:
-    """Per-position next-byte entropies (nats) and where context was reset."""
+    """Per-position next-byte entropies (nats)."""
 
     values: np.ndarray
-    reset_positions: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -220,7 +219,7 @@ class EntropyModel:
         values[i] is the entropy of the next-byte distribution given the bytes
         before position i (at most ``order`` of them). With
         ``reset_on_newline`` the context is cleared immediately after each
-        0x0A byte and the position where that takes effect is recorded.
+        0x0A byte.
         """
         arr = _as_bytes_array(data)
         n = len(arr)
@@ -228,7 +227,6 @@ class EntropyModel:
             raise DataError("entropy_trace needs a non-empty byte sequence")
 
         since_reset = np.arange(n, dtype=np.int64)
-        resets = np.zeros(0, dtype=np.int64)
         if reset_on_newline:
             after = np.nonzero(arr == NEWLINE)[0] + 1
             resets = after[after < n]
@@ -237,7 +235,7 @@ class EntropyModel:
             since_reset -= np.maximum.accumulate(seg_start)
         avail = np.minimum(self.order, since_reset)
 
-        return EntropyTrace(self._trace_fast(arr, avail), resets)
+        return EntropyTrace(self._trace_fast(arr, avail))
 
     def _trace_fast(self, arr: np.ndarray, avail: np.ndarray) -> np.ndarray:
         self._ensure_h_tables()

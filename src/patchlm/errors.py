@@ -1,4 +1,6 @@
-"""The three failures a command reports; any other exception is a bug."""
+"""The three failures a command reports, one class per exit code; any other
+exception is a bug. Code raises these three themselves, never a subclass, and
+puts what a caller needs to know, such as an achievable range, in the message."""
 
 
 class ConfigError(ValueError):

@@ -34,12 +34,6 @@ Number = int | float | Fraction
 TRAIN_OVER_FORWARD = 3  # forward + 2x backward
 
 
-class SizeMatchError(ConfigError):
-    def __init__(self, msg: str, bracket: tuple | None = None):
-        super().__init__(msg)
-        self.bracket = bracket
-
-
 def _fr(x: Number) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -210,12 +204,12 @@ def size_match(target_flops_per_byte: Number, family: ConfigFamily, n_ctx: Numbe
                tol: float = 0.005) -> tuple[ModelConfig, Fraction]:
     """Bisect the family's axis until forward FLOPs/byte is within tol of target.
 
-    Raises SizeMatchError with the bracket when the family cannot reach the
+    Raises ConfigError with the bracket when the family cannot reach the
     target at the requested tolerance.
     """
     target = _fr(target_flops_per_byte)
     if target <= 0:
-        raise SizeMatchError("target must be positive")
+        raise ConfigError("target must be positive")
 
     def f(axis: int) -> Fraction:
         return blt_flops_per_byte(family.build(axis), n_ctx, n_p).total_forward
@@ -223,11 +217,8 @@ def size_match(target_flops_per_byte: Number, family: ConfigFamily, n_ctx: Numbe
     lo, hi = family.lo, family.hi
     f_lo, f_hi = f(lo), f(hi)
     if not (f_lo <= target <= f_hi):
-        raise SizeMatchError(
-            f"target {float(target):.3e} outside family range "
-            f"[{float(f_lo):.3e}, {float(f_hi):.3e}]",
-            bracket=(float(f_lo), float(f_hi)),
-        )
+        raise ConfigError(f"target {float(target):.3e} outside family range "
+                          f"[{float(f_lo):.3e}, {float(f_hi):.3e}]")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if f(mid) < target:
@@ -240,10 +231,7 @@ def size_match(target_flops_per_byte: Number, family: ConfigFamily, n_ctx: Numbe
         if best_err is None or err < best_err:
             best_axis, best_err = axis, err
     if best_err > tol:
-        raise SizeMatchError(
-            f"closest achievable FLOPs/byte misses target by {float(best_err):.2%} "
-            f"(> {tol:.2%}); bracket axis [{lo}, {hi}] -> "
-            f"[{float(f(lo)):.3e}, {float(f(hi)):.3e}]",
-            bracket=(float(f(lo)), float(f(hi))),
-        )
+        raise ConfigError(f"closest achievable FLOPs/byte misses target by {float(best_err):.2%} "
+                          f"(> {tol:.2%}); bracket axis [{lo}, {hi}] -> "
+                          f"[{float(f(lo)):.3e}, {float(f(hi)):.3e}]")
     return family.build(best_axis), f(best_axis)

@@ -100,6 +100,8 @@ class ModelConfig:
                 self.enc_window, self.dec_window, self.ff_mult, self.dec_layers, self.hash_vocab,
                 *self.ngram_sizes) < 1 or min(self.enc_layers, self.global_layers) < 0):
             raise ConfigError("enc_layers and global_layers must be >= 0, other sizes >= 1")
+        if len(set(self.ngram_sizes)) < len(self.ngram_sizes):
+            raise ConfigError(f"ngram_sizes {list(self.ngram_sizes)} repeats a size")
         if self.global_dim % self.enc_dim != 0:
             raise ConfigError(
                 f"global_dim ({self.global_dim}) must be a multiple of enc_dim ({self.enc_dim}): "
@@ -260,15 +262,12 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> BltPara
 class Stream:
     """Concatenated document bytes, per-byte doc ids, and patch start indices.
 
-    ``next_byte`` is the byte that follows the stream's last byte in its
-    document, when the stream stops short of that document's end; the last
-    position is then scored against it.
+    ``concat`` builds every stream the trainer and the evaluator score.
     """
 
     data: np.ndarray
     doc_ids: np.ndarray
     patch_starts: np.ndarray
-    next_byte: int | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.uint8)
@@ -277,8 +276,6 @@ class Stream:
         n = len(self.data)
         if n == 0:
             raise ValueError("empty stream")
-        if self.next_byte is not None and not 0 <= self.next_byte < VOCAB:
-            raise ValueError(f"next_byte {self.next_byte} is not a byte")
         if len(self.doc_ids) != n:
             raise ValueError("doc_ids length mismatch")
         if np.any(np.diff(self.doc_ids) < 0):
@@ -307,18 +304,19 @@ class Stream:
         return self.doc_ids[self.patch_starts]
 
     @classmethod
+    def concat(cls, pieces) -> "Stream":
+        """One stream of ``(bytes, patch starts within those bytes)`` pieces,
+        each a document of its own."""
+        datas = [np.asarray(data, dtype=np.uint8) for data, _ in pieces]
+        lengths = [len(d) for d in datas]
+        offsets = np.cumsum([0] + lengths[:-1])
+        return cls(np.concatenate(datas), np.repeat(np.arange(len(datas), dtype=np.int32), lengths),
+                   np.concatenate([starts + off for (_, starts), off in zip(pieces, offsets)]))
+
+    @classmethod
     def from_documents(cls, docs: list[np.ndarray], patcher) -> "Stream":
         """Patch each document independently and concatenate."""
-        datas, ids, starts = [], [], []
-        offset = 0
-        for d, arr in enumerate(docs):
-            arr = np.asarray(arr, dtype=np.uint8)
-            b = patcher(arr)
-            datas.append(arr)
-            ids.append(np.full(len(arr), d, dtype=np.int32))
-            starts.append(b.starts + offset)
-            offset += len(arr)
-        return cls(np.concatenate(datas), np.concatenate(ids), np.concatenate(starts))
+        return cls.concat([(d, patcher(d).starts) for d in docs])
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +573,7 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
     """Full composition: augmented embeddings -> encoder -> latent -> decoder -> loss.
 
     Position i predicts byte i+1; positions whose successor crosses a document
-    boundary (or does not exist) are excluded from the loss. The last position
-    predicts ``stream.next_byte`` when it is set.
+    boundary (or does not exist) are excluded from the loss.
     """
     span_cache: dict = {}
     h, p = encoder_forward(params, stream, config, span_cache)
@@ -588,9 +585,6 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
     targets[: n - 1] = stream.data[1:]
     mask = np.zeros(n, dtype=bool)
     mask[: n - 1] = stream.doc_ids[1:] == stream.doc_ids[: n - 1]
-    if stream.next_byte is not None:
-        targets[n - 1] = stream.next_byte
-        mask[n - 1] = True
     n_pred = int(mask.sum())
     if n_pred == 0:
         raise NumericError("stream has no predictable positions")

@@ -53,14 +53,6 @@ ENTROPY_THRESHOLDS = {
 }
 
 
-class CalibrationError(ConfigError):
-    """Requested mean patch size is not achievable; carries the feasible range."""
-
-    def __init__(self, msg: str, achievable: tuple[float, float] | None = None):
-        super().__init__(msg)
-        self.achievable = achievable
-
-
 @dataclass(frozen=True)
 class PatchBoundaries:
     """Sorted patch start indices over a byte sequence of length ``n_bytes``.
@@ -231,14 +223,16 @@ def patch_entropy(trace: EntropyTrace, theta_g: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def patch_stats(boundaries: PatchBoundaries) -> PatchStats:
-    lengths = boundaries.lengths()
-    hist: dict[int, int] = {}
-    for size, cnt in zip(*np.unique(lengths, return_counts=True)):
-        hist[int(size)] = int(cnt)
-    mean = boundaries.n_bytes / boundaries.n_patches if boundaries.n_patches else 0.0
-    return PatchStats(mean, hist, boundaries.n_patches, boundaries.n_bytes,
-                      boundaries.forced_splits)
+def patch_stats(*bounds: PatchBoundaries) -> PatchStats:
+    """Patch sizes of one or more sequences' boundaries, counted together: the
+    histogram, the totals of patches, bytes and forced splits, and the mean
+    patch size, total bytes over total patches (0 without a patch)."""
+    lengths = np.concatenate([b.lengths() for b in bounds])
+    sizes, counts = np.unique(lengths, return_counts=True)
+    n_bytes = sum(b.n_bytes for b in bounds)
+    mean = n_bytes / len(lengths) if len(lengths) else 0.0
+    return PatchStats(mean, dict(zip(sizes.tolist(), counts.tolist())), len(lengths), n_bytes,
+                      sum(b.forced_splits for b in bounds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,18 +331,18 @@ def calibrate_threshold(
 
     Mean patch size is monotone nondecreasing in the threshold (raising it can
     only remove boundaries); for the jump scheme this is verified on the
-    bracket rather than assumed. Raises CalibrationError with the achievable
+    bracket rather than assumed. Raises ConfigError with the achievable
     range when the target cannot be met within ``CALIBRATION_TOL``.
     """
     if not (1.0 < target_patch_size <= 64.0):
-        raise CalibrationError(f"target patch size must be in (1, 64], got {target_patch_size}")
+        raise ConfigError(f"target patch size must be in (1, 64], got {target_patch_size}")
     if len(ENTROPY_THRESHOLDS.get(scheme, ())) != 1:
-        raise CalibrationError("a target patch size calibrates the one threshold of entropy_global "
-                               f"(theta_g) or entropy_monotonic (theta_r), not of {scheme!r}")
+        raise ConfigError("a target patch size calibrates the one threshold of entropy_global "
+                          f"(theta_g) or entropy_monotonic (theta_r), not of {scheme!r}")
     docs = [_as_bytes_array(d) for d in sample]
     n_total = sum(len(d) for d in docs)
     if n_total < 10**5:
-        raise CalibrationError(f"calibration sample too small: {n_total} bytes < 1e5")
+        raise ConfigError(f"calibration sample too small: {n_total} bytes < 1e5")
     values = np.concatenate([model.entropy_trace(d, reset_on_newline=reset_on_newline).values
                              for d in docs])
     doc_start = np.zeros(len(values), dtype=bool)
@@ -364,13 +358,11 @@ def calibrate_threshold(
     size_lo = mean_size(lo)
     size_hi = mean_size(hi)
     if size_lo > size_hi:
-        raise CalibrationError(f"mean patch size not monotone over bracket for {scheme}")
+        raise ConfigError(f"mean patch size not monotone over bracket for {scheme}")
     if not (size_lo <= target_patch_size <= size_hi):
-        raise CalibrationError(
+        raise ConfigError(
             f"target {target_patch_size} outside achievable mean patch size range "
-            f"[{size_lo:.3f}, {size_hi:.3f}]",
-            achievable=(size_lo, size_hi),
-        )
+            f"[{size_lo:.3f}, {size_hi:.3f}]")
     for _ in range(CALIBRATION_ITERS):
         mid = 0.5 * (lo + hi)
         if mean_size(mid) < target_patch_size:
@@ -380,10 +372,9 @@ def calibrate_threshold(
     _, theta = min((abs(mean_size(t) - target_patch_size), t) for t in (lo, hi))
     achieved = mean_size(theta)
     if abs(achieved - target_patch_size) / target_patch_size > CALIBRATION_TOL:
-        raise CalibrationError(
-            f"calibration missed target {target_patch_size}: closest achievable {achieved:.4f}",
-            achievable=(size_lo, size_hi),
-        )
+        raise ConfigError(
+            f"calibration missed target {target_patch_size}: closest achievable {achieved:.4f} "
+            f"in [{size_lo:.3f}, {size_hi:.3f}]")
     return theta
 
 
@@ -393,8 +384,8 @@ def calibrated_config(config: PatchingConfig, model: EntropyModel | None, sample
     calibrated to the target on ``sample``."""
     reads = ENTROPY_THRESHOLDS.get(config.scheme, ())
     if len(reads) == 1 and getattr(config, reads[0]) is not None:
-        raise CalibrationError(f"{reads[0]}={getattr(config, reads[0])} is given, and a target "
-                               "patch size would calibrate it; give one of them")
+        raise ConfigError(f"{reads[0]}={getattr(config, reads[0])} is given, and a target "
+                          "patch size would calibrate it; give one of them")
     theta = calibrate_threshold(model, sample, target_patch_size, config.scheme,
                                 config.reset_on_newline, config.max_patch_size)
     (name,) = ENTROPY_THRESHOLDS[config.scheme]

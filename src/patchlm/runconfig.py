@@ -60,9 +60,13 @@ def _strip_meta(values: dict) -> dict:
             for k, v in values.items() if not k.startswith("_")}
 
 
-# [low, high) of the keys whose readers do not check them
-_RANGES = {"run.seed": (0, inf), "data.synthetic_doc_bytes": (1, inf),
-           "data.eval_fraction": (0, 1), "training.steps": (0, inf)}
+# [low, high) of the keys whose readers do not check them, or check them only
+# after the corpus is read
+_RANGES = {"run.seed": (0, inf), "data.synthetic_bytes": (0, inf),
+           "data.synthetic_doc_bytes": (1, inf), "data.eval_fraction": (0, 1),
+           "training.steps": (0, inf), "training.patch_budget": (1, inf),
+           "training.eval_every": (0, inf), "training.checkpoint_every": (0, inf),
+           "training.eval_stream_bytes": (1, inf)}
 
 
 def _type_ok(val, default) -> bool:

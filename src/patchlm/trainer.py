@@ -28,7 +28,7 @@ import numpy as np
 from .entropy_lm import LN256
 from .errors import ConfigError, DataError, NumericError
 from .model import BltParams, ModelConfig, Stream, lm_forward
-from .patching import PatchBoundaries
+from .patching import PatchBoundaries, PatchStats, patch_stats
 from .tensor import parameter
 
 LN2 = float(np.log(2.0))
@@ -38,7 +38,9 @@ CHECKPOINT_VERSION = 3
 DIVERGENCE_FACTOR = 2.0  # the two settings of ``Divergence``
 DIVERGENCE_PATIENCE = 100
 
-EVAL_STREAM_BYTES = 4096  # longest stream eval_bpb scores in one forward
+# longest span eval_bpb cuts a document into; a span cut short of its
+# document's end is scored with the next span's first byte, one byte more
+EVAL_STREAM_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,13 @@ class PatchStreamLoader:
         self._perm = _epoch_rng(seed, 0).permutation(len(self.docs))
 
     @property
-    def total_patches(self) -> int:
-        return sum(b.n_patches for b in self.bounds)
+    def stats(self) -> PatchStats:
+        """Patch counts over all documents."""
+        return patch_stats(*self.bounds)
 
     @property
     def mean_patch_size(self) -> float:
-        return sum(len(d) for d in self.docs) / self.total_patches
-
-    @property
-    def forced_splits(self) -> int:
-        """Patch starts the maximum patch size added over all documents."""
-        return sum(b.forced_splits for b in self.bounds)
+        return self.stats.mean_patch_size
 
     def state_dict(self) -> dict:
         return asdict(self.state)
@@ -205,9 +203,7 @@ class PatchStreamLoader:
 
     def next_stream(self) -> Stream:
         need = self.patch_budget
-        datas, ids, starts = [], [], []
-        offset = 0
-        seg = 0
+        pieces = []
         st = self.state
         while need > 0:
             doc_idx = int(self._perm[st.doc_pos])
@@ -217,17 +213,13 @@ class PatchStreamLoader:
             s = b.starts[st.patch_offset : st.patch_offset + take]
             byte_lo = int(s[0])
             byte_hi = int(b.starts[st.patch_offset + take]) if st.patch_offset + take < b.n_patches else b.n_bytes
-            datas.append(self.docs[doc_idx][byte_lo:byte_hi])
-            ids.append(np.full(byte_hi - byte_lo, seg, dtype=np.int32))
-            starts.append(s - byte_lo + offset)
-            offset += byte_hi - byte_lo
-            seg += 1
+            pieces.append((self.docs[doc_idx][byte_lo:byte_hi], s - byte_lo))
             need -= take
             if take == avail:
                 self._advance_doc()
             else:
                 st.patch_offset += take
-        return Stream(np.concatenate(datas), np.concatenate(ids), np.concatenate(starts))
+        return Stream.concat(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +288,16 @@ def eval_bpb(
     Each document is cut at patch boundaries into spans of at most
     ``max_stream_bytes`` (a longer single patch is a span of its own), and
     each span starts a fresh context. Every byte after a document's first is
-    scored exactly once: position i of a span predicts byte i + 1, and the
-    last position of a span that stops short of its document's end predicts
-    the next span's first byte from the span's own logits; it already sees
-    every completed patch of the span, as it would mid-document. So
-    ``n_bytes`` is ``sum(len(d) - 1)`` for every patcher. The forward passes
-    run on ``params.detached()`` and build no autodiff graph.
+    scored exactly once, by the position before it: a span that stops short
+    of its document's end also holds the next span's first byte, as a
+    one-byte patch of its own, so its stream is one byte longer than the
+    span. That byte starts a patch in the document's own boundaries too, and
+    the model is causal over bytes and patches, so no earlier position's
+    logits change beyond rounding (an attention tile that gains the byte's
+    key column may sum in another order). So ``n_bytes`` is ``sum(len(d) - 1)``
+    for every patcher, and ``mean_patch_size`` is ``patch_stats`` of the
+    documents' boundaries. The forward passes run on ``params.detached()`` and
+    build no autodiff graph.
 
     ``params=None`` evaluates the uniform byte predictor, which scores exactly
     eight bits per byte.
@@ -320,25 +316,21 @@ def eval_bpb(
         view = params.detached()
         total = 0.0
         n_pred = 0
-        n_patches = 0
-        n_bytes_all = 0
-        for d in docs:
-            b = patcher(d)
-            n_patches += b.n_patches
-            n_bytes_all += b.n_bytes
+        bounds = [patcher(d) for d in docs]
+        for d, b in zip(docs, bounds):
             for byte_lo, byte_hi, starts in _split_doc(b, max_stream_bytes):
-                next_byte = int(d[byte_hi]) if byte_hi < len(d) else None
-                if byte_hi - byte_lo < 2 and next_byte is None:
+                if byte_hi < len(d):  # cut: add the next span's first byte as a patch
+                    starts = np.append(starts, byte_hi - byte_lo)
+                    byte_hi += 1
+                elif byte_hi - byte_lo < 2:
                     continue  # a document's lone last byte predicts nothing
-                stream = Stream(d[byte_lo:byte_hi], np.zeros(byte_hi - byte_lo, np.int32),
-                                starts, next_byte)
-                res = lm_forward(view, stream, config)
+                res = lm_forward(view, Stream.concat([(d[byte_lo:byte_hi], starts)]), config)
                 total += res.total_nats
                 n_pred += res.n_predicted
         bpb[name] = total / (LN2 * n_pred)
         nats[name] = total
         nbytes[name] = n_pred
-        mps[name] = n_bytes_all / n_patches
+        mps[name] = patch_stats(*bounds).mean_patch_size
     return EvalReport(bpb, nats, nbytes, mps, steps=steps)
 
 

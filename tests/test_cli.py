@@ -159,6 +159,17 @@ def test_python_dash_m_help(tmp_path):
     assert proc.returncode == 0 and "train-entropy" in proc.stdout
 
 
+# config values that would otherwise be accepted and then misread
+BAD_CONFIGS = {
+    "eval_every_negative": {"training": {"eval_every": -1}},  # (step + 1) % -1 is always 0
+    "patch_budget_0": {"training": {"patch_budget": 0}},  # the loader would reject it after work
+    "checkpoint_every_negative": {"training": {"checkpoint_every": -1}},
+    "eval_stream_bytes_0": {"training": {"eval_stream_bytes": 0}},
+    "eval_stream_bytes_negative": {"training": {"eval_stream_bytes": -7}},
+    "synthetic_bytes_negative": {"data": {"synthetic_bytes": -5}},
+    "ngram_sizes_repeated": {"model": {"ngram_sizes": [3, 3]}},
+}
+
 BAD_INPUTS = {
     "order_above_8": (["train-entropy", "--corpus", "text.txt", "--order", "9"], EXIT_CONFIG),
     "order_0": (["train-entropy", "--corpus", "text.txt", "--order", "0"], EXIT_CONFIG),
@@ -185,6 +196,11 @@ BAD_INPUTS = {
     # checked before the (missing) corpus is read
     "run_dir_below_a_file": (["train", "--corpus", "missing.txt", "--run-dir", "text.txt/sub"],
                              EXIT_CONFIG),
+    # before any work: the corpus is missing, which would exit 3
+    **{name: (["train", "--corpus", "missing.txt", "--config", f"{name}.json"], EXIT_CONFIG)
+       for name in BAD_CONFIGS if name != "synthetic_bytes_negative"},
+    "synthetic_bytes_negative": (["train", "--config", "synthetic_bytes_negative.json"],
+                                 EXIT_CONFIG),
 }
 
 
@@ -194,6 +210,8 @@ def _write_bad_inputs(tmp_path, corpus_file):
     (tmp_path / "one.txt").write_bytes(b"x")
     (tmp_path / "alpha0.json").write_text(json.dumps({"entropy_model": {"alpha": 0}}))
     (tmp_path / "dec_dim.json").write_text(json.dumps({"model": {"dec_dim": 64}}))
+    for name, values in BAD_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(values))
     (tmp_path / "magic.bin").write_bytes(b"not an entropy model file")
     good = tmp_path / "good.bin"
     train_counts([b"the cat sat on the mat"], order=2).save(good)

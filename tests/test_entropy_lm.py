@@ -274,7 +274,6 @@ def test_single_byte_input_unigram_entropy(entropy3):
 def test_newline_reset(entropy3):
     data = np.frombuffer(b"word\nyes", np.uint8)
     tr = entropy3.entropy_trace(data, reset_on_newline=True)
-    assert tr.reset_positions.tolist() == [5]
     # position after the newline sees an empty context
     assert tr.values[5] == entropy3.entropy_trace(np.frombuffer(b"y", np.uint8)).values[0]
     # and later positions restart context growth from the reset point

@@ -169,8 +169,11 @@ def test_stream_validation():
         Stream(np.arange(4, dtype=np.uint8), np.array([1, 0, 0, 0], np.int32), np.array([0]))
     with pytest.raises(ValueError, match="empty"):
         Stream(np.zeros(0, np.uint8), np.zeros(0, np.int32), np.zeros(0, np.int64))
-    with pytest.raises(ValueError, match="not a byte"):
-        Stream(np.arange(4, dtype=np.uint8), np.zeros(4, np.int32), np.array([0]), next_byte=256)
+    with pytest.raises(ValueError, match="document start"):  # concat checks its pieces too
+        Stream.concat([(np.arange(4), np.array([0])), (np.arange(3), np.array([1]))])
+    joined = Stream.concat([(np.arange(4), np.array([0, 2])), (np.arange(3), np.array([0]))])
+    assert joined.doc_ids.tolist() == [0] * 4 + [1] * 3
+    assert joined.patch_starts.tolist() == [0, 2, 4]
 
 
 # -- embeddings -------------------------------------------------------------------
@@ -348,19 +351,26 @@ def test_fused_blocks_grads_match_the_composed_model():
         np.testing.assert_allclose(got, grads[1][name], rtol=1e-9, atol=1e-13, err_msg=name)
 
 
-def test_next_byte_scores_last_position_from_the_same_logits():
+@pytest.mark.parametrize("n_docs", [1, 3])
+def test_appending_a_one_byte_patch_leaves_earlier_logits_unchanged(n_docs):
+    # how eval_bpb scores the byte at a cut: the span's stream holds it as a patch
     cfg = tiny_cfg()
     params = init_params(cfg, seed=2).astype(np.float64)
-    base = text_stream(n_bytes=40, n_docs=1, k=4)
-    cut = Stream(base.data, base.doc_ids, base.patch_starts, next_byte=ord("q"))
-    a, b = lm_forward(params, base, cfg), lm_forward(params, cut, cfg)
-    np.testing.assert_array_equal(a.logits.data, b.logits.data)
-    last = a.logits.data[-1]
-    nll_q = np.log(np.exp(last - last.max()).sum()) + last.max() - last[ord("q")]
+    text = np.frombuffer(textgen.synthetic_text(90, seed=0).encode()[:90], np.uint8)
+    pieces = [(d, patch_strided(len(d), 4).starts) for d in np.array_split(text, n_docs)]
+    last, starts = pieces[-1]
+    longer = pieces[:-1] + [(np.append(last, ord("q")), np.append(starts, len(last)))]
+    a = lm_forward(params, Stream.concat(pieces), cfg)
+    b = lm_forward(params, Stream.concat(longer), cfg)
+    # causal over bytes and patches; only rounding may differ, where an attention
+    # tile that gains the new byte's key column sums its products in another order
+    np.testing.assert_allclose(b.logits.data[:-1], a.logits.data, rtol=0, atol=1e-15)
+    z = a.logits.data[-1]
+    nll_q = np.log(np.exp(z - z.max()).sum()) + z.max() - z[ord("q")]
     assert b.n_predicted == a.n_predicted + 1
     assert abs(b.total_nats - (a.total_nats + nll_q)) <= 1e-12 * b.total_nats
-    one = Stream(base.data[:1], np.zeros(1, np.int32), np.array([0]), next_byte=ord("q"))
-    assert lm_forward(params, one, cfg).n_predicted == 1  # a 1-byte span predicts its successor
+    one = Stream.concat([(np.array([text[0], ord("q")]), np.array([0, 1]))])
+    assert lm_forward(params, one, cfg).n_predicted == 1  # a 1-byte span scores its successor
 
 
 def test_each_span_set_plans_its_tiles_once(monkeypatch):

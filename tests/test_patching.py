@@ -7,7 +7,6 @@ from patchlm.entropy_lm import LN256, EntropyTrace, train_counts
 from patchlm.errors import ConfigError
 from patchlm.patching import (
     SCHEMES,
-    CalibrationError,
     PatchBoundaries,
     Patcher,
     PatchingConfig,
@@ -29,7 +28,7 @@ def b(s: bytes) -> np.ndarray:
 
 
 def _trace(values) -> EntropyTrace:
-    return EntropyTrace(np.asarray(values, np.float64), np.zeros(0, np.int64))
+    return EntropyTrace(np.asarray(values, np.float64))
 
 
 # -- boundary invariants ------------------------------------------------------
@@ -193,6 +192,34 @@ def test_patch_stats_examples():
     assert s1.mean_patch_size == 1
 
 
+def one_sequence_stats(bounds):
+    """``patch_stats`` of one sequence before it took several, kept as its oracle."""
+    lengths = bounds.lengths()
+    hist = {int(size): int(cnt) for size, cnt in zip(*np.unique(lengths, return_counts=True))}
+    mean = bounds.n_bytes / bounds.n_patches if bounds.n_patches else 0.0
+    return mean, hist, bounds.n_patches, bounds.n_bytes, bounds.forced_splits
+
+
+@settings(max_examples=50, deadline=None)
+@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=5), k=st.integers(1, 9),
+       max_patch=st.integers(1, 12))
+def test_patch_stats_counts_several_sequences_together(lengths, k, max_patch):
+    patcher = make_patcher(PatchingConfig(scheme="strided", k=k, max_patch_size=max_patch))
+    bounds = [patcher(np.zeros(n, np.uint8)) for n in lengths]
+    for one in bounds:
+        s = patch_stats(one)
+        assert (s.mean_patch_size, s.histogram, s.n_patches, s.n_bytes,
+                s.forced_splits) == one_sequence_stats(one)
+    s = patch_stats(*bounds)
+    assert s.n_patches == sum(x.n_patches for x in bounds)
+    assert s.n_bytes == sum(lengths)
+    assert s.forced_splits == sum(x.forced_splits for x in bounds)
+    assert sum(s.histogram.values()) == s.n_patches
+    for size, count in s.histogram.items():
+        assert count == sum(one_sequence_stats(x)[1].get(size, 0) for x in bounds)
+    assert s.mean_patch_size == (sum(lengths) / s.n_patches if s.n_patches else 0.0)
+
+
 # -- calibration -----------------------------------------------------------------
 
 
@@ -206,12 +233,12 @@ def test_calibration_hits_target(entropy3, english_docs):
 
 def test_calibration_rejects_bad_targets(entropy3, english_docs):
     sample = english_docs[: len(english_docs) // 4]
-    with pytest.raises(CalibrationError):
-        calibrate_threshold(entropy3, sample, 1.0)  # outside (1, 64]
-    with pytest.raises(CalibrationError) as ei:
-        calibrate_threshold(entropy3, sample, 64.0)  # far beyond achievable
-    assert ei.value.achievable is not None
-    with pytest.raises(CalibrationError, match="sample too small"):
+    with pytest.raises(ConfigError, match=r"must be in \(1, 64\]"):
+        calibrate_threshold(entropy3, sample, 1.0)
+    # far beyond achievable: the message gives the achievable range
+    with pytest.raises(ConfigError, match=r"achievable .*\[\d+\.\d+, \d+\.\d+\]"):
+        calibrate_threshold(entropy3, sample, 64.0)
+    with pytest.raises(ConfigError, match="sample too small"):
         calibrate_threshold(entropy3, sample[:2], 4.5)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patchlm import textgen, trainer
+from patchlm import model, textgen, trainer
 from patchlm.entropy_lm import train_counts
 from patchlm.errors import DataError, NumericError
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
@@ -148,13 +148,15 @@ def test_loader_expected_bytes_per_batch():
 def test_loader_carries_remainder_and_reshuffles():
     docs = make_docs(n_docs=6, doc_bytes=120, seed=5)
     loader = PatchStreamLoader(docs, STRIDED4, patch_budget=50, seed=2)
-    total = loader.total_patches
+    total = loader.stats.n_patches
+    assert total == sum(len(d) // 4 + (len(d) % 4 > 0) for d in docs)
     seen = 0
     epoch0_first = loader.next_stream().data.copy()
     seen += 50
     while loader.state.epoch == 0:
         loader.next_stream()
         seen += 50
+    assert total <= seen < total + 50  # the epoch ended with its last patch
     # after a full epoch the permutation changes
     epoch1_first = loader.next_stream().data
     assert len(epoch0_first) != len(epoch1_first) or not np.array_equal(epoch0_first, epoch1_first)
@@ -258,6 +260,45 @@ def test_split_doc_matches_the_per_patch_loop(n_bytes, max_bytes, data):
     got, want = trainer._split_doc(bounds, max_bytes), split_doc_by_patches(bounds, max_bytes)
     assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
     assert all(np.array_equal(g, w) for (_, _, g), (_, _, w) in zip(got, want))
+
+
+def span_logits(params, cfg, stream):
+    """``lm_forward``'s logits, which a 1-byte stream has although it predicts nothing."""
+    cache = {}
+    h, p = model.encoder_forward(params, stream, cfg, cache)
+    o = model.global_forward(params, p, stream.patch_doc_ids, cfg)
+    return model.decoder_forward(params, h, o, stream, cfg, cache).data
+
+
+def nats_scoring_the_cut_byte_from_the_span(params, cfg, docs, patcher, max_bytes):
+    """Total nats under the rule the one-byte patch replaced: each span is
+    scored alone, and a span cut short of its document's end also scores the
+    next span's first byte from the span's own last logits."""
+    total = 0.0
+    for d in docs:
+        for lo, hi, starts in trainer._split_doc(patcher(d), max_bytes):
+            span = Stream.concat([(d[lo:hi], starts)])
+            if hi - lo > 1:
+                total += lm_forward(params, span, cfg).total_nats
+            if hi < len(d):
+                z = span_logits(params, cfg, span)[-1]
+                total += np.log(np.exp(z - z.max()).sum()) + z.max() - z[d[hi]]
+    return total
+
+
+@pytest.mark.parametrize("scheme", ["strided", "space", "entropy"])
+def test_eval_scores_each_cut_byte_as_the_span_would(eval_patchers, scheme):
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=3).astype(np.float64)
+    text = textgen.synthetic_text(200, seed=17).encode()[:200]
+    docs = [np.frombuffer(text[a:b], np.uint8) for a, b in ((0, 30), (30, 95), (95, 200))]
+    patcher = eval_patchers[scheme]
+    spans = [len(trainer._split_doc(patcher(d), 40)) for d in docs]
+    assert min(spans) == 1 and max(spans) >= 3
+    rep = eval_bpb(params, cfg, {"x": docs}, patcher, max_stream_bytes=40)
+    want = nats_scoring_the_cut_byte_from_the_span(params, cfg, docs, patcher, 40)
+    assert abs(rep.loss_nats["x"] - want) <= 1e-12 * want
+    assert rep.n_bytes["x"] == sum(len(d) - 1 for d in docs)
 
 
 def test_eval_uncut_document_scores_as_one_stream():
