@@ -20,9 +20,10 @@ dense references.
 
 The norm, rotary, gate and embedding blocks are single autodiff ops
 (``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean``) that
-keep only what their backward reads, so the graph a training step holds is
-mostly the inputs of matmuls and attention. They compute the same numbers as
-the compositions of elementwise ops they replace, bit for bit in the forward.
+compute the same numbers as the compositions of elementwise ops they replace,
+bit for bit in the forward. Like every op, each keeps only the arrays its
+backward reads, so the graph a training step holds is the inputs of the
+matmuls, norms, gates and attention, each array once.
 
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's

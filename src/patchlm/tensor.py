@@ -18,15 +18,18 @@ the composition of small ops it replaces, but keeps only what its backward
 reads and recomputes the rest, where the composition kept every intermediate
 alive until the backward ran.
 
-Graphs are built eagerly, and only where some input requires grad: an op on
-tensors that do not records no parents and no vjp, so a forward pass over
-detached parameters builds no graph at all.
-``backward()`` walks a topological order, accumulates vector-Jacobian
-products into ``.grad`` and consumes the graph as it goes: each interior
-node is released once its vjp has run, so its activations and gradient are
-freed during the walk, and only leaves keep ``.grad``. A graph can be walked
-once; a second ``backward()`` through it raises. Gradients are never mutated
-in place, so views handed out by a vjp stay valid.
+The graph links small ``_Node``s, not values: a node owns a gradient, its
+inputs' nodes and a vjp, and a ``Tensor`` holds its ``data`` and its node
+(``requires_grad`` and ``grad`` read the node). Every vjp closes over exactly
+the arrays it reads, never over a ``Tensor``, so a value lives only while its
+``Tensor`` or a vjp that reads it lives. Graphs are built eagerly, and only
+where some input requires grad, so a forward pass over detached parameters
+builds no graph at all. ``backward()`` walks the nodes in topological order
+and consumes the graph as it goes: each interior node is released once its
+vjp has run, which frees its gradient and the arrays its vjp read, and only
+leaves keep ``.grad``. A graph can be walked once; a second ``backward()``
+through it raises. Gradients are never mutated in place, so views handed out
+by a vjp stay valid.
 
 Dtype discipline: ops never upcast silently; python scalars stay weak, so a
 float32 graph remains float32 and a float64 graph (used for gradient checks)
@@ -71,27 +74,45 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """A gradient, the inputs' nodes (``None`` where an input requires no grad)
+    and the vjp, which returns one gradient per input; a leaf has no vjp."""
+
+    __slots__ = ("grad", "parents", "vjp", "__weakref__")
+
+    def __init__(self, parents: tuple = (), vjp=None):
+        self.grad, self.parents, self.vjp = None, parents, vjp
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "name", "__weakref__")
+    __slots__ = ("data", "name", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._vjp = None
+        self._node = _Node() if requires_grad else None
         self.name = name
 
     # -- graph construction ---------------------------------------------------
 
     @staticmethod
-    def _result(data, parents, vjp) -> "Tensor":
+    def _result(data, inputs, vjp) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._vjp = vjp
+        parents = tuple(t._node for t in inputs)
+        if any(p is not None for p in parents):
+            out._node = _Node(parents, vjp)
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
 
     @property
     def shape(self):
@@ -110,21 +131,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
     def backward(self, grad=None):
-        """Accumulate the gradient of this tensor into every leaf's ``.grad``.
+        """Accumulate ``grad`` (ones by default, of this tensor's shape) into every leaf's ``.grad``.
 
         Interior nodes are popped in reverse topological order; after a
-        node's vjp has run, its ``grad`` and ``_parents`` are cleared and its
+        node's vjp has run, its gradient and parents are cleared and its
         vjp is replaced by one that raises. A second backward through a
         released node, from the same root or from another output that shares
         it, therefore raises instead of silently losing gradient.
         """
-        if not self.requires_grad:
+        if self._node is None:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        elif np.shape(grad) != self.shape:
+            raise ValueError(f"backward() seed of shape {np.shape(grad)} for a tensor of shape {self.shape}")
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self._node, False)]
         while stack:
             node, emitted = stack.pop()
             if emitted:
@@ -134,46 +157,42 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.asarray(grad, dtype=self.data.dtype)
+        self._node.grad = np.asarray(grad, dtype=self.data.dtype)
         while topo:
             node = topo.pop()
-            if node._vjp is None:
+            if node.vjp is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                for parent, g in node._vjp(node.grad):
-                    if parent.requires_grad:
+                for parent, g in zip(node.parents, node.vjp(node.grad)):
+                    if parent is not None:
                         parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = None
-            node._vjp = _released
-            node._parents = ()
+            node.vjp = _released
+            node.parents = ()
 
     # -- elementwise arithmetic ------------------------------------------------
 
     def __add__(self, other):
+        shape = self.shape
         if isinstance(other, Tensor):
-            return Tensor._result(
-                self.data + other.data,
-                (self, other),
-                lambda g: [(self, _unbroadcast(g, self.shape)), (other, _unbroadcast(g, other.shape))],
-            )
-        return Tensor._result(self.data + other, (self,), lambda g: [(self, _unbroadcast(g, self.shape))])
+            other_shape = other.shape
+            return Tensor._result(self.data + other.data, (self, other),
+                                  lambda g: (_unbroadcast(g, shape), _unbroadcast(g, other_shape)))
+        return Tensor._result(self.data + other, (self,), lambda g: (_unbroadcast(g, shape),))
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        a = self.data
         if isinstance(other, Tensor):
-            return Tensor._result(
-                self.data * other.data,
-                (self, other),
-                lambda g: [
-                    (self, _unbroadcast(g * other.data, self.shape)),
-                    (other, _unbroadcast(g * self.data, other.shape)),
-                ],
-            )
-        return Tensor._result(self.data * other, (self,), lambda g: [(self, _unbroadcast(g * other, self.shape))])
+            b = other.data
+            return Tensor._result(a * b, (self, other),
+                                  lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)))
+        shape = a.shape
+        return Tensor._result(a * other, (self,), lambda g: (_unbroadcast(g * other, shape),))
 
     __rmul__ = __mul__
 
@@ -183,10 +202,10 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         orig = self.data.shape
-        return Tensor._result(self.data.reshape(shape), (self,), lambda g: [(self, g.reshape(orig))])
+        return Tensor._result(self.data.reshape(shape), (self,), lambda g: (g.reshape(orig),))
 
     def swapaxes(self, a, b):
-        return Tensor._result(self.data.swapaxes(a, b), (self,), lambda g: [(self, g.swapaxes(a, b))])
+        return Tensor._result(self.data.swapaxes(a, b), (self,), lambda g: (g.swapaxes(a, b),))
 
     # -- reductions ---------------------------------------------------------------
 
@@ -195,9 +214,9 @@ class Tensor:
 
         def vjp(g):
             if axis is None:
-                return [(self, np.broadcast_to(g, orig))]
+                return (np.broadcast_to(g, orig),)
             gx = g if keepdims else np.expand_dims(g, axis)
-            return [(self, np.broadcast_to(gx, orig))]
+            return (np.broadcast_to(gx, orig),)
 
         return Tensor._result(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
 
@@ -206,13 +225,13 @@ class Tensor:
     def __matmul__(self, other):
         assert isinstance(other, Tensor)
         assert self.ndim >= 2 and other.ndim >= 2
+        a, b = self.data, other.data
 
         def vjp(g):
-            ga = _unbroadcast(g @ other.data.swapaxes(-1, -2), self.shape)
-            gb = _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape)
-            return [(self, ga), (other, gb)]
+            return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+                    _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 
-        return Tensor._result(self.data @ other.data, (self, other), vjp)
+        return Tensor._result(a @ b, (self, other), vjp)
 
 
 # -------------------------------------------------------------------------------
@@ -225,11 +244,8 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     sizes = [d.shape[axis] for d in datas]
     splits = np.cumsum(sizes)[:-1]
 
-    def vjp(g):
-        pieces = np.split(g, splits, axis=axis)
-        return list(zip(tensors, pieces))
-
-    return Tensor._result(np.concatenate(datas, axis=axis), tuple(tensors), vjp)
+    return Tensor._result(np.concatenate(datas, axis=axis), tensors,
+                          lambda g: np.split(g, splits, axis=axis))
 
 
 def embedding_mean(lookups: list[tuple[Tensor, np.ndarray, np.ndarray | None]]) -> Tensor:
@@ -249,20 +265,21 @@ def embedding_mean(lookups: list[tuple[Tensor, np.ndarray, np.ndarray | None]]) 
         total = rows if total is None else total + rows
         count += 1.0 if valid is None else valid
     scale = (1.0 / count)[:, None]
+    scatters = [(table.shape, ids, valid) for table, ids, valid in lookups]
 
     def vjp(g):
         g = g * scale
         grads = []
-        for table, ids, valid in lookups:
-            z = np.zeros_like(table.data)
+        for shape, ids, valid in scatters:
+            z = np.zeros(shape, dtype)
             if valid is None:
                 np.add.at(z, ids, g)
             else:
                 np.add.at(z, ids[valid], g[valid])
-            grads.append((table, z))
+            grads.append(z)
         return grads
 
-    return Tensor._result(total * scale, tuple(t for t, _, _ in lookups), vjp)
+    return Tensor._result(total * scale, [t for t, _, _ in lookups], vjp)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
@@ -271,16 +288,17 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     The backward keeps only ``x`` and the per-row reciprocal RMS, and
     recomputes the normalised rows from them.
     """
-    inv_d = 1.0 / x.shape[-1]
-    rstd = ((x.data * x.data).sum(axis=-1, keepdims=True) * inv_d + eps) ** -0.5
+    xd, gd = x.data, gain.data
+    inv_d = 1.0 / xd.shape[-1]
+    rstd = ((xd * xd).sum(axis=-1, keepdims=True) * inv_d + eps) ** -0.5
 
     def vjp(g):
-        xhat = x.data * rstd
-        gx = g * gain.data
+        xhat = xd * rstd
+        gx = g * gd
         dx = rstd * (gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_d))
-        return [(x, dx), (gain, _unbroadcast(g * xhat, gain.shape))]
+        return dx, _unbroadcast(g * xhat, gd.shape)
 
-    return Tensor._result(x.data * rstd * gain.data, (x, gain), vjp)
+    return Tensor._result(xd * rstd * gd, (x, gain), vjp)
 
 
 def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +331,7 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     def vjp(g):
         dx = g * cos
         dx += _swap_pairs(g * sin)
-        return [(x, dx)]
+        return (dx,)
 
     return Tensor._result(out, (x,), vjp)
 
@@ -331,14 +349,15 @@ def swiglu(a: Tensor, b: Tensor) -> Tensor:
 
     The backward keeps only ``a`` and ``b`` and recomputes the sigmoid.
     """
-    out = _sigmoid(a.data)
-    out *= a.data
-    out *= b.data
+    ad, bd = a.data, b.data
+    out = _sigmoid(ad)
+    out *= ad
+    out *= bd
 
     def vjp(g):
-        s = _sigmoid(a.data)
-        silu = a.data * s
-        return [(a, (g * b.data) * (s + silu * (1.0 - s))), (b, g * silu)]
+        s = _sigmoid(ad)
+        silu = ad * s
+        return (g * bd) * (s + silu * (1.0 - s)), g * silu
 
     return Tensor._result(out, (a, b), vjp)
 
@@ -350,7 +369,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return [(x, y * (g - dot))]
+        return (y * (g - dot),)
 
     return Tensor._result(y, (x,), vjp)
 
@@ -442,7 +461,9 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
     builds its own kᵀ instead of keeping the forward's alive until it runs.
     The forward keeps each row's log-sum-exp and the backward recomputes the
     probabilities tile by tile, so memory stays linear in the number of
-    queries and keys.
+    queries and keys. It keeps the scaled queries, not ``q``, and returns a
+    (heads, n_q, d_v) view of an (n_q, heads, d_v) array, so merging the heads
+    is a view too, and the next matmul reads the array this backward keeps.
     """
     if len(spans.lo) != q.shape[1]:
         raise ValueError("span bounds must have one entry per query")
@@ -450,24 +471,25 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
         raise ValueError("key spans out of range")
     scale = 1.0 / math.sqrt(q.shape[-1])
     qs = q.data * scale
+    kd, vd = k.data, v.data
 
-    kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
-    out = np.empty(q.shape[:2] + v.shape[2:], dtype=q.dtype)
+    kT = np.ascontiguousarray(kd.swapaxes(-1, -2))
+    out = np.empty((q.shape[1], q.shape[0]) + vd.shape[2:], dtype=q.dtype).swapaxes(0, 1)
     lse = np.empty(q.shape[:2] + (1,), dtype=q.dtype)
     for rows, cols, edges in spans.plan:
         s = _tile_scores(qs, kT, rows, cols, edges)
         m = s.max(axis=-1, keepdims=True)
         e = np.exp(np.subtract(s, m, out=s), out=s)
         total = e.sum(axis=-1, keepdims=True)
-        out[:, rows] = (e @ v.data[:, cols]) / total
+        out[:, rows] = (e @ vd[:, cols]) / total
         lse[:, rows] = m + np.log(total)
 
     def vjp(g):
-        kT = np.ascontiguousarray(k.data.swapaxes(-1, -2))
-        vT = np.ascontiguousarray(v.data.swapaxes(-1, -2))
-        dq = np.empty_like(q.data)
-        dk = np.zeros(k.shape, k.dtype)  # C order: k and v may be strided views
-        dv = np.zeros(v.shape, v.dtype)
+        kT = np.ascontiguousarray(kd.swapaxes(-1, -2))
+        vT = np.ascontiguousarray(vd.swapaxes(-1, -2))
+        dq = np.empty_like(qs)
+        dk = np.zeros(kd.shape, kd.dtype)  # C order: k and v may be strided views
+        dv = np.zeros(vd.shape, vd.dtype)
         delta = (g * out).sum(axis=-1, keepdims=True)
         for rows, cols, edges in spans.plan:
             s = _tile_scores(qs, kT, rows, cols, edges)
@@ -477,27 +499,30 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
             ds = g_t @ vT[:, :, cols]
             ds -= delta[:, rows]
             ds *= p
-            dq[:, rows] = (ds @ k.data[:, cols]) * scale
+            dq[:, rows] = (ds @ kd[:, cols]) * scale
             dk[:, cols] += ds.swapaxes(-1, -2) @ qs[:, rows]
-        return [(q, dq), (k, dk), (v, dv)]
+        return dq, dk, dv
 
     return Tensor._result(out, (q, k, v), vjp)
 
 
 def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-row negative log-likelihood in nats, numerically stable."""
+    """Per-row negative log-likelihood in nats, numerically stable. The backward
+    keeps the logits, which the caller holds anyway, and each row's max and
+    normaliser, and recomputes the softmax from them."""
     targets = np.asarray(targets)
-    n = logits.data.shape[0]
-    m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=1)
-    probs = e / z[:, None]
-    out_data = m[:, 0] + np.log(z) - logits.data[np.arange(n), targets]
+    x = logits.data
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=1, keepdims=True)
+    z = np.exp(x - m).sum(axis=1)
+    out_data = m[:, 0] + np.log(z) - x[rows, targets]
 
     def vjp(g):
-        gl = probs * g[:, None]
-        gl[np.arange(n), targets] -= g
-        return [(logits, gl)]
+        gl = np.exp(x - m)
+        gl /= z[:, None]
+        gl *= g[:, None]
+        gl[rows, targets] -= g
+        return (gl,)
 
     return Tensor._result(out_data, (logits,), vjp)
 
@@ -505,21 +530,22 @@ def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 def segment_max(x: Tensor, starts: np.ndarray) -> Tensor:
     """Columnwise max over contiguous row segments; grad flows to the first argmax."""
     starts = np.asarray(starts, dtype=np.int64)
-    n, d = x.data.shape
+    xd = x.data
+    n, d = xd.shape
     m = len(starts)
-    out_data = np.maximum.reduceat(x.data, starts, axis=0)
+    out_data = np.maximum.reduceat(xd, starts, axis=0)
 
     def vjp(g):
         seg_of = np.searchsorted(starts, np.arange(n), side="right") - 1
-        is_max = x.data == out_data[seg_of]
+        is_max = xd == out_data[seg_of]
         offset = np.arange(n) - starts[seg_of]
         candidate = np.where(is_max, offset[:, None], n + 1)
         first = np.minimum.reduceat(candidate, starts, axis=0)  # (m, d)
         rows = (starts[:, None] + first).ravel()
         cols = np.tile(np.arange(d), m)
-        z = np.zeros_like(x.data)
+        z = np.zeros_like(xd)
         np.add.at(z, (rows, cols), g.ravel())
-        return [(x, z)]
+        return (z,)
 
     return Tensor._result(out_data, (x,), vjp)
 

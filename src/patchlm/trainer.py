@@ -465,9 +465,10 @@ def train(
             params.zero_grad()
             res = lm_forward(params, stream, config)
             res.loss.backward()
+            loss = float(res.loss.data)
+            del res  # its logits would otherwise stay alive through the next forward and any eval
             lr = lr_at(step, optim, total_steps)
             gnorm = adamw_step(params, state, optim, lr)
-            loss = float(res.loss.data)
             result.steps_done = step + 1
             result.final_loss = loss
             row = {

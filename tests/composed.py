@@ -17,17 +17,17 @@ from patchlm.tensor import Tensor, _sigmoid, _unbroadcast, concat
 
 
 def sub(a: Tensor, b) -> Tensor:
+    a_shape = a.shape
     if isinstance(b, Tensor):
-        return Tensor._result(
-            a.data - b.data,
-            (a, b),
-            lambda g: [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))],
-        )
-    return Tensor._result(a.data - b, (a,), lambda g: [(a, _unbroadcast(g, a.shape))])
+        b_shape = b.shape
+        return Tensor._result(a.data - b.data, (a, b),
+                              lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
+    return Tensor._result(a.data - b, (a,), lambda g: (_unbroadcast(g, a_shape),))
 
 
 def power(x: Tensor, c: float) -> Tensor:
-    return Tensor._result(x.data**c, (x,), lambda g: [(x, g * c * x.data ** (c - 1))])
+    xd = x.data
+    return Tensor._result(xd**c, (x,), lambda g: (g * c * xd ** (c - 1),))
 
 
 def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -36,10 +36,12 @@ def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def getitem(x: Tensor, idx) -> Tensor:
+    shape, dtype = x.shape, x.dtype
+
     def vjp(g):
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape, dtype)
         z[idx] = g
-        return [(x, z)]
+        return (z,)
 
     return Tensor._result(x.data[idx], (x,), vjp)
 
@@ -47,17 +49,18 @@ def getitem(x: Tensor, idx) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     out = x.data * s
-    return Tensor._result(out, (x,), lambda g: [(x, g * (s + out * (1.0 - s)))])
+    return Tensor._result(out, (x,), lambda g: (g * (s + out * (1.0 - s)),))
 
 
 def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
     """Row gather with scatter-add backward (indices may repeat)."""
     idx = np.asarray(idx)
+    shape, dtype = table.shape, table.dtype
 
     def vjp(g):
-        z = np.zeros_like(table.data)
+        z = np.zeros(shape, dtype)
         np.add.at(z, idx, g)
-        return [(table, z)]
+        return (z,)
 
     return Tensor._result(table.data[idx], (table,), vjp)
 

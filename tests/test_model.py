@@ -393,7 +393,7 @@ def test_forward_on_detached_params_builds_no_graph():
     view = params.detached()
     res = lm_forward(view, stream, cfg)
     for t in (res.logits, res.nll, res.loss):
-        assert t._parents == () and t._vjp is None and not t.requires_grad
+        assert t._node is None and not t.requires_grad
     assert res.logits.data.tobytes() == lm_forward(params, stream, cfg).logits.data.tobytes()
     # the view shares the arrays: an in-place update shows through it
     for name, t in params.items():
@@ -407,12 +407,66 @@ def test_backward_frees_intermediates_and_keeps_parameter_grads():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
     res = lm_forward(params, text_stream(), cfg)
-    inner = weakref.ref(res.logits._parents[0])
+    inner = weakref.ref(res.logits._node.parents[0])
     res.loss.backward()
     assert inner() is None
     assert all(t.grad is not None and t.grad.shape == t.shape for _, t in params.items())
     with pytest.raises(RuntimeError):
         res.loss.backward()
+
+
+def test_queries_before_rope_are_freed_once_the_forward_drops_them(monkeypatch):
+    # rotary's vjp keeps only its tables: the projection it rotated must die
+    # with the forward's local names, while the graph is still alive
+    cfg = tiny_cfg()
+    inputs, rope = [], model.apply_rope
+
+    def recording_rope(x, cos, sin):
+        inputs.append(weakref.ref(x.data if x.data.base is None else x.data.base))
+        return rope(x, cos, sin)
+
+    monkeypatch.setattr(model, "apply_rope", recording_rope)
+    res = lm_forward(init_params(cfg, seed=0), text_stream(), cfg)
+    assert len(inputs) == 2 * (cfg.enc_layers + cfg.global_layers + cfg.dec_layers)
+    assert all(ref() is None for ref in inputs)
+    assert res.loss.requires_grad
+
+
+def _holds_tensor(value, depth: int) -> bool:
+    """Whether ``value`` is a Tensor, holds one in a list, tuple or dict, or is
+    a function that closes over one, looking ``depth`` closures deep."""
+    if isinstance(value, Tensor):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_tensor(v, depth) for v in value)
+    closure = getattr(value, "__closure__", None) or ()
+    return depth > 0 and any(_holds_tensor(c.cell_contents, depth - 1) for c in closure)
+
+
+def test_no_vjp_closes_over_a_tensor():
+    # a vjp must close over the arrays it reads: a Tensor in its closure pins
+    # that tensor's value, whether or not the backward reads it
+    cfg = tiny_cfg()
+    res = lm_forward(init_params(cfg, seed=0, dtype=np.float64), text_stream(), cfg)
+    stack, seen, ops, pinned = [res.loss._node, softmax(res.logits)._node], set(), set(), set()
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        if node.vjp is not None:
+            op = node.vjp.__qualname__.split(".<locals>")[0]
+            ops.add(op)
+            if _holds_tensor(node.vjp, depth=2):  # its cells, and one nested closure's
+                pinned.add(op)
+    assert not pinned, f"vjps that close over a Tensor: {sorted(pinned)}"
+    assert ops >= {"Tensor.__add__", "Tensor.__mul__", "Tensor.__matmul__", "Tensor.reshape",
+                   "Tensor.swapaxes", "Tensor.sum", "concat", "embedding_mean", "rms_norm",
+                   "apply_rope", "swiglu", "softmax", "span_attention", "nll_from_logits",
+                   "segment_max"}
 
 
 # -- independence properties ------------------------------------------------------
@@ -673,8 +727,10 @@ def test_long_stream_memory_stays_bounded():
 
 def test_training_graph_memory_stays_at_its_measured_size():
     # what lm_forward leaves held for the backward on a 2,100-byte, 3-document
-    # stream at the default config: 73.7 MB with the fused norm, rotary, gate
-    # and embedding ops, 126.2 MB when they were compositions of smaller ops
+    # stream at the default config: 53.2 MB once the graph linked nodes and
+    # pinned only the arrays some vjp reads, 73.7 MB when vjps closed over
+    # their input tensors, 126.2 MB when the fused norm, rotary, gate and
+    # embedding ops were compositions of smaller ops; the bound is 53.2 + 5%
     import tracemalloc
 
     cfg = ModelConfig()
@@ -689,7 +745,7 @@ def test_training_graph_memory_stays_at_its_measured_size():
     finally:
         tracemalloc.stop()
     assert res.loss.requires_grad
-    assert held < 80 * 2**20, f"graph holds {held / 2**20:.1f} MB"
+    assert held < 53.2 * 1.05 * 2**20, f"graph holds {held / 2**20:.1f} MB"
 
 
 def test_grad_check_detects_corrupted_gradient():

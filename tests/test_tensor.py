@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,7 +255,7 @@ def test_dtype_discipline_float32_stays_float32():
 def test_graph_pruning_without_requires_grad():
     a = Tensor(np.ones(3))
     b = a * 2.0 + 1.0
-    assert not b.requires_grad and b._parents == ()
+    assert not b.requires_grad and b._node is None
 
 
 def test_backward_consumes_the_graph_and_only_leaves_keep_grad():
@@ -263,8 +265,8 @@ def test_backward_consumes_the_graph_and_only_leaves_keep_grad():
     other = (mid * 3.0).sum()  # shares ``mid`` with ``out``
     out.backward()
     np.testing.assert_allclose(a.grad, [5.0, -1.0])
-    for node in (mid, out):
-        assert node.grad is None and node._parents == ()
+    for t in (mid, out):
+        assert t.grad is None and t._node.parents == ()
     for root in (out, other):
         with pytest.raises(RuntimeError, match="released"):
             root.backward()
@@ -277,6 +279,34 @@ def test_grad_accumulates_across_paths():
     out = a * a + a * 3.0
     out.sum().backward()
     np.testing.assert_allclose(a.grad, [2 * 2.0 + 3.0])
+
+
+def test_backward_rejects_a_seed_of_another_shape():
+    x = parameter(np.ones((3, 2)))
+    y = x * 2.0
+    # a seed that broadcasts would sum 4 copies into x.grad; one that is too
+    # small would hand the parameter a gradient of the wrong shape
+    for seed in (np.ones((4, 3, 2)), np.ones(2)):
+        with pytest.raises(ValueError, match="seed of shape"):
+            y.backward(seed)
+    assert x.grad is None
+    y.backward(np.ones((3, 2)))
+    np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
+
+
+def test_values_live_only_while_a_tensor_or_a_vjp_reads_them():
+    rng = np.random.Generator(np.random.PCG64(0))
+    x, w = parameter(rng.standard_normal((4, 3))), parameter(rng.standard_normal((3, 3)))
+    h = x * 2.0
+    product = h @ w
+    out = x + product
+    h_ref, product_ref = weakref.ref(h.data), weakref.ref(product.data)
+    del h, product
+    assert product_ref() is None  # ``+`` reads no value, only shapes
+    assert h_ref() is not None  # the matmul's vjp reads its input...
+    out.sum().backward()
+    assert h_ref() is None  # ...until the backward releases it
+    np.testing.assert_allclose(w.grad, (x.data * 2.0).T @ np.ones((4, 3)))
 
 
 def dense_attention(q, k, v, spans):
