@@ -625,7 +625,7 @@ def grad_check(params: BltParams, stream: Stream, config: ModelConfig,
     report: dict[str, dict] = {}
     worst = 0.0
     for name, t in p64.tensors.items():
-        grad = t.grad if t.grad is not None else np.zeros_like(t.data)
+        grad = np.asarray(t.grad) if t.grad is not None else np.zeros_like(t.data)
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite analytic gradient in {name}")
         idxs = rng.choice(t.data.size, size=min(samples_per_tensor, t.data.size), replace=False)

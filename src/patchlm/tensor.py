@@ -16,7 +16,9 @@ The model's per-byte blocks are single ops as well: ``rms_norm``,
 gathered from several tables). Each computes exactly the numpy sequence of
 the composition of small ops it replaces, but keeps only what its backward
 reads and recomputes the rest, where the composition kept every intermediate
-alive until the backward ran.
+alive until the backward ran. ``embedding_mean`` keeps each table's gradient
+by rows, as a ``RowGrad``, since a step touches a few hundred of a hash
+table's 4,096 rows; it reads as the dense ``np.add.at`` scatter bit for bit.
 
 The graph links small ``_Node``s, not values: a node owns a gradient, its
 inputs' nodes and a vjp, and a ``Tensor`` holds its ``data`` and its node
@@ -107,7 +109,7 @@ class Tensor:
         return self._node is not None
 
     @property
-    def grad(self) -> np.ndarray | None:
+    def grad(self) -> np.ndarray | RowGrad | None:
         return None if self._node is None else self._node.grad
 
     @grad.setter
@@ -248,13 +250,50 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                           lambda g: np.split(g, splits, axis=axis))
 
 
+@dataclass(frozen=True, eq=False)
+class RowGrad:
+    """A table's gradient kept by rows: row ``rows[i]`` (strictly increasing)
+    of a ``shape`` table has gradient ``values[i]``, every other row zero. It
+    reads as its dense array (``dense()``, ``np.asarray``); ``+`` is dense."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense() if dtype is None else self.dense().astype(dtype, copy=False)
+
+    def __add__(self, other):
+        return self.dense() + other
+
+
+def _row_grad(shape: tuple, ids: np.ndarray, valid: np.ndarray | None, g: np.ndarray) -> RowGrad:
+    """``np.add.at(zeros(shape), ids[valid], g[valid])`` kept by rows, bit for bit:
+    a stable sort groups each row's ids in stream order; the first gives
+    ``g + 0.0``, as ``np.add.at``'s ``0 + g``, and the rest are added one by
+    one (a pairwise segment sum, as in ``np.add.reduceat``, rounds otherwise)."""
+    at = np.arange(len(ids)) if valid is None else np.flatnonzero(valid)
+    at = at[np.argsort(ids[at], kind="stable")]
+    sorted_ids = ids[at]
+    first = np.diff(sorted_ids, prepend=-1) != 0
+    values = g[at[first]] + 0.0
+    np.add.at(values, np.cumsum(first)[~first] - 1, g[at[~first]])
+    return RowGrad(sorted_ids[first], values, shape)
+
+
 def embedding_mean(lookups: list[tuple[Tensor, np.ndarray, np.ndarray | None]]) -> Tensor:
     """Row i is the mean of ``table[ids[i]]`` over the ``(table, ids, valid)``
     lookups whose boolean ``valid[i]`` is set; ``valid=None`` sets every row.
 
     The rows are summed in lookup order and then scaled by one over their
     count. The backward keeps only the ids, the masks and that scale, and
-    scatter-adds each table's valid rows (ids may repeat).
+    gives each table the summed gradient of its valid ids' rows (ids may
+    repeat) as a ``RowGrad``, not a dense table.
     """
     dtype = lookups[0][0].dtype
     total, count = None, np.zeros(len(lookups[0][1]), dtype)
@@ -269,15 +308,7 @@ def embedding_mean(lookups: list[tuple[Tensor, np.ndarray, np.ndarray | None]]) 
 
     def vjp(g):
         g = g * scale
-        grads = []
-        for shape, ids, valid in scatters:
-            z = np.zeros(shape, dtype)
-            if valid is None:
-                np.add.at(z, ids, g)
-            else:
-                np.add.at(z, ids[valid], g[valid])
-            grads.append(z)
-        return grads
+        return [_row_grad(shape, ids, valid, g) for shape, ids, valid in scatters]
 
     return Tensor._result(total * scale, [t for t, _, _ in lookups], vjp)
 

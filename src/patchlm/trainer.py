@@ -29,7 +29,7 @@ from .entropy_lm import LN256
 from .errors import ConfigError, DataError, NumericError
 from .model import BltParams, ModelConfig, Stream, lm_forward
 from .patching import PatchBoundaries, PatchStats, patch_stats
-from .tensor import parameter
+from .tensor import RowGrad, parameter
 
 LN2 = float(np.log(2.0))
 
@@ -98,19 +98,35 @@ class AdamState:
 
 
 def global_grad_norm(params: BltParams) -> float:
+    """The float64 norm of all gradients, each squared into one scratch and
+    summed over its whole shape; a ``RowGrad``'s squares go at its rows of the
+    zeroed scratch, so it sums exactly as its dense array would."""
+    grads = [(t.data.shape, t.grad) for t in params.tensors.values() if t.grad is not None]
+    scratch = np.empty(max((math.prod(shape) for shape, _ in grads), default=0), np.float64)
     total = 0.0
-    for t in params.tensors.values():
-        if t.grad is not None:
-            g = np.asarray(t.grad, dtype=np.float64)
-            total += float((g * g).sum())
+    for shape, g in grads:
+        sq = scratch[: math.prod(shape)].reshape(shape)
+        if isinstance(g, RowGrad):
+            sq.fill(0.0)
+            sq[g.rows] = np.square(g.values, dtype=np.float64)
+        else:
+            sq[...] = g
+            sq *= sq
+        total += float(sq.sum())
     return math.sqrt(total)
 
 
 def adamw_step(params: BltParams, state: AdamState, spec: OptimSpec, lr: float) -> float:
-    """One decoupled-weight-decay update with bias correction.
+    """One decoupled-weight-decay update with bias correction, in place.
 
     Gradients are first clipped by global norm; a non-finite gradient skips
     the step (counted). Returns the pre-clip global gradient norm.
+
+    Each array op writes into a moment, the parameter or one of two scratch
+    arrays, and an unclipped gradient is not multiplied by one. A table's
+    ``RowGrad`` adds its moment terms at its rows only, after the dense
+    decay, and a missing gradient adds none: the allocating update's
+    ``+ 0`` terms, so results differ at most in the sign of an exact zero.
     """
     gnorm = global_grad_norm(params)
     if not math.isfinite(gnorm):
@@ -120,19 +136,29 @@ def adamw_step(params: BltParams, state: AdamState, spec: OptimSpec, lr: float) 
     state.t += 1
     bc1 = 1.0 - spec.beta1**state.t
     bc2 = 1.0 - spec.beta2**state.t
+    scratch = np.empty((2, max(p.data.nbytes for _, p in params.items())), np.uint8)
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        g = np.asarray(g, dtype=p.data.dtype) * p.data.dtype.type(scale)
-        m = state.m[name]
-        v = state.v[name]
+        d, m, v, grad = p.data, state.m[name], state.v[name], p.grad
         m *= spec.beta1
-        m += (1.0 - spec.beta1) * g
         v *= spec.beta2
-        v += (1.0 - spec.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + spec.eps)
-        if spec.weight_decay and _decayable(name, p.data.ndim):
-            p.data -= (lr * spec.weight_decay) * p.data
-        p.data -= lr * update
+        if grad is not None:
+            rows, g = (grad.rows, grad.values) if isinstance(grad, RowGrad) else (..., np.asarray(grad, d.dtype))
+            a, b = (s[: g.nbytes].view(d.dtype).reshape(g.shape) for s in scratch)
+            if scale != 1.0:
+                g = np.multiply(g, d.dtype.type(scale), out=a)
+            m[rows] += np.multiply(g, 1.0 - spec.beta1, out=b)
+            np.multiply(g, 1.0 - spec.beta2, out=b)
+            b *= g
+            v[rows] += b
+        a, b = (s[: d.nbytes].view(d.dtype).reshape(d.shape) for s in scratch)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += spec.eps
+        np.divide(m, bc1, out=b)
+        b /= a
+        if spec.weight_decay and _decayable(name, d.ndim):
+            d -= np.multiply(d, lr * spec.weight_decay, out=a)
+        b *= lr
+        d -= b
     return gnorm
 
 

@@ -1,4 +1,5 @@
-"""The composed forms of the package's fused ops, kept as oracles.
+"""The composed forms of the package's fused ops, and the allocating
+optimizer, kept as oracles.
 
 ``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean`` each
 replace a composition of smaller autodiff ops that kept every intermediate
@@ -6,13 +7,18 @@ alive until the backward. The smaller ops that only those compositions used
 (subtraction, scalar power, mean, slicing, silu and the single-table
 embedding) live here, unchanged, so the compositions still run: a fused op's
 forward must equal its composition bit for bit, and its vjp must agree with
-the composition's autodiff up to rounding.
+the composition's autodiff up to rounding. ``adamw_step`` and
+``global_grad_norm`` are the optimizer as it was before it ran in place and
+read table gradients by rows: it reads every gradient as a dense array.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from patchlm.trainer import _decayable
 from patchlm.tensor import Tensor, _sigmoid, _unbroadcast, concat
 
 
@@ -96,3 +102,37 @@ def embedding_mean(lookups) -> Tensor:
         total = total + embedding(table, ids) * valid.astype(dtype)[:, None]
         divisor += valid.astype(dtype)
     return total * (1.0 / divisor)[:, None]
+
+
+def global_grad_norm(params) -> float:
+    total = 0.0
+    for t in params.tensors.values():
+        if t.grad is not None:
+            g = np.asarray(t.grad, dtype=np.float64)
+            total += float((g * g).sum())
+    return math.sqrt(total)
+
+
+def adamw_step(params, state, spec, lr: float) -> float:
+    gnorm = global_grad_norm(params)
+    if not math.isfinite(gnorm):
+        state.skipped += 1
+        return gnorm
+    scale = spec.grad_clip / gnorm if gnorm > spec.grad_clip else 1.0
+    state.t += 1
+    bc1 = 1.0 - spec.beta1**state.t
+    bc2 = 1.0 - spec.beta2**state.t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = np.asarray(g, dtype=p.data.dtype) * p.data.dtype.type(scale)
+        m = state.m[name]
+        v = state.v[name]
+        m *= spec.beta1
+        m += (1.0 - spec.beta1) * g
+        v *= spec.beta2
+        v += (1.0 - spec.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + spec.eps)
+        if spec.weight_decay and _decayable(name, p.data.ndim):
+            p.data -= (lr * spec.weight_decay) * p.data
+        p.data -= lr * update
+    return gnorm

@@ -263,7 +263,7 @@ def test_embeddings_are_bitwise_the_per_document_oracle(lengths, dtype, seed):
         params = init_params(cfg, seed=seed, dtype=dtype)
         out = embed(params, stream, cfg)
         (out * weight).sum().backward()
-        results.append([out.data] + [params[f"hash_embed.n{n}"].grad for n in cfg.ngram_sizes])
+        results.append([out.data] + [np.asarray(params[f"hash_embed.n{n}"].grad) for n in cfg.ngram_sizes])
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
 
@@ -346,7 +346,7 @@ def test_fused_blocks_grads_match_the_composed_model():
             if compose:
                 compose_blocks(mp)
             lm_forward(params, stream, cfg).loss.backward()
-        grads.append({name: t.grad for name, t in params.items()})
+        grads.append({name: np.asarray(t.grad) for name, t in params.items()})
     for name, got in grads[0].items():
         np.testing.assert_allclose(got, grads[1][name], rtol=1e-9, atol=1e-13, err_msg=name)
 
@@ -617,7 +617,7 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
         params.zero_grad()
         res = lm_forward(params, stream, cfg)
         res.loss.backward()
-        return float(res.loss.data), {k: t.grad.copy() for k, t in params.items()}
+        return float(res.loss.data), {k: np.array(t.grad) for k, t in params.items()}
 
     loss, grads = loss_and_grads()
     monkeypatch.setattr(model, "span_attention", _dense_attend)

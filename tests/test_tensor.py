@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from patchlm.tensor import (
     ATTN_TILE,
+    RowGrad,
     Spans,
     Tensor,
     apply_rope,
@@ -15,6 +16,7 @@ from patchlm.tensor import (
     parameter,
     rms_norm,
     rope_cache,
+    _row_grad,
     segment_max,
     softmax,
     span_attention,
@@ -46,7 +48,7 @@ def check_op(build, *shapes, seed=0, atol=1e-7, rtol=1e-5):
     out = build(*xs)
     out.backward()
     for x in xs:
-        got = x.grad if x.grad is not None else np.zeros_like(x.data)
+        got = np.asarray(x.grad) if x.grad is not None else np.zeros_like(x.data)
         want = numeric_grad(lambda: float(build(*xs).data), x.data)
         np.testing.assert_allclose(got, want, atol=atol, rtol=rtol)
 
@@ -143,7 +145,7 @@ def test_fused_grads_match_the_composition(name, seed):
         xs = [parameter(x.copy()) for x in inputs]
         out = op(*xs, *extra)
         (out * np.random.default_rng(seed + 9).standard_normal(out.shape)).sum().backward()
-        grads.append([x.grad for x in xs])
+        grads.append([np.asarray(x.grad) for x in xs])
     for got, want in zip(*grads):
         np.testing.assert_allclose(got, want, rtol=FUSED_GRAD_RTOL, atol=FUSED_GRAD_ATOL)
 
@@ -208,13 +210,44 @@ def test_embedding_scatter_accumulates():
     idx = np.array([0, 1, 1, 4])
     out = embedding_mean([(table, idx, None)])
     (out * np.ones((4, 3))).sum().backward()
-    assert table.grad[1].tolist() == [2.0, 2.0, 2.0]
-    assert table.grad[2].tolist() == [0.0, 0.0, 0.0]
+    assert isinstance(table.grad, RowGrad) and table.grad.rows.tolist() == [0, 1, 4]
+    dense = np.asarray(table.grad)
+    assert dense[1].tolist() == [2.0, 2.0, 2.0]
+    assert dense[2].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_embedding_numeric():
     idx = np.array([2, 0, 2])
     check_op(lambda t: (embedding_mean([(t, idx, None)]) * 0.7).sum(), (3, 4))
+
+
+@st.composite
+def row_grad_case(draw):
+    """Ids over a few rows of a larger table (heavy repeats), a mask that may
+    be absent or all False, and gradients that hold -0.0."""
+    n = draw(st.integers(0, 40))
+    ids = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 5))), min_size=n, max_size=n)),
+                   dtype=draw(st.sampled_from([np.int64, np.uint8])))
+    valid = draw(st.one_of(st.none(), st.just(np.zeros(n, bool)),
+                           st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, bool))))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    value = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e3, 1e3, width=32))
+    g = np.array(draw(st.lists(value, min_size=2 * n, max_size=2 * n)), dtype).reshape(n, 2)
+    return ids, valid, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=row_grad_case())
+def test_row_grad_is_bitwise_the_add_at_scatter(case):
+    ids, valid, g = case
+    got = _row_grad((8, 2), ids, valid, g)
+    want = np.zeros((8, 2), g.dtype)
+    keep = np.ones(len(ids), bool) if valid is None else valid
+    np.add.at(want, ids[keep], g[keep])
+    assert np.all(np.diff(got.rows.astype(np.int64)) > 0)
+    assert got.values.shape == (len(got.rows), 2) and got.values.dtype == g.dtype
+    assert got.dense().tobytes() == np.asarray(got).tobytes() == want.tobytes()
+    assert (got + got).tobytes() == (want + want).tobytes()
 
 
 def test_nll_from_logits_matches_manual():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from patchlm.entropy_lm import train_counts
 from patchlm.errors import DataError, NumericError
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
 from patchlm.patching import PatchBoundaries, patch_entropy, patch_space, patch_strided
-from patchlm.tensor import parameter
+from patchlm.tensor import RowGrad, parameter
 from patchlm.trainer import (
     LN2,
     AdamState,
@@ -27,6 +28,7 @@ from patchlm.trainer import (
     train,
 )
 from patchlm.model import BltParams
+from tests import composed
 
 
 def tiny_cfg(**over):
@@ -124,6 +126,58 @@ def test_weight_decay_exclusions():
     assert params["a.attn.wq"].data[0, 0] < 1.0  # decayed
     assert params["a.attn_norm"].data[0] == 1.0  # gains excluded
     assert params["byte_embed"].data[0, 0] == 1.0  # embeddings excluded
+
+
+@pytest.mark.parametrize("grad_clip", [1e-3, 1e9])  # every step clipped, or none
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_is_bitwise_the_allocating_oracle(dtype, grad_clip):
+    # documents of 3-7 bytes: the 8-gram table's gradient has no rows, the
+    # 7-gram table's only a few; one decayed matrix gets no gradient at all
+    cfg = tiny_cfg()
+    text = np.frombuffer(textgen.synthetic_text(400, seed=1).encode(), np.uint8)
+    cuts = np.cumsum(np.random.default_rng(0).integers(3, 8, 80))
+    docs = [text[a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b <= len(text)]
+    loader = PatchStreamLoader(docs, lambda d: patch_strided(len(d), 2), patch_budget=24, seed=0)
+    spec = OptimSpec(grad_clip=grad_clip)
+    runs = [(init_params(cfg, seed=3).astype(dtype), step) for step in (adamw_step, composed.adamw_step)]
+    states = [AdamState.init(params) for params, _ in runs]
+    for i in range(6):
+        stream = loader.next_stream()
+        norms = []
+        for (params, step), state in zip(runs, states):
+            params.zero_grad()
+            lm_forward(params, stream, cfg).loss.backward()
+            params["global.0.attn.wq"].grad = None
+            norms.append(step(params, state, spec, lr=1e-2))
+        (params, _), (want, _) = runs
+        empty = params["hash_embed.n8"].grad
+        assert isinstance(empty, RowGrad) and len(empty.rows) == 0
+        assert norms[0] == norms[1] and (norms[0] > grad_clip) == (grad_clip < 1)
+        for name, t in params.items():
+            assert t.data.dtype == dtype and t.data.tobytes() == want[name].data.tobytes(), (i, name)
+            np.testing.assert_array_equal(states[0].m[name], states[1].m[name])
+            np.testing.assert_array_equal(states[0].v[name], states[1].v[name])
+
+
+def test_adamw_allocates_only_its_scratch_at_the_default_config():
+    # a `train` step at the default config: 128 patches of ~4.5 bytes
+    cfg = ModelConfig()
+    params = init_params(cfg, seed=0)
+    loader = PatchStreamLoader(make_docs(n_docs=8, doc_bytes=400), lambda d: patch_strided(len(d), 4),
+                               patch_budget=128, seed=0)
+    lm_forward(params, loader.next_stream(), cfg).loss.backward()
+    for size in cfg.ngram_sizes:
+        assert isinstance(params[f"hash_embed.n{size}"].grad, RowGrad), size
+    scratch = 2 * max(t.data.nbytes for _, t in params.items())  # the update's two; the norm's float64 one
+    state = AdamState.init(params)
+    for grad_clip in (1e-3, 1e9):
+        tracemalloc.start()
+        try:
+            adamw_step(params, state, OptimSpec(grad_clip=grad_clip), lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scratch + 512 * 1024, (grad_clip, peak, scratch)
 
 
 # -- loader --------------------------------------------------------------------------
