@@ -22,8 +22,11 @@ The norm, rotary, gate and embedding blocks are single autodiff ops
 (``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean``) that
 compute the same numbers as the compositions of elementwise ops they replace,
 bit for bit in the forward. Like every op, each keeps only the arrays its
-backward reads, so the graph a training step holds is the inputs of the
-matmuls, norms, gates and attention, each array once.
+backward reads. The outputs of the norms and gates are not kept either: the
+backward of the matmul that reads one rebuilds it, bit for bit, from the
+norm's input and per-row scale or the gate's two inputs, which the graph
+keeps anyway. So the graph a training step holds is the inputs of the norms,
+gates and attention and of the matmuls that read neither, each array once.
 
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's
@@ -488,6 +491,15 @@ def _local_spans(stream: Stream, window: int, cache: dict | None) -> Spans:
     return cache[window]
 
 
+def _byte_rope(stream: Stream, head_dim: int, config: ModelConfig, dtype,
+               cache: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    cache = {} if cache is None else cache
+    key = ("rope", head_dim, np.dtype(dtype))
+    if key not in cache:
+        cache[key] = rope_cache(np.arange(stream.n_bytes), head_dim, config.rope_theta, dtype)
+    return cache[key]
+
+
 def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
                     span_cache: dict | None = None) -> tuple[Tensor, Tensor]:
     """Byte states for the decoder plus patch representations for the latent model.
@@ -496,7 +508,8 @@ def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
     of each patch and projecting to global width; each cross-attention layer uses
     the byte states from before that layer's transformer (the embeddings for
     the first layer) as keys/values, restricted to the query's own patch.
-    ``span_cache`` shares the local attention spans with ``decoder_forward``.
+    ``span_cache`` shares the local attention spans and the byte rotary
+    tables with ``decoder_forward``.
     """
     dtype = params["byte_embed"].dtype
     bounds = stream.boundaries
@@ -505,8 +518,7 @@ def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
 
     byte_spans = _local_spans(stream, config.enc_window, span_cache)
     memb_spans = membership_spans(bounds)
-    rope = rope_cache(np.arange(stream.n_bytes), config.enc_dim // config.enc_heads,
-                      config.rope_theta, dtype)
+    rope = _byte_rope(stream, config.enc_dim // config.enc_heads, config, dtype, span_cache)
     h = e
     for i in range(config.enc_layers):
         p = cross_attention_block(p, h, params, f"enc.{i}.xattn.", config.k, memb_spans)
@@ -548,7 +560,7 @@ def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
 
     xattn_spans = completed_patch_spans(stream.boundaries, stream.doc_ids, k)
     byte_spans = _local_spans(stream, config.dec_window, span_cache)
-    rope = rope_cache(np.arange(stream.n_bytes), d // config.dec_heads, config.rope_theta, dtype)
+    rope = _byte_rope(stream, d // config.dec_heads, config, dtype, span_cache)
 
     x = byte_states
     for i in range(config.dec_layers):

@@ -24,14 +24,19 @@ The graph links small ``_Node``s, not values: a node owns a gradient, its
 inputs' nodes and a vjp, and a ``Tensor`` holds its ``data`` and its node
 (``requires_grad`` and ``grad`` read the node). Every vjp closes over exactly
 the arrays it reads, never over a ``Tensor``, so a value lives only while its
-``Tensor`` or a vjp that reads it lives. Graphs are built eagerly, and only
-where some input requires grad, so a forward pass over detached parameters
-builds no graph at all. ``backward()`` walks the nodes in topological order
-and consumes the graph as it goes: each interior node is released once its
-vjp has run, which frees its gradient and the arrays its vjp read, and only
-leaves keep ``.grad``. A graph can be walked once; a second ``backward()``
-through it raises. Gradients are never mutated in place, so views handed out
-by a vjp stay valid.
+``Tensor`` or a vjp that reads it lives. A matmul's vjp reads its left input,
+but where that is the output of ``rms_norm`` or ``swiglu`` in a graph, the
+vjp closes over a function that rebuilds it bit for bit from the arrays the
+op's own vjp keeps (``x``, the per-row scale and the gain; the gate's two
+inputs), so the output itself is freed once its ``Tensor`` is. Graphs are
+built eagerly, and only where some input requires grad, so a forward pass
+over detached parameters builds no graph and attaches no rebuild function.
+``backward()`` walks the nodes in topological order and consumes the graph
+as it goes: each interior node is released once its vjp has run, which frees
+its gradient and the arrays its vjp read, and only leaves keep ``.grad``. A
+graph can be walked once; a second ``backward()`` through it raises.
+Gradients are never mutated in place, so views handed out by a vjp stay
+valid.
 
 Dtype discipline: ops never upcast silently; python scalars stay weak, so a
 float32 graph remains float32 and a float64 graph (used for gradient checks)
@@ -87,21 +92,26 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "name", "_node", "__weakref__")
+    __slots__ = ("data", "name", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self._node = _Node() if requires_grad else None
+        self._rebuild = None
         self.name = name
 
     # -- graph construction ---------------------------------------------------
 
     @staticmethod
-    def _result(data, inputs, vjp) -> "Tensor":
+    def _result(data, inputs, vjp, rebuild=None) -> "Tensor":
+        """The op's output. ``rebuild``, if given, recomputes ``data`` bit for
+        bit from arrays ``vjp`` keeps anyway; a matmul's backward calls it
+        instead of keeping ``data`` alive. An output outside a graph gets none."""
         out = Tensor(data)
         parents = tuple(t._node for t in inputs)
         if any(p is not None for p in parents):
             out._node = _Node(parents, vjp)
+            out._rebuild = rebuild
         return out
 
     @property
@@ -228,10 +238,11 @@ class Tensor:
         assert isinstance(other, Tensor)
         assert self.ndim >= 2 and other.ndim >= 2
         a, b = self.data, other.data
+        a_shape, a_of = a.shape, self._rebuild or (lambda: a)  # a rebuild keeps ``a`` out of the graph
 
         def vjp(g):
-            return (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
-                    _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+            ga = _unbroadcast(g @ b.swapaxes(-1, -2), a_shape)
+            return ga, _unbroadcast(a_of().swapaxes(-1, -2) @ g, b.shape)
 
         return Tensor._result(a @ b, (self, other), vjp)
 
@@ -317,11 +328,17 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """``x * (mean(x²) + eps)^-½ * gain`` over the last axis.
 
     The backward keeps only ``x`` and the per-row reciprocal RMS, and
-    recomputes the normalised rows from them.
+    recomputes the normalised rows from them; so does the backward of a
+    matmul that reads the output.
     """
     xd, gd = x.data, gain.data
     inv_d = 1.0 / xd.shape[-1]
     rstd = ((xd * xd).sum(axis=-1, keepdims=True) * inv_d + eps) ** -0.5
+
+    def normed():
+        out = xd * rstd
+        out *= gd
+        return out
 
     def vjp(g):
         xhat = xd * rstd
@@ -329,7 +346,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
         dx = rstd * (gx - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_d))
         return dx, _unbroadcast(g * xhat, gd.shape)
 
-    return Tensor._result(xd * rstd * gd, (x, gain), vjp)
+    return Tensor._result(normed(), (x, gain), vjp, normed)
 
 
 def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -378,19 +395,23 @@ def _swap_pairs(a: np.ndarray) -> np.ndarray:
 def swiglu(a: Tensor, b: Tensor) -> Tensor:
     """``silu(a) * b``, the gated product of a SwiGLU feed-forward block.
 
-    The backward keeps only ``a`` and ``b`` and recomputes the sigmoid.
+    The backward keeps only ``a`` and ``b`` and recomputes the sigmoid; the
+    backward of a matmul that reads the output recomputes it whole.
     """
     ad, bd = a.data, b.data
-    out = _sigmoid(ad)
-    out *= ad
-    out *= bd
+
+    def gated():
+        out = _sigmoid(ad)
+        out *= ad
+        out *= bd
+        return out
 
     def vjp(g):
         s = _sigmoid(ad)
         silu = ad * s
         return (g * bd) * (s + silu * (1.0 - s)), g * silu
 
-    return Tensor._result(out, (a, b), vjp)
+    return Tensor._result(gated(), (a, b), vjp, gated)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -545,11 +566,13 @@ def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     x = logits.data
     rows = np.arange(x.shape[0])
     m = x.max(axis=1, keepdims=True)
-    z = np.exp(x - m).sum(axis=1)
+    e = np.subtract(x, m)
+    z = np.exp(e, out=e).sum(axis=1)
     out_data = m[:, 0] + np.log(z) - x[rows, targets]
 
     def vjp(g):
-        gl = np.exp(x - m)
+        gl = np.subtract(x, m)
+        np.exp(gl, out=gl)
         gl /= z[:, None]
         gl *= g[:, None]
         gl[rows, targets] -= g

@@ -342,6 +342,43 @@ def test_values_live_only_while_a_tensor_or_a_vjp_reads_them():
     np.testing.assert_allclose(w.grad, (x.data * 2.0).T @ np.ones((4, 3)))
 
 
+def norm_or_gate(name, rng):
+    """The inputs of ``rms_norm`` or ``swiglu`` as float32 parameters, and the op over them."""
+    if name == "rms_norm":
+        inputs = [rng.standard_normal((6, 8)), rng.standard_normal(8)]
+        return [parameter(x.astype(np.float32)) for x in inputs], lambda x, gain: rms_norm(x, gain, 1e-6)
+    inputs = [rng.standard_normal((6, 8)) * 3.0, rng.standard_normal((6, 8))]
+    return [parameter(x.astype(np.float32)) for x in inputs], swiglu
+
+
+@pytest.mark.parametrize("name", ["rms_norm", "swiglu"])
+def test_matmul_rebuilds_a_norm_or_gate_output_instead_of_keeping_it(name):
+    rng = np.random.default_rng(4)
+    w_data = rng.standard_normal((8, 5)).astype(np.float32)
+    seed = rng.standard_normal((6, 5)).astype(np.float32)
+    inputs, op = norm_or_gate(name, np.random.default_rng(5))
+    w = parameter(w_data.copy())
+    h = op(*inputs)
+    out = h @ w
+    h_ref = weakref.ref(h.data)
+    del h
+    assert h_ref() is None  # the matmul's vjp keeps a rebuild, not the output
+    out.backward(seed)
+
+    # the same chain through a plain leaf holding the same values
+    ref_inputs, _ = norm_or_gate(name, np.random.default_rng(5))
+    ref_w = parameter(w_data.copy())
+    h = op(*ref_inputs)
+    leaf = parameter(h.data.copy())
+    (leaf @ ref_w).backward(seed)
+    h.backward(leaf.grad)
+    for got, want in zip(inputs + [w], ref_inputs + [ref_w]):
+        assert got.grad.dtype == np.float32 and got.grad.tobytes() == want.grad.tobytes()
+
+    detached, _ = norm_or_gate(name, np.random.default_rng(5))
+    assert op(*(Tensor(t.data) for t in detached))._rebuild is None  # no graph, no rebuild
+
+
 def dense_attention(q, k, v, spans):
     """Reference: full score matrix scaled by 1/sqrt(d), additive -inf mask, softmax, mix."""
     j = np.arange(k.shape[1])
