@@ -54,18 +54,13 @@ from .errors import ConfigError, DataError, NumericError, read_input
 from .model import ModelConfig, init_params
 from .patching import PatchingConfig
 from .runconfig import RunConfig
-from .trainer import (OptimSpec, PatchStreamLoader, check_disjoint, eval_bpb, load_checkpoint,
-                      lr_at, scorable_slices, train)
+from .trainer import (OptimSpec, PatchStreamLoader, check_checkpoint, check_disjoint, eval_bpb,
+                      load_checkpoint, lr_at, scorable_slices, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def _run_root(args) -> Path:
-    root = args.run_root or os.environ.get("PATCHLM_RUN_ROOT") or "runs"
-    return Path(root)
 
 
 def _nearest_dir(path: Path, subject: str) -> Path:
@@ -90,7 +85,8 @@ def _free_run_dir(args, cfg: RunConfig) -> Path:
         run_dir = Path(args.run_dir)
     else:
         stamp = _dt.datetime.now().strftime("%Y%m%d-%H%M%S")
-        run_dir = _run_root(args) / f"{cfg.content_hash[:8]}-{stamp}"
+        root = args.run_root or os.environ.get("PATCHLM_RUN_ROOT") or "runs"
+        run_dir = Path(root) / f"{cfg.content_hash[:8]}-{stamp}"
     _nearest_dir(run_dir, f"run directory {run_dir}")
     if run_dir.exists() and any(run_dir.iterdir()) and not args.force:
         raise ConfigError(f"run directory {run_dir} exists; pass --force to overwrite")
@@ -218,7 +214,7 @@ def cmd_patch(args, cfg: RunConfig) -> int:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     optim = OptimSpec(**cfg["optimizer"])
-    model_cfg = ModelConfig.from_dict(cfg["model"])
+    model_cfg = ModelConfig(**cfg["model"])
     steps = cfg["training"]["steps"]
     if steps:
         lr_at(0, optim, steps)  # a warmup as long as the run raises before any work
@@ -289,10 +285,10 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
             cfg = RunConfig.load(run_config)
         except ConfigError as exc:
             raise DataError(f"{run_config} is not a run config: {exc}") from None
-        if cfg.content_hash != ck["config_hash"]:
-            raise DataError(f"{run_config} is not the config {args.checkpoint} was saved under")
+        model_cfg = ModelConfig(**cfg["model"])
+        check_checkpoint(ck, args.checkpoint, model_cfg, cfg.content_hash)
         patcher = patching.Patcher.load(run_config.parent)
-        report = eval_bpb(ck["params"], ModelConfig.from_dict(cfg["model"]), {"eval": docs},
+        report = eval_bpb(ck["params"], model_cfg, {"eval": docs},
                           patcher, max_stream_bytes=cfg["training"]["eval_stream_bytes"],
                           steps=ck["step"]).to_dict()
         report["patching"] = asdict(patcher.config)
@@ -306,7 +302,7 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
 
 def cmd_flops(args, cfg: RunConfig) -> int:
     _positive(args, "n_ctx", "patch_size")
-    model_cfg = ModelConfig.from_dict(cfg["model"])
+    model_cfg = ModelConfig(**cfg["model"])
     rep = flops.blt_flops_per_byte(model_cfg, args.n_ctx, Fraction(str(args.patch_size)))
     doc = rep.as_floats()
     doc.update(n_ctx=args.n_ctx, patch_size=args.patch_size,
@@ -328,7 +324,7 @@ def cmd_flops(args, cfg: RunConfig) -> int:
 
 def cmd_size_match(args, cfg: RunConfig) -> int:
     _positive(args, "target", "n_ctx", "patch_size", "tol")
-    template = ModelConfig.from_dict(cfg["model"])
+    template = ModelConfig(**cfg["model"])
     fam = flops.width_family(template)
     solved, achieved = flops.size_match(Fraction(str(args.target)), fam,
                                         args.n_ctx, Fraction(str(args.patch_size)),

@@ -235,9 +235,6 @@ class EntropyModel:
             since_reset -= np.maximum.accumulate(seg_start)
         avail = np.minimum(self.order, since_reset)
 
-        return EntropyTrace(self._trace_fast(arr, avail))
-
-    def _trace_fast(self, arr: np.ndarray, avail: np.ndarray) -> np.ndarray:
         self._ensure_h_tables()
         key = _pack_keys(arr, avail)
         values = self._short_h[_SHORT_START[np.minimum(avail, _SHORT)] + (key & _KEY_MASK[_SHORT])]
@@ -259,7 +256,7 @@ class EntropyModel:
             found = ctx_keys[pos] == needles
             values[sel[found]] = self._h_tables[k][pos[found]]
             lvl[sel[~found]] = k - 1
-        return values
+        return EntropyTrace(values)
 
     # -- serialization --------------------------------------------------------
 
@@ -289,19 +286,22 @@ class EntropyModel:
         if version != cls.VERSION:
             raise DataError(f"unsupported entropy model version {version}")
         off += struct.calcsize("<HBd")
-        levels = []
-        for _ in range(order + 1):
-            (n_pairs,) = struct.unpack_from("<Q", payload, off)
-            off += 8
-            ctx = np.frombuffer(payload, dtype="<u8", count=n_pairs, offset=off).astype(np.uint64)
-            off += 8 * n_pairs
-            nxt = np.frombuffer(payload, dtype="u1", count=n_pairs, offset=off).astype(np.uint8)
-            off += n_pairs
-            cnt = np.frombuffer(payload, dtype="<i8", count=n_pairs, offset=off).astype(np.int64)
-            off += 8 * n_pairs
-            levels.append(_Level(ctx, nxt, cnt))
-        model = cls(order, alpha, levels)
-        model._ensure_h_tables()  # rejects counts that do not nest
+        try:  # the checksum holds, so a payload that does not parse was written malformed
+            levels = []
+            for _ in range(order + 1):
+                (n_pairs,) = struct.unpack_from("<Q", payload, off)
+                off += 8
+                ctx = np.frombuffer(payload, dtype="<u8", count=n_pairs, offset=off).astype(np.uint64)
+                off += 8 * n_pairs
+                nxt = np.frombuffer(payload, dtype="u1", count=n_pairs, offset=off).astype(np.uint8)
+                off += n_pairs
+                cnt = np.frombuffer(payload, dtype="<i8", count=n_pairs, offset=off).astype(np.int64)
+                off += 8 * n_pairs
+                levels.append(_Level(ctx, nxt, cnt))
+            model = cls(order, alpha, levels)
+            model._ensure_h_tables()  # rejects counts that do not nest
+        except (struct.error, ValueError, IndexError) as exc:  # ConfigError is a ValueError
+            raise DataError(f"malformed entropy model file {path}: {exc}") from None
         return model
 
 
@@ -344,36 +344,15 @@ def train_counts(
 # ---------------------------------------------------------------------------
 
 TRACE_COLUMNS = ("pos", "byte_hex", "glyph", "entropy_nats", "boundary")
+# the glyph of each byte: a space is an underscore, any other non-printable byte a dot
+_GLYPHS = ["_" if b == 0x20 else chr(b) if 0x21 <= b <= 0x7E else "." for b in range(256)]
 
 
-def _glyph(b: int) -> str:
-    if b == 0x20:
-        return "_"
-    if 0x21 <= b <= 0x7E:
-        return chr(b)
-    return "."
-
-
-def export_trace(trace: EntropyTrace, data, boundaries=None) -> list[tuple]:
-    """Rows of (pos, byte_hex, glyph, entropy_nats, boundary) for plotting.
-
-    Spaces are rendered as underscores; other non-printable bytes as dots.
-    ``boundaries`` may be a PatchBoundaries-like object with ``starts``.
-    """
-    arr = _as_bytes_array(data)
-    starts = set()
-    if boundaries is not None:
-        starts = set(int(s) for s in boundaries.starts)
-    rows = []
-    for i in range(len(trace.values)):
-        b = int(arr[i])
-        rows.append((i, f"{b:02x}", _glyph(b), float(trace.values[i]), 1 if i in starts else 0))
-    return rows
-
-
-def write_trace_tsv(path: str | Path, trace: EntropyTrace, data, boundaries=None) -> None:
-    rows = export_trace(trace, data, boundaries)
+def write_trace_tsv(path: str | Path, trace: EntropyTrace, data, boundaries) -> None:
+    """One row of ``TRACE_COLUMNS`` per position; boundary is 1 where a patch
+    of ``boundaries`` (a ``PatchBoundaries``) starts."""
+    starts = set(boundaries.starts.tolist())
     with open(path, "w") as fh:
         fh.write("\t".join(TRACE_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(f"{r[0]}\t{r[1]}\t{r[2]}\t{r[3]:.6f}\t{r[4]}\n")
+        for i, (b, h) in enumerate(zip(_as_bytes_array(data).tolist(), trace.values.tolist())):
+            fh.write(f"{i}\t{b:02x}\t{_GLYPHS[b]}\t{h:.6f}\t{int(i in starts)}\n")

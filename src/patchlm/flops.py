@@ -22,7 +22,7 @@ O(window) per byte as counted here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -57,22 +57,17 @@ def de_embedding_flops(h: Number, vocab: Number) -> Fraction:
     return 2 * _fr(h) * _fr(vocab)
 
 
-def transformer_flops_per_token(
-    l: Number, h: Number, m: Number,
-    n_heads: Number | None = None, h_k: Number | None = None,
-    d_ff: Number = 4, vocab: Number = 0,
-) -> Fraction:
+def transformer_flops_per_token(l: Number, h: Number, m: Number, d_ff: Number = 4,
+                                vocab: Number = 0) -> Fraction:
     """Feed-forward + self-attention projections + attention + de-embedding.
 
-    Only the product h_k * n_heads enters the count; when not given it
-    defaults to the full width h.
+    Attention reads only the product of head dim and head count, which is
+    the width h.
     """
-    if n_heads is None or h_k is None:
-        n_heads, h_k = 1, h
     return (
         feed_forward_flops(l, h, d_ff)
         + qkvo_flops(l, h, r=1)
-        + attention_flops(l, h_k, n_heads, m)
+        + attention_flops(l, h, 1, m)
         + de_embedding_flops(h, vocab)
     )
 
@@ -101,13 +96,7 @@ class FlopsReport:
         return TRAIN_OVER_FORWARD * self.total_forward
 
     def components(self) -> dict[str, Fraction]:
-        return {
-            "latent": self.latent,
-            "encoder_transformer": self.encoder_transformer,
-            "decoder_transformer": self.decoder_transformer,
-            "encoder_xattn": self.encoder_xattn,
-            "decoder_xattn": self.decoder_xattn,
-        }
+        return asdict(self)
 
     def as_floats(self) -> dict[str, float]:
         out = {k: float(v) for k, v in self.components().items()}
@@ -175,29 +164,22 @@ class ConfigFamily:
     hi: int
 
 
-def width_family(template: ModelConfig, lo: int | None = None, hi: int | None = None,
-                 step: int | None = None) -> ConfigFamily:
+def width_family(template: ModelConfig) -> ConfigFamily:
     """Vary the local width (and with it global width at fixed ratio k).
 
     The step keeps head dims even and divisible by the head counts.
     """
     k = template.k
-    if step is None:
-        step = max(2 * template.enc_heads,
-                   (2 * template.global_heads + k - 1) // k)
-        # global_dim = k * enc_dim must stay divisible by global_heads with even head dim
-        while (k * step) % (2 * template.global_heads) != 0:
-            step += 1
-    lo = lo if lo is not None else 1
-    hi = hi if hi is not None else 4096 // step
+    step = max(2 * template.enc_heads, (2 * template.global_heads + k - 1) // k)
+    # global_dim = k * enc_dim must stay divisible by global_heads with even head dim
+    while (k * step) % (2 * template.global_heads) != 0:
+        step += 1
 
     def build(axis: int) -> ModelConfig:
         e = axis * step
-        return ModelConfig.from_dict(
-            dict(template.to_dict(), enc_dim=e, global_dim=k * e)
-        )
+        return replace(template, enc_dim=e, global_dim=k * e)
 
-    return ConfigFamily(build, lo, hi)
+    return ConfigFamily(build, 1, 4096 // step)
 
 
 def size_match(target_flops_per_byte: Number, family: ConfigFamily, n_ctx: Number, n_p: Number,

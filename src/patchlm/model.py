@@ -137,13 +137,6 @@ class ModelConfig:
         d["ngram_sizes"] = list(self.ngram_sizes)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "ngram_sizes" in d:
-            d["ngram_sizes"] = tuple(d["ngram_sizes"])
-        return cls(**d)
-
 
 # ---------------------------------------------------------------------------
 # Parameters

@@ -4,11 +4,12 @@ Every scheme maps a byte sequence to a strictly increasing list of patch start
 indices beginning at 0; patches partition the sequence with no gaps or
 overlaps. All schemes are pure functions of (bytes, config, model) and only
 propose starts. A ``Patcher`` holds a resolved ``PatchingConfig`` with the
-entropy model or BPE vocabulary its scheme reads. Calling it caps every patch
-at the maximum patch size (``enforce_max_patch``), so a single patch can never
-blow up memory downstream, and counts the splits it forces. ``save(dir)``
-writes what ``load(dir)`` reads: ``patcher.json`` (the config and the BPE
-merges) and, for an entropy scheme, ``entropy.bin`` (``EntropyModel.save``).
+entropy model or BPE vocabulary its scheme reads. Calling it runs the scheme
+its config names and caps every patch at the maximum patch size
+(``enforce_max_patch``), so a single patch can never blow up memory
+downstream, and counts the splits it forces. ``save(dir)`` writes what
+``load(dir)`` reads: ``patcher.json`` (the config and the BPE merges) and, for
+an entropy scheme, ``entropy.bin`` (``EntropyModel.save``).
 
 Entropy patching (BLT §2.3) has two constraints on the next-byte entropy
 H(x_t): the global one, H(x_t) > theta_g, and the approximate monotonic one,
@@ -16,8 +17,9 @@ H(x_t) - H(x_{t-1}) > theta_r. ``patch_entropy`` is the one rule: a byte
 starts a patch when it meets either constraint that is set. The three entropy
 schemes differ only in which thresholds they read (``ENTROPY_THRESHOLDS``).
 A target mean patch size calibrates the one threshold of ``entropy_global``
-(theta_g) or ``entropy_monotonic`` (theta_r); ``calibrated_config`` returns
-the config with it filled in, and rejects a config that already sets it. Any
+(theta_g) or ``entropy_monotonic`` (theta_r) under the rest of the
+``PatchingConfig`` the patcher will run; ``calibrated_config`` returns that
+config with it filled in, and rejects a config that already sets it. Any
 other scheme has no single threshold to fit and rejects a target.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -240,42 +242,39 @@ class Patcher:
     """A resolved PatchingConfig with the models its scheme reads: the entropy
     model of the entropy schemes, the vocabulary of ``bpe``.
 
-    Calling it maps bytes to boundaries: the scheme's proposal, resolved once
-    here, capped at ``config.max_patch_size``.
+    Construction rejects a scheme whose model or threshold is missing. Calling
+    it maps bytes to the boundaries ``config.scheme`` proposes, capped at
+    ``config.max_patch_size``.
     """
 
     config: PatchingConfig
     entropy_model: EntropyModel | None = None
     bpe_vocab: BpeVocab | None = None
-    _propose: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        config, model, vocab = self.config, self.entropy_model, self.bpe_vocab
-        if config.scheme == "strided":
-            propose = lambda arr: patch_strided(len(arr), config.k)
-        elif config.scheme == "space":
-            propose = patch_space
-        elif config.scheme == "bpe":
-            if vocab is None:
-                raise ConfigError("bpe scheme needs a trained vocabulary")
-            propose = lambda arr: PatchBoundaries(vocab.token_starts(arr), len(arr))
-        else:
-            if model is None:
-                raise ConfigError(f"scheme {config.scheme!r} needs an entropy model")
-            reads = ENTROPY_THRESHOLDS[config.scheme]
-            theta_g, theta_r = (getattr(config, name) if name in reads else None
-                                for name in ("theta_g", "theta_r"))
-            if theta_g is None and theta_r is None:
-                raise ConfigError(f"{config.scheme} needs {' or '.join(reads)}")
-            reset = config.reset_on_newline
-            propose = lambda arr: patch_entropy(
-                model.entropy_trace(arr, reset_on_newline=reset), theta_g, theta_r)
-        object.__setattr__(self, "_propose", propose)
+        scheme = self.config.scheme
+        if scheme == "bpe" and self.bpe_vocab is None:
+            raise ConfigError("bpe scheme needs a trained vocabulary")
+        if scheme in ENTROPY_THRESHOLDS:
+            if self.entropy_model is None:
+                raise ConfigError(f"scheme {scheme!r} needs an entropy model")
+            if all(getattr(self.config, name) is None for name in ENTROPY_THRESHOLDS[scheme]):
+                raise ConfigError(f"{scheme} needs {' or '.join(ENTROPY_THRESHOLDS[scheme])}")
 
     def __call__(self, data) -> PatchBoundaries:
-        proposed = self._propose(_as_bytes_array(data))
-        starts, forced = enforce_max_patch(proposed.starts, proposed.n_bytes,
-                                           self.config.max_patch_size)
+        arr, config = _as_bytes_array(data), self.config
+        if config.scheme == "strided":
+            proposed = patch_strided(len(arr), config.k)
+        elif config.scheme == "space":
+            proposed = patch_space(arr)
+        elif config.scheme == "bpe":
+            proposed = PatchBoundaries(self.bpe_vocab.token_starts(arr), len(arr))
+        else:
+            reads = ENTROPY_THRESHOLDS[config.scheme]
+            trace = self.entropy_model.entropy_trace(arr, reset_on_newline=config.reset_on_newline)
+            proposed = patch_entropy(trace, *(getattr(config, name) if name in reads else None
+                                              for name in ("theta_g", "theta_r")))
+        starts, forced = enforce_max_patch(proposed.starts, proposed.n_bytes, config.max_patch_size)
         return PatchBoundaries(starts, proposed.n_bytes, forced) if forced else proposed
 
     def save(self, directory: str | Path) -> None:
@@ -319,21 +318,19 @@ def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
     return len(score) / n_patches
 
 
-def calibrate_threshold(
-    model: EntropyModel,
-    sample: Iterable,
-    target_patch_size: float,
-    scheme: str = "entropy_global",
-    reset_on_newline: bool = False,
-    max_patch: int = DEFAULT_MAX_PATCH,
-) -> float:
-    """Bisect the entropy threshold so the sample's mean patch size hits the target.
+def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size: float,
+                        config: PatchingConfig | None = None) -> float:
+    """Bisect the threshold of ``config.scheme`` (default ``PatchingConfig()``) so
+    the sample's mean patch size, under the config's newline reset and maximum
+    patch size, hits the target.
 
     Mean patch size is monotone nondecreasing in the threshold (raising it can
     only remove boundaries); for the jump scheme this is verified on the
-    bracket rather than assumed. Raises ConfigError with the achievable
-    range when the target cannot be met within ``CALIBRATION_TOL``.
+    bracket rather than assumed. Raises ConfigError with the achievable range
+    when the target cannot be met within ``CALIBRATION_TOL``.
     """
+    config = config or PatchingConfig()
+    scheme = config.scheme
     if not (1.0 < target_patch_size <= 64.0):
         raise ConfigError(f"target patch size must be in (1, 64], got {target_patch_size}")
     if len(ENTROPY_THRESHOLDS.get(scheme, ())) != 1:
@@ -343,7 +340,7 @@ def calibrate_threshold(
     n_total = sum(len(d) for d in docs)
     if n_total < 10**5:
         raise ConfigError(f"calibration sample too small: {n_total} bytes < 1e5")
-    values = np.concatenate([model.entropy_trace(d, reset_on_newline=reset_on_newline).values
+    values = np.concatenate([model.entropy_trace(d, reset_on_newline=config.reset_on_newline).values
                              for d in docs])
     doc_start = np.zeros(len(values), dtype=bool)
     doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
@@ -352,7 +349,7 @@ def calibrate_threshold(
     score = np.diff(values, prepend=values[0]) if jump else values
 
     def mean_size(theta: float) -> float:
-        return _mean_size_at(score, doc_start, theta, max_patch)
+        return _mean_size_at(score, doc_start, theta, config.max_patch_size)
 
     lo, hi = (-LN256 - 1.0, LN256 + 1.0) if jump else (0.0, LN256 + 1.0)
     size_lo = mean_size(lo)
@@ -386,14 +383,13 @@ def calibrated_config(config: PatchingConfig, model: EntropyModel | None, sample
     if len(reads) == 1 and getattr(config, reads[0]) is not None:
         raise ConfigError(f"{reads[0]}={getattr(config, reads[0])} is given, and a target "
                           "patch size would calibrate it; give one of them")
-    theta = calibrate_threshold(model, sample, target_patch_size, config.scheme,
-                                config.reset_on_newline, config.max_patch_size)
+    theta = calibrate_threshold(model, sample, target_patch_size, config)
     (name,) = ENTROPY_THRESHOLDS[config.scheme]
     return replace(config, **{name: theta})
 
 
-def check_incrementality(patcher: Callable[..., PatchBoundaries], data, n_prefixes: int = 100,
-                         seed: int = 0) -> list[int]:
+def check_incrementality(patcher: Callable[..., PatchBoundaries], data, n_prefixes: int,
+                         seed: int) -> list[int]:
     """Compare patching of random prefixes against the full sequence's prefix.
 
     For each random cut i, the prefix bytes[:i] is patched from scratch and its

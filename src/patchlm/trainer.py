@@ -27,7 +27,7 @@ import numpy as np
 
 from .entropy_lm import LN256
 from .errors import ConfigError, DataError, NumericError
-from .model import BltParams, ModelConfig, Stream, lm_forward
+from .model import BltParams, ModelConfig, Stream, lm_forward, param_shapes
 from .patching import PatchBoundaries, PatchStats, patch_stats
 from .tensor import RowGrad, parameter
 
@@ -419,6 +419,16 @@ def load_checkpoint(path: str | Path) -> dict:
     return ck
 
 
+def check_checkpoint(ck: dict, path: str | Path, config: ModelConfig, config_hash: str) -> None:
+    """Raise DataError unless checkpoint ``ck`` was saved under ``config_hash``, the
+    hash of the run's config.json, and holds exactly the parameters of ``config``."""
+    if ck["config_hash"] != config_hash:
+        raise DataError(f"checkpoint {path} was saved under another config than the run's "
+                        "config.json")
+    if {k: t.shape for k, t in ck["params"].items()} != param_shapes(config):
+        raise DataError(f"checkpoint {path} holds other parameter names or shapes")
+
+
 def _log(path: Path, start_step: int):
     """``path`` opened for appending after its rows of the steps before ``start_step``."""
     rows = path.read_text().splitlines(keepends=True) if start_step and path.exists() else []
@@ -471,10 +481,7 @@ def train(
         state, divergence, start = AdamState.init(params), Divergence(), 0
     else:
         ck = load_checkpoint(resume)
-        if ck["config_hash"] != config_hash:
-            raise DataError(f"checkpoint {resume} was saved under another config")
-        if {k: t.shape for k, t in ck["params"].items()} != {k: t.shape for k, t in params.items()}:
-            raise DataError(f"checkpoint {resume} holds other parameter names or shapes")
+        check_checkpoint(ck, resume, config, config_hash)
         for name, t in params.items():
             t.data[...] = ck["params"][name].data
         loader.load_state_dict(ck["loader_state"])

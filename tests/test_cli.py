@@ -186,10 +186,15 @@ BAD_INPUTS = {
     # the format that also held the model and optimizer settings of config.json
     "checkpoint_version_2": (["eval-bpb", "--corpus", "text.txt",
                               "--checkpoint", "version2.npz"], EXIT_DATA),
+    # parameters that do not match the model of the run's config.json
+    **{f"checkpoint_{bad}": (["eval-bpb", "--corpus", "text.txt", "--checkpoint", f"{bad}.npz"],
+                             EXIT_DATA)
+       for bad in ("out_proj_16x10", "no_out_norm")},
     "removed_key_dec_dim": (["flops", "--config", "dec_dim.json"], EXIT_CONFIG),
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
-       for bad in ("magic", "checksum", "version", "not_nested")},
+       for bad in ("magic", "checksum", "version", "not_nested", "truncated", "order_200",
+                   "order_0")},
     # on a corpus large enough to calibrate on, so only the contradiction fails
     "theta_and_target": (["patch", "--corpus", "big.txt", "--scheme", "entropy_global",
                           "--theta", "2.0", "--target-patch-size", "4.5"], EXIT_CONFIG),
@@ -219,6 +224,11 @@ def _write_bad_inputs(tmp_path, corpus_file):
     (tmp_path / "checksum.bin").write_bytes(raw[:-33] + bytes([raw[-33] ^ 1]) + raw[-32:])
     payload = raw[:8] + struct.pack("<H", 99) + raw[10:-32]  # version 99 under a valid checksum
     (tmp_path / "version.bin").write_bytes(payload + hashlib.sha256(payload).digest())
+    # each under a valid checksum: half the payload, and headers of order 200 and 0
+    for name, payload in (("truncated", raw[:(len(raw) - 32) // 2]),
+                          ("order_200", raw[:10] + bytes([200]) + raw[11:-32]),
+                          ("order_0", raw[:10] + bytes([0]) + raw[11:-32])):
+        (tmp_path / f"{name}.bin").write_bytes(payload + hashlib.sha256(payload).digest())
     model = train_counts([b"abab"], order=1)
     model.levels[1].pair_next[:] = ord("z")  # length-1 pairs whose suffix pair was never counted
     model.save(tmp_path / "not_nested.bin")
@@ -234,6 +244,11 @@ def _write_bad_inputs(tmp_path, corpus_file):
                 rng="pcg64", params_meta={})
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     np.savez(tmp_path / "version2.npz", **arrays)
+    with np.load(tmp_path / "ckpt.npz") as z:
+        arrays = dict(z)
+    np.savez(tmp_path / "out_proj_16x10.npz", **dict(arrays, **{"param/out_proj": np.zeros((16, 10))}))
+    del arrays["param/out_norm"]
+    np.savez(tmp_path / "no_out_norm.npz", **arrays)
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -512,7 +527,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
 def test_runconfig_defaults_are_the_dataclass_defaults():
     cfg = RunConfig({})
     assert cfg["model"] == ModelConfig().to_dict()
-    assert ModelConfig.from_dict(cfg["model"]) == ModelConfig()
+    assert ModelConfig(**cfg["model"]) == ModelConfig()
     patching = dict(cfg["patching"])
     assert patching.pop("target_patch_size") is None
     assert PatchingConfig(**patching) == PatchingConfig()

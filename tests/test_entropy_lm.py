@@ -13,7 +13,6 @@ from patchlm.entropy_lm import (
     _Level,
     _count_pairs,
     _pack_keys,
-    export_trace,
     train_counts,
     write_trace_tsv,
 )
@@ -363,20 +362,23 @@ def test_serialization_deterministic(tmp_path, small_docs):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_export_trace_rows(entropy3):
+def test_export_trace_rows(tmp_path, entropy3):
     data = np.frombuffer(b"a b", np.uint8)
     tr = entropy3.entropy_trace(data)
-    rows = export_trace(tr, data, PatchBoundaries(np.array([0, 2]), 3))
+    out = tmp_path / "t.tsv"
+    write_trace_tsv(out, tr, data, PatchBoundaries(np.array([0, 2]), 3))
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 3
     assert rows[1][2] == "_"  # space renders as underscore
-    assert [r[4] for r in rows] == [1, 0, 1]
+    assert [r[4] for r in rows] == ["1", "0", "1"]
+    assert [float(r[3]) for r in rows] == pytest.approx(tr.values, abs=1e-6)
 
 
 def test_write_trace_tsv(tmp_path, entropy3):
     data = np.frombuffer(b"hello world", np.uint8)
     tr = entropy3.entropy_trace(data)
     out = tmp_path / "t.tsv"
-    write_trace_tsv(out, tr, data)
+    write_trace_tsv(out, tr, data, PatchBoundaries(np.array([0, 6]), len(data)))
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "pos\tbyte_hex\tglyph\tentropy_nats\tboundary"
     assert len(lines) == 12

@@ -30,11 +30,11 @@ def test_de_embedding_plugin():
 
 def test_minimal_transformer_plugin():
     # feed-forward 16 + projections 8 + attention 4, no output vocab
-    assert transformer_flops_per_token(1, 1, 1, 1, 1, 4, 0) == 28
+    assert transformer_flops_per_token(1, 1, 1, 4, 0) == 28
 
 
 def test_components_are_exact_integers():
-    val = transformer_flops_per_token(24, 1280, 8192, 10, 128, 4, 0)
+    val = transformer_flops_per_token(24, 1280, 8192, 4, 0)
     assert isinstance(val, Fraction) and val.denominator == 1
 
 
@@ -105,11 +105,11 @@ def test_doubling_patch_size_halves_latent_share():
 
 
 def test_flops_monotone_in_each_argument():
-    base = transformer_flops_per_token(4, 64, 128, 4, 16, 4, 256)
-    assert transformer_flops_per_token(5, 64, 128, 4, 16, 4, 256) > base
-    assert transformer_flops_per_token(4, 96, 128, 4, 24, 4, 256) > base
-    assert transformer_flops_per_token(4, 64, 256, 4, 16, 4, 256) > base
-    assert transformer_flops_per_token(4, 64, 128, 4, 16, 4, 512) > base
+    base = transformer_flops_per_token(4, 64, 128, 4, 256)
+    assert transformer_flops_per_token(5, 64, 128, 4, 256) > base
+    assert transformer_flops_per_token(4, 96, 128, 4, 256) > base
+    assert transformer_flops_per_token(4, 64, 256, 4, 256) > base
+    assert transformer_flops_per_token(4, 64, 128, 4, 512) > base
 
 
 def test_param_count_matches_instantiated_model():

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patchlm.bpe import train_bpe
-from patchlm.entropy_lm import LN256, EntropyTrace, train_counts
+from patchlm.entropy_lm import LN256, NEWLINE, EntropyTrace, train_counts
 from patchlm.errors import ConfigError
 from patchlm.patching import (
     SCHEMES,
     PatchBoundaries,
     Patcher,
     PatchingConfig,
+    CALIBRATION_TOL,
     calibrate_threshold,
+    calibrated_config,
     check_incrementality,
     enforce_max_patch,
     make_patcher,
@@ -266,10 +268,24 @@ def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, 
 
 def test_calibration_monotonic_scheme(entropy3, english_docs):
     sample = english_docs[: len(english_docs) // 4]
-    theta = calibrate_threshold(entropy3, sample, 6.0, scheme="entropy_monotonic")
+    theta = calibrate_threshold(entropy3, sample, 6.0, PatchingConfig(scheme="entropy_monotonic"))
     sizes = [patch_entropy(entropy3.entropy_trace(d), theta_r=theta) for d in sample]
     mean = sum(x.n_bytes for x in sizes) / sum(x.n_patches for x in sizes)
     assert abs(mean - 6.0) / 6.0 < 0.02
+
+
+def test_calibration_reads_newline_reset_and_max_patch_from_config(entropy3, english_docs):
+    sample = english_docs[: len(english_docs) // 4]
+    assert sum(int((d == NEWLINE).sum()) for d in sample) > 100
+    config = PatchingConfig(reset_on_newline=True, max_patch_size=6)
+    # each setting moves theta: the default, the cap alone, the cap and the reset
+    thetas = {calibrate_threshold(entropy3, sample, 4.5, c)
+              for c in (None, PatchingConfig(max_patch_size=6), config)}
+    assert len(thetas) == 3
+    stats = patch_stats(*map(make_patcher(calibrated_config(config, entropy3, sample, 4.5),
+                                          entropy_model=entropy3), sample))
+    assert stats.forced_splits > 0
+    assert abs(stats.mean_patch_size - 4.5) / 4.5 <= CALIBRATION_TOL
 
 
 # -- bpe scheme, incrementality ----------------------------------------------------
