@@ -298,6 +298,8 @@ class EntropyModel:
                 cnt = np.frombuffer(payload, dtype="<i8", count=n_pairs, offset=off).astype(np.int64)
                 off += 8 * n_pairs
                 levels.append(_Level(ctx, nxt, cnt))
+            if off != len(payload):
+                raise ValueError(f"{len(payload) - off} bytes after the last level")
             model = cls(order, alpha, levels)
             model._ensure_h_tables()  # rejects counts that do not nest
         except (struct.error, ValueError, IndexError) as exc:  # ConfigError is a ValueError

@@ -10,6 +10,12 @@ mask over only the edge columns that some of its rows do not see) once, on
 first use, for every attention call over it. The backward reuses the plan,
 and it multiplies scores by contiguous kᵀ and vᵀ copies instead of transposed
 views of k and v, whose head-sized inner dimension BLAS handles slowly.
+The attention softmax shifts each row by a bound on its scores, not by their
+max: a Cauchy-Schwarz bound over the row's own span alone (a sparse-table
+range max of the key norms, whose lookup ``Spans`` also keeps), so keys a row
+does not see never move its result. The shift rides in a query column and
+the normaliser in a column of ones in v, so a tile is two matmuls, a mask and
+an exp; rows whose bound was too loose are recomputed with their exact max.
 
 The model's per-byte blocks are single ops as well: ``rms_norm``,
 ``apply_rope``, ``swiglu`` and ``embedding_mean`` (a masked mean of rows
@@ -52,6 +58,8 @@ from functools import cached_property
 import numpy as np
 
 ATTN_TILE = 64  # query rows per tile in span_attention
+SHIFT_MARGIN = 60.0  # nats span_attention's softmax shift sits below each row's score bound
+MIN_NORMALISER = 2.0**-60  # a row normaliser below this is recomputed with the exact row max
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -485,18 +493,58 @@ class Spans:
         """``span_attention``'s tile plan, built once for every call over these spans."""
         return tile_plan(self.lo, self.hi)
 
+    @cached_property
+    def _range_index(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """``range_max``'s lookup: the number of sparse-table levels, and for each
+        query the flat positions in the table of the two level-t windows of 2**t
+        keys that cover its span exactly, t = floor(log2(hi - lo))."""
+        level = np.frexp(self.hi - self.lo)[1].astype(np.int64) - 1
+        base = level * self.n_keys
+        return int(level.max(initial=0)) + 1, base + self.lo, base + self.hi - (1 << level)
+
+    def range_max(self, x: np.ndarray) -> np.ndarray:
+        """``max(x[..., lo[i]:hi[i]])`` for each query i, over x's last axis.
+
+        A sparse table: level t holds, at key j, the max of the up to 2**t keys
+        from j, and each span is the union of two windows of one level."""
+        levels, first, second = self._range_index
+        n = self.n_keys
+        table = np.empty(x.shape[:-1] + (levels, n), x.dtype)
+        table[..., 0, :] = x[..., :n]
+        for t in range(1, levels):
+            w = 1 << (t - 1)
+            np.maximum(table[..., t - 1, :n - w], table[..., t - 1, w:], out=table[..., t, :n - w])
+            table[..., t, n - w:] = table[..., t - 1, n - w:]
+        table = table.reshape(x.shape[:-1] + (levels * n,))
+        return np.maximum(table[..., first], table[..., second])
+
     def dense(self, n_keys: int) -> np.ndarray:
         """The (n_queries, n_keys) boolean mask these spans describe."""
         j = np.arange(n_keys)
         return (self.lo[:, None] <= j) & (j < self.hi[:, None])
 
 
-def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarray:
-    """One tile's scaled scores, with the hidden ones set to -inf (their exp is exactly 0)."""
-    scores = qs[:, rows] @ kT[:, :, cols]
+def _tile_scores(qx: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarray:
+    """One tile's scores ``qx @ kT``, with the hidden ones set to -inf (their exp is exactly 0)."""
+    scores = qx[:, rows] @ kT[:, :, cols]
     for tile_cols, hidden in edges:
         np.copyto(scores[:, :, tile_cols], -np.inf, where=hidden)
     return scores
+
+
+def _with_ones(x: np.ndarray, axis: int) -> np.ndarray:
+    """A contiguous copy of ``x`` with one more entry, a 1, at the end of ``axis``."""
+    shape = list(x.shape)
+    shape[axis] += 1
+    out = np.empty(shape, x.dtype)
+    head = (slice(None),) * (axis % x.ndim)
+    out[head + (slice(0, -1),)] = x
+    out[head + (-1,)] = 1
+    return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...d,...d->...", a, b)
 
 
 def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
@@ -508,12 +556,29 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
     under ``spans.plan``, which the backward reuses: a tile scores only the
     slice of keys its rows' spans cover, and masks only the edge columns that
     some of its rows do not see.
-    Scores multiply by a contiguous kᵀ (heads, d, n_k) and the backward's
-    ``g @ vᵀ`` by a contiguous vᵀ, never by a transposed view; the backward
-    builds its own kᵀ instead of keeping the forward's alive until it runs.
-    The forward keeps each row's log-sum-exp and the backward recomputes the
-    probabilities tile by tile, so memory stays linear in the number of
-    queries and keys. It keeps the scaled queries, not ``q``, and returns a
+
+    A row's softmax is the same under any shift of its scores, so the shift
+    only has to keep the exps finite. Row i's is its score bound
+    ``|q_i| max_{j in span} |k_j| / sqrt(d)`` (Cauchy-Schwarz) less
+    ``SHIFT_MARGIN`` nats, and never below 0, so no exp exceeds
+    e**SHIFT_MARGIN. The max runs over row i's own span (``spans.range_max``),
+    not the tile's columns, so keys row i does not see cannot move its shift,
+    and its output stays bitwise independent of them. The scaled queries
+    carry ``-shift`` as a column against a row of ones in kᵀ, and v carries a
+    column of ones, so a tile is score matmul, mask, exp and ``e @ [v|1]``,
+    whose last column is the normaliser: no max, subtraction or sum pass. A
+    row whose normaliser is below ``MIN_NORMALISER`` (the bound was so loose
+    that its exps lost precision or underflowed), or whose ``e @ [v|1]`` is
+    not finite, is recomputed from its unshifted scores less their exact max.
+    That choice is per row, so it too reads only the row's own span.
+
+    The forward keeps the scaled queries with ``-lse`` (each row's
+    log-sum-exp) in that column, so the backward's score matmul returns
+    ``s - lse`` and p is one exp; ``-delta`` rides in a column of g against a
+    row of ones in vᵀ, so ``ds`` is one matmul and one product. Memory stays
+    linear in the number of queries and keys. Scores multiply by contiguous
+    kᵀ and vᵀ copies, never by transposed views, and the backward builds its
+    own instead of keeping the forward's alive until it runs. The output is a
     (heads, n_q, d_v) view of an (n_q, heads, d_v) array, so merging the heads
     is a view too, and the next matmul reads the array this backward keeps.
     """
@@ -521,38 +586,50 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
         raise ValueError("span bounds must have one entry per query")
     if spans.n_keys > k.shape[1]:
         raise ValueError("key spans out of range")
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    qs = q.data * scale
+    heads, n_q, d = q.shape
+    scale = 1.0 / math.sqrt(d)
     kd, vd = k.data, v.data
+    d_v = vd.shape[-1]
 
-    kT = np.ascontiguousarray(kd.swapaxes(-1, -2))
-    out = np.empty((q.shape[1], q.shape[0]) + vd.shape[2:], dtype=q.dtype).swapaxes(0, 1)
-    lse = np.empty(q.shape[:2] + (1,), dtype=q.dtype)
+    qx = np.empty((heads, n_q, d + 1), q.dtype)
+    qs = np.multiply(q.data, scale, out=qx[..., :d])
+    bound = np.sqrt(_row_dot(qs, qs)) * np.sqrt(spans.range_max(_row_dot(kd, kd)))
+    np.negative(np.maximum(bound - SHIFT_MARGIN, 0), out=qx[..., d])
+    kT = _with_ones(kd.swapaxes(-1, -2), axis=-2)
+    v1 = _with_ones(vd, axis=-1)
+    ev = np.empty((heads, n_q, d_v + 1), q.dtype)  # e @ [v|1]: unnormalised outputs, normalisers
     for rows, cols, edges in spans.plan:
-        s = _tile_scores(qs, kT, rows, cols, edges)
-        m = s.max(axis=-1, keepdims=True)
-        e = np.exp(np.subtract(s, m, out=s), out=s)
-        total = e.sum(axis=-1, keepdims=True)
-        out[:, rows] = (e @ vd[:, cols]) / total
-        lse[:, rows] = m + np.log(total)
+        e = _tile_scores(qx, kT, rows, cols, edges)
+        ev_t = np.matmul(np.exp(e, out=e), v1[:, cols], out=ev[:, rows])
+        if not (ev_t[..., d_v:].min() >= MIN_NORMALISER and np.isfinite(ev_t.sum())):
+            ok = (ev_t[..., d_v:] >= MIN_NORMALISER) & np.isfinite(ev_t).all(axis=-1, keepdims=True)
+            s = _tile_scores(qs, kT[:, :d], rows, cols, edges)
+            m = s.max(axis=-1, keepdims=True)
+            exact = np.exp(np.subtract(s, m, out=s), out=s) @ v1[:, cols]
+            np.copyto(ev_t, exact, where=~ok)
+            np.copyto(qx[:, rows, d:], -m, where=~ok)
+    out = np.empty((n_q, heads, d_v), dtype=q.dtype).swapaxes(0, 1)
+    np.divide(ev[..., :d_v], ev[..., d_v:], out=out)
+    qx[..., d:] -= np.log(ev[..., d_v:])
 
     def vjp(g):
-        kT = np.ascontiguousarray(kd.swapaxes(-1, -2))
-        vT = np.ascontiguousarray(vd.swapaxes(-1, -2))
-        dq = np.empty_like(qs)
+        kT = _with_ones(kd.swapaxes(-1, -2), axis=-2)
+        vT = _with_ones(vd.swapaxes(-1, -2), axis=-2)
+        gx = np.empty(g.shape[:-1] + (d_v + 1,), g.dtype)
+        gx[..., :d_v] = g
+        np.negative(_row_dot(g, out), out=gx[..., d_v])
+        dq = np.empty((heads, n_q, d), qx.dtype)
         dk = np.zeros(kd.shape, kd.dtype)  # C order: k and v may be strided views
         dv = np.zeros(vd.shape, vd.dtype)
-        delta = (g * out).sum(axis=-1, keepdims=True)
         for rows, cols, edges in spans.plan:
-            s = _tile_scores(qs, kT, rows, cols, edges)
-            p = np.exp(np.subtract(s, lse[:, rows], out=s), out=s)
-            g_t = g[:, rows]
-            dv[:, cols] += p.swapaxes(-1, -2) @ g_t
-            ds = g_t @ vT[:, :, cols]
-            ds -= delta[:, rows]
+            p = _tile_scores(qx, kT, rows, cols, edges)
+            np.exp(p, out=p)
+            dv[:, cols] += p.swapaxes(-1, -2) @ gx[:, rows, :d_v]
+            ds = gx[:, rows] @ vT[:, :, cols]
             ds *= p
-            dq[:, rows] = (ds @ kd[:, cols]) * scale
-            dk[:, cols] += ds.swapaxes(-1, -2) @ qs[:, rows]
+            np.matmul(ds, kd[:, cols], out=dq[:, rows])
+            dk[:, cols] += ds.swapaxes(-1, -2) @ qx[:, rows, :d]
+        dq *= scale
         return dq, dk, dv
 
     return Tensor._result(out, (q, k, v), vjp)

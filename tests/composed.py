@@ -1,5 +1,5 @@
-"""The composed forms of the package's fused ops, and the allocating
-optimizer, kept as oracles.
+"""The composed forms of the package's fused ops, the allocating optimizer
+and the exact-max attention kernel, kept as oracles.
 
 ``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean`` each
 replace a composition of smaller autodiff ops that kept every intermediate
@@ -10,6 +10,9 @@ forward must equal its composition bit for bit, and its vjp must agree with
 the composition's autodiff up to rounding. ``adamw_step`` and
 ``global_grad_norm`` are the optimizer as it was before it ran in place and
 read table gradients by rows: it reads every gradient as a dense array.
+``span_attention`` is the kernel as it was before the softmax shift and
+normaliser were folded into its matmuls: it shifts each row by its exact max
+and sums the normaliser in a pass of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from patchlm.trainer import _decayable
-from patchlm.tensor import Tensor, _sigmoid, _unbroadcast, concat
+from patchlm.tensor import Spans, Tensor, _sigmoid, _unbroadcast, concat
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -136,3 +139,70 @@ def adamw_step(params, state, spec, lr: float) -> float:
             p.data -= (lr * spec.weight_decay) * p.data
         p.data -= lr * update
     return gnorm
+
+
+def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarray:
+    """One tile's scaled scores, with the hidden ones set to -inf (their exp is exactly 0)."""
+    scores = qs[:, rows] @ kT[:, :, cols]
+    for tile_cols, hidden in edges:
+        np.copyto(scores[:, :, tile_cols], -np.inf, where=hidden)
+    return scores
+
+
+def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
+    """Multi-head softmax attention, scaled by 1/sqrt(d), where query i sees
+    keys [spans.lo[i], spans.hi[i]).
+
+    ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
+    (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows
+    under ``spans.plan``, which the backward reuses: a tile scores only the
+    slice of keys its rows' spans cover, and masks only the edge columns that
+    some of its rows do not see.
+    Scores multiply by a contiguous kᵀ (heads, d, n_k) and the backward's
+    ``g @ vᵀ`` by a contiguous vᵀ, never by a transposed view; the backward
+    builds its own kᵀ instead of keeping the forward's alive until it runs.
+    The forward keeps each row's log-sum-exp and the backward recomputes the
+    probabilities tile by tile, so memory stays linear in the number of
+    queries and keys. It keeps the scaled queries, not ``q``, and returns a
+    (heads, n_q, d_v) view of an (n_q, heads, d_v) array, so merging the heads
+    is a view too, and the next matmul reads the array this backward keeps.
+    """
+    if len(spans.lo) != q.shape[1]:
+        raise ValueError("span bounds must have one entry per query")
+    if spans.n_keys > k.shape[1]:
+        raise ValueError("key spans out of range")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    qs = q.data * scale
+    kd, vd = k.data, v.data
+
+    kT = np.ascontiguousarray(kd.swapaxes(-1, -2))
+    out = np.empty((q.shape[1], q.shape[0]) + vd.shape[2:], dtype=q.dtype).swapaxes(0, 1)
+    lse = np.empty(q.shape[:2] + (1,), dtype=q.dtype)
+    for rows, cols, edges in spans.plan:
+        s = _tile_scores(qs, kT, rows, cols, edges)
+        m = s.max(axis=-1, keepdims=True)
+        e = np.exp(np.subtract(s, m, out=s), out=s)
+        total = e.sum(axis=-1, keepdims=True)
+        out[:, rows] = (e @ vd[:, cols]) / total
+        lse[:, rows] = m + np.log(total)
+
+    def vjp(g):
+        kT = np.ascontiguousarray(kd.swapaxes(-1, -2))
+        vT = np.ascontiguousarray(vd.swapaxes(-1, -2))
+        dq = np.empty_like(qs)
+        dk = np.zeros(kd.shape, kd.dtype)  # C order: k and v may be strided views
+        dv = np.zeros(vd.shape, vd.dtype)
+        delta = (g * out).sum(axis=-1, keepdims=True)
+        for rows, cols, edges in spans.plan:
+            s = _tile_scores(qs, kT, rows, cols, edges)
+            p = np.exp(np.subtract(s, lse[:, rows], out=s), out=s)
+            g_t = g[:, rows]
+            dv[:, cols] += p.swapaxes(-1, -2) @ g_t
+            ds = g_t @ vT[:, :, cols]
+            ds -= delta[:, rows]
+            ds *= p
+            dq[:, rows] = (ds @ kd[:, cols]) * scale
+            dk[:, cols] += ds.swapaxes(-1, -2) @ qs[:, rows]
+        return dq, dk, dv
+
+    return Tensor._result(out, (q, k, v), vjp)

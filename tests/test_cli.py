@@ -194,7 +194,7 @@ BAD_INPUTS = {
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
        for bad in ("magic", "checksum", "version", "not_nested", "truncated", "order_200",
-                   "order_0")},
+                   "order_0", "trailing_bytes")},
     # on a corpus large enough to calibrate on, so only the contradiction fails
     "theta_and_target": (["patch", "--corpus", "big.txt", "--scheme", "entropy_global",
                           "--theta", "2.0", "--target-patch-size", "4.5"], EXIT_CONFIG),
@@ -224,10 +224,12 @@ def _write_bad_inputs(tmp_path, corpus_file):
     (tmp_path / "checksum.bin").write_bytes(raw[:-33] + bytes([raw[-33] ^ 1]) + raw[-32:])
     payload = raw[:8] + struct.pack("<H", 99) + raw[10:-32]  # version 99 under a valid checksum
     (tmp_path / "version.bin").write_bytes(payload + hashlib.sha256(payload).digest())
-    # each under a valid checksum: half the payload, and headers of order 200 and 0
+    # each under a valid checksum: half the payload, headers of order 200 and 0,
+    # and the whole payload with zero bytes after its last level
     for name, payload in (("truncated", raw[:(len(raw) - 32) // 2]),
                           ("order_200", raw[:10] + bytes([200]) + raw[11:-32]),
-                          ("order_0", raw[:10] + bytes([0]) + raw[11:-32])):
+                          ("order_0", raw[:10] + bytes([0]) + raw[11:-32]),
+                          ("trailing_bytes", raw[:-32] + bytes(1000))):
         (tmp_path / f"{name}.bin").write_bytes(payload + hashlib.sha256(payload).digest())
     model = train_counts([b"abab"], order=1)
     model.levels[1].pair_next[:] = ord("z")  # length-1 pairs whose suffix pair was never counted

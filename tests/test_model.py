@@ -21,8 +21,10 @@ from patchlm.model import (
     global_forward,
     grad_check,
     init_params,
+    latent_spans,
     lm_forward,
     local_block_causal_mask,
+    local_spans,
     membership_spans,
     param_shapes,
     patch_membership_mask,
@@ -626,6 +628,50 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
     for name, want in want_grads.items():
         np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-10 * np.abs(want).max(),
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["local", "latent", "membership", "decoder"])
+def test_span_attention_rows_are_bitwise_blind_to_keys_outside_their_span(kind, monkeypatch):
+    # a tile scores every key column any of its rows sees, but row i's softmax
+    # shift reads only its own span's keys, so rewriting the keys and values the
+    # tile scores and row i does not see leaves its output bitwise unchanged, and
+    # its q gradient too, whose scores are shifted by row i's log-sum-exp. The
+    # rewritten keys are large, so other rows of the tile are recomputed with
+    # their exact max, which must not reach row i either.
+    widths, tile_scores = [], tensor._tile_scores
+    monkeypatch.setattr(tensor, "_tile_scores",
+                        lambda qx, kT, *tile: widths.append(qx.shape[-1]) or tile_scores(qx, kT, *tile))
+    stream = text_stream(n_bytes=3 * ATTN_TILE + 29, n_docs=3, k=3)
+    spans = {"local": lambda: local_spans(stream.n_bytes, 37, stream.doc_ids),
+             "latent": lambda: latent_spans(stream.patch_doc_ids),
+             "membership": lambda: membership_spans(stream.boundaries),
+             "decoder": lambda: completed_patch_spans(stream.boundaries, stream.doc_ids, 2)}[kind]()
+    rng = np.random.default_rng(0)
+    n_q, n_k = len(spans.lo), spans.n_keys
+    q, k, v, g = (rng.standard_normal((2, n, 8)).astype(np.float32) for n in (n_q, n_k, n_k, n_q))
+
+    def attend(k, v):
+        qt = parameter(q.copy())
+        out = span_attention(qt, Tensor(k), Tensor(v), spans)
+        out.backward(g)
+        return out.data, qt.grad
+
+    base_out, base_dq = attend(k, v)
+    moved = 0
+    for rows, cols, _ in spans.plan:
+        for i in range(rows.start, min(rows.stop, n_q), 7):
+            hidden = np.r_[cols.start:spans.lo[i], spans.hi[i]:cols.stop]
+            if not len(hidden):
+                continue
+            k2, v2 = k.copy(), v.copy()
+            k2[:, hidden] = 100 * rng.standard_normal((2, len(hidden), 8))
+            v2[:, hidden] = rng.standard_normal((2, len(hidden), 8))
+            out, dq = attend(k2, v2)
+            assert out[:, i].tobytes() == base_out[:, i].tobytes()
+            assert dq[:, i].tobytes() == base_dq[:, i].tobytes()
+            moved += not np.array_equal(out, base_out)
+    assert moved  # the rewritten keys are seen by other rows
+    assert 8 in widths  # the exact recompute scores without the shift column
 
 
 DOC_STARTS = [[], [ATTN_TILE], [37, 2 * ATTN_TILE], [ATTN_TILE - 1, ATTN_TILE + 1]]

@@ -22,6 +22,7 @@ from patchlm.tensor import (
     span_attention,
     swiglu,
 )
+from patchlm import tensor
 from tests import composed
 
 
@@ -387,27 +388,33 @@ def dense_attention(q, k, v, spans):
     return softmax(scores + np.where(visible, 0.0, -np.inf), axis=-1) @ v
 
 
-@settings(max_examples=60, deadline=None)
-@given(heads=st.integers(1, 3), n_q=st.integers(1, 3 * ATTN_TILE + 7),
-       n_k=st.integers(1, 2 * ATTN_TILE + 5),
-       spans=st.sampled_from(["random", "sorted", "windowed"]),
-       window=st.integers(1, 3 * ATTN_TILE), n_docs=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_span_attention_matches_dense_oracle(heads, n_q, n_k, spans, window, n_docs, seed):
-    rng = np.random.default_rng(seed)
-    n_k = n_q if spans == "windowed" else n_k
-    if spans == "windowed":  # local attention: lo = max(i - window + 1, document start), hi = i + 1
+def random_spans(rng, kind, n_q, n_k, window, n_docs):
+    """``(n_k, lo, hi)`` of one of three span kinds; windowed spans have n_k = n_q."""
+    if kind == "windowed":  # local attention: lo = max(i - window + 1, document start), hi = i + 1
         i = np.arange(n_q)
         doc_start = np.zeros(n_q, dtype=np.int64)
         for start in np.sort(rng.choice(np.arange(1, n_q), size=min(n_docs - 1, n_q - 1),
                                         replace=False)):
             doc_start[start:] = start
-        lo, hi = np.maximum(i - window + 1, doc_start), i + 1
-    else:
-        lo = rng.integers(0, n_k, size=n_q)
-        if spans == "sorted":  # spans move along the keys, so each tile sees only part of them
-            lo.sort()
-        hi = np.minimum(lo + rng.integers(1, max(2, n_k // 4), size=n_q), n_k)
+        return n_q, np.maximum(i - window + 1, doc_start), i + 1
+    lo = rng.integers(0, n_k, size=n_q)
+    if kind == "sorted":  # spans move along the keys, so each tile sees only part of them
+        lo.sort()
+    return n_k, lo, np.minimum(lo + rng.integers(1, max(2, n_k // 4), size=n_q), n_k)
+
+
+SPAN_CASES = dict(heads=st.integers(1, 3), n_q=st.integers(1, 3 * ATTN_TILE + 7),
+                  n_k=st.integers(1, 2 * ATTN_TILE + 5),
+                  spans=st.sampled_from(["random", "sorted", "windowed"]),
+                  window=st.integers(1, 3 * ATTN_TILE), n_docs=st.integers(1, 3),
+                  seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SPAN_CASES)
+def test_span_attention_matches_dense_oracle(heads, n_q, n_k, spans, window, n_docs, seed):
+    rng = np.random.default_rng(seed)
+    n_k, lo, hi = random_spans(rng, spans, n_q, n_k, window, n_docs)
     dim = int(rng.integers(1, 9))
     leaves = [rng.standard_normal((heads, n, d)) for n, d in ((n_q, dim), (n_k, dim), (n_k, 3))]
     weight = rng.standard_normal((heads, n_q, 3))
@@ -421,6 +428,67 @@ def test_span_attention_matches_dense_oracle(heads, n_q, n_k, spans, window, n_d
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
+def test_span_attention_matches_the_exact_max_kernel(monkeypatch):
+    # float64 against the kernel it replaced, which shifts each row by its exact
+    # max. Inputs scaled x30 to x1000 put most rows' score bound far above their
+    # max, so the exact-max recompute must run; unit-scale inputs stay on the
+    # shifted path. Rounding grows with the scores, so the tolerance is 1e-12
+    # per unit of the largest score bound, and the atol is that times the size
+    # of the terms each result sums before they cancel.
+    widths, tile_scores = [], tensor._tile_scores
+    monkeypatch.setattr(tensor, "_tile_scores",
+                        lambda qx, kT, *tile: widths.append(qx.shape[-1]) or tile_scores(qx, kT, *tile))
+    ran = {"shifted": 0, "exact": 0}
+
+    @settings(max_examples=80, deadline=None)
+    @given(**SPAN_CASES, scale=st.one_of(st.just(1.0), st.floats(30.0, 1000.0)))
+    def check(heads, n_q, n_k, spans, window, n_docs, seed, scale):
+        rng = np.random.default_rng(seed)
+        n_k, lo, hi = random_spans(rng, spans, n_q, n_k, window, n_docs)
+        dim = int(rng.integers(1, 9))
+        leaves = [rng.standard_normal((heads, n, d)) * c
+                  for n, d, c in ((n_q, dim, scale), (n_k, dim, scale), (n_k, 3, 1.0))]
+        weight = rng.standard_normal((heads, n_q, 3))
+        span_set = Spans(lo, hi)
+
+        def run(op):
+            q, k, v = (parameter(x.copy()) for x in leaves)
+            out = op(q, k, v, span_set)
+            (out * weight).sum().backward()
+            return [out.data, q.grad, k.grad, v.grad]
+
+        widths.clear()
+        results = run(span_attention)
+        exact = widths.count(dim)  # a recomputed tile scores again without the shift column
+        ran["exact"] += exact
+        ran["shifted"] += len(span_set.plan) - exact
+        big_q, big_k, big_v, big_w = (np.abs(x).max() for x in (*leaves, weight))
+        tol = 1e-12 * max(1.0, big_q * big_k * np.sqrt(dim))
+        terms = [big_v, big_w * big_v * big_k, big_w * big_v * big_q, big_w]
+        for got, want, size in zip(results, run(composed.span_attention), terms):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * size)
+
+    check()
+    assert ran["shifted"] and ran["exact"], ran
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_keys=st.integers(1, 300), n_q=st.integers(1, 80), sorted_lo=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_range_max_matches_brute_force(n_keys, n_q, sorted_lo, seed):
+    rng = np.random.default_rng(seed)
+    width = rng.integers(1, n_keys + 1, size=n_q)  # every width from 1 to n_keys
+    width[0] = n_keys
+    lo = rng.integers(0, n_keys - width + 1)
+    if sorted_lo:
+        order = np.argsort(lo, kind="stable")
+        lo, width = lo[order], width[order]
+    spans = Spans(lo, lo + width)
+    x = rng.standard_normal((2, n_keys + 3))  # keys past the last span are never read
+    want = np.stack([[row[a:b].max() for a, b in zip(spans.lo, spans.hi)] for row in x])
+    np.testing.assert_array_equal(spans.range_max(x), want)
+
+
 def test_span_attention_grad_numeric():
     spans = Spans(np.array([0, 2, 1, 5, 3]), np.array([1, 4, 6, 6, 4]))
     weight = np.random.default_rng(4).standard_normal((2, 5, 4))
@@ -430,9 +498,10 @@ def test_span_attention_grad_numeric():
 
 def test_span_attention_memory_is_linear_in_queries():
     # local attention at n=4096, window 512: the tile plan and the kT/vT
-    # copies must stay O(n). One forward+backward peaks at about 9.4 MB here
-    # (inputs of 1 MB each are not counted); one (n, n) score array would
-    # take 256 MB, and a plan that kept its tiles' key columns 9 MB more.
+    # copies must stay O(n). One forward+backward peaks at about 10.6 MB here
+    # (inputs of 1 MB each are not counted; 9.4 MB before the shift, ones and
+    # -delta columns); one (n, n) score array would take 256 MB, and a plan
+    # that kept its tiles' key columns 9 MB more.
     import tracemalloc
 
     n = 4096
