@@ -46,14 +46,6 @@ class BpeVocab:
     merges: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
-    def token_bytes(self) -> list[bytes]:
-        """The bytes of each token id: the 256 single bytes, then each merge's pair."""
-        table = [bytes([i]) for i in range(256)]
-        for a, b, _ in self.merges:
-            table.append(table[a] + table[b])
-        return table
-
-    @property
     def vocab_size(self) -> int:
         return 256 + len(self.merges)
 
@@ -74,10 +66,6 @@ class BpeVocab:
         if len(lengths) == 0:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate([[0], np.cumsum(lengths)[:-1]])
-
-    def decode(self, ids) -> bytes:
-        table = self.token_bytes
-        return b"".join(table[int(i)] for i in ids)
 
 
 def train_bpe(docs, n_merges: int) -> BpeVocab:

@@ -108,7 +108,7 @@ def _make_run_dir(run_dir: Path, cfg: RunConfig) -> None:
 def _emit(report: dict, args, human=None):
     """One internal report; --json prints it verbatim, otherwise a small table."""
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(report, indent=2, default=str, allow_nan=False))
     else:
         lines = human(report) if human else [f"{k}: {v}" for k, v in report.items()]
         print("\n".join(lines))
@@ -258,14 +258,15 @@ def cmd_train(args, cfg: RunConfig) -> int:
             "run_dir": str(run_dir),
             "steps": result.steps_done,
             "final_loss_nats": result.final_loss,
-            "final_bpb": result.final_loss / float(np.log(2)),
+            "final_bpb": (None if result.final_loss is None
+                          else result.final_loss / float(np.log(2))),
             "skipped_steps": result.skipped_steps,
             "mean_patch_size": loader.mean_patch_size,
             "forced_splits": loader.stats.forced_splits,
             "patching": asdict(patcher.config),
-            "evals": [r.to_dict() for r in result.eval_reports],
+            "evals": [asdict(r) for r in result.eval_reports],
         }
-        (run_dir / "report.json").write_text(json.dumps(report, indent=2))
+        (run_dir / "report.json").write_text(json.dumps(report, indent=2, allow_nan=False))
         _emit(report, args)
         return EXIT_OK
     finally:
@@ -277,7 +278,7 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
         raise ConfigError("eval-bpb needs one of --checkpoint and --uniform")
     docs = _load_docs(args, cfg)
     if args.uniform:
-        report = eval_bpb(None, None, {"eval": docs}).to_dict()
+        report = asdict(eval_bpb(None, None, {"eval": docs}))
     else:
         ck = load_checkpoint(args.checkpoint)
         run_config = Path(args.checkpoint).parent / "config.json"
@@ -288,9 +289,9 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
         model_cfg = ModelConfig(**cfg["model"])
         check_checkpoint(ck, args.checkpoint, model_cfg, cfg.content_hash)
         patcher = patching.Patcher.load(run_config.parent)
-        report = eval_bpb(ck["params"], model_cfg, {"eval": docs},
-                          patcher, max_stream_bytes=cfg["training"]["eval_stream_bytes"],
-                          steps=ck["step"]).to_dict()
+        report = asdict(eval_bpb(ck["params"], model_cfg, {"eval": docs},
+                                 patcher, max_stream_bytes=cfg["training"]["eval_stream_bytes"],
+                                 steps=ck["step"]))
         report["patching"] = asdict(patcher.config)
 
     def human(rep):
@@ -397,7 +398,7 @@ _SHARED_FLAGS = {
     "--log-level": dict(default="WARNING", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
                         help="lowest level of the log messages printed to stderr"),
     "--config": dict(help="JSON run config; flags override its keys"),
-    "--seed": dict(type=int, default=None),
+    "--seed": dict(type=int, dest="run.seed"),
     "--corpus": dict(default=None, help="input corpus file"),
     "--format": dict(default="plain-text", choices=["plain-text", "jsonl"]),
 }
@@ -412,21 +413,21 @@ def _add_shared(sp, *flags):
 
 
 def _add_patch_flags(sp):
-    sp.add_argument("--scheme", default=None, choices=list(patching.SCHEMES))
-    sp.add_argument("--k", type=int, default=None, help="stride for the strided scheme")
-    sp.add_argument("--theta", type=float, default=None, help="global entropy threshold")
-    sp.add_argument("--theta-r", type=float, default=None, help="entropy jump threshold")
-    sp.add_argument("--target-patch-size", type=float, default=None,
+    sp.add_argument("--scheme", choices=list(patching.SCHEMES), dest="patching.scheme")
+    sp.add_argument("--k", type=int, dest="patching.k", help="stride for the strided scheme")
+    sp.add_argument("--theta", type=float, dest="patching.theta_g", help="global entropy threshold")
+    sp.add_argument("--theta-r", type=float, dest="patching.theta_r", help="entropy jump threshold")
+    sp.add_argument("--target-patch-size", type=float, dest="patching.target_patch_size",
                     help="calibrate the scheme's threshold (--theta for entropy_global, "
                          "--theta-r for entropy_monotonic) to this mean patch size on "
                          "the command's own corpus")
-    sp.add_argument("--reset-newline", action="store_true", default=None)
-    sp.add_argument("--max-patch", type=int, default=None,
-                    help="maximum patch length in bytes (patching.max_patch_size); "
-                         "the model sets no limit of its own")
+    sp.add_argument("--reset-newline", action="store_true", default=None,
+                    dest="patching.reset_on_newline")
+    sp.add_argument("--max-patch", type=int, dest="patching.max_patch_size",
+                    help="maximum patch length in bytes; the model sets no limit of its own")
     sp.add_argument("--entropy-model", default=None, help="path to a saved entropy model")
-    sp.add_argument("--bpe-merges", type=int, default=None,
-                    help="merges of the bpe scheme's vocabulary (patching.bpe_merges)")
+    sp.add_argument("--bpe-merges", type=int, dest="patching.bpe_merges",
+                    help="merges of the bpe scheme's vocabulary")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train-entropy", help="count-train the byte entropy model")
     _add_shared(sp, *_CORPUS_FLAGS)
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=int, dest="entropy_model.order")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_train_entropy)
 
@@ -505,23 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# patch flag -> key of the ``patching`` config section it overrides
-_PATCH_FLAG_KEYS = {"scheme": "scheme", "k": "k", "theta": "theta_g", "theta_r": "theta_r",
-                    "max_patch": "max_patch_size", "reset_newline": "reset_on_newline",
-                    "target_patch_size": "target_patch_size", "bpe_merges": "bpe_merges"}
-
-
 def _overrides(args) -> dict:
-    """Config overrides from the flags, so that config.json records them."""
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["run"] = {"seed": args.seed}
-    patch = {key: getattr(args, flag) for flag, key in _PATCH_FLAG_KEYS.items()
-             if getattr(args, flag, None) is not None}
-    if patch:
-        overrides["patching"] = patch
-    if getattr(args, "order", None) is not None:
-        overrides["entropy_model"] = {"order": args.order}
+    """Config overrides from the flags, so that config.json records them.
+
+    A flag that overrides a config key has that key, ``section.name``, as its
+    argparse dest (and so as its metavar in --help); a flag left unset is None.
+    """
+    overrides: dict = {}
+    for dest, val in vars(args).items():
+        if "." in dest and val is not None:
+            section, key = dest.split(".")
+            overrides.setdefault(section, {})[key] = val
     return overrides
 
 

@@ -20,7 +20,7 @@ NOISE_STRATEGIES = ("antspeak", "drop", "random_case", "repeat", "upper_case")
 DEFAULT_NOISE_RATES = {"drop": 0.10, "random_case": 0.50, "repeat": 0.20}
 
 
-def load_corpus(path: str | Path, format: str = "plain-text") -> list[np.ndarray]:
+def load_corpus(path: str | Path, format: str) -> list[np.ndarray]:
     """The ``uint8`` documents of ``path``: one per line (plain-text) or per
     JSONL record with a ``text`` field.
 

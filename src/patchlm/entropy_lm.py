@@ -129,9 +129,6 @@ class EntropyTrace:
 
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 class EntropyModel:
     """Immutable after construction; concurrent read queries are safe.

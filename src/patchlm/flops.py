@@ -49,7 +49,7 @@ def qkvo_flops(l: Number, h: Number, r: Number) -> Fraction:
     return (_fr(r) * 2 + 2) * 2 * _fr(l) * _fr(h) ** 2
 
 
-def feed_forward_flops(l: Number, h: Number, d_ff: Number = 4) -> Fraction:
+def feed_forward_flops(l: Number, h: Number, d_ff: Number) -> Fraction:
     return 2 * _fr(l) * 2 * _fr(h) * (_fr(d_ff) * _fr(h))
 
 
@@ -57,8 +57,8 @@ def de_embedding_flops(h: Number, vocab: Number) -> Fraction:
     return 2 * _fr(h) * _fr(vocab)
 
 
-def transformer_flops_per_token(l: Number, h: Number, m: Number, d_ff: Number = 4,
-                                vocab: Number = 0) -> Fraction:
+def transformer_flops_per_token(l: Number, h: Number, m: Number, d_ff: Number,
+                                vocab: Number) -> Fraction:
     """Feed-forward + self-attention projections + attention + de-embedding.
 
     Attention reads only the product of head dim and head count, which is
@@ -183,7 +183,7 @@ def width_family(template: ModelConfig) -> ConfigFamily:
 
 
 def size_match(target_flops_per_byte: Number, family: ConfigFamily, n_ctx: Number, n_p: Number,
-               tol: float = 0.005) -> tuple[ModelConfig, Fraction]:
+               tol: float) -> tuple[ModelConfig, Fraction]:
     """Bisect the family's axis until forward FLOPs/byte is within tol of target.
 
     Raises ConfigError with the bracket when the family cannot reach the

@@ -70,7 +70,7 @@ from .tensor import (
 VOCAB = 256
 
 
-def ffn_hidden_dim(dim: int, ff_mult: int = 4) -> int:
+def ffn_hidden_dim(dim: int, ff_mult: int) -> int:
     """Gated feed-forward hidden width: 2/3 of mult*dim, rounded up to a multiple of 8.
 
     The 2/3 factor keeps the three-matmul gated block at the same cost as a
@@ -223,28 +223,19 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
-def _block_depth(name: str, config: ModelConfig) -> int:
-    if name.startswith("enc."):
-        return config.enc_layers
-    if name.startswith("global."):
-        return config.global_layers
-    if name.startswith("dec."):
-        return config.dec_layers
-    return 1
-
-
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> BltParams:
     """Scaled-normal init; residual-out projections shrink with block depth."""
     rng = np.random.Generator(np.random.PCG64(seed))
     tensors: dict[str, Tensor] = {}
     base_std = 0.02
+    depth = {"enc": config.enc_layers, "global": config.global_layers, "dec": config.dec_layers}
     for name, shape in param_shapes(config).items():
         if name.endswith("norm"):
             data = np.ones(shape)
         else:
             std = base_std
             if name.endswith(("attn.wo", "xattn.wo", "ffn.w_down")):
-                std = base_std / math.sqrt(2.0 * _block_depth(name, config))
+                std = base_std / math.sqrt(2.0 * depth[name.split(".", 1)[0]])
             data = std * rng.standard_normal(shape)
         tensors[name] = parameter(data.astype(dtype), name)
     return BltParams(tensors)
@@ -477,16 +468,14 @@ def augmented_byte_embeddings(params: BltParams, stream: Stream, config: ModelCo
 # ---------------------------------------------------------------------------
 
 
-def _local_spans(stream: Stream, window: int, cache: dict | None) -> Spans:
-    cache = {} if cache is None else cache
+def _local_spans(stream: Stream, window: int, cache: dict) -> Spans:
     if window not in cache:
         cache[window] = local_spans(stream.n_bytes, window, stream.doc_ids)
     return cache[window]
 
 
 def _byte_rope(stream: Stream, head_dim: int, config: ModelConfig, dtype,
-               cache: dict | None) -> tuple[np.ndarray, np.ndarray]:
-    cache = {} if cache is None else cache
+               cache: dict) -> tuple[np.ndarray, np.ndarray]:
     key = ("rope", head_dim, np.dtype(dtype))
     if key not in cache:
         cache[key] = rope_cache(np.arange(stream.n_bytes), head_dim, config.rope_theta, dtype)
@@ -494,7 +483,7 @@ def _byte_rope(stream: Stream, head_dim: int, config: ModelConfig, dtype,
 
 
 def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
-                    span_cache: dict | None = None) -> tuple[Tensor, Tensor]:
+                    span_cache: dict) -> tuple[Tensor, Tensor]:
     """Byte states for the decoder plus patch representations for the latent model.
 
     Patch queries are initialized by max pooling the augmented byte embeddings
@@ -535,7 +524,7 @@ def global_forward(params: BltParams, patches: Tensor, patch_doc_ids: np.ndarray
 
 def decoder_forward(params: BltParams, byte_states: Tensor, latent_out: Tensor,
                     stream: Stream, config: ModelConfig,
-                    span_cache: dict | None = None) -> Tensor:
+                    span_cache: dict) -> Tensor:
     """Byte logits from encoder byte states and latent patch outputs.
 
     Each latent output is linearly mapped and split into k decoder-width

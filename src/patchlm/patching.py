@@ -1,9 +1,11 @@
 """Patch boundary schemes, threshold calibration, and incrementality checking.
 
-Every scheme maps a byte sequence to a strictly increasing list of patch start
-indices beginning at 0; patches partition the sequence with no gaps or
-overlaps. All schemes are pure functions of (bytes, config, model) and only
-propose starts. A ``Patcher`` holds a resolved ``PatchingConfig`` with the
+Every scheme maps a non-empty byte sequence to a strictly increasing list of
+patch start indices beginning at 0; patches partition the sequence with no
+gaps or overlaps. An empty sequence has no patches: every reader of a corpus
+drops empty documents, and a ``Patcher`` called on one raises ``DataError``.
+All schemes are pure functions of (bytes, config, model) and only propose
+starts. A ``Patcher`` holds a resolved ``PatchingConfig`` with the
 entropy model or BPE vocabulary its scheme reads. Calling it runs the scheme
 its config names and caps every patch at the maximum patch size
 (``enforce_max_patch``), so a single patch can never blow up memory
@@ -69,12 +71,6 @@ class PatchBoundaries:
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
         object.__setattr__(self, "starts", starts)
-        if self.n_bytes < 0:
-            raise ValueError("n_bytes must be >= 0")
-        if self.n_bytes == 0:
-            if len(starts):
-                raise ValueError("empty sequence cannot have patch starts")
-            return
         if len(starts) == 0 or starts[0] != 0:
             raise ValueError("first byte must start a patch")
         if np.any(np.diff(starts) <= 0):
@@ -87,18 +83,15 @@ class PatchBoundaries:
         return len(self.starts)
 
     def lengths(self) -> np.ndarray:
-        if self.n_bytes == 0:
-            return np.zeros(0, dtype=np.int64)
         return np.diff(np.append(self.starts, self.n_bytes))
 
     def ends(self) -> np.ndarray:
         """Index of the last byte of each patch."""
         return np.append(self.starts[1:], self.n_bytes) - 1
 
-    def patch_of(self, positions=None) -> np.ndarray:
+    def patch_of(self, positions) -> np.ndarray:
         """Patch index of each byte position."""
-        pos = np.arange(self.n_bytes) if positions is None else np.asarray(positions)
-        return np.searchsorted(self.starts, pos, side="right") - 1
+        return np.searchsorted(self.starts, positions, side="right") - 1
 
 
 @dataclass
@@ -159,11 +152,8 @@ def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int) -> tuple
 
 
 def _from_flags(flags: np.ndarray) -> PatchBoundaries:
-    n = len(flags)
-    if n == 0:
-        return PatchBoundaries(np.zeros(0, np.int64), 0)
     flags[0] = True  # every caller passes a fresh array
-    return PatchBoundaries(np.flatnonzero(flags), n)
+    return PatchBoundaries(np.flatnonzero(flags), len(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +187,6 @@ def patch_space(data) -> PatchBoundaries:
     """
     arr = _as_bytes_array(data)
     n = len(arr)
-    if n == 0:
-        return PatchBoundaries(np.zeros(0, np.int64), 0)
     sl = _SPACE_LIKE[arr]
     flags = np.zeros(n, dtype=bool)
     flags[1:] = sl[:-1] & ~sl[1:]
@@ -244,7 +232,7 @@ class Patcher:
 
     Construction rejects a scheme whose model or threshold is missing. Calling
     it maps bytes to the boundaries ``config.scheme`` proposes, capped at
-    ``config.max_patch_size``.
+    ``config.max_patch_size``; empty input raises ``DataError`` for every scheme.
     """
 
     config: PatchingConfig
@@ -263,6 +251,8 @@ class Patcher:
 
     def __call__(self, data) -> PatchBoundaries:
         arr, config = _as_bytes_array(data), self.config
+        if len(arr) == 0:
+            raise DataError("patching needs a non-empty byte sequence")
         if config.scheme == "strided":
             proposed = patch_strided(len(arr), config.k)
         elif config.scheme == "space":

@@ -258,11 +258,8 @@ class EvalReport:
     bpb: dict[str, float]
     loss_nats: dict[str, float]  # total cross-entropy per slice
     n_bytes: dict[str, int]  # predicted byte count per slice
-    mean_patch_size: dict[str, float]
+    mean_patch_size: dict[str, float | None]  # None: the uniform predictor has no patcher
     steps: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def doc_hashes(docs) -> set[bytes]:
@@ -336,7 +333,7 @@ def eval_bpb(
             bpb[name] = total / (LN2 * n_pred)
             nats[name] = total
             nbytes[name] = n_pred
-            mps[name] = float("nan")
+            mps[name] = None
             continue
         assert patcher is not None and config is not None
         view = params.detached()
@@ -382,8 +379,8 @@ class Divergence:
 
 
 def save_checkpoint(path: str | Path, params: BltParams, state: AdamState,
-                    loader: PatchStreamLoader | None, step: int, config_hash: str = "",
-                    divergence: Divergence | None = None) -> None:
+                    loader: PatchStreamLoader, step: int, config_hash: str,
+                    divergence: Divergence) -> None:
     arrays = {f"param/{k}": t.data for k, t in params.items()}
     arrays.update({f"adam_m/{k}": v for k, v in state.m.items()})
     arrays.update({f"adam_v/{k}": v for k, v in state.v.items()})
@@ -393,8 +390,8 @@ def save_checkpoint(path: str | Path, params: BltParams, state: AdamState,
         "adam_t": state.t,
         "skipped": state.skipped,
         "config_hash": config_hash,
-        "loader_state": loader.state_dict() if loader else None,
-        "divergence": asdict(divergence or Divergence()),
+        "loader_state": loader.state_dict(),
+        "divergence": asdict(divergence),
     }
     arrays["meta_json"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -445,7 +442,7 @@ def _log(path: Path, start_step: int):
 @dataclass
 class TrainResult:
     steps_done: int
-    final_loss: float
+    final_loss: float | None  # None: the run took no step
     eval_reports: list[EvalReport] = field(default_factory=list)
     skipped_steps: int = 0
 
@@ -490,7 +487,7 @@ def train(
     run_dir.mkdir(parents=True, exist_ok=True)
     metrics_fh, perf_fh = (_log(run_dir / f"{name}.jsonl", start) for name in ("metrics", "perf"))
 
-    result = TrainResult(steps_done=start, final_loss=float("nan"))
+    result = TrainResult(steps_done=start, final_loss=None)
     try:
         for step in range(start, total_steps):
             t0 = time.perf_counter()

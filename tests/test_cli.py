@@ -15,12 +15,13 @@ import patchlm
 from patchlm import textgen, trainer
 from patchlm.corpus import load_corpus
 from patchlm.entropy_lm import train_counts
-from patchlm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, build_parser, main
+from patchlm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, _overrides, build_parser, main
 from patchlm.errors import ConfigError
 from patchlm.model import ModelConfig, init_params
 from patchlm.patching import ENTROPY_THRESHOLDS, PatchingConfig, Patcher, patch_strided
 from patchlm.runconfig import DEFAULTS, RunConfig
-from patchlm.trainer import AdamState, OptimSpec, eval_bpb, load_checkpoint, save_checkpoint
+from patchlm.trainer import (AdamState, Divergence, OptimSpec, PatchStreamLoader, eval_bpb,
+                             load_checkpoint, save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +48,12 @@ def save_tiny_checkpoint(path):
     patcher saved next to it as a run would."""
     cfg = RunConfig({"model": TINY_MODEL})
     params = init_params(ModelConfig(**TINY_MODEL), seed=0)
-    save_checkpoint(path, params, AdamState.init(params), None, 0, cfg.content_hash)
+    patcher = Patcher(PatchingConfig(scheme="strided"))
+    loader = PatchStreamLoader([np.frombuffer(b"one document", np.uint8)], patcher, patch_budget=4)
+    save_checkpoint(path, params, AdamState.init(params), loader, 0, cfg.content_hash,
+                    Divergence())
     cfg.write(Path(path).parent / "config.json")
-    Patcher(PatchingConfig(scheme="strided")).save(Path(path).parent)
+    patcher.save(Path(path).parent)
 
 
 def test_patch_strided_tsv(tmp_path, capsys, corpus_file):
@@ -402,7 +406,7 @@ def test_train_records_the_entropy_model_file_in_config_json(tmp_path, capsys, c
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
                                     "training": {"steps": 2, "patch_budget": 16}}))
-    docs = load_corpus(corpus_file)
+    docs = load_corpus(corpus_file, "plain-text")
     resolved = {}
     for order in (2, 3):
         train_counts(docs, order=order, alpha=0.25).save(tmp_path / f"ent{order}.bin")
@@ -503,6 +507,64 @@ def test_cli_surface_is_pinned():
     assert sum(len(flags) for flags in surface.values()) == 116
 
 
+# each flag that overrides a config key: a command that takes it, its argv and
+# the key and value it sets
+OVERRIDE_FLAGS = [
+    ("patch", ["--seed", "7"], "run.seed", 7),
+    ("train-entropy", ["--order", "5"], "entropy_model.order", 5),
+    ("patch", ["--scheme", "space"], "patching.scheme", "space"),
+    ("patch", ["--k", "7"], "patching.k", 7),
+    ("patch", ["--theta", "1.5"], "patching.theta_g", 1.5),
+    ("patch", ["--theta-r", "0.25"], "patching.theta_r", 0.25),
+    ("patch", ["--target-patch-size", "5.5"], "patching.target_patch_size", 5.5),
+    ("patch", ["--reset-newline"], "patching.reset_on_newline", True),
+    ("patch", ["--max-patch", "64"], "patching.max_patch_size", 64),
+    ("patch", ["--bpe-merges", "17"], "patching.bpe_merges", 17),
+]
+
+
+def _lookup(doc: dict, key: str):
+    for part in key.split("."):
+        doc = doc[part]
+    return doc
+
+
+def test_the_override_flags_are_the_dests_that_name_a_config_key():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    dests = {a.dest for sp in sub.choices.values() for a in sp._actions if "." in a.dest}
+    assert dests == {key for _, _, key, _ in OVERRIDE_FLAGS}
+
+
+@pytest.mark.parametrize("command, argv, key, value", OVERRIDE_FLAGS)
+def test_each_override_flag_lands_under_its_config_key(tmp_path, command, argv, key, value):
+    cfg = RunConfig.load(None, _overrides(build_parser().parse_args([command, *argv])))
+    cfg.write(tmp_path / "config.json")  # as a run directory records it
+    written = json.loads((tmp_path / "config.json").read_text())
+    changed = [k for k in CONFIG_KEYS if _lookup(written, k) != _lookup(DEFAULTS, k)]
+    assert changed == [key] and _lookup(written, key) == value
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_values_that_do_not_exist_are_json_null(tmp_path, capsys, corpus_file):
+    # the uniform predictor has no patcher, and a run of no steps has no final loss
+    code, out = run(capsys, "eval-bpb", "--json", "--corpus", str(corpus_file), "--uniform")
+    assert code == 0 and _strict_json(out)["mean_patch_size"] == {"eval": None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": TINY_MODEL, "training": {"steps": 0}}))
+    code, out = run(capsys, "train", "--json", "--config", str(cfg_path), "--corpus",
+                    str(corpus_file), "--run-dir", str(tmp_path / "run"), "--scheme", "strided")
+    assert code == 0
+    for doc in (_strict_json(out), _strict_json((tmp_path / "run" / "report.json").read_text())):
+        assert doc["steps"] == 0 and doc["final_loss_nats"] is None and doc["final_bpb"] is None
+        assert doc["evals"][0]["steps"] == 0
+
+
 def test_log_level_debug_shows_the_debug_lines(tmp_path):
     (tmp_path / "spaces.txt").write_bytes(b" \t  \n")
     argv = ["patch", "--corpus", "spaces.txt", "--scheme", "space"]
@@ -551,7 +613,7 @@ PATCHER_COMMANDS = {
 @pytest.fixture
 def patcher_command_dir(tmp_path, monkeypatch, corpus_file):
     monkeypatch.chdir(tmp_path)
-    train_counts(load_corpus(corpus_file), order=3).save(tmp_path / "ent.bin")
+    train_counts(load_corpus(corpus_file, "plain-text"), order=3).save(tmp_path / "ent.bin")
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
          "training": {"steps": 2, "patch_budget": 16}}))
@@ -618,7 +680,7 @@ def test_train_heldout_bpb_uses_eval_stream_bytes(tmp_path, capsys, corpus_file)
     assert code == 0
     reported = json.loads((run_dir / "report.json").read_text())["evals"][-1]["bpb"]["heldout"]
     ck = load_checkpoint(run_dir / "ckpt_final.npz")
-    docs = load_corpus(heldout)
+    docs = load_corpus(heldout, "plain-text")
 
     def heldout_bpb(stream_bytes):
         return eval_bpb(ck["params"], ModelConfig(**TINY_MODEL), {"heldout": docs},
@@ -754,7 +816,7 @@ def edge_inputs(tmp_path_factory):
     (d / "heldout.txt").write_text(textgen.synthetic_text(200, seed=99).replace("\n", " ") + "\n")
     (d / "cfg.json").write_text(json.dumps({"model": TINY_MODEL, "optimizer": {"warmup_steps": 1},
                                             "training": {"steps": 2, "patch_budget": 16}}))
-    train_counts(load_corpus(d / "text.txt"), order=2).save(d / "ent.bin")
+    train_counts(load_corpus(d / "text.txt", "plain-text"), order=2).save(d / "ent.bin")
     save_tiny_checkpoint(d / "ckpt.npz")
     (d / "empty.bin").write_bytes(b"")
     (d / "one.bin").write_bytes(b"x")

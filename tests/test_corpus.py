@@ -42,7 +42,7 @@ def test_jsonl_malformed_record_skipped_with_its_line(tmp_path, caplog):
 
 def test_missing_path_raises():
     with pytest.raises(DataError):
-        load_corpus("/nonexistent/corpus.txt")
+        load_corpus("/nonexistent/corpus.txt", "plain-text")
 
 
 # -- noising -----------------------------------------------------------------
@@ -63,11 +63,11 @@ def test_antspeak_keeps_a_whitespace_only_line(tmp_path):
     text = "ab\n \t \ncd\n"
     path = tmp_path / "ws.txt"
     path.write_text(text)
-    assert len(load_corpus(path)) == 3
+    assert len(load_corpus(path, "plain-text")) == 3
     out = apply_noise(text, NoiseSpec("antspeak"))
     assert out == "A B\n \t \nC D\n"
     path.write_text(out)
-    assert len(load_corpus(path)) == 3
+    assert len(load_corpus(path, "plain-text")) == 3
 
 
 def test_uppercase_trivial_and_idempotent():
@@ -122,7 +122,7 @@ def test_every_strategy_keeps_every_line(tmp_path):
     for text in ("the cat sat\n\nOn the  mat\tof x\nab\nc d e f g\n" * 3, "ab\ncd\nef\nghij\nk\n",
                  "ab\n \t \ncd\n"):
         path.write_text(text)
-        n_docs = len(load_corpus(path))
+        n_docs = len(load_corpus(path, "plain-text"))
         for strategy in NOISE_STRATEGIES:
             rates = (0.1, 0.5, 0.9, 1.0) if strategy in DEFAULT_NOISE_RATES else (None,)
             for rate in rates:
@@ -130,7 +130,7 @@ def test_every_strategy_keeps_every_line(tmp_path):
                     out = apply_noise(text, NoiseSpec(strategy, rate=rate, seed=seed))
                     assert out.count("\n") == text.count("\n"), (strategy, rate, seed)
                     path.write_text(out)
-                    assert len(load_corpus(path)) == n_docs, (strategy, rate, seed)
+                    assert len(load_corpus(path, "plain-text")) == n_docs, (strategy, rate, seed)
 
 
 def test_rate_is_rejected_where_it_is_not_read():

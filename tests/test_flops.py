@@ -126,7 +126,7 @@ def test_size_match_fixed_point():
     cfg = ModelConfig()
     target = blt_flops_per_byte(cfg, 4096, 4).total_forward
     fam = width_family(cfg)
-    solved, achieved = size_match(target, fam, 4096, 4)
+    solved, achieved = size_match(target, fam, 4096, 4, tol=0.005)
     assert solved.enc_dim == cfg.enc_dim and achieved == target
 
 
@@ -141,4 +141,4 @@ def test_size_match_larger_patch_grows_width():
 def test_size_match_infeasible_reports_bracket():
     fam = width_family(ModelConfig())
     with pytest.raises(ConfigError, match=r"outside family range \[\d\.\d+e\+\d+, \d\.\d+e\+\d+\]"):
-        size_match(1, fam, 4096, 4)
+        size_match(1, fam, 4096, 4, tol=0.005)

@@ -91,7 +91,7 @@ def test_patch_mask_predicates():
 
     bounds = PatchBoundaries(np.array([0, 3, 5]), 8)
     memb = patch_membership_mask(bounds)
-    patch_of = bounds.patch_of()
+    patch_of = bounds.patch_of(np.arange(8))
     for j in range(3):
         for i in range(8):
             assert memb.allowed[j, i] == (patch_of[i] == j)
@@ -277,12 +277,12 @@ def test_shape_law():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=0)
     stream = text_stream(n_bytes=100, n_docs=2, k=4)
-    h, p = encoder_forward(params, stream, cfg)
+    h, p = encoder_forward(params, stream, cfg, {})
     assert h.shape == (stream.n_bytes, cfg.enc_dim)
     assert p.shape == (stream.n_patches, cfg.global_dim)
     o = global_forward(params, p, stream.patch_doc_ids, cfg)
     assert o.shape == p.shape
-    logits = decoder_forward(params, h, o, stream, cfg)
+    logits = decoder_forward(params, h, o, stream, cfg, {})
     assert logits.shape == (stream.n_bytes, 256)
     mask = completed_patch_mask(stream.boundaries, stream.doc_ids)
     assert mask.allowed.shape == (stream.n_bytes, stream.n_patches + 1)
@@ -482,8 +482,8 @@ def test_doc_swap_equivariance():
     patcher = lambda d: patch_strided(len(d), 4)
     s_ab = Stream.from_documents([a, b], patcher)
     s_ba = Stream.from_documents([b, a], patcher)
-    _, p_ab = encoder_forward(params, s_ab, cfg)
-    _, p_ba = encoder_forward(params, s_ba, cfg)
+    _, p_ab = encoder_forward(params, s_ab, cfg, {})
+    _, p_ba = encoder_forward(params, s_ba, cfg, {})
     o_ab = global_forward(params, p_ab, s_ab.patch_doc_ids, cfg).data
     o_ba = global_forward(params, p_ba, s_ba.patch_doc_ids, cfg).data
     na = len(patcher(a).starts)
@@ -521,11 +521,11 @@ def test_perturbing_later_patch_leaves_earlier_reps_unchanged():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=6)
     stream = text_stream(n_bytes=80, n_docs=1, k=4)
-    _, p = encoder_forward(params, stream, cfg)
+    _, p = encoder_forward(params, stream, cfg, {})
     data2 = stream.data.copy()
     data2[int(stream.patch_starts[2])] ^= 0x40  # inside patch 2
     stream2 = Stream(data2, stream.doc_ids, stream.patch_starts)
-    _, p2 = encoder_forward(params, stream2, cfg)
+    _, p2 = encoder_forward(params, stream2, cfg, {})
     np.testing.assert_array_equal(p.data[:2], p2.data[:2])
 
 

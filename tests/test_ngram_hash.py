@@ -3,10 +3,11 @@ import math
 import numpy as np
 
 from patchlm.model import ModelConfig, Stream, augmented_byte_embeddings, init_params
-from patchlm.ngram_hash import DEFAULT_HASH_PRIME, hash_ngram_ids, rolling_hashes
+from patchlm.ngram_hash import DEFAULT_HASH_PRIME, hash_ngram_ids
 from patchlm.patching import patch_strided
 
 MASK = (1 << 64) - 1
+WIDE_VOCAB = (1 << 61) - 1  # a prime, so an id keeps most of its 64-bit hash
 
 
 def bigint_hash(gram, a=DEFAULT_HASH_PRIME):
@@ -15,21 +16,21 @@ def bigint_hash(gram, a=DEFAULT_HASH_PRIME):
     return sum(int(gram[n - j]) * a ** (j - 1) for j in range(1, n + 1)) & MASK
 
 
-def gram_hash(gram) -> int:
-    """rolling_hashes of a single whole gram."""
+def gram_id(gram) -> int:
+    """The id ``hash_ngram_ids`` gives a single whole gram in the wide vocabulary."""
     arr = np.asarray(gram, dtype=np.uint8)
-    (h,) = rolling_hashes(arr, len(arr))
+    (h,) = hash_ngram_ids(arr, (len(arr),), WIDE_VOCAB)[len(arr)]
     return int(h)
 
 
 def test_single_byte_hash_is_identity():
     for c in (0, 1, 97, 255):
-        assert gram_hash([c]) == c
+        assert gram_id([c]) == c
 
 
 def test_two_byte_formula():
     a = DEFAULT_HASH_PRIME
-    assert gram_hash([5, 7]) == (7 + 5 * a) & MASK
+    assert gram_id([5, 7]) == ((7 + 5 * a) & MASK) % WIDE_VOCAB
 
 
 def test_matches_bigint_oracle_on_random_grams():
@@ -37,17 +38,20 @@ def test_matches_bigint_oracle_on_random_grams():
     for _ in range(500):
         n = int(rng.integers(1, 9))
         gram = rng.integers(0, 256, n).tolist()
-        assert gram_hash(gram) == bigint_hash(gram)
+        assert gram_id(gram) == bigint_hash(gram) % WIDE_VOCAB
 
 
 def test_vectorized_matches_scalar_on_windows():
+    # every window of every size, on documents shorter and longer than the sizes
     rng = np.random.Generator(np.random.PCG64(1))
-    data = rng.integers(0, 256, 1000, dtype=np.uint8).astype(np.uint8)
-    for n in (1, 3, 8):
-        vec = rolling_hashes(data, n)
-        assert len(vec) == len(data) - n + 1
-        for t in (0, 17, len(vec) - 1):
-            assert int(vec[t]) == bigint_hash(data[t : t + n])
+    for sizes in ((1, 3, 8), (3, 4, 5, 6, 7, 8), (8, 2, 5)):
+        for length in (0, 1, 2, 5, 7, 8, 9, 300):
+            data = rng.integers(0, 256, length, dtype=np.uint8).astype(np.uint8)
+            ids = hash_ngram_ids(data, sizes, WIDE_VOCAB)
+            assert list(ids) == list(sizes)
+            for n in sizes:
+                assert ids[n].tolist() == [bigint_hash(data[t : t + n]) % WIDE_VOCAB
+                                           for t in range(length - n + 1)]
 
 
 def test_ids_omission_rule():

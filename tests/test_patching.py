@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from patchlm.bpe import train_bpe
 from patchlm.entropy_lm import LN256, NEWLINE, EntropyTrace, train_counts
-from patchlm.errors import ConfigError
+from patchlm.errors import ConfigError, DataError
 from patchlm.patching import (
     SCHEMES,
     PatchBoundaries,
@@ -43,8 +43,8 @@ def test_boundaries_validation():
         PatchBoundaries(np.array([0, 2, 2]), 5)  # not strictly increasing
     with pytest.raises(ValueError):
         PatchBoundaries(np.array([0, 5]), 5)  # start beyond sequence
-    empty = PatchBoundaries(np.zeros(0, np.int64), 0)
-    assert empty.n_patches == 0
+    with pytest.raises(ValueError):
+        PatchBoundaries(np.zeros(0, np.int64), 0)  # an empty sequence has no patches
 
 
 def test_partition_coverage_fuzzed():
@@ -74,7 +74,6 @@ def test_strided_examples():
     assert patch_strided(4, 4).starts.tolist() == [0]
     n = 17
     assert patch_strided(n, 1).starts.tolist() == list(range(n))
-    assert patch_strided(0, 4).n_patches == 0
 
 
 # -- space ----------------------------------------------------------------------
@@ -203,7 +202,7 @@ def one_sequence_stats(bounds):
 
 
 @settings(max_examples=50, deadline=None)
-@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=5), k=st.integers(1, 9),
+@given(lengths=st.lists(st.integers(1, 300), min_size=1, max_size=5), k=st.integers(1, 9),
        max_patch=st.integers(1, 12))
 def test_patch_stats_counts_several_sequences_together(lengths, k, max_patch):
     patcher = make_patcher(PatchingConfig(scheme="strided", k=k, max_patch_size=max_patch))
@@ -367,21 +366,33 @@ SAVED_CONFIGS = {
 }
 
 
+def saved_config_patcher(scheme, docs, entropy_model) -> Patcher:
+    config = SAVED_CONFIGS[scheme]
+    vocab = train_bpe(docs[:8], n_merges=config.bpe_merges) if scheme == "bpe" else None
+    return Patcher(config, entropy_model if scheme.startswith("entropy") else None, vocab)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_saved_patcher_loads_the_same_patches(tmp_path, small_docs, entropy2_small, scheme):
     config = SAVED_CONFIGS[scheme]
-    vocab = train_bpe(small_docs[:8], n_merges=config.bpe_merges) if scheme == "bpe" else None
-    patcher = Patcher(config, entropy2_small if scheme.startswith("entropy") else None, vocab)
+    patcher = saved_config_patcher(scheme, small_docs, entropy2_small)
+    vocab = patcher.bpe_vocab
     patcher.save(tmp_path)
     assert (tmp_path / "entropy.bin").exists() == scheme.startswith("entropy")
     loaded = Patcher.load(tmp_path)
     assert loaded.config == config
     if vocab is not None:
         assert loaded.bpe_vocab.merges == vocab.merges
-        assert loaded.bpe_vocab.token_bytes == vocab.token_bytes
     for doc in small_docs[10:20]:
         want, got = patcher(doc), loaded(doc)
         assert np.array_equal(got.starts, want.starts) and got.forced_splits == want.forced_splits
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_rejects_empty_input(small_docs, entropy2_small, scheme):
+    patcher = saved_config_patcher(scheme, small_docs, entropy2_small)
+    with pytest.raises(DataError, match="non-empty"):
+        patcher(np.zeros(0, np.uint8))
 
 
 def test_boundary_tsv_export(tmp_path):
