@@ -20,8 +20,11 @@ check-incremental, trace) builds it the same way. Given --target-patch-size
 (or patching.target_patch_size), it first calibrates the scheme's threshold
 on the command's own corpus: theta for entropy_global, theta-r for
 entropy_monotonic. That threshold set as well, or any other scheme with a
-target, is a config error. train saves its patcher in the run directory
-(patcher.json, and entropy.bin for an entropy scheme) before the first step.
+target, is a config error. An entropy scheme's count model is the one
+--entropy-model loads, or else one trained on the command's corpus at --order
+(entropy_model.order); the two flags together are a usage error. train saves
+its patcher in the run directory (patcher.json, and entropy.bin for an
+entropy scheme) before the first step.
 eval-bpb --checkpoint reads the run back from the checkpoint's directory:
 that patcher, and the model and eval stream size from the config.json whose
 hash the checkpoint holds. So no command fits a patcher to the corpus it scores.
@@ -401,6 +404,8 @@ _SHARED_FLAGS = {
     "--seed": dict(type=int, dest="run.seed"),
     "--corpus": dict(default=None, help="input corpus file"),
     "--format": dict(default="plain-text", choices=["plain-text", "jsonl"]),
+    "--order": dict(type=int, dest="entropy_model.order",
+                    help="context order of the count model the command trains"),
 }
 
 # what a command that reads a corpus takes; the seed also seeds a synthetic one
@@ -425,7 +430,10 @@ def _add_patch_flags(sp):
                     dest="patching.reset_on_newline")
     sp.add_argument("--max-patch", type=int, dest="patching.max_patch_size",
                     help="maximum patch length in bytes; the model sets no limit of its own")
-    sp.add_argument("--entropy-model", default=None, help="path to a saved entropy model")
+    # a saved model has its own order: the two are contradictory inputs
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--entropy-model", default=None, help="path to a saved entropy model")
+    source.add_argument("--order", **_SHARED_FLAGS["--order"])
     sp.add_argument("--bpe-merges", type=int, dest="patching.bpe_merges",
                     help="merges of the bpe scheme's vocabulary")
 
@@ -436,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("train-entropy", help="count-train the byte entropy model")
-    _add_shared(sp, *_CORPUS_FLAGS)
-    sp.add_argument("--order", type=int, dest="entropy_model.order")
+    _add_shared(sp, *_CORPUS_FLAGS, "--order")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_train_entropy)
 

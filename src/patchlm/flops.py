@@ -3,7 +3,10 @@
 All primitives are evaluated in rational arithmetic (``fractions.Fraction``),
 so integer inputs give exact integer counts and a fractional mean patch size
 stays exact until the report edge. Training cost is modeled as three times
-the forward cost (backward counted at twice forward).
+the forward cost (backward counted at twice forward): ``TRAIN_OVER_FORWARD``
+is the paper's convention, which ``size_match`` solves against. The executed
+backward runs more: each feed-forward block recomputes its two d x d_ff input
+projections at every position (``tensor.gated_ffn``) instead of keeping them.
 
 The per-byte decomposition sums the latent transformer amortized over the
 mean patch size, the two local transformers at their attention windows, and

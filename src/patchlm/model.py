@@ -18,15 +18,17 @@ of the same predicates. The forward path calls none of them; they stay
 because ``perfbench/tracing.py`` wraps them by name, and tests use them as
 dense references.
 
-The norm, rotary, gate and embedding blocks are single autodiff ops
-(``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean``) that
-compute the same numbers as the compositions of elementwise ops they replace,
-bit for bit in the forward. Like every op, each keeps only the arrays its
-backward reads. The outputs of the norms and gates are not kept either: the
-backward of the matmul that reads one rebuilds it, bit for bit, from the
-norm's input and per-row scale or the gate's two inputs, which the graph
-keeps anyway. So the graph a training step holds is the inputs of the norms,
-gates and attention and of the matmuls that read neither, each array once.
+The norm, rotary, feed-forward and embedding blocks are single autodiff ops
+(``tensor.rms_norm``, ``apply_rope``, ``gated_ffn`` and ``embedding_mean``)
+that compute the same numbers as the compositions of smaller ops they
+replace, bit for bit in the forward, and for ``gated_ffn`` in the backward
+too. Like every op, each keeps only the arrays its backward reads. The norm
+outputs are not kept either: the backward of the matmul or feed-forward
+block that reads one rebuilds it, bit for bit, from the norm's input and
+per-row scale, which the graph keeps anyway. The feed-forward block keeps
+none of its (n, d_ff) arrays: its backward recomputes both projections. So
+the graph a training step holds is the inputs of the norms and attention and
+of the matmuls that read no norm output, each array once.
 
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's
@@ -57,6 +59,7 @@ from .tensor import (
     apply_rope,
     concat,
     embedding_mean,
+    gated_ffn,
     nll_from_logits,
     parameter,
     rms_norm,
@@ -64,7 +67,6 @@ from .tensor import (
     segment_max,
     softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
     span_attention,
-    swiglu,
 )
 
 VOCAB = 256
@@ -420,8 +422,8 @@ def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
 
 def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
     xn = rms_norm(x, params[f"{prefix}ffn_norm"], RMS_EPS)
-    gated = swiglu(xn @ params[f"{prefix}ffn.w_gate"], xn @ params[f"{prefix}ffn.w_up"])
-    return x + gated @ params[f"{prefix}ffn.w_down"]
+    return x + gated_ffn(xn, params[f"{prefix}ffn.w_gate"], params[f"{prefix}ffn.w_up"],
+                         params[f"{prefix}ffn.w_down"])
 
 
 def transformer_layer(x: Tensor, params: BltParams, prefix: str, heads: int,

@@ -18,23 +18,24 @@ the normaliser in a column of ones in v, so a tile is two matmuls, a mask and
 an exp; rows whose bound was too loose are recomputed with their exact max.
 
 The model's per-byte blocks are single ops as well: ``rms_norm``,
-``apply_rope``, ``swiglu`` and ``embedding_mean`` (a masked mean of rows
-gathered from several tables). Each computes exactly the numpy sequence of
-the composition of small ops it replaces, but keeps only what its backward
-reads and recomputes the rest, where the composition kept every intermediate
-alive until the backward ran. ``embedding_mean`` keeps each table's gradient
-by rows, as a ``RowGrad``, since a step touches a few hundred of a hash
-table's 4,096 rows; it reads as the dense ``np.add.at`` scatter bit for bit.
+``apply_rope``, ``gated_ffn`` (a SwiGLU feed-forward block) and
+``embedding_mean`` (a masked mean of rows gathered from several tables). Each
+computes exactly the numpy sequence of the composition of small ops it
+replaces, but keeps only what its backward reads and recomputes the rest,
+where the composition kept every intermediate alive until the backward ran.
+``embedding_mean`` keeps each table's gradient by rows, as a ``RowGrad``,
+since a step touches a few hundred of a hash table's 4,096 rows; it reads as
+the dense ``np.add.at`` scatter bit for bit.
 
 The graph links small ``_Node``s, not values: a node owns a gradient, its
 inputs' nodes and a vjp, and a ``Tensor`` holds its ``data`` and its node
 (``requires_grad`` and ``grad`` read the node). Every vjp closes over exactly
 the arrays it reads, never over a ``Tensor``, so a value lives only while its
-``Tensor`` or a vjp that reads it lives. A matmul's vjp reads its left input,
-but where that is the output of ``rms_norm`` or ``swiglu`` in a graph, the
-vjp closes over a function that rebuilds it bit for bit from the arrays the
-op's own vjp keeps (``x``, the per-row scale and the gain; the gate's two
-inputs), so the output itself is freed once its ``Tensor`` is. Graphs are
+``Tensor`` or a vjp that reads it lives. The vjps of a matmul and of
+``gated_ffn`` read their left input, but where that is the output of
+``rms_norm`` in a graph, the vjp closes over a function that rebuilds it bit
+for bit from the arrays the norm's own vjp keeps (``x``, the per-row scale and
+the gain), so the output itself is freed once its ``Tensor`` is. Graphs are
 built eagerly, and only where some input requires grad, so a forward pass
 over detached parameters builds no graph and attaches no rebuild function.
 ``backward()`` walks the nodes in topological order and consumes the graph
@@ -113,8 +114,8 @@ class Tensor:
     @staticmethod
     def _result(data, inputs, vjp, rebuild=None) -> "Tensor":
         """The op's output. ``rebuild``, if given, recomputes ``data`` bit for
-        bit from arrays ``vjp`` keeps anyway; a matmul's backward calls it
-        instead of keeping ``data`` alive. An output outside a graph gets none."""
+        bit from arrays ``vjp`` keeps anyway; the backward of the op that reads
+        ``data`` calls it instead of keeping it. An output outside a graph gets none."""
         out = Tensor(data)
         parents = tuple(t._node for t in inputs)
         if any(p is not None for p in parents):
@@ -400,26 +401,41 @@ def _swap_pairs(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def swiglu(a: Tensor, b: Tensor) -> Tensor:
-    """``silu(a) * b``, the gated product of a SwiGLU feed-forward block.
+def gated_ffn(xn: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
+    """``(silu(xn @ w_gate) * (xn @ w_up)) @ w_down``, a SwiGLU feed-forward block.
 
-    The backward keeps only ``a`` and ``b`` and recomputes the sigmoid; the
-    backward of a matmul that reads the output recomputes it whole.
+    The backward keeps only ``xn`` (its rebuild, where it is an ``rms_norm``
+    output) and the weights, and recomputes both (n, d_ff) projections and
+    the sigmoid once. Each product and sum is that of the composition of
+    matmuls and ``silu(a) * b``, so outputs and gradients equal it bit for
+    bit; the in-place order keeps at most four (n, d_ff) arrays alive.
     """
-    ad, bd = a.data, b.data
-
-    def gated():
-        out = _sigmoid(ad)
-        out *= ad
-        out *= bd
-        return out
+    xd, wg, wu, wd = xn.data, w_gate.data, w_up.data, w_down.data
+    x_of = xn._rebuild or (lambda: xd)  # a rebuild keeps ``xd`` out of the graph
+    a = xd @ wg
+    gated = _sigmoid(a)
+    gated *= a
+    gated *= xd @ wu
 
     def vjp(g):
-        s = _sigmoid(ad)
-        silu = ad * s
-        return (g * bd) * (s + silu * (1.0 - s)), g * silu
+        x = x_of()
+        silu, b = x @ wg, x @ wu
+        s = _sigmoid(silu)
+        silu *= s
+        dw_down = (silu * b).T @ g
+        d = g @ wd.T  # the gated product's gradient
+        b *= d  # silu's gradient
+        db = np.multiply(d, silu, out=d)
+        dw_up = x.T @ db
+        dx = db @ wu.T
+        da = np.subtract(1.0, s, out=db)  # db is read: its buffer takes silu' = s + silu (1 - s)
+        da *= silu
+        da += s
+        da *= b
+        dx += da @ wg.T
+        return dx, x.T @ da, dw_up, dw_down
 
-    return Tensor._result(gated(), (a, b), vjp, gated)
+    return Tensor._result(gated @ wd, (xn, w_gate, w_up, w_down), vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -1,13 +1,14 @@
 """The composed forms of the package's fused ops, the allocating optimizer
 and the exact-max attention kernel, kept as oracles.
 
-``tensor.rms_norm``, ``apply_rope``, ``swiglu`` and ``embedding_mean`` each
-replace a composition of smaller autodiff ops that kept every intermediate
-alive until the backward. The smaller ops that only those compositions used
-(subtraction, scalar power, mean, slicing, silu and the single-table
-embedding) live here, unchanged, so the compositions still run: a fused op's
-forward must equal its composition bit for bit, and its vjp must agree with
-the composition's autodiff up to rounding. ``adamw_step`` and
+``tensor.rms_norm``, ``apply_rope``, ``gated_ffn`` and ``embedding_mean``
+each replace a composition of smaller autodiff ops that kept every
+intermediate alive until the backward. The smaller ops that only those
+compositions used (subtraction, scalar power, mean, slicing, silu, the gated
+product ``swiglu`` and the single-table embedding) live here, unchanged, so
+the compositions still run: a fused op's forward must equal its composition
+bit for bit, and its vjp must agree with the composition's autodiff up to
+rounding. ``gated_ffn``'s gradients equal its composition's bit for bit. ``adamw_step`` and
 ``global_grad_norm`` are the optimizer as it was before it ran in place and
 read table gradients by rows: it reads every gradient as a dense array.
 ``span_attention`` is the kernel as it was before the softmax shift and
@@ -93,6 +94,10 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
 def swiglu(a: Tensor, b: Tensor) -> Tensor:
     return silu(a) * b
+
+
+def gated_ffn(xn: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
+    return swiglu(xn @ w_gate, xn @ w_up) @ w_down
 
 
 def embedding_mean(lookups) -> Tensor:

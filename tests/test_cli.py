@@ -480,7 +480,7 @@ def test_checkpoint_meta_is_pinned(tmp_path):
 
 
 PATCH_FLAGS = ["--scheme", "--k", "--theta", "--theta-r", "--target-patch-size", "--reset-newline",
-               "--max-patch", "--entropy-model", "--bpe-merges"]
+               "--max-patch", "--entropy-model", "--order", "--bpe-merges"]
 CORPUS_FLAGS = ["--json", "--log-level", "--config", "--seed", "--corpus", "--format"]
 
 # every (subcommand, flag) pair; a command accepts only the flags it reads
@@ -504,7 +504,7 @@ def test_cli_surface_is_pinned():
                       if flag not in ("-h", "--help")]
                for name, sp in sub.choices.items()}
     assert surface == CLI_FLAGS
-    assert sum(len(flags) for flags in surface.values()) == 116
+    assert sum(len(flags) for flags in surface.values()) == 121
 
 
 # each flag that overrides a config key: a command that takes it, its argv and
@@ -520,6 +520,7 @@ OVERRIDE_FLAGS = [
     ("patch", ["--reset-newline"], "patching.reset_on_newline", True),
     ("patch", ["--max-patch", "64"], "patching.max_patch_size", 64),
     ("patch", ["--bpe-merges", "17"], "patching.bpe_merges", 17),
+    ("trace", ["--order", "2"], "entropy_model.order", 2),
 ]
 
 
@@ -639,6 +640,28 @@ def test_every_patcher_command_calibrates_the_same_threshold(capsys, patcher_com
     reports["eval-bpb"] = json.loads(out)
     thetas = {command: report["patching"][name] for command, report in reports.items()}
     assert thetas == dict.fromkeys(thetas, reports["calibrate"]["theta"])
+
+
+def test_order_patches_as_a_saved_model_of_that_order_does(capsys, patcher_command_dir, corpus_file):
+    # without --entropy-model, a command trains its count model at --order
+    train_counts(load_corpus(corpus_file, "plain-text"), order=2).save("ent2.bin")
+    for command, extra in PATCHER_COMMANDS.items():
+        reports = []
+        for source in (["--order", "2"], ["--entropy-model", "ent2.bin"]):
+            code, out = run(capsys, command, "--json", "--corpus", str(corpus_file), *extra, *source,
+                            "--scheme", "entropy_global", "--target-patch-size", "4.5",
+                            *(["--force"] if command == "train" else []))
+            assert code == 0, command
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1], command
+
+
+@pytest.mark.parametrize("command", list(PATCHER_COMMANDS))
+def test_order_next_to_a_saved_entropy_model_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--entropy-model", "ent.bin", "--order", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--order: not allowed with argument --entropy-model" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scheme", ["entropy_or", "strided", "space", "bpe"])

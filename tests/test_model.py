@@ -320,8 +320,9 @@ def test_forward_deterministic():
 
 
 def compose_blocks(mp):
-    """Run the model's norm, rotary, gate and embedding blocks as the compositions they fuse."""
-    for name in ("rms_norm", "apply_rope", "swiglu", "embedding_mean"):
+    """Run the model's norm, rotary, feed-forward and embedding blocks as the
+    compositions they fuse."""
+    for name in ("rms_norm", "apply_rope", "gated_ffn", "embedding_mean"):
         mp.setattr(model, name, getattr(composed, name))
 
 
@@ -351,6 +352,23 @@ def test_fused_blocks_grads_match_the_composed_model():
         grads.append({name: np.asarray(t.grad) for name, t in params.items()})
     for name, got in grads[0].items():
         np.testing.assert_allclose(got, grads[1][name], rtol=1e-9, atol=1e-13, err_msg=name)
+
+
+def test_a_training_step_through_gated_ffn_is_bitwise_the_composed_ffn(monkeypatch):
+    # the fused op recomputes xn @ w_gate and xn @ w_up in its backward; the
+    # composition keeps them, and its matmuls rebuild the norm output they read
+    cfg = tiny_cfg()
+    stream = text_stream(n_bytes=150, n_docs=3)
+    results = []
+    for compose in (False, True):
+        if compose:
+            monkeypatch.setattr(model, "gated_ffn", composed.gated_ffn)
+        params = init_params(cfg, seed=4)
+        res = lm_forward(params, stream, cfg)
+        res.loss.backward()
+        results.append([res.loss.data] + [np.asarray(t.grad) for _, t in params.items()])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_docs", [1, 3])
@@ -467,7 +485,7 @@ def test_no_vjp_closes_over_a_tensor():
     assert not pinned, f"vjps that close over a Tensor: {sorted(pinned)}"
     assert ops >= {"Tensor.__add__", "Tensor.__mul__", "Tensor.__matmul__", "Tensor.reshape",
                    "Tensor.swapaxes", "Tensor.sum", "concat", "embedding_mean", "rms_norm",
-                   "apply_rope", "swiglu", "softmax", "span_attention", "nll_from_logits",
+                   "apply_rope", "gated_ffn", "softmax", "span_attention", "nll_from_logits",
                    "segment_max"}
 
 
@@ -773,11 +791,16 @@ def test_long_stream_memory_stays_bounded():
 
 def test_training_graph_memory_stays_at_its_measured_size():
     # what lm_forward leaves held for the backward on a 2,100-byte, 3-document
-    # stream at the default config: 38.9 MB once matmul backwards rebuilt the
-    # norm and gate outputs they read, 53.2 MB when the graph linked nodes and
-    # pinned only the arrays some vjp reads, 73.7 MB when vjps closed over
-    # their input tensors, 126.2 MB when the fused norm, rotary, gate and
-    # embedding ops were compositions of smaller ops; the bound is 38.9 + 5%
+    # stream at the default config: 25.9 MB once the feed-forward block was one
+    # op that recomputes its two (n, d_ff) projections in the backward, 38.9 MB
+    # once matmul backwards rebuilt the norm and gate outputs they read, 53.2 MB
+    # when the graph linked nodes and pinned only the arrays some vjp reads,
+    # 73.7 MB when vjps closed over their input tensors, 126.2 MB when the fused
+    # norm, rotary, gate and embedding ops were compositions of smaller ops; the
+    # bound is 25.9 + 5%. The backward's peak over the same base is 33.2 MB:
+    # 38.7 MB if the feed-forward vjp recomputes its projections without
+    # reusing their buffers, 46.1 MB when the graph kept them; the bound is
+    # 33.2 + 5%.
     import tracemalloc
 
     cfg = ModelConfig()
@@ -789,10 +812,13 @@ def test_training_graph_memory_stays_at_its_measured_size():
         base = tracemalloc.get_traced_memory()[0]
         res = lm_forward(params, stream, cfg)
         held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        res.loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert res.loss.requires_grad
-    assert held < 38.9 * 1.05 * 2**20, f"graph holds {held / 2**20:.1f} MB"
+    assert held < 25.9 * 1.05 * 2**20, f"graph holds {held / 2**20:.1f} MB"
+    assert peak < 33.2 * 1.05 * 2**20, f"backward peaks at {peak / 2**20:.1f} MB"
 
 
 def test_grad_check_detects_corrupted_gradient():

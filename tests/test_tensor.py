@@ -12,6 +12,7 @@ from patchlm.tensor import (
     apply_rope,
     concat,
     embedding_mean,
+    gated_ffn,
     nll_from_logits,
     parameter,
     rms_norm,
@@ -20,9 +21,10 @@ from patchlm.tensor import (
     segment_max,
     softmax,
     span_attention,
-    swiglu,
 )
-from patchlm import tensor
+from patchlm import tensor, textgen
+from patchlm.model import ModelConfig, Stream, augmented_byte_embeddings, ffn_hidden_dim, init_params
+from patchlm.patching import patch_space
 from tests import composed
 
 
@@ -110,8 +112,8 @@ def fused_case(name, dtype):
             return lambda x: op(x.reshape(n, heads, hd).swapaxes(0, 1), cos, sin)
 
         return [(n, heads * hd)], build(apply_rope), build(composed.apply_rope), ()
-    if name == "swiglu":
-        return [(5, 7), (5, 7)], swiglu, composed.swiglu, ()
+    if name == "gated_ffn":
+        return [(5, 6), (6, 7), (6, 7), (7, 6)], gated_ffn, composed.gated_ffn, ()
     ids = [np.array([3, 0, 3, 7, 1, 3]), np.array([4, 4, 0, 2, 1, 4]), np.array([0, 5, 5, 5, 2, 1])]
     valid = [None, np.array([0, 1, 1, 1, 0, 1], bool), np.array([0, 0, 1, 0, 1, 1], bool)]
 
@@ -121,7 +123,7 @@ def fused_case(name, dtype):
     return [(8, 4), (5, 4), (6, 4)], build(embedding_mean), build(composed.embedding_mean), ()
 
 
-FUSED = ["rms_norm", "apply_rope", "swiglu", "embedding_mean"]
+FUSED = ["rms_norm", "apply_rope", "gated_ffn", "embedding_mean"]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -166,11 +168,12 @@ def test_fused_ops_keep_no_intermediate():
     rng = np.random.default_rng(0)
     x = parameter(rng.standard_normal((256, 64)))
     gain = parameter(np.ones(64))
+    w_in, w_down = parameter(rng.standard_normal((64, 176))), parameter(rng.standard_normal((176, 64)))
     cos, sin = rope_tables(256, 16, np.float64)
     cases = [
         (lambda: rms_norm(x, gain, 1e-6), 256 * 8),
         (lambda: apply_rope(x.reshape(256, 4, 16).swapaxes(0, 1), cos, sin), 0),
-        (lambda: swiglu(x, x), 0),
+        (lambda: gated_ffn(x, w_in, w_in, w_down), 0),
         (lambda: embedding_mean([(x, np.arange(256), None)]), 256 * 8),
     ]
     import tracemalloc
@@ -280,7 +283,7 @@ def test_segment_max_numeric():
 def test_dtype_discipline_float32_stays_float32():
     a = parameter(np.ones((2, 2), np.float32))
     gain = parameter(np.ones(2, np.float32))
-    h = swiglu(rms_norm(a * 0.5 + 1.0, gain, 1e-6) @ a, a)
+    h = gated_ffn(rms_norm(a * 0.5 + 1.0, gain, 1e-6), a, a, a)
     out = apply_rope(h.reshape(1, 2, 2), *rope_tables(2, 2, np.float32))
     out = out + embedding_mean([(a, np.array([0, 1]), None), (a, np.array([1, 1]), np.array([True, False]))])
     assert out.dtype == np.float32 and out.sum().dtype == np.float32
@@ -343,23 +346,14 @@ def test_values_live_only_while_a_tensor_or_a_vjp_reads_them():
     np.testing.assert_allclose(w.grad, (x.data * 2.0).T @ np.ones((4, 3)))
 
 
-def norm_or_gate(name, rng):
-    """The inputs of ``rms_norm`` or ``swiglu`` as float32 parameters, and the op over them."""
-    if name == "rms_norm":
-        inputs = [rng.standard_normal((6, 8)), rng.standard_normal(8)]
-        return [parameter(x.astype(np.float32)) for x in inputs], lambda x, gain: rms_norm(x, gain, 1e-6)
-    inputs = [rng.standard_normal((6, 8)) * 3.0, rng.standard_normal((6, 8))]
-    return [parameter(x.astype(np.float32)) for x in inputs], swiglu
-
-
-@pytest.mark.parametrize("name", ["rms_norm", "swiglu"])
-def test_matmul_rebuilds_a_norm_or_gate_output_instead_of_keeping_it(name):
+def test_matmul_rebuilds_a_norm_output_instead_of_keeping_it():
     rng = np.random.default_rng(4)
     w_data = rng.standard_normal((8, 5)).astype(np.float32)
     seed = rng.standard_normal((6, 5)).astype(np.float32)
-    inputs, op = norm_or_gate(name, np.random.default_rng(5))
-    w = parameter(w_data.copy())
-    h = op(*inputs)
+    x_data = rng.standard_normal((6, 8)).astype(np.float32)
+    gain_data = rng.standard_normal(8).astype(np.float32)
+    x, gain, w = (parameter(a.copy()) for a in (x_data, gain_data, w_data))
+    h = rms_norm(x, gain, 1e-6)
     out = h @ w
     h_ref = weakref.ref(h.data)
     del h
@@ -367,17 +361,59 @@ def test_matmul_rebuilds_a_norm_or_gate_output_instead_of_keeping_it(name):
     out.backward(seed)
 
     # the same chain through a plain leaf holding the same values
-    ref_inputs, _ = norm_or_gate(name, np.random.default_rng(5))
-    ref_w = parameter(w_data.copy())
-    h = op(*ref_inputs)
+    ref_x, ref_gain, ref_w = (parameter(a.copy()) for a in (x_data, gain_data, w_data))
+    h = rms_norm(ref_x, ref_gain, 1e-6)
     leaf = parameter(h.data.copy())
     (leaf @ ref_w).backward(seed)
     h.backward(leaf.grad)
-    for got, want in zip(inputs + [w], ref_inputs + [ref_w]):
+    for got, want in zip((x, gain, w), (ref_x, ref_gain, ref_w)):
         assert got.grad.dtype == np.float32 and got.grad.tobytes() == want.grad.tobytes()
 
-    detached, _ = norm_or_gate(name, np.random.default_rng(5))
-    assert op(*(Tensor(t.data) for t in detached))._rebuild is None  # no graph, no rebuild
+    assert rms_norm(Tensor(x_data), Tensor(gain_data), 1e-6)._rebuild is None  # no graph, no rebuild
+
+
+def ffn_inputs():
+    """The byte embeddings of a 3-document stream at the default width, scaled
+    to unit variance, a norm gain, and feed-forward weights under which a
+    normalised row's projections have unit variance; float32."""
+    cfg = ModelConfig()
+    docs = [np.frombuffer(textgen.synthetic_text(200, seed=s).encode()[:200], np.uint8) for s in range(3)]
+    x = augmented_byte_embeddings(init_params(cfg, seed=3).detached(),
+                                  Stream.from_documents(docs, patch_space), cfg).data
+    d, ff = cfg.enc_dim, ffn_hidden_dim(cfg.enc_dim, cfg.ff_mult)
+    rng = np.random.default_rng(3)
+    arrays = [x / x.std(), 1.0 + 0.5 * rng.standard_normal(d), rng.standard_normal((d, ff)) / np.sqrt(d),
+              rng.standard_normal((d, ff)) / np.sqrt(d), rng.standard_normal((ff, d)) / np.sqrt(ff)]
+    return [a.astype(np.float32) for a in arrays]
+
+
+@pytest.mark.parametrize("xn_kind", ["rms_norm", "parameter"])
+def test_gated_ffn_is_bitwise_its_composition(xn_kind):
+    # float32, at the model's sizes: the recomputed projections, the sigmoid
+    # and the in-place backward give the composition's output and gradients
+    inputs = ffn_inputs()
+    seed = np.random.default_rng(6).standard_normal((len(inputs[0]), inputs[0].shape[1]))
+    results = []
+    for op in (gated_ffn, composed.gated_ffn):
+        x, gain, *weights = (parameter(a.copy()) for a in inputs)
+        xn = rms_norm(x, gain, 1e-6) if xn_kind == "rms_norm" else x
+        out = op(xn, *weights)
+        if xn_kind == "rms_norm":
+            xn_ref = weakref.ref(xn.data)
+            del xn
+            assert xn_ref() is None  # both keep a rebuild of the norm output, not the output
+        out.backward(seed.astype(np.float32))
+        leaves = [x, gain] if xn_kind == "rms_norm" else [x]
+        results.append([out.data] + [t.grad for t in leaves + weights])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_gated_ffn_of_a_norm_output_grads_numeric():
+    weight = np.random.default_rng(7).standard_normal((5, 6))
+    check_op(lambda x, gain, w_gate, w_up, w_down:
+             (gated_ffn(rms_norm(x, gain, 1e-6), w_gate, w_up, w_down) * weight).sum(),
+             (5, 6), (6,), (6, 8), (6, 8), (8, 6))
 
 
 def dense_attention(q, k, v, spans):
