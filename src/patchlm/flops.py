@@ -4,9 +4,11 @@ All primitives are evaluated in rational arithmetic (``fractions.Fraction``),
 so integer inputs give exact integer counts and a fractional mean patch size
 stays exact until the report edge. Training cost is modeled as three times
 the forward cost (backward counted at twice forward): ``TRAIN_OVER_FORWARD``
-is the paper's convention, which ``size_match`` solves against. The executed
-backward runs more: each feed-forward block recomputes its two d x d_ff input
-projections at every position (``tensor.gated_ffn``) instead of keeping them.
+is the paper's convention, which ``size_match`` solves against, and it stays
+so. The executed backward runs more: each feed-forward block recomputes its
+two d x d_ff input projections at every position (``tensor.gated_ffn``), and
+each attention block its query, key and value projections and the rotation
+of q and k (``tensor.attention``), instead of keeping them.
 
 The per-byte decomposition sums the latent transformer amortized over the
 mean patch size, the two local transformers at their attention windows, and
@@ -114,6 +116,14 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
     The latent transformer runs once per patch over a patch-level context of
     n_ctx / n_p, so its per-byte share divides by n_p. Byte embedding lookup
     is a zero-FLOP table access and contributes nothing.
+
+    The attention terms count the keys each query sees (useful keys). The
+    tiles ``tensor.attention`` runs score more: every key column any row of a
+    tile sees. On a typical 3-document stream at the default config (2,067
+    bytes, 455 patches, entropy patching at about 4.5 bytes per patch), the
+    useful and scored keys per query are: local self-attention 322 and 361,
+    latent 80 and 108, encoder cross-attention (membership) 4.5 and 287,
+    decoder cross-attention 2.0 and 29.
     """
     n_p = _fr(n_p)
     if n_p <= 0:

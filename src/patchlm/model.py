@@ -8,27 +8,30 @@ outputs, restricted to the last patch that is already complete at the query
 position, so no information from inside the current patch can leak backward.
 
 Each of the four attention patterns gives every query one contiguous span of
-keys, a ``tensor.Spans``, built once per forward; ``tensor.span_attention``
-scores it tile by tile without building an (n_queries, n_keys) array, under
-the tile plan the span set builds once and shares across the layers that
-attend over it. Local self-attention therefore costs O(window) per byte, and
-decoder cross-attention k keys per byte, the k slots of one patch, as
+keys, a ``tensor.Spans``, built once per forward; ``tensor.attention`` scores
+it tile by tile without building an (n_queries, n_keys) array, under the tile
+plan the span set builds once and shares across the layers that attend over
+it. Local self-attention therefore costs O(window) per byte, and decoder
+cross-attention k keys per byte, the k slots of one patch, as
 ``flops.blt_flops_per_byte`` charges. The ``*_mask`` builders are dense views
 of the same predicates. The forward path calls none of them; they stay
 because ``perfbench/tracing.py`` wraps them by name, and tests use them as
 dense references.
 
-The norm, rotary, feed-forward and embedding blocks are single autodiff ops
-(``tensor.rms_norm``, ``apply_rope``, ``gated_ffn`` and ``embedding_mean``)
-that compute the same numbers as the compositions of smaller ops they
-replace, bit for bit in the forward, and for ``gated_ffn`` in the backward
-too. Like every op, each keeps only the arrays its backward reads. The norm
-outputs are not kept either: the backward of the matmul or feed-forward
-block that reads one rebuilds it, bit for bit, from the norm's input and
-per-row scale, which the graph keeps anyway. The feed-forward block keeps
-none of its (n, d_ff) arrays: its backward recomputes both projections. So
-the graph a training step holds is the inputs of the norms and attention and
-of the matmuls that read no norm output, each array once.
+The norm, attention, feed-forward and embedding blocks are single autodiff
+ops (``tensor.rms_norm``, ``attention``, ``gated_ffn`` and
+``embedding_mean``) that compute the same numbers as the compositions of
+smaller ops they replace, bit for bit in the forward, and for ``attention``
+and ``gated_ffn`` in the backward too. Like every op, each keeps only the
+arrays its backward reads. The norm outputs are not kept either: the
+backward of the attention, feed-forward block or matmul that reads one
+rebuilds it, bit for bit, from the norm's input and per-row scale, which the
+graph keeps anyway. An attention block keeps none of its queries, keys or
+values, only its merged output and one log-sum-exp per row and head: its
+backward recomputes q, k and v. The feed-forward block keeps none of its
+(n, d_ff) arrays: its backward recomputes both projections. So the graph a
+training step holds is the inputs of the norms and of the matmuls that read
+no norm output, the attention outputs and the weights, each array once.
 
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's
@@ -56,7 +59,7 @@ from .patching import PatchBoundaries
 from .tensor import (
     Spans,
     Tensor,
-    apply_rope,
+    attention,
     concat,
     embedding_mean,
     gated_ffn,
@@ -66,7 +69,6 @@ from .tensor import (
     rope_cache,
     segment_max,
     softmax,  # noqa: F401  re-exported: perfbench/tracing.py wraps model.softmax
-    span_attention,
 )
 
 VOCAB = 256
@@ -398,26 +400,11 @@ def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> At
 RMS_EPS = 1e-6
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).swapaxes(0, 1)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    h, n, dh = x.shape
-    return x.swapaxes(0, 1).reshape(n, h * dh)
-
-
 def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
                          spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
     xn = rms_norm(x, params[f"{prefix}attn_norm"], RMS_EPS)
-    q = _split_heads(xn @ params[f"{prefix}attn.wq"], heads)
-    k = _split_heads(xn @ params[f"{prefix}attn.wk"], heads)
-    v = _split_heads(xn @ params[f"{prefix}attn.wv"], heads)
-    cos, sin = rope
-    q = apply_rope(q, cos, sin)
-    k = apply_rope(k, cos, sin)
-    return x + _merge_heads(span_attention(q, k, v, spans)) @ params[f"{prefix}attn.wo"]
+    return x + attention(xn, xn, params[f"{prefix}attn.wq"], params[f"{prefix}attn.wk"],
+                         params[f"{prefix}attn.wv"], params[f"{prefix}attn.wo"], heads, spans, rope)
 
 
 def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
@@ -437,10 +424,8 @@ def cross_attention_block(q_in: Tensor, kv_in: Tensor, params: BltParams, prefix
     """Pre-normed multi-head cross-attention with residual; no positional encoding."""
     qn = rms_norm(q_in, params[f"{prefix}q_norm"], RMS_EPS)
     kvn = rms_norm(kv_in, params[f"{prefix}kv_norm"], RMS_EPS)
-    q = _split_heads(qn @ params[f"{prefix}wq"], heads)
-    k = _split_heads(kvn @ params[f"{prefix}wk"], heads)
-    v = _split_heads(kvn @ params[f"{prefix}wv"], heads)
-    return q_in + _merge_heads(span_attention(q, k, v, spans)) @ params[f"{prefix}wo"]
+    return q_in + attention(qn, kvn, params[f"{prefix}wq"], params[f"{prefix}wk"],
+                            params[f"{prefix}wv"], params[f"{prefix}wo"], heads, spans)
 
 
 # ---------------------------------------------------------------------------

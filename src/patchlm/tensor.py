@@ -1,28 +1,29 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Just enough machinery for the models in this package: broadcasting addition
-and multiplication, sums, reshapes, axis swaps and concatenation, (batched)
-matmul, softmax, max pooling over contiguous row segments, a fused
-NLL-from-logits, and tiled attention over one contiguous key span per query.
-``Spans`` holds those spans: it checks its bounds once, when it is built, and
-builds the plan of its query tiles (each tile's slice of key columns, and a
-mask over only the edge columns that some of its rows do not see) once, on
-first use, for every attention call over it. The backward reuses the plan,
-and it multiplies scores by contiguous kᵀ and vᵀ copies instead of transposed
-views of k and v, whose head-sized inner dimension BLAS handles slowly.
-The attention softmax shifts each row by a bound on its scores, not by their
-max: a Cauchy-Schwarz bound over the row's own span alone (a sparse-table
-range max of the key norms, whose lookup ``Spans`` also keeps), so keys a row
-does not see never move its result. The shift rides in a query column and
-the normaliser in a column of ones in v, so a tile is two matmuls, a mask and
-an exp; rows whose bound was too loose are recomputed with their exact max.
+and multiplication, sums, reshapes and concatenation, (batched) matmul,
+softmax, max pooling over contiguous row segments, a fused NLL-from-logits,
+and an attention block over one contiguous key span per query. ``Spans``
+holds those spans: it checks its bounds once, when it is built, and builds
+the plan of its query tiles (each tile's slice of key columns, and a mask
+over only the edge columns that some of its rows do not see) once, on first
+use, for every attention call over it. A tile ends where a row's span start
+jumps, as at a document start, so no tile scores the keys between two
+documents. The array-level tile kernel (``_span_forward`` and
+``_span_backward``) shifts each row's softmax by a bound on its scores over
+the row's own span, so keys a row does not see never move its result, and
+folds the shift and the normaliser into its matmuls.
 
 The model's per-byte blocks are single ops as well: ``rms_norm``,
-``apply_rope``, ``gated_ffn`` (a SwiGLU feed-forward block) and
-``embedding_mean`` (a masked mean of rows gathered from several tables). Each
-computes exactly the numpy sequence of the composition of small ops it
+``attention`` (projections, rotary embeddings, the tile kernel and the
+output projection), ``gated_ffn`` (a SwiGLU feed-forward block) and
+``embedding_mean`` (a masked mean of rows gathered from several tables).
+Each computes exactly the numpy sequence of the composition of small ops it
 replaces, but keeps only what its backward reads and recomputes the rest,
 where the composition kept every intermediate alive until the backward ran.
+An attention block's graph holds its inputs, its four weights, its merged
+attention output and one log-sum-exp per row and head; its backward
+recomputes the queries, keys and values, three small matmuls and a rotation.
 ``embedding_mean`` keeps each table's gradient by rows, as a ``RowGrad``,
 since a step touches a few hundred of a hash table's 4,096 rows; it reads as
 the dense ``np.add.at`` scatter bit for bit.
@@ -31,19 +32,20 @@ The graph links small ``_Node``s, not values: a node owns a gradient, its
 inputs' nodes and a vjp, and a ``Tensor`` holds its ``data`` and its node
 (``requires_grad`` and ``grad`` read the node). Every vjp closes over exactly
 the arrays it reads, never over a ``Tensor``, so a value lives only while its
-``Tensor`` or a vjp that reads it lives. The vjps of a matmul and of
-``gated_ffn`` read their left input, but where that is the output of
-``rms_norm`` in a graph, the vjp closes over a function that rebuilds it bit
-for bit from the arrays the norm's own vjp keeps (``x``, the per-row scale and
-the gain), so the output itself is freed once its ``Tensor`` is. Graphs are
-built eagerly, and only where some input requires grad, so a forward pass
-over detached parameters builds no graph and attaches no rebuild function.
-``backward()`` walks the nodes in topological order and consumes the graph
-as it goes: each interior node is released once its vjp has run, which frees
-its gradient and the arrays its vjp read, and only leaves keep ``.grad``. A
-graph can be walked once; a second ``backward()`` through it raises.
-Gradients are never mutated in place, so views handed out by a vjp stay
-valid.
+``Tensor`` or a vjp that reads it lives. The vjps of a matmul, of
+``attention`` and of ``gated_ffn`` read their left inputs, but where one is
+the output of ``rms_norm`` in a graph, the vjp closes over a function that
+rebuilds it bit for bit from the arrays the norm's own vjp keeps (``x``, the
+per-row scale and the gain), so the output itself is freed once its
+``Tensor`` is; each backward rebuilds each norm output it reads once. Graphs
+are built eagerly, and only where some input requires grad, so a forward
+pass over detached parameters builds no graph and attaches no rebuild
+function. ``backward()`` walks the nodes in topological order and consumes
+the graph as it goes: each interior node is released once its vjp has run,
+which frees its gradient and the arrays its vjp read, and only leaves keep
+``.grad``. A graph can be walked once; a second ``backward()`` through it
+raises. Gradients are never mutated in place, so views handed out by a vjp
+stay valid.
 
 Dtype discipline: ops never upcast silently; python scalars stay weak, so a
 float32 graph remains float32 and a float64 graph (used for gradient checks)
@@ -58,8 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-ATTN_TILE = 64  # query rows per tile in span_attention
-SHIFT_MARGIN = 60.0  # nats span_attention's softmax shift sits below each row's score bound
+ATTN_TILE = 64  # most query rows per attention tile, and the span-start jump that ends a tile
+SHIFT_MARGIN = 60.0  # nats the attention softmax shift sits below each row's score bound
 MIN_NORMALISER = 2.0**-60  # a row normaliser below this is recomputed with the exact row max
 
 
@@ -225,9 +227,6 @@ class Tensor:
         orig = self.data.shape
         return Tensor._result(self.data.reshape(shape), (self,), lambda g: (g.reshape(orig),))
 
-    def swapaxes(self, a, b):
-        return Tensor._result(self.data.swapaxes(a, b), (self,), lambda g: (g.swapaxes(a, b),))
-
     # -- reductions ---------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -359,7 +358,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 
 
 def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_rope``'s (n, head_dim) tables at ``positions``. Channel pair i
+    """``_rotate``'s (n, head_dim) tables at ``positions``. Channel pair i
     turns at frequency theta^(-2i / head_dim); the tables hold its cosine on
     both channels, and its sine, negated on the even channel."""
     half = head_dim // 2
@@ -369,28 +368,22 @@ def rope_cache(positions: np.ndarray, head_dim: int, theta: float, dtype) -> tup
     return np.repeat(cos, 2, axis=1), np.stack((-sin, sin), axis=-1).reshape(len(positions), head_dim)
 
 
-def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate each (even, odd) channel pair of (heads, n, head_dim) queries or
-    keys: ``out = x * cos + swap(x) * sin``, where ``swap`` exchanges the two
-    channels of each pair.
+    keys: ``x * cos + swap(x) * sin``, where ``swap`` exchanges the two
+    channels of each pair, into ``out`` (a new contiguous array if none).
 
     ``cos`` and ``sin`` are (n, head_dim) tables: each pair's cosine on both
     its channels, and its sine, negated on the even channel
-    (``rope_cache``). Every product and sum is then contiguous, and
-    equals the even/odd form ``(xe cos - xo sin, xe sin + xo cos)`` bit for
-    bit. The backward rotates the gradient back, so it keeps only the tables.
+    (``rope_cache``). Every product and sum is then contiguous, and equals the
+    even/odd form ``(xe cos - xo sin, xe sin + xo cos)`` bit for bit. Under
+    ``-sin`` it rotates a gradient back: ``g cos + swap(g sin)``, bit for bit.
     """
-    out = x.data * cos
-    swapped = _swap_pairs(x.data)
+    out = np.multiply(x, cos, out=out)
+    swapped = _swap_pairs(x)
     swapped *= sin
     out += swapped
-
-    def vjp(g):
-        dx = g * cos
-        dx += _swap_pairs(g * sin)
-        return (dx,)
-
-    return Tensor._result(out, (x,), vjp)
+    return out
 
 
 def _swap_pairs(a: np.ndarray) -> np.ndarray:
@@ -451,25 +444,32 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def tile_plan(lo: np.ndarray, hi: np.ndarray) -> list[tuple]:
-    """For each tile of ``ATTN_TILE`` query rows: ``(rows, cols, edges)``.
+    """For each tile of query rows: ``(rows, cols, edges)``.
 
-    ``cols`` is the slice [first, last) of keys the tile scores: the range its
-    rows' spans cover. ``edges`` lists ``(tile_cols, hidden)`` pairs: a slice
-    of the tile's columns and the boolean (rows, columns) mask of the scores
-    there that the row does not see. Columns that every row of the tile sees
-    need no mask, so when the tile's spans share a middle band
-    [max lo, min hi), only the columns left and right of it are masked;
-    otherwise the whole span range is.
+    A tile holds at most ``ATTN_TILE`` consecutive rows, and a new one starts
+    wherever a row's ``lo`` differs from the previous row's by more than
+    ``ATTN_TILE``, in either direction: where a document starts, its first
+    rows see keys far from those their predecessors see, and a tile that held
+    both would score every key column in between. ``cols`` is the slice
+    [first, last) of keys the tile scores: the range its rows' spans cover.
+    ``edges`` lists ``(tile_cols, hidden)`` pairs: a slice of the tile's
+    columns and the boolean (rows, columns) mask of the scores there that the
+    row does not see. Columns that every row of the tile sees need no mask, so
+    when the tile's spans share a middle band [max lo, min hi), only the
+    columns left and right of it are masked; otherwise the whole span range is.
     """
-    starts = np.arange(0, len(lo), ATTN_TILE)
-    first = np.minimum.reduceat(lo, starts)
-    last = np.maximum.reduceat(hi, starts)
-    band_lo = np.maximum.reduceat(lo, starts)
-    band_hi = np.minimum.reduceat(hi, starts)
+    n = len(lo)
+    cuts = [0, *(np.flatnonzero(np.abs(np.diff(lo)) > ATTN_TILE) + 1).tolist(), n]
+    starts = [s for a, b in zip(cuts, cuts[1:]) for s in range(a, b, ATTN_TILE)]
+    at = np.array(starts, np.int64)
+    first = np.minimum.reduceat(lo, at)
+    last = np.maximum.reduceat(hi, at)
+    band_lo = np.maximum.reduceat(lo, at)
+    band_hi = np.minimum.reduceat(hi, at)
     plan = []
-    for a, f, l, b0, b1 in zip(starts.tolist(), first.tolist(), last.tolist(),
-                               band_lo.tolist(), band_hi.tolist()):
-        rows = slice(a, a + ATTN_TILE)
+    for a, z, f, l, b0, b1 in zip(starts, starts[1:] + [n], first.tolist(), last.tolist(),
+                                  band_lo.tolist(), band_hi.tolist()):
+        rows = slice(a, z)
         lo_t, hi_t = lo[rows, None], hi[rows, None]
         edges = []
         if b0 <= b1:  # every row sees [b0, b1): mask only the columns left and right of it
@@ -506,7 +506,7 @@ class Spans:
 
     @cached_property
     def plan(self) -> list[tuple]:
-        """``span_attention``'s tile plan, built once for every call over these spans."""
+        """The tile plan, built once for every attention call over these spans."""
         return tile_plan(self.lo, self.hi)
 
     @cached_property
@@ -563,57 +563,48 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...d,...d->...", a, b)
 
 
-def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
-    """Multi-head softmax attention, scaled by 1/sqrt(d), where query i sees
-    keys [spans.lo[i], spans.hi[i]).
+def _span_forward(qx: np.ndarray, kd: np.ndarray, v1: np.ndarray, spans: Spans) -> np.ndarray:
+    """The tile kernel's forward: multi-head softmax attention where query i
+    sees keys [spans.lo[i], spans.hi[i]).
 
-    ``q`` is (heads, n_q, d), ``k`` is (heads, n_k, d) and ``v`` is
-    (heads, n_k, d_v). Queries are processed in tiles of ``ATTN_TILE`` rows
-    under ``spans.plan``, which the backward reuses: a tile scores only the
-    slice of keys its rows' spans cover, and masks only the edge columns that
-    some of its rows do not see.
+    ``qx`` is (heads, n_q, d + 1) and holds the scaled queries in
+    ``qx[..., :d]``, ``kd`` is (heads, n_k, d) and ``v1`` (heads, n_k,
+    d_v + 1) holds the values with a last column of ones. Returns the
+    (heads, n_q, d_v) output as a view of an (n_q, heads, d_v) array, so
+    merging the heads is a view too, and leaves each row's ``-lse`` (its
+    log-sum-exp) in ``qx[..., d]``, for ``_span_backward``.
 
-    A row's softmax is the same under any shift of its scores, so the shift
-    only has to keep the exps finite. Row i's is its score bound
-    ``|q_i| max_{j in span} |k_j| / sqrt(d)`` (Cauchy-Schwarz) less
-    ``SHIFT_MARGIN`` nats, and never below 0, so no exp exceeds
+    Queries are processed in tiles under ``spans.plan``, which the backward
+    reuses: a tile scores only the slice of keys its rows' spans cover, and
+    masks only the edge columns that some of its rows do not see. A row's
+    softmax is the same under any shift of its scores, so the shift only has
+    to keep the exps finite. Row i's is its score bound
+    ``|q_i| max_{j in span} |k_j|`` (Cauchy-Schwarz, on the scaled queries)
+    less ``SHIFT_MARGIN`` nats, and never below 0, so no exp exceeds
     e**SHIFT_MARGIN. The max runs over row i's own span (``spans.range_max``),
     not the tile's columns, so keys row i does not see cannot move its shift,
-    and its output stays bitwise independent of them. The scaled queries
-    carry ``-shift`` as a column against a row of ones in kᵀ, and v carries a
-    column of ones, so a tile is score matmul, mask, exp and ``e @ [v|1]``,
-    whose last column is the normaliser: no max, subtraction or sum pass. A
-    row whose normaliser is below ``MIN_NORMALISER`` (the bound was so loose
-    that its exps lost precision or underflowed), or whose ``e @ [v|1]`` is
-    not finite, is recomputed from its unshifted scores less their exact max.
-    That choice is per row, so it too reads only the row's own span.
-
-    The forward keeps the scaled queries with ``-lse`` (each row's
-    log-sum-exp) in that column, so the backward's score matmul returns
-    ``s - lse`` and p is one exp; ``-delta`` rides in a column of g against a
-    row of ones in vᵀ, so ``ds`` is one matmul and one product. Memory stays
-    linear in the number of queries and keys. Scores multiply by contiguous
-    kᵀ and vᵀ copies, never by transposed views, and the backward builds its
-    own instead of keeping the forward's alive until it runs. The output is a
-    (heads, n_q, d_v) view of an (n_q, heads, d_v) array, so merging the heads
-    is a view too, and the next matmul reads the array this backward keeps.
+    and its output stays bitwise independent of them. The queries carry
+    ``-shift`` in their last column against a row of ones in kᵀ, so a tile is
+    score matmul, mask, exp and ``e @ [v|1]``, whose last column is the
+    normaliser: no max, subtraction or sum pass. A row whose normaliser is
+    below ``MIN_NORMALISER`` (the bound was so loose that its exps lost
+    precision or underflowed), or whose ``e @ [v|1]`` is not finite, is
+    recomputed from its unshifted scores less their exact max. That choice is
+    per row, so it too reads only the row's own span. Scores multiply by a
+    contiguous kᵀ copy, never by a transposed view of k, whose head-sized
+    inner dimension BLAS handles slowly.
     """
-    if len(spans.lo) != q.shape[1]:
+    if len(spans.lo) != qx.shape[1]:
         raise ValueError("span bounds must have one entry per query")
-    if spans.n_keys > k.shape[1]:
+    if spans.n_keys > kd.shape[1]:
         raise ValueError("key spans out of range")
-    heads, n_q, d = q.shape
-    scale = 1.0 / math.sqrt(d)
-    kd, vd = k.data, v.data
-    d_v = vd.shape[-1]
-
-    qx = np.empty((heads, n_q, d + 1), q.dtype)
-    qs = np.multiply(q.data, scale, out=qx[..., :d])
+    heads, n_q, d = qx.shape[0], qx.shape[1], kd.shape[-1]
+    d_v = v1.shape[-1] - 1
+    qs = qx[..., :d]
     bound = np.sqrt(_row_dot(qs, qs)) * np.sqrt(spans.range_max(_row_dot(kd, kd)))
     np.negative(np.maximum(bound - SHIFT_MARGIN, 0), out=qx[..., d])
     kT = _with_ones(kd.swapaxes(-1, -2), axis=-2)
-    v1 = _with_ones(vd, axis=-1)
-    ev = np.empty((heads, n_q, d_v + 1), q.dtype)  # e @ [v|1]: unnormalised outputs, normalisers
+    ev = np.empty((heads, n_q, d_v + 1), qx.dtype)  # e @ [v|1]: unnormalised outputs, normalisers
     for rows, cols, edges in spans.plan:
         e = _tile_scores(qx, kT, rows, cols, edges)
         ev_t = np.matmul(np.exp(e, out=e), v1[:, cols], out=ev[:, rows])
@@ -624,31 +615,117 @@ def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
             exact = np.exp(np.subtract(s, m, out=s), out=s) @ v1[:, cols]
             np.copyto(ev_t, exact, where=~ok)
             np.copyto(qx[:, rows, d:], -m, where=~ok)
-    out = np.empty((n_q, heads, d_v), dtype=q.dtype).swapaxes(0, 1)
+    out = np.empty((n_q, heads, d_v), dtype=qx.dtype).swapaxes(0, 1)
     np.divide(ev[..., :d_v], ev[..., d_v:], out=out)
     qx[..., d:] -= np.log(ev[..., d_v:])
+    return out
+
+
+def _span_backward(qx: np.ndarray, kd: np.ndarray, vT: np.ndarray, out: np.ndarray,
+                   g: np.ndarray, spans: Spans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tile kernel's backward: the gradients of the scaled queries, the
+    keys and the values, given ``_span_forward``'s ``qx`` (with ``-lse`` in
+    its last column), keys ``kd``, its output ``out`` and the output's
+    gradient ``g``. ``vT`` is (heads, d_v + 1, n_k): vᵀ over a row of ones.
+
+    The score matmul returns ``s - lse``, so p is one exp; ``-delta`` rides
+    in a column of g against the row of ones in vᵀ, so ``ds`` is one matmul
+    and one product. Memory stays linear in the number of queries and keys.
+    """
+    heads, n_q, d = qx.shape[0], qx.shape[1], kd.shape[-1]
+    d_v = vT.shape[1] - 1
+    kT = _with_ones(kd.swapaxes(-1, -2), axis=-2)
+    gx = np.empty(g.shape[:-1] + (d_v + 1,), g.dtype)
+    gx[..., :d_v] = g
+    np.negative(_row_dot(g, out), out=gx[..., d_v])
+    dq = np.empty((heads, n_q, d), qx.dtype)
+    dk = np.zeros(kd.shape, kd.dtype)
+    dv = np.zeros((heads, vT.shape[2], d_v), vT.dtype)
+    for rows, cols, edges in spans.plan:
+        p = _tile_scores(qx, kT, rows, cols, edges)
+        np.exp(p, out=p)
+        dv[:, cols] += p.swapaxes(-1, -2) @ gx[:, rows, :d_v]
+        ds = gx[:, rows] @ vT[:, :, cols]
+        ds *= p
+        np.matmul(ds, kd[:, cols], out=dq[:, rows])
+        dk[:, cols] += ds.swapaxes(-1, -2) @ qx[:, rows, :d]
+    return dq, dk, dv
+
+
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
+              spans: Spans, rope: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """A multi-head attention block without its residual: the heads of
+    ``xq @ wq``, ``xkv @ wk`` and ``xkv @ wv`` are the queries, keys and
+    values, q and k are rotated by the ``rope`` tables (``rope_cache``) if
+    given, query i attends over keys [spans.lo[i], spans.hi[i]) with scores
+    scaled by 1/sqrt(head_dim), and the merged heads are projected by ``wo``.
+
+    The backward keeps only the inputs (their rebuilds, where they are
+    ``rms_norm`` outputs; one for both when ``xkv is xq``), the four weights,
+    the merged attention output and each row's log-sum-exp, and recomputes q,
+    k and v. Each head's projection runs on its own, straight into the layout
+    the tile kernel reads: the scaled queries next to their shift column, and
+    [v|1] in the forward and [vᵀ;1] in the backward, so v is never copied;
+    the tests check that this equals the columns of the full product bit for
+    bit. Every other product and sum is that of the composition of matmuls,
+    rotations and tile kernel, so the output equals it bit for bit.
+    """
+    xd, kvd = xq.data, xkv.data
+    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
+    same = xkv is xq
+    x_of = xq._rebuild or (lambda: xd)  # a rebuild keeps ``xd`` out of the graph
+    kv_of = xkv._rebuild or (lambda: kvd)
+    n_q, n_k, dtype = len(xd), len(kvd), xd.dtype
+    dh = wqd.shape[1] // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def queries_and_keys(x, kv):
+        """``qx`` with the scaled, rotated queries in ``qx[..., :dh]``, and the rotated keys."""
+        qx = np.empty((heads, n_q, dh + 1), dtype)
+        q = qx[..., :dh] if rope is None else np.empty((heads, n_q, dh), dtype)
+        k = np.empty((heads, n_k, dh), dtype)
+        for h in range(heads):
+            np.matmul(x, wqd[:, h * dh:(h + 1) * dh], out=q[h])
+            np.matmul(kv, wkd[:, h * dh:(h + 1) * dh], out=k[h])
+        if rope is not None:
+            _rotate(q, *rope, out=qx[..., :dh])
+            k = _rotate(k, *rope)
+        qx[..., :dh] *= scale
+        return qx, k
+
+    qx, kd = queries_and_keys(xd, kvd)
+    v1 = np.empty((heads, n_k, dh + 1), dtype)
+    for h in range(heads):
+        np.matmul(kvd, wvd[:, h * dh:(h + 1) * dh], out=v1[h, :, :dh])
+    v1[..., dh] = 1
+    out = _span_forward(qx, kd, v1, spans)
+    neg_lse = qx[..., dh].copy()
+    merged = out.swapaxes(0, 1).reshape(n_q, heads * dh)  # a view
 
     def vjp(g):
-        kT = _with_ones(kd.swapaxes(-1, -2), axis=-2)
-        vT = _with_ones(vd.swapaxes(-1, -2), axis=-2)
-        gx = np.empty(g.shape[:-1] + (d_v + 1,), g.dtype)
-        gx[..., :d_v] = g
-        np.negative(_row_dot(g, out), out=gx[..., d_v])
-        dq = np.empty((heads, n_q, d), qx.dtype)
-        dk = np.zeros(kd.shape, kd.dtype)  # C order: k and v may be strided views
-        dv = np.zeros(vd.shape, vd.dtype)
-        for rows, cols, edges in spans.plan:
-            p = _tile_scores(qx, kT, rows, cols, edges)
-            np.exp(p, out=p)
-            dv[:, cols] += p.swapaxes(-1, -2) @ gx[:, rows, :d_v]
-            ds = gx[:, rows] @ vT[:, :, cols]
-            ds *= p
-            np.matmul(ds, kd[:, cols], out=dq[:, rows])
-            dk[:, cols] += ds.swapaxes(-1, -2) @ qx[:, rows, :d]
+        x = x_of()
+        kv = x if same else kv_of()
+        qx, kd = queries_and_keys(x, kv)
+        qx[..., dh] = neg_lse
+        vT = np.empty((heads, dh + 1, n_k), dtype)
+        for h in range(heads):
+            np.matmul(wvd[:, h * dh:(h + 1) * dh].T, kv.T, out=vT[h, :dh])
+        vT[:, dh] = 1
+        g_heads = (g @ wod.T).reshape(n_q, heads, dh).swapaxes(0, 1)
+        dq, dk, dv = _span_backward(qx, kd, vT, merged.reshape(n_q, heads, dh).swapaxes(0, 1),
+                                    g_heads, spans)
         dq *= scale
-        return dq, dk, dv
+        if rope is not None:
+            cos, sin = rope
+            dq, dk = _rotate(dq, cos, -sin), _rotate(dk, cos, -sin)
+        dq, dk, dv = (a.swapaxes(0, 1).reshape(-1, heads * dh) for a in (dq, dk, dv))
+        gq, gk, gv = dq @ wqd.T, dk @ wkd.T, dv @ wvd.T
+        dw = (x.T @ dq, kv.T @ dk, kv.T @ dv, merged.T @ g)
+        # a shared input sums its three gradients in the order the composition's backward does
+        return ((gq + gk) + gv, *dw) if same else (gq, gk + gv, *dw)
 
-    return Tensor._result(out, (q, k, v), vjp)
+    inputs = (xq, wq, wk, wv, wo) if same else (xq, xkv, wq, wk, wv, wo)
+    return Tensor._result(merged @ wod, inputs, vjp)
 
 
 def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

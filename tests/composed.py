@@ -1,19 +1,23 @@
 """The composed forms of the package's fused ops, the allocating optimizer
 and the exact-max attention kernel, kept as oracles.
 
-``tensor.rms_norm``, ``apply_rope``, ``gated_ffn`` and ``embedding_mean``
+``tensor.rms_norm``, ``attention``, ``gated_ffn`` and ``embedding_mean``
 each replace a composition of smaller autodiff ops that kept every
 intermediate alive until the backward. The smaller ops that only those
-compositions used (subtraction, scalar power, mean, slicing, silu, the gated
-product ``swiglu`` and the single-table embedding) live here, unchanged, so
-the compositions still run: a fused op's forward must equal its composition
-bit for bit, and its vjp must agree with the composition's autodiff up to
-rounding. ``gated_ffn``'s gradients equal its composition's bit for bit. ``adamw_step`` and
+compositions used (subtraction, scalar power, mean, slicing, axis swaps,
+silu, the gated product ``swiglu``, the single-table embedding, the head
+split and merge, the rotary op and the Tensor-level span attention) live
+here, so the compositions still run: a fused op's forward must equal its
+composition bit for bit, and its vjp must agree with the composition's
+autodiff up to rounding. ``gated_ffn``'s gradients equal its composition's
+bit for bit. ``apply_rope`` and ``span_attention`` are Tensor ops over the
+package's array-level rotation and tile kernel; ``rotate_pairs`` is the
+even/odd composition the rotation must equal. ``adamw_step`` and
 ``global_grad_norm`` are the optimizer as it was before it ran in place and
 read table gradients by rows: it reads every gradient as a dense array.
-``span_attention`` is the kernel as it was before the softmax shift and
-normaliser were folded into its matmuls: it shifts each row by its exact max
-and sums the normaliser in a pass of its own.
+``exact_max_span_attention`` is the kernel as it was before the softmax
+shift and normaliser were folded into its matmuls: it shifts each row by its
+exact max and sums the normaliser in a pass of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 
 import numpy as np
 
+from patchlm import tensor
 from patchlm.trainer import _decayable
 from patchlm.tensor import Spans, Tensor, _sigmoid, _unbroadcast, concat
 
@@ -56,6 +61,10 @@ def getitem(x: Tensor, idx) -> Tensor:
     return Tensor._result(x.data[idx], (x,), vjp)
 
 
+def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
+    return Tensor._result(x.data.swapaxes(a, b), (x,), lambda g: (g.swapaxes(a, b),))
+
+
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     out = x.data * s
@@ -81,6 +90,13 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
 
 
 def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """``tensor._rotate`` as an op on (heads, n, head_dim) queries or keys; the
+    backward rotates the gradient back, so it keeps only the tables."""
+    return Tensor._result(tensor._rotate(x.data, cos, sin), (x,),
+                          lambda g: (tensor._rotate(g, cos, -sin),))
+
+
+def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """The even/odd form, on the (n, head_dim / 2) tables inside ``rope_cache``'s."""
     cos, sin = cos[:, 0::2], sin[:, 1::2]
     h, n, d = x.shape
@@ -154,7 +170,53 @@ def _tile_scores(qs: np.ndarray, kT: np.ndarray, rows, cols, edges) -> np.ndarra
     return scores
 
 
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    n, d = x.shape
+    return swapaxes(x.reshape(n, heads, d // heads), 0, 1)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    h, n, dh = x.shape
+    return swapaxes(x, 0, 1).reshape(n, h * dh)
+
+
 def span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
+    """The package's tile kernel as an op: multi-head softmax attention,
+    scaled by 1/sqrt(d), of (heads, n_q, d) queries over (heads, n_k, d) keys
+    and (heads, n_k, d_v) values, where query i sees keys
+    [spans.lo[i], spans.hi[i]). It keeps the scaled queries with ``-lse``,
+    the keys, the values and the output, as the op did before the attention
+    block was one op."""
+    heads, n_q, d = q.shape
+    scale = 1.0 / math.sqrt(d)
+    kd, vd = k.data, v.data
+    qx = np.empty((heads, n_q, d + 1), q.dtype)
+    np.multiply(q.data, scale, out=qx[..., :d])
+    out = tensor._span_forward(qx, kd, tensor._with_ones(vd, axis=-1), spans)
+
+    def vjp(g):
+        vT = tensor._with_ones(vd.swapaxes(-1, -2), axis=-2)
+        dq, dk, dv = tensor._span_backward(qx, kd, vT, out, g, spans)
+        dq *= scale
+        return dq, dk, dv
+
+    return Tensor._result(out, (q, k, v), vjp)
+
+
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
+              spans: Spans, rope=None, attend=span_attention) -> Tensor:
+    """The attention block as it was before it was one op: projections, head
+    split, rotation, ``attend`` and the merged heads' output projection."""
+    q = split_heads(xq @ wq, heads)
+    k = split_heads(xkv @ wk, heads)
+    v = split_heads(xkv @ wv, heads)
+    if rope is not None:
+        q = apply_rope(q, *rope)
+        k = apply_rope(k, *rope)
+    return merge_heads(attend(q, k, v, spans)) @ wo
+
+
+def exact_max_span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:
     """Multi-head softmax attention, scaled by 1/sqrt(d), where query i sees
     keys [spans.lo[i], spans.hi[i]).
 

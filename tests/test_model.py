@@ -1,3 +1,4 @@
+import functools
 import weakref
 
 import numpy as np
@@ -38,8 +39,9 @@ from patchlm.patching import (
     patch_strided,
 )
 from patchlm import model, tensor
-from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, rms_norm, softmax, span_attention
+from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, rms_norm, softmax
 from tests import composed
+from tests.composed import span_attention
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -320,9 +322,9 @@ def test_forward_deterministic():
 
 
 def compose_blocks(mp):
-    """Run the model's norm, rotary, feed-forward and embedding blocks as the
-    compositions they fuse."""
-    for name in ("rms_norm", "apply_rope", "gated_ffn", "embedding_mean"):
+    """Run the model's norm, attention, feed-forward and embedding blocks as
+    the compositions they fuse."""
+    for name in ("rms_norm", "attention", "gated_ffn", "embedding_mean"):
         mp.setattr(model, name, getattr(composed, name))
 
 
@@ -363,6 +365,23 @@ def test_a_training_step_through_gated_ffn_is_bitwise_the_composed_ffn(monkeypat
     for compose in (False, True):
         if compose:
             monkeypatch.setattr(model, "gated_ffn", composed.gated_ffn)
+        params = init_params(cfg, seed=4)
+        res = lm_forward(params, stream, cfg)
+        res.loss.backward()
+        results.append([res.loss.data] + [np.asarray(t.grad) for _, t in params.items()])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def test_a_training_step_through_attention_is_bitwise_the_composed_block(monkeypatch):
+    # the op recomputes q, k and v in its backward and rebuilds each norm output
+    # once; the composition keeps them, and its matmuls rebuild the norm outputs
+    cfg = tiny_cfg()
+    stream = text_stream(n_bytes=150, n_docs=3)
+    results = []
+    for compose in (False, True):
+        if compose:
+            monkeypatch.setattr(model, "attention", composed.attention)
         params = init_params(cfg, seed=4)
         res = lm_forward(params, stream, cfg)
         res.loss.backward()
@@ -435,20 +454,20 @@ def test_backward_frees_intermediates_and_keeps_parameter_grads():
         res.loss.backward()
 
 
-def test_queries_before_rope_are_freed_once_the_forward_drops_them(monkeypatch):
-    # rotary's vjp keeps only its tables: the projection it rotated must die
-    # with the forward's local names, while the graph is still alive
+def test_attention_graph_keeps_no_queries_keys_or_values(monkeypatch):
+    # the attention op's vjp recomputes q, k and v: the arrays the tile kernel
+    # read in the forward must die with the forward, while the graph is still alive
     cfg = tiny_cfg()
-    inputs, rope = [], model.apply_rope
+    arrays, forward = [], tensor._span_forward
 
-    def recording_rope(x, cos, sin):
-        inputs.append(weakref.ref(x.data if x.data.base is None else x.data.base))
-        return rope(x, cos, sin)
+    def recording_forward(qx, kd, v1, spans):
+        arrays.extend(weakref.ref(a) for a in (qx, kd, v1))
+        return forward(qx, kd, v1, spans)
 
-    monkeypatch.setattr(model, "apply_rope", recording_rope)
+    monkeypatch.setattr(tensor, "_span_forward", recording_forward)
     res = lm_forward(init_params(cfg, seed=0), text_stream(), cfg)
-    assert len(inputs) == 2 * (cfg.enc_layers + cfg.global_layers + cfg.dec_layers)
-    assert all(ref() is None for ref in inputs)
+    assert len(arrays) == 3 * (2 * cfg.enc_layers + cfg.global_layers + 2 * cfg.dec_layers)
+    assert all(ref() is None for ref in arrays)
     assert res.loss.requires_grad
 
 
@@ -484,9 +503,8 @@ def test_no_vjp_closes_over_a_tensor():
                 pinned.add(op)
     assert not pinned, f"vjps that close over a Tensor: {sorted(pinned)}"
     assert ops >= {"Tensor.__add__", "Tensor.__mul__", "Tensor.__matmul__", "Tensor.reshape",
-                   "Tensor.swapaxes", "Tensor.sum", "concat", "embedding_mean", "rms_norm",
-                   "apply_rope", "gated_ffn", "softmax", "span_attention", "nll_from_logits",
-                   "segment_max"}
+                   "Tensor.sum", "concat", "embedding_mean", "rms_norm", "attention", "gated_ffn",
+                   "softmax", "nll_from_logits", "segment_max"}
 
 
 # -- independence properties ------------------------------------------------------
@@ -624,7 +642,7 @@ def test_grad_check_multi_document_windows_shorter_than_documents():
 
 def _dense_attend(q, k, v, spans):
     """The dense reference: full score matrix, additive mask, softmax."""
-    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ composed.swapaxes(k, -1, -2)
     return softmax(scores + np.where(spans.dense(k.shape[1]), 0.0, -np.inf), axis=-1) @ v
 
 
@@ -640,7 +658,7 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
         return float(res.loss.data), {k: np.array(t.grad) for k, t in params.items()}
 
     loss, grads = loss_and_grads()
-    monkeypatch.setattr(model, "span_attention", _dense_attend)
+    monkeypatch.setattr(model, "attention", functools.partial(composed.attention, attend=_dense_attend))
     want_loss, want_grads = loss_and_grads()
     assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
     for name, want in want_grads.items():
@@ -720,12 +738,12 @@ def test_decoder_key_layout_matches_dense_oracle(doc_starts):
     allowed = np.repeat(completed_patch_mask(bounds, doc_ids).allowed, k, axis=1)
 
     def spans(q, kv):
-        keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)
+        keys, values = composed.split_heads(kv, heads), composed.split_heads(kv @ w_v, heads)
         return span_attention(q, keys, values, completed_patch_spans(bounds, doc_ids, k))
 
     def dense(q, kv):
-        keys, values = model._split_heads(kv, heads), model._split_heads(kv @ w_v, heads)
-        scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ keys.swapaxes(-1, -2)
+        keys, values = composed.split_heads(kv, heads), composed.split_heads(kv @ w_v, heads)
+        scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ composed.swapaxes(keys, -1, -2)
         return softmax(scores + np.where(allowed, 0.0, -np.inf), axis=-1) @ values
 
     results = []
@@ -747,6 +765,41 @@ def test_decoder_spans_have_width_k(doc_starts):
         spans = completed_patch_spans(bounds, doc_ids, k)
         assert (spans.hi - spans.lo == k).all()
         assert (spans.lo % k == 0).all() and spans.hi.max() <= k * (bounds.n_patches + 1)
+
+
+def test_tiles_end_where_a_span_start_jumps():
+    # on a 3-document stream, the first bytes of a later document see the start
+    # slots while the previous document's last bytes see its last patch: a tile
+    # that held both would score every key column in between. No decoder
+    # cross-attention tile is wider than in the documents' own plans, and every
+    # tile of every span set scores exactly its rows' spans.
+    cfg = ModelConfig()
+    docs = [np.frombuffer(textgen.synthetic_text(700, seed=s).encode()[:700], np.uint8) for s in range(3)]
+    stream = Stream.from_documents(docs, patch_space)
+
+    def widest(spans):
+        return max(cols.stop - cols.start for _, cols, _ in spans.plan)
+
+    def decoder_spans(s):
+        return completed_patch_spans(s.boundaries, s.doc_ids, cfg.k)
+
+    decoder = decoder_spans(stream)
+    alone = [Stream.from_documents([d], patch_space) for d in docs]
+    assert widest(decoder) <= max(widest(decoder_spans(s)) for s in alone)
+    for spans in (decoder, local_spans(stream.n_bytes, cfg.enc_window, stream.doc_ids),
+                  latent_spans(stream.patch_doc_ids), membership_spans(stream.boundaries)):
+        covered = 0
+        for rows, cols, edges in spans.plan:
+            assert rows.start == covered and 0 < rows.stop - rows.start <= ATTN_TILE
+            covered = rows.stop
+            lo, hi = spans.lo[rows, None], spans.hi[rows, None]
+            assert cols.start <= lo.min() and hi.max() <= cols.stop
+            scored = np.ones((len(lo), cols.stop - cols.start), bool)
+            for tile_cols, hidden in edges:
+                scored[:, tile_cols] &= ~hidden
+            j = np.arange(cols.start, cols.stop)
+            np.testing.assert_array_equal(scored, (lo <= j) & (j < hi))
+        assert covered == len(spans.lo)
 
 
 @pytest.mark.parametrize("doc_starts", DOC_STARTS)
@@ -791,16 +844,18 @@ def test_long_stream_memory_stays_bounded():
 
 def test_training_graph_memory_stays_at_its_measured_size():
     # what lm_forward leaves held for the backward on a 2,100-byte, 3-document
-    # stream at the default config: 25.9 MB once the feed-forward block was one
-    # op that recomputes its two (n, d_ff) projections in the backward, 38.9 MB
-    # once matmul backwards rebuilt the norm and gate outputs they read, 53.2 MB
-    # when the graph linked nodes and pinned only the arrays some vjp reads,
-    # 73.7 MB when vjps closed over their input tensors, 126.2 MB when the fused
-    # norm, rotary, gate and embedding ops were compositions of smaller ops; the
-    # bound is 25.9 + 5%. The backward's peak over the same base is 33.2 MB:
-    # 38.7 MB if the feed-forward vjp recomputes its projections without
-    # reusing their buffers, 46.1 MB when the graph kept them; the bound is
-    # 33.2 + 5%.
+    # stream at the default config: 14.3 MB once each attention block was one
+    # op that recomputes q, k and v in the backward, 25.9 MB once the
+    # feed-forward block was one op that recomputes its two (n, d_ff)
+    # projections in the backward, 38.9 MB once matmul backwards rebuilt the
+    # norm and gate outputs they read, 53.2 MB when the graph linked nodes and
+    # pinned only the arrays some vjp reads, 73.7 MB when vjps closed over their
+    # input tensors, 126.2 MB when the fused norm, rotary, gate and embedding
+    # ops were compositions of smaller ops; the bound is 14.3 + 5%. The
+    # backward's peak over the same base is 21.6 MB: 33.2 MB when the graph
+    # kept each attention block's scaled queries, keys and values, 38.7 MB if
+    # the feed-forward vjp recomputes its projections without reusing their
+    # buffers, 46.1 MB when the graph kept them; the bound is 21.6 + 5%.
     import tracemalloc
 
     cfg = ModelConfig()
@@ -817,8 +872,8 @@ def test_training_graph_memory_stays_at_its_measured_size():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert held < 25.9 * 1.05 * 2**20, f"graph holds {held / 2**20:.1f} MB"
-    assert peak < 33.2 * 1.05 * 2**20, f"backward peaks at {peak / 2**20:.1f} MB"
+    assert held < 14.3 * 1.05 * 2**20, f"graph holds {held / 2**20:.1f} MB"
+    assert peak < 21.6 * 1.05 * 2**20, f"backward peaks at {peak / 2**20:.1f} MB"
 
 
 def test_grad_check_detects_corrupted_gradient():

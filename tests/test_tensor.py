@@ -9,7 +9,7 @@ from patchlm.tensor import (
     RowGrad,
     Spans,
     Tensor,
-    apply_rope,
+    attention,
     concat,
     embedding_mean,
     gated_ffn,
@@ -20,12 +20,13 @@ from patchlm.tensor import (
     _row_grad,
     segment_max,
     softmax,
-    span_attention,
 )
 from patchlm import tensor, textgen
-from patchlm.model import ModelConfig, Stream, augmented_byte_embeddings, ffn_hidden_dim, init_params
+from patchlm.model import (ModelConfig, Stream, augmented_byte_embeddings, completed_patch_spans,
+                           ffn_hidden_dim, init_params, local_spans, membership_spans)
 from patchlm.patching import patch_space
 from tests import composed
+from tests.composed import span_attention
 
 
 def numeric_grad(f, x: np.ndarray, eps=1e-6) -> np.ndarray:
@@ -74,8 +75,8 @@ def test_matmul_2d_and_batched():
 
 
 def test_reshape_swapaxes_getitem():
-    check_op(lambda a: composed.getitem(a.reshape(6, 2).swapaxes(0, 1), (0, slice(None, None, 2))).sum(),
-             (3, 4))
+    check_op(lambda a: composed.getitem(composed.swapaxes(a.reshape(6, 2), 0, 1),
+                                        (0, slice(None, None, 2))).sum(), (3, 4))
 
 
 def test_sum_mean_keepdims():
@@ -104,14 +105,15 @@ def fused_case(name, dtype):
     if name == "rms_norm":
         return [(6, 8), (8,)], rms_norm, composed.rms_norm, (1e-6,)
     if name == "apply_rope":
-        # a (n, heads * head_dim) projection viewed as (heads, n, head_dim), as the model does
+        # the package's rotation, on a (n, heads * head_dim) projection viewed as
+        # (heads, n, head_dim) as the composed attention block does, against the even/odd form
         n, heads, hd = 9, 2, 6
         cos, sin = rope_tables(n, hd, dtype)
 
         def build(op):
-            return lambda x: op(x.reshape(n, heads, hd).swapaxes(0, 1), cos, sin)
+            return lambda x: op(composed.split_heads(x, heads), cos, sin)
 
-        return [(n, heads * hd)], build(apply_rope), build(composed.apply_rope), ()
+        return [(n, heads * hd)], build(composed.apply_rope), build(composed.rotate_pairs), ()
     if name == "gated_ffn":
         return [(5, 6), (6, 7), (6, 7), (7, 6)], gated_ffn, composed.gated_ffn, ()
     ids = [np.array([3, 0, 3, 7, 1, 3]), np.array([4, 4, 0, 2, 1, 4]), np.array([0, 5, 5, 5, 2, 1])]
@@ -164,21 +166,31 @@ def test_fused_grads_numeric(name):
 def test_fused_ops_keep_no_intermediate():
     # each vjp closes over the op's inputs and small tables only: what the
     # graph holds beyond the inputs is the output and, for rms_norm, one
-    # value per row
+    # value per row; attention also keeps its merged heads, which its output
+    # projection reads, and one log-sum-exp per row and head, but no query,
+    # key or value
     rng = np.random.default_rng(0)
     x = parameter(rng.standard_normal((256, 64)))
+    kv = parameter(rng.standard_normal((300, 32)))
     gain = parameter(np.ones(64))
     w_in, w_down = parameter(rng.standard_normal((64, 176))), parameter(rng.standard_normal((176, 64)))
-    cos, sin = rope_tables(256, 16, np.float64)
+    w, w_kv = parameter(rng.standard_normal((64, 64)) / 8), parameter(rng.standard_normal((32, 64)) / 8)
+    rope = rope_tables(256, 16, np.float64)
+    i = np.arange(256)
+    causal, window = Spans(np.zeros(256, np.int64), i + 1), Spans(i, i + 45)
+    for spans in (causal, window):  # plan and range index built once, outside the graph
+        spans.plan, spans.range_max(np.zeros(spans.n_keys))
     cases = [
         (lambda: rms_norm(x, gain, 1e-6), 256 * 8),
-        (lambda: apply_rope(x.reshape(256, 4, 16).swapaxes(0, 1), cos, sin), 0),
+        (lambda: attention(x, x, w, w, w, w, 4, causal, rope), 256 * 64 * 8 + 4 * 256 * 8),
+        (lambda: attention(x, kv, w, w_kv, w_kv, w, 2, window), 256 * 64 * 8 + 2 * 256 * 8),
         (lambda: gated_ffn(x, w_in, w_in, w_down), 0),
         (lambda: embedding_mean([(x, np.arange(256), None)]), 256 * 8),
     ]
     import tracemalloc
 
     for build, extra in cases:
+        build()  # a first call fills numpy's and the interpreter's lazy caches
         tracemalloc.start()
         try:
             out = build()
@@ -284,7 +296,8 @@ def test_dtype_discipline_float32_stays_float32():
     a = parameter(np.ones((2, 2), np.float32))
     gain = parameter(np.ones(2, np.float32))
     h = gated_ffn(rms_norm(a * 0.5 + 1.0, gain, 1e-6), a, a, a)
-    out = apply_rope(h.reshape(1, 2, 2), *rope_tables(2, 2, np.float32))
+    causal = Spans(np.array([0, 0]), np.array([1, 2]))
+    out = attention(h, h, a, a, a, a, 1, causal, rope_tables(2, 2, np.float32))
     out = out + embedding_mean([(a, np.array([0, 1]), None), (a, np.array([1, 1]), np.array([True, False]))])
     assert out.dtype == np.float32 and out.sum().dtype == np.float32
 
@@ -416,11 +429,92 @@ def test_gated_ffn_of_a_norm_output_grads_numeric():
              (5, 6), (6,), (6, 8), (6, 8), (8, 6))
 
 
+def attention_inputs(kind):
+    """One attention block's inputs at the default config on a 3-document
+    stream: ``(arrays, heads, spans, rope)``, where the float32 arrays are the
+    query input, the key/value input (cross-attention only), their norm gains
+    and the four weights. ``self`` is a local self-attention layer,
+    ``membership`` encoder and ``decoder`` decoder cross-attention."""
+    cfg = ModelConfig()
+    docs = [np.frombuffer(textgen.synthetic_text(300, seed=s).encode()[:300], np.uint8) for s in range(3)]
+    stream = Stream.from_documents(docs, patch_space)
+    x = augmented_byte_embeddings(init_params(cfg, seed=3).detached(), stream, cfg).data
+    x = x / x.std()
+    n, m, k = stream.n_bytes, stream.n_patches, cfg.k
+    rng = np.random.default_rng(8)
+    if kind == "self":
+        xq, xkv, heads = x, None, cfg.enc_heads
+        spans = local_spans(n, cfg.enc_window, stream.doc_ids)
+        rope = rope_cache(np.arange(n), cfg.enc_dim // heads, cfg.rope_theta, np.float32)
+    elif kind == "membership":
+        xq, xkv, heads = rng.standard_normal((m, cfg.global_dim)), x, k
+        spans, rope = membership_spans(stream.boundaries), None
+    else:
+        xq, xkv, heads = x, rng.standard_normal((k * (m + 1), cfg.dec_dim)), cfg.dec_heads
+        spans, rope = completed_patch_spans(stream.boundaries, stream.doc_ids, k), None
+    d, d_kv = xq.shape[1], (xq if xkv is None else xkv).shape[1]
+    weights = [rng.standard_normal(shape) / np.sqrt(shape[0])
+               for shape in ((d, d), (d_kv, d), (d_kv, d), (d, d))]
+    gains = [1.0 + 0.5 * rng.standard_normal(a.shape[1]) for a in (xq, xkv) if a is not None]
+    arrays = [a.astype(np.float32) for a in [xq, *([] if xkv is None else [xkv]), *gains, *weights]]
+    return arrays, heads, spans, rope
+
+
+def attend_leaves(op, leaves, heads, spans, rope, norm: bool):
+    """``op`` over parameter leaves: the inputs, through ``rms_norm`` if ``norm``."""
+    n_in = 1 if rope is not None else 2
+    inputs, gains, weights = leaves[:n_in], leaves[n_in:2 * n_in], leaves[2 * n_in:]
+    xs = [rms_norm(x, g, 1e-6) for x, g in zip(inputs, gains)] if norm else inputs
+    return op(xs[0], xs[-1], *weights, heads, spans, rope), xs
+
+
+@pytest.mark.parametrize("xn_kind", ["rms_norm", "parameter"])
+@pytest.mark.parametrize("kind", ["self", "membership", "decoder"])
+def test_attention_is_bitwise_its_composition(kind, xn_kind):
+    # float32, at the model's sizes: the per-head projections straight into
+    # the kernel's layouts, the recomputed q, k and v, and the summed gradient
+    # of a shared input give the composition's output and gradients
+    arrays, heads, spans, rope = attention_inputs(kind)
+    seed = None
+    results = []
+    for op in (attention, composed.attention):
+        leaves = [parameter(a.copy()) for a in arrays]
+        out, xs = attend_leaves(op, leaves, heads, spans, rope, xn_kind == "rms_norm")
+        if xn_kind == "rms_norm":
+            refs = [weakref.ref(x.data) for x in xs]
+            del xs
+            assert all(r() is None for r in refs)  # both keep rebuilds of the norm outputs
+        if seed is None:
+            seed = np.random.default_rng(6).standard_normal(out.shape).astype(np.float32)
+        out.backward(seed)
+        results.append([out.data] + [t.grad for t in leaves if t.grad is not None])
+    unused = sum(a.ndim == 1 for a in arrays) if xn_kind == "parameter" else 0  # the gains
+    assert len(results[0]) == len(results[1]) == 1 + len(arrays) - unused
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_attention_of_norm_outputs_grads_numeric(kind):
+    # float64 finite differences through the backward's rebuild of the norm outputs
+    n_q, n_k, d, d_kv = 7, 9, 8, 6
+    i = np.arange(n_q)
+    if kind == "self":
+        spans, rope = Spans(np.maximum(i - 3, 0), i + 1), rope_tables(n_q, 4, np.float64)
+        shapes = [(n_q, d), (d,), (d, d), (d, d), (d, d), (d, d)]
+    else:
+        spans, rope = Spans(i, i + 3), None
+        shapes = [(n_q, d), (n_k, d_kv), (d,), (d_kv,), (d, d), (d_kv, d), (d_kv, d), (d, d)]
+    weight = np.random.default_rng(7).standard_normal((n_q, d))
+    check_op(lambda *leaves: (attend_leaves(attention, leaves, 2, spans, rope, True)[0] * weight).sum(),
+             *shapes)
+
+
 def dense_attention(q, k, v, spans):
     """Reference: full score matrix scaled by 1/sqrt(d), additive -inf mask, softmax, mix."""
     j = np.arange(k.shape[1])
     visible = (spans.lo[:, None] <= j) & (j < spans.hi[:, None])
-    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ composed.swapaxes(k, -1, -2)
     return softmax(scores + np.where(visible, 0.0, -np.inf), axis=-1) @ v
 
 
@@ -501,7 +595,7 @@ def test_span_attention_matches_the_exact_max_kernel(monkeypatch):
         big_q, big_k, big_v, big_w = (np.abs(x).max() for x in (*leaves, weight))
         tol = 1e-12 * max(1.0, big_q * big_k * np.sqrt(dim))
         terms = [big_v, big_w * big_v * big_k, big_w * big_v * big_q, big_w]
-        for got, want, size in zip(results, run(composed.span_attention), terms):
+        for got, want, size in zip(results, run(composed.exact_max_span_attention), terms):
             np.testing.assert_allclose(got, want, rtol=tol, atol=tol * size)
 
     check()
