@@ -22,6 +22,13 @@ complete, so concurrent reads stay safe. A trace reads every position's
 short context from that table and searches the sparse levels 3..order
 deepest first, backing off on a miss.
 
+``train_counts`` counts every level in one uint64 pair-key buffer over the
+concatenated corpus. Its scratch is about 10 bytes per corpus byte below
+order 8 (the padded corpus, the buffer and a run-boundary mask) and 27 at
+order 8, whose lexsort permutes copies of the keys, plus 8 bytes per pair of
+the level being counted. ``MAX_PAIRS`` bounds the stored pairs, not that
+scratch.
+
 Entropies are in nats throughout; callers convert to bits only at reporting
 edges.
 """
@@ -43,7 +50,8 @@ NEWLINE = 0x0A
 
 _MAGIC = b"PLMENT01"
 
-# the most (context, next-byte) pairs ``train_counts`` will store: (order + 1) per byte
+# the most (context, next-byte) pairs ``train_counts`` will store, (order + 1) per
+# byte; it does not bound the build's scratch
 MAX_PAIRS = 50_000_000
 DEFAULT_ALPHA = 0.01  # add-alpha smoothing of the count model
 
@@ -61,6 +69,13 @@ def _as_bytes_array(data) -> np.ndarray:
     return np.asarray(data, dtype=np.uint8)
 
 
+def _windows(padded: np.ndarray) -> np.ndarray:
+    """The 8 bytes before each position of ``padded[8:]``, read as one big-endian
+    word per position (a stride-1 view, no copy); ``padded`` starts with 8 zero
+    bytes."""
+    return np.ndarray((len(padded) - 8,), dtype=">u8", buffer=padded, strides=(1,))
+
+
 def _pack_keys(arr: np.ndarray, width) -> np.ndarray:
     """Pack the context of ``width`` bytes ending just before each position of
     ``arr`` into a uint64 key; zero bytes stand in before the start.
@@ -68,37 +83,56 @@ def _pack_keys(arr: np.ndarray, width) -> np.ndarray:
     ``width`` is an int or one per position. The key of context c_1..c_k is
     sum(c_j * 256**(k - j)) (big-endian, last byte least significant), so the
     last j bytes of a context are its key & _KEY_MASK[j]. One pass packs every
-    position: its 8 preceding bytes read as one big-endian word, then masked.
+    position: its 8-byte window (``_windows``), masked.
     """
     padded = np.concatenate((np.zeros(8, np.uint8), arr))
-    words = np.ndarray((len(arr),), dtype=">u8", buffer=padded, strides=(1,))
-    return words.astype(np.uint64) & _KEY_MASK[width]
+    return _windows(padded).astype(np.uint64) & _KEY_MASK[width]
 
 
-def _count_pairs(keys: np.ndarray, nxt: np.ndarray,
-                 ctx_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregate (key, next) occurrences of ``ctx_len``-byte contexts; output
-    sorted by key then next byte.
+def _count_pairs(keys: np.ndarray, nxt: np.ndarray, ctx_len: int,
+                 skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregate the (key & _KEY_MASK[ctx_len], next) occurrences of every
+    position except those in ``skip``; output sorted by key then next byte.
 
-    Below length 8 the pair fits one uint64 key ``(key << 8) | next``, and a
-    single sort of it is an order of magnitude faster than a two-key lexsort;
-    8-byte contexts need 72 bits and take the lexsort.
+    ``keys`` holds each position's 8-byte window and is overwritten. Below
+    length 8 the pair fits one uint64 key ``(key << 8) | next``, built in
+    ``keys`` and sorted there, so the only other per-position array is the
+    run-boundary mask; a skipped position's pair is set to 0, sorts first and
+    is dropped as the sorted head. 8-byte contexts need 72 bits and take the
+    lexsort, where a skipped position's key is 0 and its next byte reads as
+    -1, so that it sorts first too.
     """
-    if len(keys) == 0:
+    n = len(keys) - len(skip)
+    if n == 0:
         e = np.zeros(0, dtype=np.uint64)
         return e, np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    if ctx_len < 8:
-        pairs, counts = np.unique((keys << np.uint64(8)) | nxt.astype(np.uint64), return_counts=True)
-        return pairs >> np.uint64(8), (pairs & np.uint64(0xFF)).astype(np.uint8), counts.astype(np.int64)
-    order = np.lexsort((nxt, keys))
-    k = keys[order]
-    x = nxt[order]
-    new = np.empty(len(k), dtype=bool)
+    new = np.empty(n, dtype=bool)
     new[0] = True
-    new[1:] = (k[1:] != k[:-1]) | (x[1:] != x[:-1])
-    starts = np.nonzero(new)[0]
-    counts = np.diff(np.append(starts, len(k))).astype(np.int64)
-    return k[starts], x[starts], counts
+    if ctx_len < 8:
+        keys &= _KEY_MASK[ctx_len]
+        keys <<= np.uint64(8)
+        keys |= nxt
+        keys[skip] = 0
+        keys.sort()
+        pairs = keys[len(skip):]
+        np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        del new
+        ctx = pairs[starts]
+        x = ctx.astype(np.uint8)  # the low byte
+        ctx >>= np.uint64(8)
+    else:
+        keys[skip] = 0
+        tie = nxt.astype(np.int16)
+        tie[skip] = -1
+        order = np.lexsort((tie, keys))[len(skip):]
+        del tie
+        k, xs = keys[order], nxt[order]
+        del order
+        new[1:] = (k[1:] != k[:-1]) | (xs[1:] != xs[:-1])
+        starts = np.flatnonzero(new)
+        ctx, x = k[starts], xs[starts]
+    return ctx, x, np.diff(starts, append=n)
 
 
 @dataclass
@@ -311,8 +345,13 @@ def train_counts(
 ) -> EntropyModel:
     """Accumulate (context, next-byte) counts within documents and smooth them.
 
-    Counting never crosses document boundaries. Raises with a size estimate if
-    the pairs would exceed ``MAX_PAIRS``.
+    Counting never crosses document boundaries: level k skips the positions
+    with fewer than k bytes of their own document before them. Each level
+    refills one uint64 buffer from the concatenated corpus's 8-byte windows
+    and counts it in place (``_count_pairs``), so the scratch is about 10
+    bytes per corpus byte below order 8 and 27 at order 8, plus 8 bytes per
+    pair of the level being counted. Raises with a size estimate if the
+    stored pairs would exceed ``MAX_PAIRS``, which does not bound that scratch.
     """
     if not (1 <= order <= 8):
         raise ConfigError(f"order must be in [1, 8], got {order}")
@@ -327,14 +366,17 @@ def train_counts(
             f"order {order} over {total} bytes stores up to {est} (context, byte) pairs, "
             f"exceeding the budget of {MAX_PAIRS}; lower the order or use a smaller corpus"
         )
-    packed = [_pack_keys(d, order) for d in docs]
+    lengths = np.array([len(d) for d in docs])
+    doc_start = np.cumsum(lengths) - lengths  # in the concatenated corpus
+    padded = np.concatenate([np.zeros(8, np.uint8), *docs])
+    windows, nxt = _windows(padded), padded[8:]
+    keys = np.empty(total, dtype=np.uint64)  # the one pair-key buffer, refilled per level
     levels = []
     for k in range(order + 1):
-        long_enough = [i for i, d in enumerate(docs) if len(d) > k]
-        keys = np.concatenate([packed[i][k:] for i in long_enough] or [np.zeros(0, np.uint64)])
-        keys &= _KEY_MASK[k]
-        nxts = np.concatenate([docs[i][k:] for i in long_enough] or [np.zeros(0, np.uint8)])
-        levels.append(_Level(*_count_pairs(keys, nxts, k)))
+        head = np.arange(k)
+        skip = (doc_start[:, None] + head)[head < lengths[:, None]]
+        np.copyto(keys, windows)
+        levels.append(_Level(*_count_pairs(keys, nxt, k, skip)))
     return EntropyModel(order, alpha, levels)
 
 

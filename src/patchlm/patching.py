@@ -308,6 +308,32 @@ def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
     return len(score) / n_patches
 
 
+def _sliding_max(x: np.ndarray, width: int) -> np.ndarray:
+    """max(x[i:i + width]) for every window that fits, by doubling spans."""
+    span = 1
+    while 2 * span <= width:
+        x = np.maximum(x[:-span], x[span:])
+        span *= 2
+    rest = width - span  # now x[i] = max(x[i:i + span]), and rest <= span
+    return np.maximum(x[:-rest], x[rest:]) if rest else x
+
+
+def _mean_size_by_count(score: np.ndarray, doc_start: np.ndarray,
+                        max_patch: int) -> Callable[[float], float]:
+    """``_mean_size_at`` as a function of theta alone, by one searchsorted below
+    theta* (see ``calibrate_threshold``)."""
+    theta_star = _sliding_max(np.where(doc_start, np.inf, score), max_patch).min(initial=np.inf)
+    inner = np.sort(score[~doc_start])
+    n_starts = len(score) - len(inner)
+
+    def mean_size(theta: float) -> float:
+        if theta < theta_star:
+            return len(score) / (n_starts + len(inner) - int(np.searchsorted(inner, theta, "right")))
+        return _mean_size_at(score, doc_start, theta, max_patch)
+
+    return mean_size
+
+
 def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size: float,
                         config: PatchingConfig | None = None) -> float:
     """Bisect the threshold of ``config.scheme`` (default ``PatchingConfig()``) so
@@ -318,6 +344,14 @@ def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size
     only remove boundaries); for the jump scheme this is verified on the
     bracket rather than assumed. Raises ConfigError with the achievable range
     when the target cannot be met within ``CALIBRATION_TOL``.
+
+    Each bisection step counts patches. theta* is the lowest threshold at which
+    some ``max_patch_size`` consecutive bytes, none a document start, all score
+    at most theta: the least sliding max of the scores with document starts
+    set to +inf. Below it the maximum patch size cannot force a split, so a
+    step counts the document starts plus the scores above theta, by one
+    searchsorted on the sorted scores of the other bytes; at and above it a
+    step scans every score (``_mean_size_at``).
     """
     config = config or PatchingConfig()
     scheme = config.scheme
@@ -330,17 +364,17 @@ def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size
     n_total = sum(len(d) for d in docs)
     if n_total < 10**5:
         raise ConfigError(f"calibration sample too small: {n_total} bytes < 1e5")
-    values = np.concatenate([model.entropy_trace(d, reset_on_newline=config.reset_on_newline).values
-                             for d in docs])
-    doc_start = np.zeros(len(values), dtype=bool)
-    doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
+    values = np.empty(n_total)
+    doc_start = np.zeros(n_total, dtype=bool)
+    at = 0
+    for d in docs:
+        values[at:at + len(d)] = model.entropy_trace(d, reset_on_newline=config.reset_on_newline).values
+        doc_start[at] = True
+        at += len(d)
     jump = ENTROPY_THRESHOLDS[scheme] == ("theta_r",)
     # the jump across a document start is never read: that byte starts a patch anyway
     score = np.diff(values, prepend=values[0]) if jump else values
-
-    def mean_size(theta: float) -> float:
-        return _mean_size_at(score, doc_start, theta, config.max_patch_size)
-
+    mean_size = _mean_size_by_count(score, doc_start, config.max_patch_size)
     lo, hi = (-LN256 - 1.0, LN256 + 1.0) if jump else (0.0, LN256 + 1.0)
     size_lo = mean_size(lo)
     size_hi = mean_size(hi)

@@ -1,5 +1,6 @@
-"""The composed forms of the package's fused ops, the allocating optimizer
-and the exact-max attention kernel, kept as oracles.
+"""The composed forms of the package's fused ops, the allocating optimizer,
+the exact-max attention kernel, the per-level count build and the scanning
+threshold bisection, kept as oracles.
 
 ``tensor.rms_norm``, ``attention``, ``gated_ffn`` and ``embedding_mean``
 each replace a composition of smaller autodiff ops that kept every
@@ -17,7 +18,11 @@ even/odd composition the rotation must equal. ``adamw_step`` and
 read table gradients by rows: it reads every gradient as a dense array.
 ``exact_max_span_attention`` is the kernel as it was before the softmax
 shift and normaliser were folded into its matmuls: it shifts each row by its
-exact max and sums the normaliser in a pass of its own.
+exact max and sums the normaliser in a pass of its own. ``train_counts`` is
+the count model's build as it was before one pair-key buffer served every
+level, and the saved model must equal its saved model byte for byte;
+``calibrate_threshold`` is the bisection as it was before its steps counted
+by searchsorted, and must return the same threshold or the same error.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ import math
 import numpy as np
 
 from patchlm import tensor
+from patchlm.entropy_lm import (DEFAULT_ALPHA, LN256, _KEY_MASK, EntropyModel, _as_bytes_array,
+                                _Level, _pack_keys)
+from patchlm.errors import ConfigError
+from patchlm.patching import (CALIBRATION_ITERS, CALIBRATION_TOL, ENTROPY_THRESHOLDS, PatchingConfig,
+                              _mean_size_at)
 from patchlm.trainer import _decayable
 from patchlm.tensor import Spans, Tensor, _sigmoid, _unbroadcast, concat
 
@@ -273,3 +283,91 @@ def exact_max_span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> T
         return dq, dk, dv
 
     return Tensor._result(out, (q, k, v), vjp)
+
+
+def count_pairs(keys: np.ndarray, nxt: np.ndarray,
+                ctx_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(key, next) occurrences of ``ctx_len``-byte contexts counted as they were
+    before the pair keys were built and sorted in place: ``np.unique`` of
+    ``(key << 8) | next`` below length 8, a lexsort at 8."""
+    if len(keys) == 0:
+        e = np.zeros(0, dtype=np.uint64)
+        return e, np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    if ctx_len < 8:
+        pairs, counts = np.unique((keys << np.uint64(8)) | nxt.astype(np.uint64), return_counts=True)
+        return pairs >> np.uint64(8), (pairs & np.uint64(0xFF)).astype(np.uint8), counts.astype(np.int64)
+    order = np.lexsort((nxt, keys))
+    k = keys[order]
+    x = nxt[order]
+    new = np.empty(len(k), dtype=bool)
+    new[0] = True
+    new[1:] = (k[1:] != k[:-1]) | (x[1:] != x[:-1])
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(k))).astype(np.int64)
+    return k[starts], x[starts], counts
+
+
+def train_counts(corpus, order: int, alpha: float = DEFAULT_ALPHA) -> EntropyModel:
+    """The count model as it was built before one pair-key buffer served every
+    level: each document's packed keys for all levels, then per level a
+    concatenated copy of the keys and next bytes of the documents longer than
+    the level's context."""
+    docs = [d for d in map(_as_bytes_array, corpus) if len(d)]
+    packed = [_pack_keys(d, order) for d in docs]
+    levels = []
+    for k in range(order + 1):
+        long_enough = [i for i, d in enumerate(docs) if len(d) > k]
+        keys = np.concatenate([packed[i][k:] for i in long_enough] or [np.zeros(0, np.uint64)])
+        keys &= _KEY_MASK[k]
+        nxts = np.concatenate([docs[i][k:] for i in long_enough] or [np.zeros(0, np.uint8)])
+        levels.append(_Level(*count_pairs(keys, nxts, k)))
+    return EntropyModel(order, alpha, levels)
+
+
+def calibrate_threshold(model: EntropyModel, sample, target_patch_size: float,
+                        config: PatchingConfig | None = None) -> float:
+    """The threshold bisection as it was before a step below theta* counted by
+    one searchsorted: every step scans every score (``_mean_size_at``)."""
+    config = config or PatchingConfig()
+    scheme = config.scheme
+    if not (1.0 < target_patch_size <= 64.0):
+        raise ConfigError(f"target patch size must be in (1, 64], got {target_patch_size}")
+    if len(ENTROPY_THRESHOLDS.get(scheme, ())) != 1:
+        raise ConfigError("a target patch size calibrates the one threshold of entropy_global "
+                          f"(theta_g) or entropy_monotonic (theta_r), not of {scheme!r}")
+    docs = [_as_bytes_array(d) for d in sample]
+    n_total = sum(len(d) for d in docs)
+    if n_total < 10**5:
+        raise ConfigError(f"calibration sample too small: {n_total} bytes < 1e5")
+    values = np.concatenate([model.entropy_trace(d, reset_on_newline=config.reset_on_newline).values
+                             for d in docs])
+    doc_start = np.zeros(len(values), dtype=bool)
+    doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
+    jump = ENTROPY_THRESHOLDS[scheme] == ("theta_r",)
+    score = np.diff(values, prepend=values[0]) if jump else values
+
+    def mean_size(theta: float) -> float:
+        return _mean_size_at(score, doc_start, theta, config.max_patch_size)
+
+    lo, hi = (-LN256 - 1.0, LN256 + 1.0) if jump else (0.0, LN256 + 1.0)
+    size_lo = mean_size(lo)
+    size_hi = mean_size(hi)
+    if size_lo > size_hi:
+        raise ConfigError(f"mean patch size not monotone over bracket for {scheme}")
+    if not (size_lo <= target_patch_size <= size_hi):
+        raise ConfigError(
+            f"target {target_patch_size} outside achievable mean patch size range "
+            f"[{size_lo:.3f}, {size_hi:.3f}]")
+    for _ in range(CALIBRATION_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mean_size(mid) < target_patch_size:
+            lo = mid
+        else:
+            hi = mid
+    _, theta = min((abs(mean_size(t) - target_patch_size), t) for t in (lo, hi))
+    achieved = mean_size(theta)
+    if abs(achieved - target_patch_size) / target_patch_size > CALIBRATION_TOL:
+        raise ConfigError(
+            f"calibration missed target {target_patch_size}: closest achievable {achieved:.4f} "
+            f"in [{size_lo:.3f}, {size_hi:.3f}]")
+    return theta

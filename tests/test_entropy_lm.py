@@ -17,6 +17,7 @@ from patchlm.entropy_lm import (
     write_trace_tsv,
 )
 from patchlm.patching import PatchBoundaries
+from tests import composed
 
 
 def _doc(data: bytes) -> np.ndarray:
@@ -98,14 +99,48 @@ def test_uniform_random_corpus_entropy_approaches_ln256():
        seed=st.integers(0, 2**32 - 1))
 def test_count_pairs_branches_match_counter_oracle(k, n, alphabet, seed):
     data = np.random.default_rng(seed).integers(0, alphabet, size=n).astype(np.uint8)
-    keys, nxt = _pack_keys(data, k)[k:], data[k:]
-    want = sorted(Counter(zip(keys.tolist(), nxt.tolist())).items())
-    packed, lexsorted = _count_pairs(keys, nxt, k), _count_pairs(keys, nxt, 8)
+    want = sorted(Counter(zip(_pack_keys(data, k)[k:].tolist(), data[k:].tolist())).items())
+    skip = np.arange(min(k, n))  # the positions with fewer than k bytes before them
+    # the packed branch masks full windows to k bytes; the lexsort branch
+    # counts the keys it is given, here already masked
+    packed = _count_pairs(_pack_keys(data, 8), data, k, skip)
+    lexsorted = _count_pairs(_pack_keys(data, k), data, 8, skip)
     for ctx, x, cnt in (packed, lexsorted):
         assert (ctx.dtype, x.dtype, cnt.dtype) == (np.uint64, np.uint8, np.int64)
         assert list(zip(zip(ctx.tolist(), x.tolist()), cnt.tolist())) == want
     for a, b in zip(packed, lexsorted):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def save_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("saved")
+
+
+def _saved(model: EntropyModel, path) -> bytes:
+    model.save(path)
+    return path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(1, 8), alphabet=st.integers(1, 256),
+       lengths=st.lists(st.one_of(st.integers(1, 9), st.integers(10, 300)), min_size=1, max_size=6),
+       zero_runs=st.lists(st.integers(0, 24), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_build_is_bytewise_the_per_level_reference(save_dir, order, alphabet, lengths, zero_runs,
+                                                   seed):
+    # documents shorter than the order (one byte long among them) leave
+    # positions a level must not count next to real pairs of zero contexts,
+    # which runs of zero bytes make
+    rng = np.random.default_rng(seed)
+    symbols = rng.choice(256, size=alphabet, replace=False).astype(np.uint8)
+    docs = []
+    for n, zeros in zip(lengths, zero_runs):
+        doc = rng.choice(symbols, size=n)
+        at = int(rng.integers(0, n + 1))
+        docs.append(np.concatenate((doc[:at], np.zeros(zeros, np.uint8), doc[at:])))
+    got = _saved(train_counts(docs, order=order), save_dir / "built.bin")
+    assert got == _saved(composed.train_counts(docs, order=order), save_dir / "reference.bin")
 
 
 def test_constant_corpus_low_entropy():
@@ -353,6 +388,22 @@ def test_order8_tables_memory_is_bounded_by_pairs():
         tracemalloc.stop()
     assert model._short_h.nbytes == short_bytes
     assert peak < 64 * 2**20 + short_bytes
+
+
+def test_build_memory_is_one_pair_key_buffer():
+    # building every level from per-level copies of all documents' packed
+    # keys, counted by np.unique, peaked at 9.8 MB here (about 9.5 MB on the
+    # benchmark's patch-o4 corpus); one reused uint64 pair-key buffer is 2.1 MB
+    docs = [_doc(t.encode()) for t in textgen.synthetic_documents(256, 1000, seed=3)]
+    assert sum(map(len, docs)) == 264_452
+    train_counts(docs, order=4)  # fills numpy's lazy first-call caches
+    tracemalloc.start()
+    try:
+        train_counts(docs, order=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 3_976_893
 
 
 def test_serialization_deterministic(tmp_path, small_docs):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from patchlm.patching import (
     Patcher,
     PatchingConfig,
     CALIBRATION_TOL,
+    ENTROPY_THRESHOLDS,
     calibrate_threshold,
     calibrated_config,
     check_incrementality,
@@ -22,7 +25,9 @@ from patchlm.patching import (
     patch_stats,
     write_boundaries_tsv,
     _mean_size_at,
+    _mean_size_by_count,
 )
+from tests import composed
 
 
 def b(s: bytes) -> np.ndarray:
@@ -250,7 +255,7 @@ _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.5]
 @given(docs=st.lists(st.lists(st.sampled_from(_LEVELS), min_size=1, max_size=30),
                      min_size=1, max_size=6),
        theta=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 3.5]),
-       monotonic=st.booleans(), max_patch=st.sampled_from([1, 3, 512]))
+       monotonic=st.booleans(), max_patch=st.sampled_from([1, 2, 3, 512]))
 def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, max_patch):
     # calibrate_threshold scans the concatenated traces; the reference patches
     # each document on its own
@@ -262,7 +267,10 @@ def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, 
     doc_start = np.zeros(len(values), dtype=bool)
     doc_start[np.cumsum([0] + [len(d) for d in docs[:-1]])] = True
     score = np.diff(values, prepend=values[0]) if monotonic else values
-    assert _mean_size_at(score, doc_start, theta, max_patch) == len(values) / sum(map(len, ref))
+    want = len(values) / sum(map(len, ref))
+    assert _mean_size_at(score, doc_start, theta, max_patch) == want
+    # the calibration's count, which answers below theta* without a scan
+    assert _mean_size_by_count(score, doc_start, max_patch)(theta) == want
 
 
 def test_calibration_monotonic_scheme(entropy3, english_docs):
@@ -285,6 +293,28 @@ def test_calibration_reads_newline_reset_and_max_patch_from_config(entropy3, eng
                                           entropy_model=entropy3), sample))
     assert stats.forced_splits > 0
     assert abs(stats.mean_patch_size - 4.5) / 4.5 <= CALIBRATION_TOL
+
+
+@pytest.mark.parametrize("reset", [False, True])
+@pytest.mark.parametrize("max_patch", [1, 3, 6, 512])
+@pytest.mark.parametrize("scheme,target", [("entropy_global", 4.5), ("entropy_global", 2.9),
+                                           ("entropy_monotonic", 6.0), ("entropy_monotonic", 2.9)])
+def test_calibration_returns_the_plain_bisections_theta(entropy3, english_docs, scheme, target,
+                                                        max_patch, reset):
+    sample = english_docs[:60]
+    config = PatchingConfig(scheme=scheme, max_patch_size=max_patch, reset_on_newline=reset)
+    outcomes = []
+    for calibrate in (calibrate_threshold, composed.calibrate_threshold):
+        try:
+            outcomes.append(calibrate(entropy3, sample, target, config))
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if (target, max_patch) == (2.9, 3):
+        # reachable only with forced splits: the bisection ends at or above theta*
+        (name,) = ENTROPY_THRESHOLDS[scheme]
+        patcher = make_patcher(replace(config, **{name: outcomes[0]}), entropy_model=entropy3)
+        assert patch_stats(*map(patcher, sample)).forced_splits > 0
 
 
 # -- bpe scheme, incrementality ----------------------------------------------------
