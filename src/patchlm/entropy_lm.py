@@ -17,10 +17,13 @@ every byte outside S has p_k(b | c) = a * q_b, so
 The H_k tables are built once, on the first trace (or on ``load``), next to
 one direct-index table of the contexts of length at most 2: 1 + 256 + 65,536 =
 65,793 float64 entries (526 KB), each holding the entropy its backoff resolves
-to. Building is idempotent and a reader sees the tables only once they are
-complete, so concurrent reads stay safe. A trace reads every position's
-short context from that table and searches the sparse levels 3..order
-deepest first, backing off on a miss.
+to, and two int32 row tables per level 3..order that find a stored context by
+cuckoo hashing (``_row_tables``): 8 to 16 bytes per stored context, more for
+a level whose tables had to double. Building is idempotent and a reader sees
+the tables only once they are complete, so concurrent reads stay safe. A
+trace reads every position's short context from the direct table and looks
+the longer ones up in levels 3..order deepest first, two probes per context
+and no sort, backing off on a miss.
 
 ``train_counts`` counts every level in one uint64 pair-key buffer over the
 concatenated corpus. Its scratch is about 10 bytes per corpus byte below
@@ -61,6 +64,9 @@ _SHORT = 2
 _SHORT_START = np.array([(256**k - 1) // 255 for k in range(_SHORT + 2)], dtype=np.uint64)
 # _KEY_MASK[k] keeps the last k bytes of a packed context
 _KEY_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+# the odd multipliers of the two row tables' hashes (``_slots``)
+_HASH_MUL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD6E8FEB86659FD93))
+_BUILD_ROUNDS = 200  # placement rounds before ``_row_tables`` doubles its tables
 
 
 def _as_bytes_array(data) -> np.ndarray:
@@ -135,9 +141,53 @@ def _count_pairs(keys: np.ndarray, nxt: np.ndarray, ctx_len: int,
     return ctx, x, np.diff(starts, append=n)
 
 
+def _slots(keys: np.ndarray, mul: np.uint64, shift: np.uint64) -> np.ndarray:
+    """The slot of each key in a table of 2**(64 - shift) slots: the top bits
+    of the wrapping product key * mul."""
+    return ((keys * mul) >> shift).view(np.int64)
+
+
+def _row_tables(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """Two int32 tables that hold row r of the distinct ``keys`` (a level's
+    strictly increasing ``ctx_keys``) at slot
+    ``_slots(keys[r], _HASH_MUL[0], shift)`` of the first or at slot
+    ``_slots(keys[r], _HASH_MUL[1], shift)`` of the second (cuckoo hashing),
+    and that shift. Each table has 2**bits >= len(keys) slots; an empty slot
+    holds row 0, so a lookup accepts a row only where its key is the needle.
+
+    Rounds alternate the tables: every pending row claims its slot, one
+    claimant per slot wins and evicts the row it finds there, and the losers
+    and the evicted rows try the other table next round. When
+    ``_BUILD_ROUNDS`` rounds leave a row pending, both tables double. That
+    ends for distinct keys, since each hash is a bijection of the 64-bit keys.
+    """
+    bits = max(1, (len(keys) - 1).bit_length())
+    while True:
+        shift = np.uint64(64 - bits)
+        claims = [_slots(keys, mul, shift).astype(np.int32) for mul in _HASH_MUL]
+        tables = [np.full(1 << bits, -1, dtype=np.int32) for _ in _HASH_MUL]
+        pending = np.arange(len(keys), dtype=np.int32)
+        for rnd in range(_BUILD_ROUNDS):
+            if not len(pending):
+                break
+            table, claim = tables[rnd & 1], claims[rnd & 1][pending]
+            held = table[claim]
+            table[claim] = pending  # numpy keeps one write per slot
+            won = table[claim] == pending
+            held = held[won]
+            pending = np.concatenate((pending[~won], held[held >= 0]))
+            del claim, won, held
+        if not len(pending):
+            for table in tables:
+                np.maximum(table, 0, out=table)
+            return tables[0], tables[1], shift
+        bits += 1
+
+
 @dataclass
 class _Level:
-    """Sorted sparse (context, next, count) triples for one context length."""
+    """Sparse (context, next, count) triples for one context length, strictly
+    increasing in (context, next); construction rejects any other order."""
 
     pair_ctx: np.ndarray  # uint64
     pair_next: np.ndarray  # uint8
@@ -151,6 +201,9 @@ class _Level:
         if len(new):
             new[0] = True
             new[1:] = self.pair_ctx[1:] != self.pair_ctx[:-1]
+            if ((self.pair_ctx[1:] < self.pair_ctx[:-1])
+                    | (~new[1:] & (self.pair_next[1:] <= self.pair_next[:-1]))).any():
+                raise ValueError("pairs are not strictly increasing in (context, next byte)")
         firsts = np.nonzero(new)[0]
         self.ctx_keys = self.pair_ctx[firsts]
         self.ctx_first = firsts
@@ -168,8 +221,9 @@ class EntropyModel:
     """Immutable after construction; concurrent read queries are safe.
 
     The entropy tables are derived from ``levels`` once, lazily and
-    idempotently: a per-level H_k table plus the 65,793-entry (526 KB) table
-    of contexts of at most two bytes.
+    idempotently: a per-level H_k table, the 65,793-entry (526 KB) table of
+    contexts of at most two bytes, and the row tables that find the longer
+    stored contexts without a search.
     """
 
     VERSION = 1
@@ -186,6 +240,9 @@ class EntropyModel:
         self._gamma = 256.0 * alpha
         self._h_tables: list[np.ndarray] | None = None
         self._short_h: np.ndarray | None = None  # set with _h_tables
+        # set with _h_tables: per level, _row_tables of its contexts; None for an
+        # empty level and for those of at most _SHORT bytes
+        self._rows: list[tuple[np.ndarray, np.ndarray, np.uint64] | None] | None = None
 
     # -- entropy tables (one per context length) -----------------------------
 
@@ -202,8 +259,9 @@ class EntropyModel:
         Also builds ``_short_h``: the entropy of every context of at most
         ``_SHORT`` bytes, stored or not, with backoff resolved. Block k starts
         as block k-1 repeated (an unseen context keeps its suffix's entropy),
-        then takes H_k at the stored contexts. ``_h_tables`` is assigned last,
-        so a reader that sees it sees both.
+        then takes H_k at the stored contexts. And builds ``_rows``, the row
+        tables of every longer non-empty level. ``_h_tables`` is assigned
+        after both, so a reader that sees it sees all three.
         """
         if self._h_tables is not None:
             return
@@ -240,6 +298,8 @@ class EntropyModel:
             short[hi:hi + 256**k] = np.tile(short[lo:hi], 256)
             short[hi + self.levels[k].ctx_keys] = tables[k]
         self._short_h = short
+        self._rows = [_row_tables(lev.ctx_keys) if k > _SHORT and len(lev.ctx_keys) else None
+                      for k, lev in enumerate(self.levels)]
         self._h_tables = tables
 
     # -- traces ---------------------------------------------------------------
@@ -257,36 +317,43 @@ class EntropyModel:
         if n == 0:
             raise DataError("entropy_trace needs a non-empty byte sequence")
 
-        since_reset = np.arange(n, dtype=np.int64)
+        avail = np.arange(n, dtype=np.int64)
         if reset_on_newline:
             after = np.nonzero(arr == NEWLINE)[0] + 1
             resets = after[after < n]
             seg_start = np.zeros(n, dtype=np.int64)
             seg_start[resets] = resets
-            since_reset -= np.maximum.accumulate(seg_start)
-        avail = np.minimum(self.order, since_reset)
+            avail -= np.maximum.accumulate(seg_start)
+        np.minimum(avail, self.order, out=avail)
 
         self._ensure_h_tables()
-        key = _pack_keys(arr, avail)
+        # without a reset, the zeros before the start are the bytes a short
+        # context lacks, so one mask packs every position
+        key = _pack_keys(arr, avail if reset_on_newline else self.order)
         values = self._short_h[_SHORT_START[np.minimum(avail, _SHORT)] + (key & _KEY_MASK[_SHORT])]
         # Deeper contexts overwrite that at their deepest stored length: a miss
         # backs off to the suffix (an unseen context has exactly its suffix's
         # distribution), and one that reaches _SHORT bytes keeps its table value.
-        # Sorted needles make the binary searches walk ctx_keys in order.
-        lvl = avail.copy()
+        # A stored context sits at its slot of the first row table or the
+        # second. The deepest non-empty level reads every position, each
+        # shallower one the positions no deeper level resolved (``todo``).
+        todo = None
         for k in range(self.order, _SHORT, -1):
-            sel = np.flatnonzero(lvl == k)
-            ctx_keys = self.levels[k].ctx_keys
-            if len(sel) == 0 or len(ctx_keys) == 0:
-                lvl[sel] = k - 1
+            if self._rows[k] is None:
                 continue
-            needles = key[sel] & _KEY_MASK[k]
-            srt = np.argsort(needles)
-            sel, needles = sel[srt], needles[srt]
-            pos = np.minimum(np.searchsorted(ctx_keys, needles), len(ctx_keys) - 1)
+            first, second, shift = self._rows[k]
+            ctx_keys = self.levels[k].ctx_keys
+            needles = (key if todo is None else key[todo]) & _KEY_MASK[k]
+            pos = first[_slots(needles, _HASH_MUL[0], shift)]
+            pos = np.where(ctx_keys[pos] == needles, pos, second[_slots(needles, _HASH_MUL[1], shift)])
             found = ctx_keys[pos] == needles
-            values[sel[found]] = self._h_tables[k][pos[found]]
-            lvl[sel[~found]] = k - 1
+            found &= (avail if todo is None else avail[todo]) >= k
+            if todo is None:
+                np.copyto(values, self._h_tables[k][pos], where=found)
+                todo = np.flatnonzero(~found)
+            else:
+                values[todo[found]] = self._h_tables[k][pos[found]]
+                todo = todo[~found]
         return EntropyTrace(values)
 
     # -- serialization --------------------------------------------------------

@@ -73,7 +73,7 @@ class PatchBoundaries:
         object.__setattr__(self, "starts", starts)
         if len(starts) == 0 or starts[0] != 0:
             raise ValueError("first byte must start a patch")
-        if np.any(np.diff(starts) <= 0):
+        if (starts[1:] <= starts[:-1]).any():
             raise ValueError("patch starts must be strictly increasing")
         if starts[-1] >= self.n_bytes:
             raise ValueError("patch starts must be < n_bytes")
@@ -142,10 +142,11 @@ def _forced_splits(lengths: np.ndarray, max_patch: int) -> np.ndarray:
 
 
 def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int) -> tuple[np.ndarray, int]:
-    """Split any patch longer than ``max_patch``; returns (starts, forced split count)."""
-    lengths = np.diff(np.append(starts, n_bytes))
-    if lengths.max(initial=0) <= max_patch:
+    """Split any patch longer than ``max_patch``; returns (starts, forced split
+    count). ``starts`` is non-empty."""
+    if n_bytes - starts[-1] <= max_patch and (starts[1:] - starts[:-1]).max(initial=0) <= max_patch:
         return starts, 0
+    lengths = np.diff(np.append(starts, n_bytes))
     splits = _forced_splits(lengths, max_patch)
     extra = [starts[i] + max_patch * np.arange(1, splits[i] + 1) for i in np.flatnonzero(splits)]
     return np.sort(np.concatenate([starts] + extra)), int(splits.sum())

@@ -198,7 +198,7 @@ BAD_INPUTS = {
     **{f"entropy_model_{bad}": (["patch", "--corpus", "text.txt", "--entropy-model", f"{bad}.bin"],
                                 EXIT_DATA)
        for bad in ("magic", "checksum", "version", "not_nested", "truncated", "order_200",
-                   "order_0", "trailing_bytes")},
+                   "order_0", "trailing_bytes", "pairs_reversed")},
     # on a corpus large enough to calibrate on, so only the contradiction fails
     "theta_and_target": (["patch", "--corpus", "big.txt", "--scheme", "entropy_global",
                           "--theta", "2.0", "--target-patch-size", "4.5"], EXIT_CONFIG),
@@ -238,6 +238,10 @@ def _write_bad_inputs(tmp_path, corpus_file):
     model = train_counts([b"abab"], order=1)
     model.levels[1].pair_next[:] = ord("z")  # length-1 pairs whose suffix pair was never counted
     model.save(tmp_path / "not_nested.bin")
+    model = train_counts([b"the cat sat on the mat"], order=3)
+    for pairs in (model.levels[3].pair_ctx, model.levels[3].pair_next, model.levels[3].pair_cnt):
+        pairs[:] = pairs[::-1].copy()  # strictly decreasing in (context, next byte)
+    model.save(tmp_path / "pairs_reversed.bin")
     save_tiny_checkpoint(tmp_path / "ckpt.npz")
     with np.load(tmp_path / "ckpt.npz") as z:
         arrays = dict(z)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from collections import Counter
 
@@ -10,9 +11,12 @@ from patchlm.errors import ConfigError, DataError
 from patchlm.entropy_lm import (
     LN256,
     EntropyModel,
+    _HASH_MUL,
     _Level,
     _count_pairs,
     _pack_keys,
+    _row_tables,
+    _slots,
     train_counts,
     write_trace_tsv,
 )
@@ -205,9 +209,9 @@ def test_trace_matches_oracle(models_by_order, small_docs, order, reset, doc, wh
 
 
 def cascade_trace(model: EntropyModel, data: np.ndarray, reset_on_newline: bool) -> np.ndarray:
-    """The per-level cascade trace that the short-context table and the
-    sorted-needle search replaced: every context length searched by one
-    unsorted ``searchsorted``, deepest first. Exact oracle for the fast trace."""
+    """The per-level cascade trace that the short-context table and the row
+    tables replaced: every context length searched by one unsorted
+    ``searchsorted``, deepest first. Exact oracle for the fast trace."""
     arr = data
     n = len(arr)
     seg_start = np.zeros(n, dtype=np.int64)
@@ -294,6 +298,100 @@ def test_trace_is_bitwise_the_cascade_trace(model_variants, small_docs, order, r
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _lookup(keys, tables, needles):
+    """The trace's two-probe lookup: (row, found) of each needle."""
+    first, second, shift = tables
+    pos = first[_slots(needles, _HASH_MUL[0], shift)]
+    pos = np.where(keys[pos] == needles, pos, second[_slots(needles, _HASH_MUL[1], shift)])
+    return pos, keys[pos] == needles
+
+
+_U64_MAX = np.uint64(2**64 - 1)
+
+
+def _table_keys(kind, n, rng):
+    """n distinct sorted uint64 keys; the random ones include 0 and 2**64 - 1."""
+    rows = np.arange(n, dtype=np.uint64)
+    if kind == "arange":
+        return rows
+    if kind == "multiples_of_2_40":
+        return rows << np.uint64(40)
+    extremes = np.array([0, _U64_MAX], dtype=np.uint64)[:n]
+    inner = rng.integers(1, 2**64 - 1, size=n - len(extremes), dtype=np.uint64)
+    return np.unique(np.concatenate((extremes, inner)))
+
+
+@pytest.mark.parametrize("kind", ["arange", "multiples_of_2_40", "random"])
+@pytest.mark.parametrize("n", [1, 2, 2**10, 2**10 + 1, 2**14, 2**14 + 1])
+@pytest.mark.parametrize("rounds", [entropy_lm._BUILD_ROUNDS, 4])
+def test_row_tables_place_every_key_and_reject_every_absent_one(monkeypatch, kind, n, rounds):
+    # four rounds leave random keys pending, so their tables take the doubling path
+    monkeypatch.setattr(entropy_lm, "_BUILD_ROUNDS", rounds)
+    rng = np.random.default_rng(n)
+    keys = _table_keys(kind, n, rng)
+    if kind == "random" and n > 1:
+        assert keys[0] == 0 and keys[-1] == _U64_MAX
+    assert len(np.unique(keys)) == n
+    tables = _row_tables(keys)
+    first, second, shift = tables
+    assert first.dtype == second.dtype == np.int32 and len(first) == len(second) >= n
+    assert len(first) == 1 << (64 - int(shift))
+    least = 1 << max(1, (n - 1).bit_length())
+    if rounds == 4 and kind == "random" and n > 2:
+        assert len(first) > least
+    elif rounds > 4:  # exactly half-full tables may double once
+        assert len(first) == least or (len(first) == 2 * least == 2 * n)
+    rows = np.arange(n)
+    in_first = first[_slots(keys, _HASH_MUL[0], shift)] == rows
+    in_second = second[_slots(keys, _HASH_MUL[1], shift)] == rows
+    assert (in_first | in_second).all()
+    pos, found = _lookup(keys, tables, keys)
+    assert found.all() and (pos == rows).all()
+    # every row but row 0 sits in exactly one slot; an empty slot holds row 0
+    assert np.count_nonzero(first) + np.count_nonzero(second) == n - 1
+    # absent keys: neighbours of stored ones, the extremes, and one whose two
+    # slots both hold row 0 and which differs from the key of row 0
+    absent = np.setdiff1d(np.concatenate((keys + np.uint64(1), keys - np.uint64(1),
+                                          [np.uint64(0), _U64_MAX],
+                                          rng.integers(0, 2**64, size=4096, dtype=np.uint64))), keys)
+    _, found = _lookup(keys, tables, absent)
+    assert not found.any()
+    empty = ((first[_slots(absent, _HASH_MUL[0], shift)] == 0)
+             & (second[_slots(absent, _HASH_MUL[1], shift)] == 0) & (absent != keys[0]))
+    assert empty.any()
+    pos, found = _lookup(keys, tables, absent[empty])
+    assert (pos == 0).all() and not found.any()
+
+
+def test_trace_neither_sorts_nor_searches_once_tables_exist(monkeypatch, models_by_order, small_docs):
+    def banned(*args, **kwargs):
+        raise AssertionError("entropy_trace sorted or searched")
+
+    data = np.concatenate(small_docs[18:22])
+    for model in models_by_order.values():
+        want = [cascade_trace(model, data, reset) for reset in (False, True)]  # builds the tables
+        with monkeypatch.context() as m:
+            for name in ("argsort", "searchsorted", "sort", "lexsort", "unique"):
+                m.setattr(np, name, banned)
+            got = [model.entropy_trace(data, reset_on_newline=reset).values for reset in (False, True)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("order", [3, 4, 8])
+def test_a_position_reads_no_byte_before_the_start_or_a_reset(order):
+    # a position with fewer than k bytes before it, at the start or after a
+    # reset, packs its context with zeros in front; contexts of leading zero
+    # bytes are stored here, and such a position must not read them. Tabs
+    # make the contexts stored that a reset position would read if the bytes
+    # before the reset were not masked off.
+    model = train_counts([_doc(b"\0" * 8 + b"ab\nab\0\0ab\n\t\tb\ta\t\n" * 50)], order=order)
+    data = _doc(b"ab\nab\nb\0ab\nb")
+    for reset in (False, True):
+        got = model.entropy_trace(data, reset_on_newline=reset).values
+        assert np.array_equal(got, cascade_trace(model, data, reset))
+        np.testing.assert_allclose(got, oracle_trace(model, data.tobytes(), reset), rtol=0, atol=1e-12)
+
+
 def test_trace_bounds_and_first_position(entropy3, english_docs):
     tr = entropy3.entropy_trace(english_docs[-1])
     assert (tr.values >= 0).all() and (tr.values <= LN256 + 1e-12).all()
@@ -374,6 +472,29 @@ def test_load_rejects_counts_that_do_not_nest(tmp_path, entropy2_small):
         EntropyModel.load(path)
 
 
+@pytest.mark.parametrize("disorder", ["reversed", "run_split", "pairs_swapped", "pair_repeated"])
+def test_load_rejects_pairs_out_of_order(tmp_path, models_by_order, disorder):
+    # pairs out of order misplace the rows a trace looks up, and a split run
+    # holds one context key twice, which no row table can place
+    model = models_by_order[3]
+    lev = model.levels[3]
+    rows = np.arange(len(lev.pair_ctx))
+    run = np.diff(lev.ctx_first, append=len(rows))
+    i = int(lev.ctx_first[np.flatnonzero(run[:-1] > 1)[0]])  # a context of several pairs, not the last
+    order = {"reversed": rows[::-1],
+             "run_split": np.r_[rows[:i], rows[i + 1:], i],  # its first pair moves to the end
+             "pairs_swapped": np.r_[rows[:i], i + 1, i, rows[i + 2:]],
+             "pair_repeated": np.r_[rows[:i + 1], i, rows[i + 1:]]}[disorder]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _Level(lev.pair_ctx[order], lev.pair_next[order], lev.pair_cnt[order])
+    bad = copy.copy(lev)  # a level that skipped the check, as a file can hold one
+    bad.pair_ctx, bad.pair_next, bad.pair_cnt = lev.pair_ctx[order], lev.pair_next[order], lev.pair_cnt[order]
+    path = tmp_path / f"{disorder}.bin"
+    EntropyModel(3, model.alpha, [*model.levels[:3], bad]).save(path)
+    with pytest.raises(DataError, match="strictly increasing"):
+        EntropyModel.load(path)
+
+
 def test_order8_tables_memory_is_bounded_by_pairs():
     # the dense tables this replaced kept a 256-wide float64 row per context,
     # about 466 MB here; the short-context table adds a fixed 65,793 float64s
@@ -388,6 +509,10 @@ def test_order8_tables_memory_is_bounded_by_pairs():
         tracemalloc.stop()
     assert model._short_h.nbytes == short_bytes
     assert peak < 64 * 2**20 + short_bytes
+    for k, lev in enumerate(model.levels):  # the row tables: at most 16 bytes per stored context
+        if k > 2:
+            first, second, _ = model._rows[k]
+            assert first.nbytes + second.nbytes <= 16 * len(lev.ctx_keys)
 
 
 def test_build_memory_is_one_pair_key_buffer():
