@@ -231,8 +231,8 @@ class EntropyModel:
     def __init__(self, order: int, alpha: float, levels: list[_Level]):
         if not (1 <= order <= 8):
             raise ConfigError(f"order must be in [1, 8], got {order}")
-        if not alpha > 0:  # NaN too
-            raise ConfigError("smoothing alpha must be > 0")
+        if not 0 < alpha < np.inf:  # NaN too
+            raise ConfigError(f"smoothing alpha must be finite and > 0, got {alpha}")
         self.order = order
         self.alpha = alpha
         self.levels = levels  # levels[k] holds length-k contexts, k = 0..order

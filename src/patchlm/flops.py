@@ -5,10 +5,9 @@ so integer inputs give exact integer counts and a fractional mean patch size
 stays exact until the report edge. Training cost is modeled as three times
 the forward cost (backward counted at twice forward): ``TRAIN_OVER_FORWARD``
 is the paper's convention, which ``size_match`` solves against, and it stays
-so. The executed backward runs more: each feed-forward block recomputes its
-two d x d_ff input projections at every position (``tensor.gated_ffn``), and
-each attention block its query, key and value projections and the rotation
-of q and k (``tensor.attention``), instead of keeping them.
+so. The executed backward runs more: the fused attention and feed-forward
+blocks recompute part of their forward instead of keeping it (see the
+``tensor`` module docstring).
 
 The per-byte decomposition sums the latent transformer amortized over the
 mean patch size, the two local transformers at their attention windows, and
@@ -157,10 +156,6 @@ def non_embedding_params(config: ModelConfig) -> int:
     """Trainable parameter count excluding the byte and hash embedding tables."""
     return sum(math.prod(shape) for name, shape in param_shapes(config).items()
                if "embed" not in name)
-
-
-def total_params(config: ModelConfig) -> int:
-    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,8 @@ dense references.
 
 The norm, attention, feed-forward and embedding blocks are single autodiff
 ops (``tensor.rms_norm``, ``attention``, ``gated_ffn`` and
-``embedding_mean``) that compute the same numbers as the compositions of
-smaller ops they replace, bit for bit in the forward, and for ``attention``
-and ``gated_ffn`` in the backward too. Like every op, each keeps only the
-arrays its backward reads. The norm outputs are not kept either: the
-backward of the attention, feed-forward block or matmul that reads one
-rebuilds it, bit for bit, from the norm's input and per-row scale, which the
-graph keeps anyway. An attention block keeps none of its queries, keys or
-values, only its merged output and one log-sum-exp per row and head: its
-backward recomputes q, k and v. The feed-forward block keeps none of its
-(n, d_ff) arrays: its backward recomputes both projections. So the graph a
-training step holds is the inputs of the norms and of the matmuls that read
-no norm output, the attention outputs and the weights, each array once.
+``embedding_mean``); the ``tensor`` module docstring says what each keeps
+for its backward and what it recomputes.
 
 Some widths and constants are fixed rather than configured. The decoder
 works at encoder width by construction, since it starts from the encoder's
@@ -42,14 +32,14 @@ size is part of segmentation, not of the model: ``PatchingConfig`` holds it,
 and the model accepts patches of any length.
 
 Everything runs on the package's numpy autodiff; float64 mode exists for
-finite-difference gradient checks.
+the finite-difference gradient check in ``tests/gradcheck.py``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -108,6 +98,8 @@ class ModelConfig:
                 self.enc_window, self.dec_window, self.ff_mult, self.dec_layers, self.hash_vocab,
                 *self.ngram_sizes) < 1 or min(self.enc_layers, self.global_layers) < 0):
             raise ConfigError("enc_layers and global_layers must be >= 0, other sizes >= 1")
+        if not 0 < self.rope_theta < math.inf:  # NaN fails
+            raise ConfigError(f"rope_theta must be finite and > 0, got {self.rope_theta}")
         if len(set(self.ngram_sizes)) < len(self.ngram_sizes):
             raise ConfigError(f"ngram_sizes {list(self.ngram_sizes)} repeats a size")
         if self.global_dim % self.enc_dim != 0:
@@ -260,6 +252,7 @@ class Stream:
     data: np.ndarray
     doc_ids: np.ndarray
     patch_starts: np.ndarray
+    boundaries: PatchBoundaries = field(init=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.uint8)
@@ -272,7 +265,7 @@ class Stream:
             raise ValueError("doc_ids length mismatch")
         if np.any(np.diff(self.doc_ids) < 0):
             raise ValueError("doc_ids must be nondecreasing (documents are contiguous)")
-        PatchBoundaries(self.patch_starts, n)  # validates order/range
+        self.boundaries = PatchBoundaries(self.patch_starts, n)  # validates order/range
         # every document start must begin a patch, and patches stay inside one doc
         if not np.isin(_run_starts(self.doc_ids), self.patch_starts).all():
             raise ValueError("every document start must start a patch")
@@ -286,10 +279,6 @@ class Stream:
     @property
     def n_patches(self) -> int:
         return len(self.patch_starts)
-
-    @property
-    def boundaries(self) -> PatchBoundaries:
-        return PatchBoundaries(self.patch_starts, len(self.data))
 
     @property
     def patch_doc_ids(self) -> np.ndarray:
@@ -324,15 +313,12 @@ def _run_starts(ids: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(new_run, idx, 0))
 
 
-def local_spans(n_bytes: int, window: int, doc_ids: np.ndarray | None = None) -> Spans:
+def local_spans(n_bytes: int, window: int, doc_ids: np.ndarray) -> Spans:
     """Byte i sees bytes [max(i - window + 1, start of its document), i + 1)."""
     if window < 1:
         raise ValueError("window must be >= 1")
     i = np.arange(n_bytes)
-    lo = np.maximum(i - window + 1, 0)
-    if doc_ids is not None:
-        lo = np.maximum(lo, _run_starts(doc_ids))
-    return Spans(lo, i + 1)
+    return Spans(np.maximum(i - window + 1, _run_starts(doc_ids)), i + 1)
 
 
 def latent_spans(patch_doc_ids: np.ndarray) -> Spans:
@@ -367,7 +353,7 @@ class AttentionMask:
         return np.where(self.allowed, 0.0, -np.inf).astype(dtype)
 
 
-def local_block_causal_mask(n_bytes: int, window: int, doc_ids: np.ndarray | None = None) -> AttentionMask:
+def local_block_causal_mask(n_bytes: int, window: int, doc_ids: np.ndarray) -> AttentionMask:
     """Query i sees key j iff j <= i, i - j < window, and both share a document."""
     return AttentionMask(f"local_block_causal({window})",
                          local_spans(n_bytes, window, doc_ids).dense(n_bytes))
@@ -400,23 +386,15 @@ def completed_patch_mask(boundaries: PatchBoundaries, doc_ids: np.ndarray) -> At
 RMS_EPS = 1e-6
 
 
-def self_attention_block(x: Tensor, params: BltParams, prefix: str, heads: int,
-                         spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
+def transformer_layer(x: Tensor, params: BltParams, prefix: str, heads: int,
+                      spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    """Pre-normed self-attention then SwiGLU feed-forward, each with residual."""
     xn = rms_norm(x, params[f"{prefix}attn_norm"], RMS_EPS)
-    return x + attention(xn, xn, params[f"{prefix}attn.wq"], params[f"{prefix}attn.wk"],
-                         params[f"{prefix}attn.wv"], params[f"{prefix}attn.wo"], heads, spans, rope)
-
-
-def ffn_block(x: Tensor, params: BltParams, prefix: str) -> Tensor:
+    x = x + attention(xn, xn, params[f"{prefix}attn.wq"], params[f"{prefix}attn.wk"],
+                      params[f"{prefix}attn.wv"], params[f"{prefix}attn.wo"], heads, spans, rope)
     xn = rms_norm(x, params[f"{prefix}ffn_norm"], RMS_EPS)
     return x + gated_ffn(xn, params[f"{prefix}ffn.w_gate"], params[f"{prefix}ffn.w_up"],
                          params[f"{prefix}ffn.w_down"])
-
-
-def transformer_layer(x: Tensor, params: BltParams, prefix: str, heads: int,
-                      spans: Spans, rope: tuple[np.ndarray, np.ndarray]) -> Tensor:
-    x = self_attention_block(x, params, prefix, heads, spans, rope)
-    return ffn_block(x, params, prefix)
 
 
 def cross_attention_block(q_in: Tensor, kv_in: Tensor, params: BltParams, prefix: str,
@@ -481,12 +459,11 @@ def encoder_forward(params: BltParams, stream: Stream, config: ModelConfig,
     tables with ``decoder_forward``.
     """
     dtype = params["byte_embed"].dtype
-    bounds = stream.boundaries
     e = augmented_byte_embeddings(params, stream, config)
     p = segment_max(e, stream.patch_starts) @ params["enc.pool_proj"]
 
     byte_spans = _local_spans(stream, config.enc_window, span_cache)
-    memb_spans = membership_spans(bounds)
+    memb_spans = membership_spans(stream.boundaries)
     rope = _byte_rope(stream, config.enc_dim // config.enc_heads, config, dtype, span_cache)
     h = e
     for i in range(config.enc_layers):
@@ -575,54 +552,3 @@ def lm_forward(params: BltParams, stream: Stream, config: ModelConfig) -> Forwar
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
     return ForwardResult(logits, nll, loss, mask, n_pred)
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-GRAD_CHECK_ABS_FLOOR = 1e-7  # an absolute difference this small passes whatever its ratio
-
-
-def grad_check(params: BltParams, stream: Stream, config: ModelConfig,
-               eps: float = 1e-5, samples_per_tensor: int = 4, seed: int = 0) -> dict:
-    """Central-difference check of every parameter tensor at 64-bit precision.
-
-    Samples a few entries per tensor; an entry passes when the analytic and
-    numeric values agree to a relative error of 1e-4, or to
-    ``GRAD_CHECK_ABS_FLOOR`` absolutely for near-zero gradients. Returns a
-    per-tensor report.
-    """
-    p64 = params.astype(np.float64)
-    view = p64.detached()  # shares p64's arrays, so the perturbations below show
-
-    def loss_value() -> float:
-        return float(lm_forward(view, stream, config).loss.data)
-
-    res = lm_forward(p64, stream, config)
-    res.loss.backward()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    report: dict[str, dict] = {}
-    worst = 0.0
-    for name, t in p64.tensors.items():
-        grad = np.asarray(t.grad) if t.grad is not None else np.zeros_like(t.data)
-        if not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite analytic gradient in {name}")
-        idxs = rng.choice(t.data.size, size=min(samples_per_tensor, t.data.size), replace=False)
-        max_rel = 0.0
-        for flat in idxs:
-            orig = t.data.flat[flat]
-            t.data.flat[flat] = orig + eps
-            f_plus = loss_value()
-            t.data.flat[flat] = orig - eps
-            f_minus = loss_value()
-            t.data.flat[flat] = orig
-            numeric = (f_plus - f_minus) / (2 * eps)
-            analytic = float(grad.flat[flat])
-            diff = abs(analytic - numeric)
-            if diff > GRAD_CHECK_ABS_FLOOR:
-                max_rel = max(max_rel, diff / max(abs(analytic), abs(numeric)))
-        report[name] = {"max_rel_err": max_rel, "passed": max_rel < 1e-4}
-        worst = max(worst, max_rel)
-    return {"tensors": report, "max_rel_err": worst, "passed": worst < 1e-4}

@@ -341,10 +341,13 @@ def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size
     the sample's mean patch size, under the config's newline reset and maximum
     patch size, hits the target.
 
-    Mean patch size is monotone nondecreasing in the threshold (raising it can
-    only remove boundaries); for the jump scheme this is verified on the
-    bracket rather than assumed. Raises ConfigError with the achievable range
-    when the target cannot be met within ``CALIBRATION_TOL``.
+    Mean patch size is monotone nondecreasing in the threshold for both
+    schemes. Each thresholds one fixed score array (the entropies, or their
+    jumps), so a higher threshold only removes starts; and merging patches of
+    lengths a and b never adds a patch, forced splits included: with M the
+    maximum patch size, 1 + (a + b - 1) // M <= 2 + (a - 1) // M + (b - 1) // M.
+    Raises ConfigError with the achievable range when the target cannot be
+    met within ``CALIBRATION_TOL``.
 
     Each bisection step counts patches. theta* is the lowest threshold at which
     some ``max_patch_size`` consecutive bytes, none a document start, all score
@@ -377,10 +380,7 @@ def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size
     score = np.diff(values, prepend=values[0]) if jump else values
     mean_size = _mean_size_by_count(score, doc_start, config.max_patch_size)
     lo, hi = (-LN256 - 1.0, LN256 + 1.0) if jump else (0.0, LN256 + 1.0)
-    size_lo = mean_size(lo)
-    size_hi = mean_size(hi)
-    if size_lo > size_hi:
-        raise ConfigError(f"mean patch size not monotone over bracket for {scheme}")
+    size_lo, size_hi = mean_size(lo), mean_size(hi)
     if not (size_lo <= target_patch_size <= size_hi):
         raise ConfigError(
             f"target {target_patch_size} outside achievable mean patch size range "

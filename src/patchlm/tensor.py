@@ -24,6 +24,8 @@ where the composition kept every intermediate alive until the backward ran.
 An attention block's graph holds its inputs, its four weights, its merged
 attention output and one log-sum-exp per row and head; its backward
 recomputes the queries, keys and values, three small matmuls and a rotation.
+A feed-forward block keeps none of its (n, d_ff) arrays: its backward
+recomputes both input projections.
 ``embedding_mean`` keeps each table's gradient by rows, as a ``RowGrad``,
 since a step touches a few hundred of a hash table's 4,096 rows; it reads as
 the dense ``np.add.at`` scatter bit for bit.
@@ -431,13 +433,14 @@ def gated_ffn(xn: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tenso
     return Tensor._result(gated @ wd, (xn, w_gate, w_up, w_down), vjp)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return Tensor._result(y, (x,), vjp)

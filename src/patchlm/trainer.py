@@ -56,8 +56,18 @@ class OptimSpec:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if min(self.lr_peak, self.eps, self.grad_clip) <= 0 or self.warmup_steps < 0:
-            raise ConfigError("optimizer spec values must be positive")
+        rules = {  # every comparison with NaN is False, so NaN breaks each rule
+            "lr_peak": ("finite and > 0", 0 < self.lr_peak < math.inf),
+            "warmup_steps": (">= 0", self.warmup_steps >= 0),
+            "beta1": ("in [0, 1)", 0 <= self.beta1 < 1),
+            "beta2": ("in [0, 1)", 0 <= self.beta2 < 1),
+            "eps": ("finite and > 0", 0 < self.eps < math.inf),
+            "weight_decay": ("finite and >= 0", 0 <= self.weight_decay < math.inf),
+            "grad_clip": ("> 0", self.grad_clip > 0),
+        }
+        for name, (rule, ok) in rules.items():
+            if not ok:
+                raise ConfigError(f"optimizer.{name} must be {rule}, got {getattr(self, name)}")
 
 
 def lr_at(step: int, spec: OptimSpec, total_steps: int) -> float:
@@ -327,33 +337,29 @@ def eval_bpb(
     """
     bpb, nats, nbytes, mps = {}, {}, {}, {}
     for name, docs in scorable_slices(slices).items():
-        n_pred = sum(len(d) - 1 for d in docs)
         if params is None:
-            total = n_pred * LN256
-            bpb[name] = total / (LN2 * n_pred)
-            nats[name] = total
-            nbytes[name] = n_pred
-            mps[name] = None
-            continue
-        assert patcher is not None and config is not None
-        view = params.detached()
-        total = 0.0
-        n_pred = 0
-        bounds = [patcher(d) for d in docs]
-        for d, b in zip(docs, bounds):
-            for byte_lo, byte_hi, starts in _split_doc(b, max_stream_bytes):
-                if byte_hi < len(d):  # cut: add the next span's first byte as a patch
-                    starts = np.append(starts, byte_hi - byte_lo)
-                    byte_hi += 1
-                elif byte_hi - byte_lo < 2:
-                    continue  # a document's lone last byte predicts nothing
-                res = lm_forward(view, Stream.concat([(d[byte_lo:byte_hi], starts)]), config)
-                total += res.total_nats
-                n_pred += res.n_predicted
+            n_pred = sum(len(d) - 1 for d in docs)
+            total, mean_size = n_pred * LN256, None
+        else:
+            assert patcher is not None and config is not None
+            view = params.detached()
+            total, n_pred = 0.0, 0
+            bounds = [patcher(d) for d in docs]
+            for d, b in zip(docs, bounds):
+                for byte_lo, byte_hi, starts in _split_doc(b, max_stream_bytes):
+                    if byte_hi < len(d):  # cut: add the next span's first byte as a patch
+                        starts = np.append(starts, byte_hi - byte_lo)
+                        byte_hi += 1
+                    elif byte_hi - byte_lo < 2:
+                        continue  # a document's lone last byte predicts nothing
+                    res = lm_forward(view, Stream.concat([(d[byte_lo:byte_hi], starts)]), config)
+                    total += res.total_nats
+                    n_pred += res.n_predicted
+            mean_size = patch_stats(*bounds).mean_patch_size
         bpb[name] = total / (LN2 * n_pred)
         nats[name] = total
         nbytes[name] = n_pred
-        mps[name] = patch_stats(*bounds).mean_patch_size
+        mps[name] = mean_size
     return EvalReport(bpb, nats, nbytes, mps, steps=steps)
 
 
@@ -467,10 +473,12 @@ def train(
     Metrics rows carry only deterministic fields (step, loss, bpb, lr,
     grad_norm, patch/byte counts); wall-clock throughput and the process's
     peak resident memory so far go to a separate perf.jsonl, so two
-    identical runs produce bit-identical metrics files. Overlapping train and
-    eval documents raise before any file is written. ``resume`` names a
-    checkpoint saved under ``config_hash``; the run goes on from its state,
-    after the logs' rows of the steps before it.
+    identical runs produce bit-identical metrics files; a skipped step's
+    non-finite ``grad_norm`` reads ``null``. Each step is evaluated at most
+    once: every ``eval_every`` steps, and the last. Overlapping train and eval
+    documents raise before any file is written. ``resume`` names a checkpoint
+    saved under ``config_hash``; the run goes on from its state, after the
+    logs' rows of the steps before it.
     """
     if eval_slices:
         check_disjoint(loader.docs, [d for s in eval_slices.values() for d in s])
@@ -506,7 +514,7 @@ def train(
                 "loss_nats": loss,
                 "bpb": loss / LN2,
                 "lr": lr,
-                "grad_norm": gnorm,
+                "grad_norm": gnorm if math.isfinite(gnorm) else None,
                 "n_patches": stream.n_patches,
                 "n_bytes": stream.n_bytes,
             }
@@ -528,7 +536,7 @@ def train(
                                 loader, step + 1, config_hash, divergence)
         save_checkpoint(run_dir / "ckpt_final.npz", params, state, loader,
                         result.steps_done, config_hash, divergence)
-        if eval_slices:
+        if eval_slices and all(r.steps != result.steps_done for r in result.eval_reports):
             result.eval_reports.append(
                 eval_bpb(params, config, eval_slices, eval_patcher, eval_stream_bytes,
                          steps=result.steps_done))

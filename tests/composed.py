@@ -18,7 +18,9 @@ even/odd composition the rotation must equal. ``adamw_step`` and
 read table gradients by rows: it reads every gradient as a dense array.
 ``exact_max_span_attention`` is the kernel as it was before the softmax
 shift and normaliser were folded into its matmuls: it shifts each row by its
-exact max and sums the normaliser in a pass of its own. ``train_counts`` is
+exact max and sums the normaliser in a pass of its own. ``dense_attention``
+is the one dense reference: the full score matrix under an additive -inf
+mask. ``train_counts`` is
 the count model's build as it was before one pair-key buffer served every
 level, and the saved model must equal its saved model byte for byte;
 ``calibrate_threshold`` is the bisection as it was before its steps counted
@@ -224,6 +226,14 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: T
         q = apply_rope(q, *rope)
         k = apply_rope(k, *rope)
     return merge_heads(attend(q, k, v, spans)) @ wo
+
+
+def dense_attention(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
+    """Multi-head softmax attention, scaled by 1/sqrt(d), over the full
+    (n_q, n_k) score matrix, where query i sees key j iff ``allowed[i, j]``:
+    an additive -inf mask, ``softmax`` and the mix of the values."""
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ swapaxes(k, -1, -2)
+    return tensor.softmax(scores + np.where(allowed, 0.0, -np.inf)) @ v
 
 
 def exact_max_span_attention(q: Tensor, k: Tensor, v: Tensor, spans: Spans) -> Tensor:

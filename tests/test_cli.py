@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -271,6 +272,36 @@ def test_bad_input_exits_with_code_and_no_traceback(tmp_path, corpus_file, case)
     assert proc.stderr.startswith("data error" if code == EXIT_DATA else "config error")
     if case.startswith("checkpoint_version"):
         assert "format version" in proc.stderr
+
+
+# run settings the config dataclasses reject: each must fail before the run directory exists
+BAD_RUN_SETTINGS = {
+    "lr_peak_nan": ("optimizer", "lr_peak", math.nan),
+    "eps_inf": ("optimizer", "eps", math.inf),
+    "grad_clip_nan": ("optimizer", "grad_clip", math.nan),
+    "beta1_negative": ("optimizer", "beta1", -3),
+    "beta2_1": ("optimizer", "beta2", 1.0),
+    "weight_decay_negative": ("optimizer", "weight_decay", -5),
+    "rope_theta_0": ("model", "rope_theta", 0),
+    "rope_theta_nan": ("model", "rope_theta", math.nan),
+    "alpha_inf": ("entropy_model", "alpha", math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_SETTINGS))
+def test_bad_run_settings_exit_2_and_leave_no_run_dir(tmp_path, capsys, corpus_file, case):
+    section, key, bad = BAD_RUN_SETTINGS[case]
+    values = {"model": dict(TINY_MODEL), "optimizer": {"warmup_steps": 1},
+              "training": {"steps": 2, "patch_budget": 16}}
+    values.setdefault(section, {})[key] = bad
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))  # NaN and Infinity, as Python's json reads them
+    run_dir = tmp_path / "run"
+    code = main(["train", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                 "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and key in err, err
+    assert not run_dir.exists()
 
 
 def test_bpe_merges_flag_is_honoured(tmp_path, capsys, corpus_file):

@@ -13,7 +13,6 @@ from patchlm.flops import (
     non_embedding_params,
     qkvo_flops,
     size_match,
-    total_params,
     transformer_flops_per_token,
     width_family,
 )
@@ -119,7 +118,7 @@ def test_param_count_matches_instantiated_model():
         params[f"hash_embed.n{n}"].data.size for n in cfg.ngram_sizes)
     n_params = sum(t.data.size for _, t in params.items())
     assert non_embedding_params(cfg) == n_params - emb
-    assert total_params(cfg) == n_params
+    assert sum(math.prod(shape) for shape in param_shapes(cfg).values()) == n_params
 
 
 def test_size_match_fixed_point():

@@ -20,7 +20,6 @@ from patchlm.model import (
     decoder_forward,
     encoder_forward,
     global_forward,
-    grad_check,
     init_params,
     latent_spans,
     lm_forward,
@@ -42,6 +41,7 @@ from patchlm import model, tensor
 from patchlm.tensor import ATTN_TILE, Tensor, concat, parameter, rms_norm, softmax
 from tests import composed
 from tests.composed import span_attention
+from tests.gradcheck import grad_check
 
 
 def tiny_cfg(**over) -> ModelConfig:
@@ -77,9 +77,9 @@ def test_local_mask_predicate_exhaustive():
 
 
 def test_local_mask_examples():
-    m1 = local_block_causal_mask(5, 1)
+    m1 = local_block_causal_mask(5, 1, np.zeros(5, np.int32))
     assert np.array_equal(m1.allowed, np.eye(5, dtype=bool))
-    m_full = local_block_causal_mask(4, 99)
+    m_full = local_block_causal_mask(4, 99, np.zeros(4, np.int32))
     assert np.array_equal(m_full.allowed, np.tril(np.ones((4, 4), bool)))
     doc_ids = np.array([0] * 6 + [1] * 2, np.int32)
     m = local_block_causal_mask(8, 99, doc_ids)
@@ -125,10 +125,10 @@ def test_completed_patch_mask_predicate():
 
 def test_masked_softmax_exact_zeros_and_row_sums():
     rng = np.random.default_rng(0)
-    mask = local_block_causal_mask(6, 3).additive(np.float32)
+    mask = local_block_causal_mask(6, 3, np.zeros(6, np.int32)).additive(np.float32)
     scores = Tensor(rng.normal(size=(2, 6, 6)).astype(np.float32))
-    y = softmax(scores + mask, axis=-1).data
-    assert (y[:, ~local_block_causal_mask(6, 3).allowed] == 0.0).all()
+    y = softmax(scores + mask).data
+    assert (y[:, ~local_block_causal_mask(6, 3, np.zeros(6, np.int32)).allowed] == 0.0).all()
     np.testing.assert_allclose(y.sum(-1), 1.0, atol=1e-6)
 
 
@@ -640,12 +640,6 @@ def test_grad_check_multi_document_windows_shorter_than_documents():
     assert rep["passed"], {k: v for k, v in rep["tensors"].items() if not v["passed"]}
 
 
-def _dense_attend(q, k, v, spans):
-    """The dense reference: full score matrix, additive mask, softmax."""
-    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ composed.swapaxes(k, -1, -2)
-    return softmax(scores + np.where(spans.dense(k.shape[1]), 0.0, -np.inf), axis=-1) @ v
-
-
 def test_span_attention_model_matches_dense_oracle(monkeypatch):
     cfg = tiny_cfg(enc_window=37, dec_window=53, dec_layers=2)
     params = init_params(cfg, seed=3).astype(np.float64)
@@ -658,7 +652,11 @@ def test_span_attention_model_matches_dense_oracle(monkeypatch):
         return float(res.loss.data), {k: np.array(t.grad) for k, t in params.items()}
 
     loss, grads = loss_and_grads()
-    monkeypatch.setattr(model, "attention", functools.partial(composed.attention, attend=_dense_attend))
+
+    def dense(q, k, v, spans):
+        return composed.dense_attention(q, k, v, spans.dense(k.shape[1]))
+
+    monkeypatch.setattr(model, "attention", functools.partial(composed.attention, attend=dense))
     want_loss, want_grads = loss_and_grads()
     assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
     for name, want in want_grads.items():
@@ -743,8 +741,7 @@ def test_decoder_key_layout_matches_dense_oracle(doc_starts):
 
     def dense(q, kv):
         keys, values = composed.split_heads(kv, heads), composed.split_heads(kv @ w_v, heads)
-        scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ composed.swapaxes(keys, -1, -2)
-        return softmax(scores + np.where(allowed, 0.0, -np.inf), axis=-1) @ values
+        return composed.dense_attention(q, keys, values, allowed)
 
     results = []
     for attend in (spans, dense):

@@ -202,8 +202,8 @@ def test_fused_ops_keep_no_intermediate():
 
 
 def test_softmax_grad_and_rows_sum_to_one():
-    check_op(lambda a: (softmax(a, axis=-1) * np.arange(5.0)).sum(), (3, 5))
-    y = softmax(Tensor(np.random.default_rng(0).normal(size=(64, 17))), axis=-1)
+    check_op(lambda a: (softmax(a) * np.arange(5.0)).sum(), (3, 5))
+    y = softmax(Tensor(np.random.default_rng(0).normal(size=(64, 17))))
     np.testing.assert_allclose(y.data.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -211,7 +211,7 @@ def test_softmax_with_additive_mask_is_exactly_zero():
     x = parameter(np.random.default_rng(1).normal(size=(4, 6)))
     mask = np.zeros((4, 6))
     mask[:, 3:] = -1e30
-    y = softmax(x + mask, axis=-1)
+    y = softmax(x + mask)
     assert (y.data[:, 3:] == 0.0).all()
     np.testing.assert_allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -510,14 +510,6 @@ def test_attention_of_norm_outputs_grads_numeric(kind):
              *shapes)
 
 
-def dense_attention(q, k, v, spans):
-    """Reference: full score matrix scaled by 1/sqrt(d), additive -inf mask, softmax, mix."""
-    j = np.arange(k.shape[1])
-    visible = (spans.lo[:, None] <= j) & (j < spans.hi[:, None])
-    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ composed.swapaxes(k, -1, -2)
-    return softmax(scores + np.where(visible, 0.0, -np.inf), axis=-1) @ v
-
-
 def random_spans(rng, kind, n_q, n_k, window, n_docs):
     """``(n_k, lo, hi)`` of one of three span kinds; windowed spans have n_k = n_q."""
     if kind == "windowed":  # local attention: lo = max(i - window + 1, document start), hi = i + 1
@@ -548,10 +540,12 @@ def test_span_attention_matches_dense_oracle(heads, n_q, n_k, spans, window, n_d
     dim = int(rng.integers(1, 9))
     leaves = [rng.standard_normal((heads, n, d)) for n, d in ((n_q, dim), (n_k, dim), (n_k, 3))]
     weight = rng.standard_normal((heads, n_q, 3))
+    key_spans = Spans(lo, hi)
     results = []
-    for op in (span_attention, dense_attention):
+    for attend in (lambda q, k, v: span_attention(q, k, v, key_spans),
+                   lambda q, k, v: composed.dense_attention(q, k, v, key_spans.dense(n_k))):
         q, k, v = (parameter(x.copy()) for x in leaves)
-        out = op(q, k, v, Spans(lo, hi))
+        out = attend(q, k, v)
         (out * weight).sum().backward()
         results.append([out.data, q.grad, k.grad, v.grad])
     for got, want in zip(*results):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from patchlm import model, textgen, trainer
 from patchlm.entropy_lm import train_counts
-from patchlm.errors import DataError, NumericError
+from patchlm.errors import ConfigError, DataError, NumericError
 from patchlm.model import ModelConfig, Stream, init_params, lm_forward
 from patchlm.patching import PatchBoundaries, patch_entropy, patch_space, patch_strided
 from patchlm.tensor import RowGrad, parameter
@@ -69,6 +69,16 @@ def test_lr_schedule_continuous_at_junction():
     assert left < mid and abs(mid - right) < 1e-3 * mid + 1e-8
     with pytest.raises(ValueError):
         lr_at(5, spec, 50)  # warmup longer than schedule
+
+
+def test_optim_spec_accepts_its_range_edges_and_rejects_what_lies_past_them():
+    OptimSpec(warmup_steps=0, beta1=0.0, beta2=0.0, weight_decay=0.0, grad_clip=math.inf)
+    for name, bad in (("lr_peak", math.nan), ("lr_peak", math.inf), ("lr_peak", 0.0),
+                      ("eps", math.nan), ("eps", math.inf), ("grad_clip", math.nan),
+                      ("grad_clip", 0.0), ("beta1", -3.0), ("beta1", 1.0), ("beta2", math.nan),
+                      ("weight_decay", -5.0), ("weight_decay", math.inf), ("warmup_steps", -1)):
+        with pytest.raises(ConfigError, match=f"optimizer.{name} must be"):
+            OptimSpec(**{name: bad})
 
 
 # -- adamw ------------------------------------------------------------------------
@@ -493,6 +503,33 @@ def test_zero_steps_initial_eval_only(tmp_path):
                 eval_slices={"held": docs[6:]}, eval_patcher=STRIDED4)
     assert res.steps_done == 0 and len(res.eval_reports) == 1
     assert res.eval_reports[0].steps == 0
+
+
+@pytest.mark.parametrize("steps, evals", [(4, [2, 4]), (5, [2, 4, 5]), (0, [0])])
+def test_each_step_is_evaluated_at_most_once(tmp_path, steps, evals):
+    # the last step is evaluated after the loop only if the loop's schedule missed it
+    cfg = tiny_cfg()
+    docs = make_docs(8, 120, seed=41)
+    loader = PatchStreamLoader(docs[:6], STRIDED4, patch_budget=16, seed=0)
+    res = train(init_params(cfg, seed=0), cfg, loader, OptimSpec(warmup_steps=1), total_steps=steps,
+                run_dir=tmp_path, eval_slices={"held": docs[6:]}, eval_patcher=STRIDED4, eval_every=2)
+    assert [r.steps for r in res.eval_reports] == evals
+
+
+def test_a_skipped_step_logs_its_grad_norm_as_null(tmp_path, monkeypatch):
+    monkeypatch.setattr(trainer, "global_grad_norm", lambda params: math.nan)
+    cfg = tiny_cfg()
+    loader = PatchStreamLoader(make_docs(6, 120, seed=11), STRIDED4, patch_budget=16, seed=0)
+    res = train(init_params(cfg, seed=0), cfg, loader, OptimSpec(warmup_steps=1), total_steps=3,
+                run_dir=tmp_path)
+    assert res.skipped_steps == 3
+
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rows = [json.loads(line, parse_constant=not_json)
+            for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert [row["grad_norm"] for row in rows] == [None] * 3
 
 
 def test_checkpoint_roundtrip(tmp_path):
