@@ -55,10 +55,9 @@ from .bpe import train_bpe
 from .corpus import NoiseSpec, apply_noise, load_corpus
 from .errors import ConfigError, DataError, NumericError, read_input
 from .model import ModelConfig, init_params
-from .patching import PatchingConfig
 from .runconfig import RunConfig
-from .trainer import (OptimSpec, PatchStreamLoader, check_checkpoint, check_disjoint, eval_bpb,
-                      load_checkpoint, lr_at, scorable_slices, train)
+from .trainer import (LN2, OptimSpec, PatchStreamLoader, check_checkpoint, check_disjoint,
+                      eval_bpb, load_checkpoint, lr_at, scorable_slices, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,7 +110,7 @@ def _make_run_dir(run_dir: Path, cfg: RunConfig) -> None:
 def _emit(report: dict, args, human=None):
     """One internal report; --json prints it verbatim, otherwise a small table."""
     if args.json:
-        print(json.dumps(report, indent=2, default=str, allow_nan=False))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         lines = human(report) if human else [f"{k}: {v}" for k, v in report.items()]
         print("\n".join(lines))
@@ -154,18 +153,14 @@ def _positive(args, *flags) -> None:
 def _patcher(args, cfg: RunConfig, docs, model=None) -> patching.Patcher:
     """The config's patcher; a target patch size calibrates the scheme's threshold on ``docs``.
     An entropy scheme uses ``model``, if given, else ``_entropy_model``'s."""
-    settings = dict(cfg["patching"])
-    target = settings.pop("target_patch_size")
-    pc = PatchingConfig(**settings)
+    pc, target = cfg.patching, cfg["patching"]["target_patch_size"]
     if pc.scheme not in patching.ENTROPY_THRESHOLDS:
         model = None
     elif model is None:
         model = _entropy_model(args, cfg, docs)
     if target is not None:
         pc = patching.calibrated_config(pc, model, docs, target)
-    vocab = None
-    if pc.scheme == "bpe":
-        vocab = train_bpe(docs[: min(len(docs), 64)], n_merges=pc.bpe_merges)
+    vocab = train_bpe(docs[:64], n_merges=pc.bpe_merges) if pc.scheme == "bpe" else None
     return patching.Patcher(pc, model, vocab)
 
 
@@ -262,7 +257,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             "steps": result.steps_done,
             "final_loss_nats": result.final_loss,
             "final_bpb": (None if result.final_loss is None
-                          else result.final_loss / float(np.log(2))),
+                          else result.final_loss / LN2),
             "skipped_steps": result.skipped_steps,
             "mean_patch_size": loader.mean_patch_size,
             "forced_splits": loader.stats.forced_splits,

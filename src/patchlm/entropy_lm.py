@@ -19,11 +19,10 @@ one direct-index table of the contexts of length at most 2: 1 + 256 + 65,536 =
 65,793 float64 entries (526 KB), each holding the entropy its backoff resolves
 to, and two int32 row tables per level 3..order that find a stored context by
 cuckoo hashing (``_row_tables``): 8 to 16 bytes per stored context, more for
-a level whose tables had to double. Building is idempotent and a reader sees
-the tables only once they are complete, so concurrent reads stay safe. A
-trace reads every position's short context from the direct table and looks
-the longer ones up in levels 3..order deepest first, two probes per context
-and no sort, backing off on a miss.
+a level whose tables had to double. They are built as one value, so
+concurrent reads stay safe. A trace reads every position's short context
+from the direct table and looks the longer ones up in levels 3..order
+deepest first, two probes per context and no sort, backing off on a miss.
 
 ``train_counts`` counts every level in one uint64 pair-key buffer over the
 concatenated corpus. Its scratch is about 10 bytes per corpus byte below
@@ -41,8 +40,9 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +67,14 @@ _KEY_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 # the odd multipliers of the two row tables' hashes (``_slots``)
 _HASH_MUL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD6E8FEB86659FD93))
 _BUILD_ROUNDS = 200  # placement rounds before ``_row_tables`` doubles its tables
+
+
+def check_count_model(order: int, alpha: float) -> None:
+    """Reject an order outside [1, 8] and an alpha that is not finite and > 0."""
+    if not (1 <= order <= 8):
+        raise ConfigError(f"order must be in [1, 8], got {order}")
+    if not 0 < alpha < np.inf:  # NaN too
+        raise ConfigError(f"smoothing alpha must be finite and > 0, got {alpha}")
 
 
 def _as_bytes_array(data) -> np.ndarray:
@@ -217,36 +225,36 @@ class EntropyTrace:
     values: np.ndarray
 
 
+class _Tables(NamedTuple):
+    """What a trace reads, derived from a model's levels (``EntropyModel._tables``)."""
+
+    h: list[np.ndarray]  # per level, H_k of each stored context
+    short: np.ndarray  # the entropy of every context of at most _SHORT bytes
+    rows: list  # per level, _row_tables of its contexts; None if empty or of <= _SHORT bytes
+
+
 class EntropyModel:
     """Immutable after construction; concurrent read queries are safe.
 
-    The entropy tables are derived from ``levels`` once, lazily and
-    idempotently: a per-level H_k table, the 65,793-entry (526 KB) table of
-    contexts of at most two bytes, and the row tables that find the longer
-    stored contexts without a search.
+    The entropy tables are derived from ``levels`` once, on first use, as one
+    value: a per-level H_k table, the 65,793-entry (526 KB) table of contexts
+    of at most two bytes, and the row tables that find the longer stored
+    contexts without a search.
     """
 
     VERSION = 1
 
     def __init__(self, order: int, alpha: float, levels: list[_Level]):
-        if not (1 <= order <= 8):
-            raise ConfigError(f"order must be in [1, 8], got {order}")
-        if not 0 < alpha < np.inf:  # NaN too
-            raise ConfigError(f"smoothing alpha must be finite and > 0, got {alpha}")
+        check_count_model(order, alpha)
         self.order = order
         self.alpha = alpha
         self.levels = levels  # levels[k] holds length-k contexts, k = 0..order
-
         self._gamma = 256.0 * alpha
-        self._h_tables: list[np.ndarray] | None = None
-        self._short_h: np.ndarray | None = None  # set with _h_tables
-        # set with _h_tables: per level, _row_tables of its contexts; None for an
-        # empty level and for those of at most _SHORT bytes
-        self._rows: list[tuple[np.ndarray, np.ndarray, np.uint64] | None] | None = None
 
     # -- entropy tables (one per context length) -----------------------------
 
-    def _ensure_h_tables(self):
+    @cached_property
+    def _tables(self) -> _Tables:
         """H_k of every stored context, level by level (closed form in the module docstring).
 
         Counts nest: every occurrence counted for (c, b) is also counted for
@@ -256,15 +264,12 @@ class EntropyModel:
         probabilities are kept, so memory is O(pairs). A loaded file whose
         counts do not nest raises.
 
-        Also builds ``_short_h``: the entropy of every context of at most
+        Also builds ``short``: the entropy of every context of at most
         ``_SHORT`` bytes, stored or not, with backoff resolved. Block k starts
         as block k-1 repeated (an unseen context keeps its suffix's entropy),
-        then takes H_k at the stored contexts. And builds ``_rows``, the row
-        tables of every longer non-empty level. ``_h_tables`` is assigned
-        after both, so a reader that sees it sees all three.
+        then takes H_k at the stored contexts. And builds ``rows``, the row
+        tables of every longer non-empty level.
         """
-        if self._h_tables is not None:
-            return
         tables: list[np.ndarray] = []
         prev_keys = prev_p = prev_ctx = prev_h = None
         for k, lev in enumerate(self.levels):
@@ -273,14 +278,14 @@ class EntropyModel:
                 q = np.full(n_pairs, 1.0 / 256.0)
                 h_sfx = np.full(len(lev.ctx_keys), LN256)
             else:
-                mod = np.uint64(1 << (8 * (k - 1)))
-                want = ((lev.pair_ctx % mod) << np.uint64(8)) | lev.pair_next.astype(np.uint64)
+                sfx = _KEY_MASK[k - 1]
+                want = ((lev.pair_ctx & sfx) << np.uint64(8)) | lev.pair_next.astype(np.uint64)
                 at = np.searchsorted(prev_keys, want)
                 if (at == len(prev_keys)).any() or (prev_keys[at] != want).any():
                     raise DataError(
                         f"counts do not nest: a length-{k} pair has no length-{k - 1} suffix pair")
                 q = prev_p[at]
-                h_sfx = prev_h[np.searchsorted(prev_ctx, lev.ctx_keys % mod)]
+                h_sfx = prev_h[np.searchsorted(prev_ctx, lev.ctx_keys & sfx)]
             first = lev.ctx_first
             denom = lev.ctx_tot + self._gamma
             a = self._gamma / denom
@@ -297,10 +302,9 @@ class EntropyModel:
             lo, hi = int(_SHORT_START[k - 1]), int(_SHORT_START[k])
             short[hi:hi + 256**k] = np.tile(short[lo:hi], 256)
             short[hi + self.levels[k].ctx_keys] = tables[k]
-        self._short_h = short
-        self._rows = [_row_tables(lev.ctx_keys) if k > _SHORT and len(lev.ctx_keys) else None
-                      for k, lev in enumerate(self.levels)]
-        self._h_tables = tables
+        rows = [_row_tables(lev.ctx_keys) if k > _SHORT and len(lev.ctx_keys) else None
+                for k, lev in enumerate(self.levels)]
+        return _Tables(tables, short, rows)
 
     # -- traces ---------------------------------------------------------------
 
@@ -326,11 +330,11 @@ class EntropyModel:
             avail -= np.maximum.accumulate(seg_start)
         np.minimum(avail, self.order, out=avail)
 
-        self._ensure_h_tables()
+        tables = self._tables
         # without a reset, the zeros before the start are the bytes a short
         # context lacks, so one mask packs every position
         key = _pack_keys(arr, avail if reset_on_newline else self.order)
-        values = self._short_h[_SHORT_START[np.minimum(avail, _SHORT)] + (key & _KEY_MASK[_SHORT])]
+        values = tables.short[_SHORT_START[np.minimum(avail, _SHORT)] + (key & _KEY_MASK[_SHORT])]
         # Deeper contexts overwrite that at their deepest stored length: a miss
         # backs off to the suffix (an unseen context has exactly its suffix's
         # distribution), and one that reaches _SHORT bytes keeps its table value.
@@ -339,9 +343,9 @@ class EntropyModel:
         # shallower one the positions no deeper level resolved (``todo``).
         todo = None
         for k in range(self.order, _SHORT, -1):
-            if self._rows[k] is None:
+            if tables.rows[k] is None:
                 continue
-            first, second, shift = self._rows[k]
+            first, second, shift = tables.rows[k]
             ctx_keys = self.levels[k].ctx_keys
             needles = (key if todo is None else key[todo]) & _KEY_MASK[k]
             pos = first[_slots(needles, _HASH_MUL[0], shift)]
@@ -349,10 +353,10 @@ class EntropyModel:
             found = ctx_keys[pos] == needles
             found &= (avail if todo is None else avail[todo]) >= k
             if todo is None:
-                np.copyto(values, self._h_tables[k][pos], where=found)
+                np.copyto(values, tables.h[k][pos], where=found)
                 todo = np.flatnonzero(~found)
             else:
-                values[todo[found]] = self._h_tables[k][pos[found]]
+                values[todo[found]] = tables.h[k][pos[found]]
                 todo = todo[~found]
         return EntropyTrace(values)
 
@@ -399,7 +403,7 @@ class EntropyModel:
             if off != len(payload):
                 raise ValueError(f"{len(payload) - off} bytes after the last level")
             model = cls(order, alpha, levels)
-            model._ensure_h_tables()  # rejects counts that do not nest
+            model._tables  # building the tables rejects counts that do not nest
         except (struct.error, ValueError, IndexError) as exc:  # ConfigError is a ValueError
             raise DataError(f"malformed entropy model file {path}: {exc}") from None
         return model
@@ -420,8 +424,7 @@ def train_counts(
     pair of the level being counted. Raises with a size estimate if the
     stored pairs would exceed ``MAX_PAIRS``, which does not bound that scratch.
     """
-    if not (1 <= order <= 8):
-        raise ConfigError(f"order must be in [1, 8], got {order}")
+    check_count_model(order, alpha)
     docs = [_as_bytes_array(d) for d in corpus]
     docs = [d for d in docs if len(d) > 0]
     if not docs:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConfigError
-from .model import ModelConfig, param_shapes
+from .model import VOCAB, ModelConfig, param_shapes
 
 Number = int | float | Fraction
 
@@ -141,7 +141,7 @@ def blt_flops_per_byte(config: ModelConfig, n_ctx: Number, n_p: Number) -> Flops
         config.enc_layers, config.enc_dim, config.enc_window, d_ff=d_ff, vocab=0
     )
     dec_t = transformer_flops_per_token(
-        config.dec_layers, config.dec_dim, config.dec_window, d_ff=d_ff, vocab=256
+        config.dec_layers, config.dec_dim, config.dec_window, d_ff=d_ff, vocab=VOCAB
     )
     enc_x = cross_attention_flops(config.enc_layers, config.enc_dim, k, p=n_p, r=n_p / k) * k / n_p
     dec_x = (

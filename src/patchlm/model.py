@@ -31,8 +31,8 @@ prime, and feed-forward widths round up to a multiple of 8. The maximum patch
 size is part of segmentation, not of the model: ``PatchingConfig`` holds it,
 and the model accepts patches of any length.
 
-Everything runs on the package's numpy autodiff; float64 mode exists for
-the finite-difference gradient check in ``tests/gradcheck.py``.
+Everything runs on the package's numpy autodiff; ``BltParams.astype`` gives
+the float64 mode of the finite-difference gradient check in ``tests/gradcheck.py``.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
-def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> BltParams:
+def init_params(config: ModelConfig, seed: int = 0) -> BltParams:
     """Scaled-normal init; residual-out projections shrink with block depth."""
     rng = np.random.Generator(np.random.PCG64(seed))
     tensors: dict[str, Tensor] = {}
@@ -230,10 +230,10 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> BltPara
             data = np.ones(shape)
         else:
             std = base_std
-            if name.endswith(("attn.wo", "xattn.wo", "ffn.w_down")):
+            if name.endswith(("attn.wo", "ffn.w_down")):
                 std = base_std / math.sqrt(2.0 * depth[name.split(".", 1)[0]])
             data = std * rng.standard_normal(shape)
-        tensors[name] = parameter(data.astype(dtype), name)
+        tensors[name] = parameter(data.astype(np.float32), name)
     return BltParams(tensors)
 
 

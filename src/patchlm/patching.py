@@ -27,6 +27,7 @@ other scheme has no single threshold to fit and rejects a target.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -309,30 +310,10 @@ def _mean_size_at(score: np.ndarray, doc_start: np.ndarray, theta: float,
     return len(score) / n_patches
 
 
-def _sliding_max(x: np.ndarray, width: int) -> np.ndarray:
-    """max(x[i:i + width]) for every window that fits, by doubling spans."""
-    span = 1
-    while 2 * span <= width:
-        x = np.maximum(x[:-span], x[span:])
-        span *= 2
-    rest = width - span  # now x[i] = max(x[i:i + span]), and rest <= span
-    return np.maximum(x[:-rest], x[rest:]) if rest else x
-
-
-def _mean_size_by_count(score: np.ndarray, doc_start: np.ndarray,
-                        max_patch: int) -> Callable[[float], float]:
-    """``_mean_size_at`` as a function of theta alone, by one searchsorted below
-    theta* (see ``calibrate_threshold``)."""
-    theta_star = _sliding_max(np.where(doc_start, np.inf, score), max_patch).min(initial=np.inf)
-    inner = np.sort(score[~doc_start])
-    n_starts = len(score) - len(inner)
-
-    def mean_size(theta: float) -> float:
-        if theta < theta_star:
-            return len(score) / (n_starts + len(inner) - int(np.searchsorted(inner, theta, "right")))
-        return _mean_size_at(score, doc_start, theta, max_patch)
-
-    return mean_size
+def check_target(target_patch_size: float | None) -> None:
+    """Reject a target mean patch size, if one is given, outside (1, 64]."""
+    if target_patch_size is not None and not (1.0 < target_patch_size <= 64.0):
+        raise ConfigError(f"target patch size must be in (1, 64], got {target_patch_size}")
 
 
 def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size: float,
@@ -349,18 +330,19 @@ def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size
     Raises ConfigError with the achievable range when the target cannot be
     met within ``CALIBRATION_TOL``.
 
-    Each bisection step counts patches. theta* is the lowest threshold at which
-    some ``max_patch_size`` consecutive bytes, none a document start, all score
-    at most theta: the least sliding max of the scores with document starts
-    set to +inf. Below it the maximum patch size cannot force a split, so a
-    step counts the document starts plus the scores above theta, by one
-    searchsorted on the sorted scores of the other bytes; at and above it a
-    step scans every score (``_mean_size_at``).
+    Mean patch size changes only where the threshold passes the score of a
+    byte that is not a document start, so the lowest threshold that reaches
+    the target, s, is the bracket's low end or such a score, and the step
+    test ``mean_size(mid) < target`` holds exactly when ``mid < s``: deciding
+    each step by ``mid < s`` is the counting bisection, bit for bit. Forced
+    splits only add patches, so s is no score below the lowest at which the
+    document starts and the scores above it alone are few enough patches. One
+    count (``_mean_size_at``) confirms that score where it forces no split, as
+    mostly at the default maximum patch size; else a bisection above it finds s.
     """
     config = config or PatchingConfig()
     scheme = config.scheme
-    if not (1.0 < target_patch_size <= 64.0):
-        raise ConfigError(f"target patch size must be in (1, 64], got {target_patch_size}")
+    check_target(target_patch_size)
     if len(ENTROPY_THRESHOLDS.get(scheme, ())) != 1:
         raise ConfigError("a target patch size calibrates the one threshold of entropy_global "
                           f"(theta_g) or entropy_monotonic (theta_r), not of {scheme!r}")
@@ -378,16 +360,30 @@ def calibrate_threshold(model: EntropyModel, sample: Iterable, target_patch_size
     jump = ENTROPY_THRESHOLDS[scheme] == ("theta_r",)
     # the jump across a document start is never read: that byte starts a patch anyway
     score = np.diff(values, prepend=values[0]) if jump else values
-    mean_size = _mean_size_by_count(score, doc_start, config.max_patch_size)
+    mean_size = functools.cache(lambda t: _mean_size_at(score, doc_start, t, config.max_patch_size))
     lo, hi = (-LN256 - 1.0, LN256 + 1.0) if jump else (0.0, LN256 + 1.0)
     size_lo, size_hi = mean_size(lo), mean_size(hi)
     if not (size_lo <= target_patch_size <= size_hi):
         raise ConfigError(
             f"target {target_patch_size} outside achievable mean patch size range "
             f"[{size_lo:.3f}, {size_hi:.3f}]")
+    s = lo
+    if size_lo < target_patch_size:
+        inner = np.sort(score[~doc_start])
+        most = int(n_total / target_patch_size) + 1  # the most patches that reach the target
+        while n_total / most < target_patch_size:
+            most -= 1
+        # inner[i + 1] is the lowest score with at most `most` document starts and
+        # scores above it, so no lower score reaches the target; the highest does
+        i, j = max(n_total - most - 2, -1), len(inner) - 1
+        mid = i + 1
+        while j - i > 1:
+            i, j = (mid, j) if mean_size(inner[mid]) < target_patch_size else (i, mid)
+            mid = (i + j) // 2
+        s = inner[j]
     for _ in range(CALIBRATION_ITERS):
         mid = 0.5 * (lo + hi)
-        if mean_size(mid) < target_patch_size:
+        if mid < s:
             lo = mid
         else:
             hi = mid

@@ -26,10 +26,10 @@ from dataclasses import asdict
 from math import inf
 from pathlib import Path
 
-from .entropy_lm import DEFAULT_ALPHA
+from .entropy_lm import DEFAULT_ALPHA, check_count_model
 from .errors import ConfigError, read_input
 from .model import ModelConfig
-from .patching import PatchingConfig
+from .patching import PatchingConfig, check_target
 from .trainer import EVAL_STREAM_BYTES, OptimSpec
 
 DEFAULTS: dict = {
@@ -109,6 +109,11 @@ class RunConfig:
     def __init__(self, values: dict):
         _check_keys(values, DEFAULTS)
         self.values = _deep_merge(DEFAULTS, values)
+        # a bad patching or count-model setting fails here, before any input is read
+        settings = dict(self.values["patching"])
+        check_target(settings.pop("target_patch_size"))
+        self.patching = PatchingConfig(**settings)
+        check_count_model(**self.values["entropy_model"])
 
     @classmethod
     def load(cls, path: str | Path | None, overrides: dict | None = None) -> "RunConfig":

@@ -23,8 +23,9 @@ is the one dense reference: the full score matrix under an additive -inf
 mask. ``train_counts`` is
 the count model's build as it was before one pair-key buffer served every
 level, and the saved model must equal its saved model byte for byte;
-``calibrate_threshold`` is the bisection as it was before its steps counted
-by searchsorted, and must return the same threshold or the same error.
+``calibrate_threshold`` is the plain bisection, which counts patches at every
+step; the package's, which decides its steps by the lowest threshold that
+reaches the target, must return the same threshold or the same error.
 """
 
 from __future__ import annotations
@@ -336,8 +337,8 @@ def train_counts(corpus, order: int, alpha: float = DEFAULT_ALPHA) -> EntropyMod
 
 def calibrate_threshold(model: EntropyModel, sample, target_patch_size: float,
                         config: PatchingConfig | None = None) -> float:
-    """The threshold bisection as it was before a step below theta* counted by
-    one searchsorted: every step scans every score (``_mean_size_at``)."""
+    """The threshold bisection, counting patches at every step by scanning every
+    score (``_mean_size_at``)."""
     config = config or PatchingConfig()
     scheme = config.scheme
     if not (1.0 < target_patch_size <= 64.0):

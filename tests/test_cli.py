@@ -925,6 +925,30 @@ def test_default_warmup_is_shorter_than_the_default_run():
     assert OptimSpec().warmup_steps < DEFAULTS["training"]["steps"]
 
 
+# patching and count-model settings that RunConfig rejects as it loads:
+# (command and flags, config, what the message names)
+BAD_PATCH_SETTINGS = {
+    "alpha_0": (["patch"], {"entropy_model": {"alpha": 0}}, "alpha"),
+    "order_9": (["patch"], {"entropy_model": {"order": 9}}, "order"),
+    "max_patch_size_0": (["patch"], {"patching": {"max_patch_size": 0}}, "max_patch_size"),
+    "bpe_merges_negative": (["patch"], {"patching": {"bpe_merges": -1}}, "bpe_merges"),
+    "k_0": (["patch"], {"patching": {"k": 0}}, "k must be"),
+    "target_0.5": (["calibrate", "--target-patch-size", "0.5"], {}, "target patch size"),
+    "target_100": (["calibrate", "--target-patch-size", "100"], {}, "target patch size"),
+    "train_max_patch_size_0": (["train"], {"patching": {"max_patch_size": 0}}, "max_patch_size"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PATCH_SETTINGS))
+def test_bad_patching_settings_exit_2_before_the_corpus_is_read(tmp_path, capsys, case):
+    argv, values, named = BAD_PATCH_SETTINGS[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    code = main([*argv, "--config", str(cfg_path), "--corpus", str(tmp_path / "missing.txt")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and named in err, err
+
+
 @pytest.mark.parametrize("values, key", [
     ({"optimizer": {"warmup_steps": 5}, "training": {"steps": 5}}, "warmup_steps"),
     ({"training": {"steps": "ten"}}, "training.steps"),

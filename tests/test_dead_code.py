@@ -16,12 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "patchlm"
 
-# defaulted parameters no call passes: the entry point's test hook, the dtype of
-# the float64 mode that the gradient check in tests/gradcheck.py runs in, numpy's
+# defaulted parameters no call passes: the entry point's test hook, numpy's
 # array protocol, and resume, which only the tests exercise yet
 ONE_VALUE_ALLOWED = {
     "cli.main(argv)",
-    "model.init_params(dtype)",
     "tensor.RowGrad.__array__(dtype)", "tensor.RowGrad.__array__(copy)",
     "trainer.train(resume)",
 }

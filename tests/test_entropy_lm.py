@@ -222,7 +222,7 @@ def cascade_trace(model: EntropyModel, data: np.ndarray, reset_on_newline: bool)
         seg_start = np.maximum.accumulate(seg_start)
     avail = np.minimum(model.order, np.arange(n, dtype=np.int64) - seg_start)
 
-    model._ensure_h_tables()
+    h_tables = model._tables.h
     values = np.empty(n, dtype=np.float64)
     key = np.zeros(n, dtype=np.uint64)
     a64 = arr.astype(np.uint64)
@@ -249,12 +249,12 @@ def cascade_trace(model: EntropyModel, data: np.ndarray, reset_on_newline: bool)
             pos_c = np.zeros(len(sel), dtype=np.int64)
         hit = sel[found]
         if len(hit):
-            values[hit] = model._h_tables[k][pos_c[found]]
+            values[hit] = h_tables[k][pos_c[found]]
             resolved[hit] = True
         miss = sel[~found]
         key[miss] %= np.uint64(1 << (8 * (k - 1)))
         lvl[miss] = k - 1
-    h0 = model._h_tables[0]
+    h0 = h_tables[0]
     values[~resolved] = h0[0] if len(h0) else LN256  # no counts at all: uniform
     return values
 
@@ -507,11 +507,11 @@ def test_order8_tables_memory_is_bounded_by_pairs():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model._short_h.nbytes == short_bytes
+    assert model._tables.short.nbytes == short_bytes
     assert peak < 64 * 2**20 + short_bytes
     for k, lev in enumerate(model.levels):  # the row tables: at most 16 bytes per stored context
         if k > 2:
-            first, second, _ = model._rows[k]
+            first, second, _ = model._tables.rows[k]
             assert first.nbytes + second.nbytes <= 16 * len(lev.ctx_keys)
 
 

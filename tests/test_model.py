@@ -264,7 +264,7 @@ def test_embeddings_are_bitwise_the_per_document_oracle(lengths, dtype, seed):
     weight = rng.standard_normal((stream.n_bytes, cfg.enc_dim)).astype(dtype)
     results = []
     for embed in (augmented_byte_embeddings, per_document_embeddings):
-        params = init_params(cfg, seed=seed, dtype=dtype)
+        params = init_params(cfg, seed=seed).astype(dtype)
         out = embed(params, stream, cfg)
         (out * weight).sum().backward()
         results.append([out.data] + [np.asarray(params[f"hash_embed.n{n}"].grad) for n in cfg.ngram_sizes])
@@ -488,7 +488,7 @@ def test_no_vjp_closes_over_a_tensor():
     # a vjp must close over the arrays it reads: a Tensor in its closure pins
     # that tensor's value, whether or not the backward reads it
     cfg = tiny_cfg()
-    res = lm_forward(init_params(cfg, seed=0, dtype=np.float64), text_stream(), cfg)
+    res = lm_forward(init_params(cfg, seed=0).astype(np.float64), text_stream(), cfg)
     stack, seen, ops, pinned = [res.loss._node, softmax(res.logits)._node], set(), set(), set()
     while stack:
         node = stack.pop()

@@ -25,7 +25,6 @@ from patchlm.patching import (
     patch_stats,
     write_boundaries_tsv,
     _mean_size_at,
-    _mean_size_by_count,
 )
 from tests import composed
 
@@ -269,8 +268,6 @@ def test_calibration_count_equals_per_document_patching(docs, theta, monotonic, 
     score = np.diff(values, prepend=values[0]) if monotonic else values
     want = len(values) / sum(map(len, ref))
     assert _mean_size_at(score, doc_start, theta, max_patch) == want
-    # the calibration's count, which answers below theta* without a scan
-    assert _mean_size_by_count(score, doc_start, max_patch)(theta) == want
 
 
 def test_calibration_monotonic_scheme(entropy3, english_docs):
@@ -315,6 +312,48 @@ def test_calibration_returns_the_plain_bisections_theta(entropy3, english_docs, 
         (name,) = ENTROPY_THRESHOLDS[scheme]
         patcher = make_patcher(replace(config, **{name: outcomes[0]}), entropy_model=entropy3)
         assert patch_stats(*map(patcher, sample)).forced_splits > 0
+
+
+class _StoredTraces:
+    """A stand-in entropy model that traces each document as the scores stored for it."""
+
+    def __init__(self, traces: dict):
+        self.traces = traces
+
+    def entropy_trace(self, data, reset_on_newline=False):
+        return _trace(self.traces[bytes(data)])
+
+
+@pytest.mark.parametrize("max_patch", [1, 2, 3, 6, 512])
+@pytest.mark.parametrize("scheme", ["entropy_global", "entropy_monotonic"])
+@pytest.mark.parametrize("ties", [True, False])
+def test_calibration_on_stored_scores_returns_the_plain_bisections_theta(ties, scheme, max_patch):
+    # scores drawn from five levels, so that many tie, or all distinct
+    rng = np.random.Generator(np.random.PCG64(7))
+    sample = [rng.integers(0, 256, n, dtype=np.uint8) for n in rng.integers(8, 200, 1000)]
+    model = _StoredTraces({bytes(d): rng.choice(_LEVELS, len(d)) if ties else rng.uniform(0, 4, len(d))
+                           for d in sample})
+    config = PatchingConfig(scheme=scheme, max_patch_size=max_patch)
+    # both ends of the achievable range, points up to the end or 64, and just past each end
+    values = np.concatenate([model.traces[bytes(d)] for d in sample])
+    doc_start = np.zeros(len(values), dtype=bool)
+    doc_start[np.cumsum([0] + [len(d) for d in sample[:-1]])] = True
+    jump = scheme == "entropy_monotonic"
+    score = np.diff(values, prepend=values[0]) if jump else values
+    ends = [_mean_size_at(score, doc_start, t, max_patch)
+            for t in ((-LN256 - 1.0) if jump else 0.0, LN256 + 1.0)]
+    assert len(values) >= 10**5
+    targets = [*ends, *np.linspace(ends[0], min(ends[1], 64.0), 7), ends[0] * 0.97, ends[1] * 1.03]
+    for target in targets:
+        outcomes = []
+        for calibrate in (calibrate_threshold, composed.calibrate_threshold):
+            try:
+                outcomes.append(calibrate(model, sample, float(target), config))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], target
+        if target == ends[1] and 1.0 < target <= 64.0:  # where the range's top is a target
+            assert isinstance(outcomes[0], float)
 
 
 # -- bpe scheme, incrementality ----------------------------------------------------
