@@ -54,9 +54,9 @@ from . import entropy_lm, flops, patching, textgen
 from .bpe import train_bpe
 from .corpus import NoiseSpec, apply_noise, load_corpus
 from .errors import ConfigError, DataError, NumericError, read_input
-from .model import ModelConfig, init_params
+from .model import init_params
 from .runconfig import RunConfig
-from .trainer import (LN2, OptimSpec, PatchStreamLoader, check_checkpoint, check_disjoint,
+from .trainer import (LN2, PatchStreamLoader, check_checkpoint, check_disjoint,
                       eval_bpb, load_checkpoint, lr_at, scorable_slices, train)
 
 EXIT_OK = 0
@@ -211,8 +211,7 @@ def cmd_patch(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    optim = OptimSpec(**cfg["optimizer"])
-    model_cfg = ModelConfig(**cfg["model"])
+    optim, model_cfg = cfg.optim, cfg.model
     steps = cfg["training"]["steps"]
     if steps:
         lr_at(0, optim, steps)  # a warmup as long as the run raises before any work
@@ -284,7 +283,7 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
             cfg = RunConfig.load(run_config)
         except ConfigError as exc:
             raise DataError(f"{run_config} is not a run config: {exc}") from None
-        model_cfg = ModelConfig(**cfg["model"])
+        model_cfg = cfg.model
         check_checkpoint(ck, args.checkpoint, model_cfg, cfg.content_hash)
         patcher = patching.Patcher.load(run_config.parent)
         report = asdict(eval_bpb(ck["params"], model_cfg, {"eval": docs},
@@ -301,7 +300,7 @@ def cmd_eval_bpb(args, cfg: RunConfig) -> int:
 
 def cmd_flops(args, cfg: RunConfig) -> int:
     _positive(args, "n_ctx", "patch_size")
-    model_cfg = ModelConfig(**cfg["model"])
+    model_cfg = cfg.model
     rep = flops.blt_flops_per_byte(model_cfg, args.n_ctx, Fraction(str(args.patch_size)))
     doc = rep.as_floats()
     doc.update(n_ctx=args.n_ctx, patch_size=args.patch_size,
@@ -323,8 +322,7 @@ def cmd_flops(args, cfg: RunConfig) -> int:
 
 def cmd_size_match(args, cfg: RunConfig) -> int:
     _positive(args, "target", "n_ctx", "patch_size", "tol")
-    template = ModelConfig(**cfg["model"])
-    fam = flops.width_family(template)
+    fam = flops.width_family(cfg.model)
     solved, achieved = flops.size_match(Fraction(str(args.target)), fam,
                                         args.n_ctx, Fraction(str(args.patch_size)),
                                         tol=args.tol)

@@ -18,11 +18,12 @@ The H_k tables are built once, on the first trace (or on ``load``), next to
 one direct-index table of the contexts of length at most 2: 1 + 256 + 65,536 =
 65,793 float64 entries (526 KB), each holding the entropy its backoff resolves
 to, and two int32 row tables per level 3..order that find a stored context by
-cuckoo hashing (``_row_tables``): 8 to 16 bytes per stored context, more for
-a level whose tables had to double. They are built as one value, so
-concurrent reads stay safe. A trace reads every position's short context
-from the direct table and looks the longer ones up in levels 3..order
-deepest first, two probes per context and no sort, backing off on a miss.
+cuckoo hashing (``_row_tables``), laid end to end: 8 to 16 bytes per stored
+context, more for a level whose tables had to double. They are built as one
+value, so concurrent reads stay safe. A trace packs each position's context
+into one key and looks it up in levels order..3, deepest first, with both
+probes in one gather and no sort, backing off on a miss to the next level;
+the positions no level resolves read the direct table (``entropy_trace``).
 
 ``train_counts`` counts every level in one uint64 pair-key buffer over the
 concatenated corpus. Its scratch is about 10 bytes per corpus byte below
@@ -62,10 +63,12 @@ DEFAULT_ALPHA = 0.01  # add-alpha smoothing of the count model
 # length-k block starts at (256**k - 1) / 255; the last entry is the table's size
 _SHORT = 2
 _SHORT_START = np.array([(256**k - 1) // 255 for k in range(_SHORT + 2)], dtype=np.uint64)
-# _KEY_MASK[k] keeps the last k bytes of a packed context
+# _KEY_MASK[k] keeps the last k bytes of a packed context; a trace reads it as
+# _KEY_MASK[k, ...], a 0-d array, which a ufunc takes faster than a scalar
 _KEY_MASK = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
-# the odd multipliers of the two row tables' hashes (``_slots``)
-_HASH_MUL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD6E8FEB86659FD93))
+# the odd multipliers of the two row tables' hashes (``_slots``), one per row
+# so that one product hashes a key both ways
+_HASH_MUL = np.array([[0x9E3779B97F4A7C15], [0xD6E8FEB86659FD93]], dtype=np.uint64)
 _BUILD_ROUNDS = 200  # placement rounds before ``_row_tables`` doubles its tables
 
 
@@ -100,7 +103,7 @@ def _pack_keys(arr: np.ndarray, width) -> np.ndarray:
     position: its 8-byte window (``_windows``), masked.
     """
     padded = np.concatenate((np.zeros(8, np.uint8), arr))
-    return _windows(padded).astype(np.uint64) & _KEY_MASK[width]
+    return _windows(padded).astype(np.uint64) & _KEY_MASK[width, ...]
 
 
 def _count_pairs(keys: np.ndarray, nxt: np.ndarray, ctx_len: int,
@@ -149,19 +152,30 @@ def _count_pairs(keys: np.ndarray, nxt: np.ndarray, ctx_len: int,
     return ctx, x, np.diff(starts, append=n)
 
 
-def _slots(keys: np.ndarray, mul: np.uint64, shift: np.uint64) -> np.ndarray:
+def _slots(keys: np.ndarray, mul: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """The slot of each key in a table of 2**(64 - shift) slots: the top bits
-    of the wrapping product key * mul."""
-    return ((keys * mul) >> shift).view(np.int64)
+    of the wrapping product key * mul. With ``mul`` the (2, 1) ``_HASH_MUL``,
+    row j holds each key's slot in table j."""
+    slots = keys * mul
+    slots >>= shift
+    return slots.view(np.int64)
 
 
-def _row_tables(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+class _RowTables(NamedTuple):
+    """One level's two cuckoo row tables (``_row_tables``)."""
+
+    rows: np.ndarray  # (2, 2**bits) int32: table j is rows[j]
+    shift: np.ndarray  # 0-d uint64, 64 - bits
+    second: np.ndarray  # 0-d int64, 2**bits: where the second table starts in rows laid flat
+
+
+def _row_tables(keys: np.ndarray) -> _RowTables:
     """Two int32 tables that hold row r of the distinct ``keys`` (a level's
-    strictly increasing ``ctx_keys``) at slot
-    ``_slots(keys[r], _HASH_MUL[0], shift)`` of the first or at slot
-    ``_slots(keys[r], _HASH_MUL[1], shift)`` of the second (cuckoo hashing),
-    and that shift. Each table has 2**bits >= len(keys) slots; an empty slot
-    holds row 0, so a lookup accepts a row only where its key is the needle.
+    strictly increasing ``ctx_keys``) at slot ``_slots(keys[r], _HASH_MUL[j],
+    shift)`` of table j, the first or the second (cuckoo hashing). They are
+    built as one (2, 2**bits) array with 2**bits >= len(keys), so that a
+    lookup gathers both probes in one call (``_find``). An empty slot holds
+    row 0, so a lookup accepts a row only where its key is the needle.
 
     Rounds alternate the tables: every pending row claims its slot, one
     claimant per slot wins and evicts the row it finds there, and the losers
@@ -171,9 +185,11 @@ def _row_tables(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.uint64]:
     """
     bits = max(1, (len(keys) - 1).bit_length())
     while True:
-        shift = np.uint64(64 - bits)
-        claims = [_slots(keys, mul, shift).astype(np.int32) for mul in _HASH_MUL]
-        tables = [np.full(1 << bits, -1, dtype=np.int32) for _ in _HASH_MUL]
+        shift = np.array(64 - bits, dtype=np.uint64)
+        claims = np.empty((2, len(keys)), dtype=np.int32)
+        for claim, mul in zip(claims, _HASH_MUL):  # one uint64 product at a time
+            claim[:] = _slots(keys, mul, shift)
+        tables = np.full((2, 1 << bits), -1, dtype=np.int32)
         pending = np.arange(len(keys), dtype=np.int32)
         for rnd in range(_BUILD_ROUNDS):
             if not len(pending):
@@ -186,10 +202,21 @@ def _row_tables(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.uint64]:
             pending = np.concatenate((pending[~won], held[held >= 0]))
             del claim, won, held
         if not len(pending):
-            for table in tables:
-                np.maximum(table, 0, out=table)
-            return tables[0], tables[1], shift
+            np.maximum(tables, 0, out=tables)
+            return _RowTables(tables, shift, np.array(1 << bits))
         bits += 1
+
+
+def _find(tables: _RowTables, ctx_keys: np.ndarray,
+          needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, found) of each needle among a level's ``ctx_keys``: both probes
+    are one gather from the row tables laid end to end, and their candidate
+    keys one gather and one compare."""
+    slots = _slots(needles, _HASH_MUL, tables.shift)
+    slots[1] |= tables.second  # a slot is below 2**bits
+    pos = tables.rows.take(slots)
+    hit = ctx_keys.take(pos) == needles
+    return np.where(hit[0], pos[0], pos[1]), hit[0] | hit[1]
 
 
 @dataclass
@@ -230,7 +257,7 @@ class _Tables(NamedTuple):
 
     h: list[np.ndarray]  # per level, H_k of each stored context
     short: np.ndarray  # the entropy of every context of at most _SHORT bytes
-    rows: list  # per level, _row_tables of its contexts; None if empty or of <= _SHORT bytes
+    rows: list  # per level, the _RowTables of its contexts; None if empty or of <= _SHORT bytes
 
 
 class EntropyModel:
@@ -315,49 +342,76 @@ class EntropyModel:
         before position i (at most ``order`` of them). With
         ``reset_on_newline`` the context is cleared immediately after each
         0x0A byte.
+
+        Without a reset, position i's key is its last ``order`` bytes, with
+        zeros before the start, and level k reads it masked to k bytes (the
+        deepest level unmasked). Level k resolves only positions i >= k
+        among those no deeper level resolved, and the loop stops once only
+        the first three are left. Those left read the direct table: the
+        length-min(order, 2) block at the key's low 16 bits, except for the
+        first min(order, 2) positions, whose contexts are shorter and read
+        their own blocks. With a reset, a position's context length counts
+        from the start or the last reset; its key is masked to that length,
+        level k resolves only positions whose context reaches k bytes, and a
+        position left reads the block of its own length, at most 2.
         """
         arr = _as_bytes_array(data)
         n = len(arr)
         if n == 0:
             raise DataError("entropy_trace needs a non-empty byte sequence")
-
-        avail = np.arange(n, dtype=np.int64)
+        tables, order = self._tables, self.order
         if reset_on_newline:
-            after = np.nonzero(arr == NEWLINE)[0] + 1
+            avail = np.arange(n, dtype=np.int64)
+            after = (arr == NEWLINE).nonzero()[0] + 1
             resets = after[after < n]
             seg_start = np.zeros(n, dtype=np.int64)
             seg_start[resets] = resets
             avail -= np.maximum.accumulate(seg_start)
-        np.minimum(avail, self.order, out=avail)
-
-        tables = self._tables
-        # without a reset, the zeros before the start are the bytes a short
-        # context lacks, so one mask packs every position
-        key = _pack_keys(arr, avail if reset_on_newline else self.order)
-        values = tables.short[_SHORT_START[np.minimum(avail, _SHORT)] + (key & _KEY_MASK[_SHORT])]
-        # Deeper contexts overwrite that at their deepest stored length: a miss
-        # backs off to the suffix (an unseen context has exactly its suffix's
-        # distribution), and one that reaches _SHORT bytes keeps its table value.
-        # A stored context sits at its slot of the first row table or the
-        # second. The deepest non-empty level reads every position, each
-        # shallower one the positions no deeper level resolved (``todo``).
+            np.minimum(avail, order, out=avail)
+            key = _pack_keys(arr, avail)
+            n_short = np.count_nonzero(avail <= _SHORT)  # the positions no level can resolve
+        else:
+            # the zeros before the start are the bytes a short context lacks
+            key = _pack_keys(arr, order)
+            n_short = min(n, _SHORT + 1)
+        # The positions left (``todo``, every one before the first level) in
+        # increasing order. A miss backs off to the suffix: an unseen context
+        # has exactly its suffix's distribution. Without a reset, positions
+        # 0..k-1 are still left at level k and come first, so a slice keeps
+        # them out of it.
         todo = None
-        for k in range(self.order, _SHORT, -1):
+        for k in range(min(order, n - 1), _SHORT, -1):
             if tables.rows[k] is None:
                 continue
-            first, second, shift = tables.rows[k]
-            ctx_keys = self.levels[k].ctx_keys
-            needles = (key if todo is None else key[todo]) & _KEY_MASK[k]
-            pos = first[_slots(needles, _HASH_MUL[0], shift)]
-            pos = np.where(ctx_keys[pos] == needles, pos, second[_slots(needles, _HASH_MUL[1], shift)])
-            found = ctx_keys[pos] == needles
-            found &= (avail if todo is None else avail[todo]) >= k
             if todo is None:
-                np.copyto(values, tables.h[k][pos], where=found)
-                todo = np.flatnonzero(~found)
+                needles = key if k == order else key & _KEY_MASK[k, ...]
+            elif len(todo) == n_short:
+                break
             else:
-                values[todo[found]] = tables.h[k][pos[found]]
+                needles = key.take(todo)
+                needles &= _KEY_MASK[k, ...]
+            row, found = _find(tables.rows[k], self.levels[k].ctx_keys, needles)
+            if reset_on_newline:
+                found &= (avail if todo is None else avail.take(todo)) >= k
+            else:
+                found[:k] = False
+            if todo is None:
+                values = tables.h[k].take(row)
+                todo = (~found).nonzero()[0]
+            else:
+                values[todo[found]] = tables.h[k].take(row[found])
                 todo = todo[~found]
+        if todo is None:
+            values, todo = np.empty(n), slice(None)
+        # the positions left resolve at most _SHORT bytes of context
+        short = key[todo] & _KEY_MASK[_SHORT, ...]
+        if reset_on_newline:
+            short += _SHORT_START[np.minimum(avail[todo], _SHORT)]
+            values[todo] = tables.short.take(short.view(np.int64))
+        else:
+            values[todo] = tables.short[_SHORT_START[min(order, _SHORT)]:].take(short.view(np.int64))
+            for i in range(min(n, order, _SHORT)):
+                values[i] = tables.short[_SHORT_START[i] + key[i]]
         return EntropyTrace(values)
 
     # -- serialization --------------------------------------------------------

@@ -31,7 +31,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -68,13 +68,17 @@ class PatchBoundaries:
     starts: np.ndarray
     n_bytes: int
     forced_splits: int = 0
+    # the length of every patch but the last; the maximum patch size reads it too
+    _gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         starts = np.asarray(self.starts, dtype=np.int64)
         object.__setattr__(self, "starts", starts)
         if len(starts) == 0 or starts[0] != 0:
             raise ValueError("first byte must start a patch")
-        if (starts[1:] <= starts[:-1]).any():
+        gaps = starts[1:] - starts[:-1]
+        object.__setattr__(self, "_gaps", gaps)
+        if np.count_nonzero(gaps <= 0):
             raise ValueError("patch starts must be strictly increasing")
         if starts[-1] >= self.n_bytes:
             raise ValueError("patch starts must be < n_bytes")
@@ -84,7 +88,7 @@ class PatchBoundaries:
         return len(self.starts)
 
     def lengths(self) -> np.ndarray:
-        return np.diff(np.append(self.starts, self.n_bytes))
+        return np.append(self._gaps, self.n_bytes - self.starts[-1])
 
     def ends(self) -> np.ndarray:
         """Index of the last byte of each patch."""
@@ -144,18 +148,29 @@ def _forced_splits(lengths: np.ndarray, max_patch: int) -> np.ndarray:
 
 def enforce_max_patch(starts: np.ndarray, n_bytes: int, max_patch: int) -> tuple[np.ndarray, int]:
     """Split any patch longer than ``max_patch``; returns (starts, forced split
-    count). ``starts`` is non-empty."""
-    if n_bytes - starts[-1] <= max_patch and (starts[1:] - starts[:-1]).max(initial=0) <= max_patch:
-        return starts, 0
-    lengths = np.diff(np.append(starts, n_bytes))
-    splits = _forced_splits(lengths, max_patch)
+    count). ``starts`` must be patch starts over ``n_bytes`` bytes, as
+    ``PatchBoundaries`` checks."""
+    capped = _capped(PatchBoundaries(starts, n_bytes), max_patch)
+    return capped.starts, capped.forced_splits
+
+
+def _capped(bounds: PatchBoundaries, max_patch: int) -> PatchBoundaries:
+    """``bounds`` with every patch longer than ``max_patch`` split each
+    ``max_patch`` bytes and the splits counted, or ``bounds`` itself when no
+    patch is longer. The cap test reads the gaps ``PatchBoundaries`` computed
+    for its own check."""
+    starts, last = bounds.starts, bounds.n_bytes - bounds.starts[-1]
+    if last <= max_patch and bounds._gaps.max(initial=0) <= max_patch:
+        return bounds
+    splits = _forced_splits(np.append(bounds._gaps, last), max_patch)
     extra = [starts[i] + max_patch * np.arange(1, splits[i] + 1) for i in np.flatnonzero(splits)]
-    return np.sort(np.concatenate([starts] + extra)), int(splits.sum())
+    return PatchBoundaries(np.sort(np.concatenate([starts] + extra)), bounds.n_bytes,
+                           int(splits.sum()))
 
 
 def _from_flags(flags: np.ndarray) -> PatchBoundaries:
     flags[0] = True  # every caller passes a fresh array
-    return PatchBoundaries(np.flatnonzero(flags), len(flags))
+    return PatchBoundaries(flags.nonzero()[0], len(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +267,10 @@ class Patcher:
                 raise ConfigError(f"{scheme} needs {' or '.join(ENTROPY_THRESHOLDS[scheme])}")
 
     def __call__(self, data) -> PatchBoundaries:
+        """The boundaries ``config.scheme`` proposes for ``data``, capped at
+        ``config.max_patch_size``. An entropy scheme traces ``data`` once and
+        thresholds the trace (``patch_entropy``). The cap reads the gaps
+        between starts that ``PatchBoundaries`` computed to check the proposal."""
         arr, config = _as_bytes_array(data), self.config
         if len(arr) == 0:
             raise DataError("patching needs a non-empty byte sequence")
@@ -264,10 +283,9 @@ class Patcher:
         else:
             reads = ENTROPY_THRESHOLDS[config.scheme]
             trace = self.entropy_model.entropy_trace(arr, reset_on_newline=config.reset_on_newline)
-            proposed = patch_entropy(trace, *(getattr(config, name) if name in reads else None
-                                              for name in ("theta_g", "theta_r")))
-        starts, forced = enforce_max_patch(proposed.starts, proposed.n_bytes, config.max_patch_size)
-        return PatchBoundaries(starts, proposed.n_bytes, forced) if forced else proposed
+            proposed = patch_entropy(trace, config.theta_g if "theta_g" in reads else None,
+                                     config.theta_r if "theta_r" in reads else None)
+        return _capped(proposed, config.max_patch_size)
 
     def save(self, directory: str | Path) -> None:
         """Write ``patcher.json`` and, for an entropy scheme, ``entropy.bin``."""

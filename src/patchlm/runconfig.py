@@ -6,7 +6,9 @@ every run directory so artifacts are traceable. The ``model``, ``patching``
 and ``optimizer`` defaults are those of ``ModelConfig``, ``PatchingConfig``
 and ``OptimSpec``, and ``entropy_model.alpha`` and ``training.eval_stream_bytes``
 are ``entropy_lm.DEFAULT_ALPHA`` and ``trainer.EVAL_STREAM_BYTES``, so each
-default lives in one place. Input and output locations are not config keys:
+default lives in one place. Loading builds ``model``, ``optim`` and ``patching``
+from their sections, so every command rejects a bad setting before it reads
+any input. Input and output locations are not config keys:
 ``--corpus``, ``--corpus-eval``, ``--entropy-model``, ``--format`` and
 ``--run-root`` name them.
 
@@ -109,7 +111,10 @@ class RunConfig:
     def __init__(self, values: dict):
         _check_keys(values, DEFAULTS)
         self.values = _deep_merge(DEFAULTS, values)
-        # a bad patching or count-model setting fails here, before any input is read
+        # a bad model, optimizer, patching or count-model setting fails here,
+        # before any input is read
+        self.model = ModelConfig(**self.values["model"])
+        self.optim = OptimSpec(**self.values["optimizer"])
         settings = dict(self.values["patching"])
         check_target(settings.pop("target_patch_size"))
         self.patching = PatchingConfig(**settings)

@@ -949,6 +949,47 @@ def test_bad_patching_settings_exit_2_before_the_corpus_is_read(tmp_path, capsys
     assert code == EXIT_CONFIG and named in err, err
 
 
+# model and optimizer settings that RunConfig rejects as it loads: (config, what
+# the message names); every command that takes --config, with a missing corpus
+# where it reads one
+BAD_MODEL_SETTINGS = {
+    "enc_heads_3": ({"model": {"enc_heads": 3}}, "enc_heads"),
+    "rope_theta_0": ({"model": {"rope_theta": 0}}, "rope_theta"),
+    "lr_peak_negative": ({"optimizer": {"lr_peak": -1}}, "optimizer.lr_peak"),
+    "beta2_1": ({"optimizer": {"beta2": 1}}, "optimizer.beta2"),
+}
+CONFIG_COMMANDS = {
+    "train-entropy": ["--corpus", "missing.txt"],
+    "calibrate": ["--corpus", "missing.txt", "--target-patch-size", "4"],
+    "patch": ["--corpus", "missing.txt", "--scheme", "strided"],
+    "train": ["--corpus", "missing.txt", "--scheme", "strided", "--run-dir", "run"],
+    "check-incremental": ["--corpus", "missing.txt", "--scheme", "strided"],
+    "trace": ["--corpus", "missing.txt", "--scheme", "strided"],
+    "flops": [],
+    "size-match": ["--target", "1e6"],
+}
+
+
+def test_config_commands_are_every_command_that_takes_config():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    takes = {name for name, sp in sub.choices.items()
+             if any("--config" in a.option_strings for a in sp._actions)}
+    assert takes == set(CONFIG_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(CONFIG_COMMANDS))
+@pytest.mark.parametrize("case", list(BAD_MODEL_SETTINGS))
+def test_bad_model_and_optimizer_settings_exit_2_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, case, command):
+    monkeypatch.chdir(tmp_path)
+    values, named = BAD_MODEL_SETTINGS[case]
+    Path("cfg.json").write_text(json.dumps(values))
+    code = main([command, *CONFIG_COMMANDS[command], "--config", "cfg.json"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and err.startswith("config error: ") and named in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("values, key", [
     ({"optimizer": {"warmup_steps": 5}, "training": {"steps": 5}}, "warmup_steps"),
     ({"training": {"steps": "ten"}}, "training.steps"),

@@ -14,6 +14,7 @@ from patchlm.entropy_lm import (
     _HASH_MUL,
     _Level,
     _count_pairs,
+    _find,
     _pack_keys,
     _row_tables,
     _slots,
@@ -298,14 +299,6 @@ def test_trace_is_bitwise_the_cascade_trace(model_variants, small_docs, order, r
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _lookup(keys, tables, needles):
-    """The trace's two-probe lookup: (row, found) of each needle."""
-    first, second, shift = tables
-    pos = first[_slots(needles, _HASH_MUL[0], shift)]
-    pos = np.where(keys[pos] == needles, pos, second[_slots(needles, _HASH_MUL[1], shift)])
-    return pos, keys[pos] == needles
-
-
 _U64_MAX = np.uint64(2**64 - 1)
 
 
@@ -333,7 +326,7 @@ def test_row_tables_place_every_key_and_reject_every_absent_one(monkeypatch, kin
         assert keys[0] == 0 and keys[-1] == _U64_MAX
     assert len(np.unique(keys)) == n
     tables = _row_tables(keys)
-    first, second, shift = tables
+    (first, second), shift, _ = tables
     assert first.dtype == second.dtype == np.int32 and len(first) == len(second) >= n
     assert len(first) == 1 << (64 - int(shift))
     least = 1 << max(1, (n - 1).bit_length())
@@ -345,7 +338,7 @@ def test_row_tables_place_every_key_and_reject_every_absent_one(monkeypatch, kin
     in_first = first[_slots(keys, _HASH_MUL[0], shift)] == rows
     in_second = second[_slots(keys, _HASH_MUL[1], shift)] == rows
     assert (in_first | in_second).all()
-    pos, found = _lookup(keys, tables, keys)
+    pos, found = _find(tables, keys, keys)
     assert found.all() and (pos == rows).all()
     # every row but row 0 sits in exactly one slot; an empty slot holds row 0
     assert np.count_nonzero(first) + np.count_nonzero(second) == n - 1
@@ -354,12 +347,12 @@ def test_row_tables_place_every_key_and_reject_every_absent_one(monkeypatch, kin
     absent = np.setdiff1d(np.concatenate((keys + np.uint64(1), keys - np.uint64(1),
                                           [np.uint64(0), _U64_MAX],
                                           rng.integers(0, 2**64, size=4096, dtype=np.uint64))), keys)
-    _, found = _lookup(keys, tables, absent)
+    _, found = _find(tables, keys, absent)
     assert not found.any()
     empty = ((first[_slots(absent, _HASH_MUL[0], shift)] == 0)
              & (second[_slots(absent, _HASH_MUL[1], shift)] == 0) & (absent != keys[0]))
     assert empty.any()
-    pos, found = _lookup(keys, tables, absent[empty])
+    pos, found = _find(tables, keys, absent[empty])
     assert (pos == 0).all() and not found.any()
 
 
@@ -511,8 +504,7 @@ def test_order8_tables_memory_is_bounded_by_pairs():
     assert peak < 64 * 2**20 + short_bytes
     for k, lev in enumerate(model.levels):  # the row tables: at most 16 bytes per stored context
         if k > 2:
-            first, second, _ = model._tables.rows[k]
-            assert first.nbytes + second.nbytes <= 16 * len(lev.ctx_keys)
+            assert model._tables.rows[k].rows.nbytes <= 16 * len(lev.ctx_keys)
 
 
 def test_build_memory_is_one_pair_key_buffer():

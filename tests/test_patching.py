@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patchlm.bpe import train_bpe
 from patchlm.entropy_lm import LN256, NEWLINE, EntropyTrace, train_counts
@@ -41,14 +41,22 @@ def _trace(values) -> EntropyTrace:
 
 
 def test_boundaries_validation():
-    with pytest.raises(ValueError):
-        PatchBoundaries(np.array([1, 2]), 5)  # missing 0
-    with pytest.raises(ValueError):
-        PatchBoundaries(np.array([0, 2, 2]), 5)  # not strictly increasing
-    with pytest.raises(ValueError):
-        PatchBoundaries(np.array([0, 5]), 5)  # start beyond sequence
-    with pytest.raises(ValueError):
-        PatchBoundaries(np.zeros(0, np.int64), 0)  # an empty sequence has no patches
+    # each check has its own message; the first that fails is the one raised
+    first, increasing, below = "first byte must start a patch", "strictly increasing", "< n_bytes"
+    cases = [
+        ([1, 2], 5, first),  # missing 0
+        ([], 0, first),  # an empty sequence has no patches
+        ([1, 1], 5, first),
+        ([0, 2, 2], 5, increasing),
+        ([0, 3, 2], 5, increasing),
+        ([0, 6, 6], 5, increasing),  # also beyond the sequence
+        ([0, 5], 5, below),  # start beyond sequence
+        ([0, 2, 7], 5, below),
+    ]
+    for starts, n_bytes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PatchBoundaries(np.array(starts, np.int64), n_bytes)
+    assert PatchBoundaries(np.array([0, 2, 4]), 5).lengths().tolist() == [2, 2, 1]
 
 
 def test_partition_coverage_fuzzed():
@@ -159,13 +167,15 @@ def test_max_patch_cap_forces_splits():
        data=st.lists(st.sampled_from(list(b"ab c\n.,xyz0123")), min_size=1,
                      max_size=1200).map(bytes),
        max_patch=st.sampled_from([1, 3, 512]), k=st.integers(1, 700),
-       theta=st.sampled_from([0.5, 1.5, 2.5, 10.0]))
+       theta=st.sampled_from([0.5, 1.5, 2.5, 10.0]), reset=st.booleans())
+@example(scheme="entropy_monotonic", data=b"abc\nxyz\n0123\nab c", max_patch=3, k=1, theta=1.5,
+         reset=True)  # the reset moves the proposed starts here
 def test_make_patcher_forces_the_splits_the_cap_implies(entropy3, scheme, data, max_patch, k,
-                                                        theta):
+                                                        theta, reset):
     # the scheme's uncapped proposal, then (L - 1) // max_patch splits per patch of length L
     arr = b(data)
     vocab = train_bpe([b"aaab cab x", b"xyz xyz 012"], n_merges=8)
-    trace = entropy3.entropy_trace(arr)
+    trace = entropy3.entropy_trace(arr, reset_on_newline=reset)
     proposals = {
         "strided": lambda: patch_strided(len(arr), k),
         "space": lambda: patch_space(arr),
@@ -175,7 +185,7 @@ def test_make_patcher_forces_the_splits_the_cap_implies(entropy3, scheme, data, 
         "bpe": lambda: PatchBoundaries(vocab.token_starts(arr), len(arr)),
     }
     config = PatchingConfig(scheme=scheme, k=k, theta_g=theta, theta_r=theta - 1.0,
-                            max_patch_size=max_patch)
+                            max_patch_size=max_patch, reset_on_newline=reset)
     got = make_patcher(config, entropy_model=entropy3, bpe_vocab=vocab)(arr)
     proposed = proposals[scheme]()
     assert proposed.forced_splits == 0
@@ -183,6 +193,9 @@ def test_make_patcher_forces_the_splits_the_cap_implies(entropy3, scheme, data, 
     assert got.n_patches == proposed.n_patches + got.forced_splits
     assert np.isin(proposed.starts, got.starts).all()
     assert got.n_bytes == len(arr) and (got.lengths() <= max_patch).all()
+    starts, forced = enforce_max_patch(proposed.starts, len(arr), max_patch)
+    assert got.starts.dtype == starts.dtype == np.int64
+    assert np.array_equal(got.starts, starts) and got.forced_splits == forced
 
 
 # -- stats -----------------------------------------------------------------------
@@ -308,7 +321,7 @@ def test_calibration_returns_the_plain_bisections_theta(entropy3, english_docs, 
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     if (target, max_patch) == (2.9, 3):
-        # reachable only with forced splits: the bisection ends at or above theta*
+        # reachable only with forced splits: at the calibrated threshold the cap splits patches
         (name,) = ENTROPY_THRESHOLDS[scheme]
         patcher = make_patcher(replace(config, **{name: outcomes[0]}), entropy_model=entropy3)
         assert patch_stats(*map(patcher, sample)).forced_splits > 0
